@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Data goes to stdout, diagnostics to stderr. Exit codes: 0 success, 1 input
-error, 2 internal verification failure. Rational mode renders fractions as
-"p/q" strings; --float switches to decimals. Identical invocations produce
-byte-identical output.
+error, 2 internal verification failure (a failed certificate, a broken
+solver or CSS invariant, or an experiment with failed trials). Rational mode
+renders fractions as "p/q" strings; --float switches to decimals. Identical
+invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .css import css_run, verify_centroid_reply
+from .css import CSSError, css_run, verify_centroid_reply
 from .diffusion import (
     Color,
     format_fraction,
@@ -45,7 +46,7 @@ from .families import (
     spider_optimal_depth,
     spider_safe_strategy,
 )
-from .solver import solve_value, verify_solution
+from .solver import SolverError, solve_value, verify_solution
 from .tree import Tree, centroid, parse_tree, weight_table
 
 
@@ -160,8 +161,8 @@ def simulate_cmd(tree_file, spider_spec, ctree_spec, x1, x2) -> None:
 def value_cmd(tree_file, spider_spec, ctree_spec, as_float) -> None:
     """Exact safety value with maxmin and minmax strategies."""
     t = _load_tree(tree_file, spider_spec, ctree_spec)
-    sol = solve_value(game_matrix(t))
-    ok = verify_solution(game_matrix(t), sol)
+    sol = solve_value(t)
+    ok = verify_solution(t, sol)
     _emit(
         {
             "schema": "treegame.value/1",
@@ -235,7 +236,7 @@ def spider_cmd(legs, leg_length, k, exact_threshold, as_float) -> None:
     body_gain = spider_body_reply_gain(spec, k)
     value = None
     if spec.n <= exact_threshold:
-        value = solve_value(game_matrix(t)).value
+        value = solve_value(t).value
     sandwich_ok = ggain <= (value if value is not None else Fraction(leg_length)) <= leg_length
     doc = {
         "schema": "treegame.spider/1",
@@ -287,15 +288,16 @@ def ctree_cmd(arity, height, as_float) -> None:
 @click.option("--n", type=int, default=None, help="Tree size per trial.")
 @click.option("--trials", type=int, default=None)
 @click.option("--seed", type=int, default=None)
-@click.option("--exact-threshold", type=int, default=None)
 @click.option("--config", "config_file", type=click.Path(exists=True, dir_okay=False), help="key=value config file.")
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), default=".", show_default=True)
-def experiment_cmd(n, trials, seed, exact_threshold, config_file, out_dir) -> None:
-    """Run the random-tree evaluation; writes records.csv and histogram.csv."""
+def experiment_cmd(n, trials, seed, config_file, out_dir) -> None:
+    """Run the random-tree evaluation; writes records.csv and histogram.csv.
+
+    Exits 2, after writing both files and the summary, if any trial failed."""
     settings: dict = {}
     if config_file:
         settings.update(parse_config_file(config_file))
-    for key, val in (("n", n), ("trials", trials), ("seed", seed), ("exact_threshold", exact_threshold)):
+    for key, val in (("n", n), ("trials", trials), ("seed", seed)):
         if val is not None:
             settings[key] = val
     missing = [k for k in ("n", "trials", "seed") if k not in settings]
@@ -326,12 +328,13 @@ def experiment_cmd(n, trials, seed, exact_threshold, config_file, out_dir) -> No
     if result.failures:
         for f in result.failures:
             click.echo(f"trial {f.index} failed: {f.error}", err=True)
+        raise VerificationFailure(f"{len(result.failures)} of {cfg.trials} trials failed")
 
 
 def main() -> None:
     try:
         cli.main(standalone_mode=False)
-    except VerificationFailure as exc:
+    except (VerificationFailure, SolverError, CSSError) as exc:
         click.echo(f"verification failure: {exc}", err=True)
         sys.exit(2)
     except click.exceptions.Exit as exc:

@@ -9,12 +9,13 @@ comparisons, never floats.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 from .diffusion import MixedStrategy, guaranteed_gain, reply_gains
-from .tree import Tree, WeightTable, bfs_tables, centroid, weight_table
+from .tree import Tree, WeightTable, branches_at, centroid, distances_from, weight_table
 
 
 class CSSError(RuntimeError):
@@ -174,20 +175,11 @@ def analyze_branches(t: Tree, root: int, wt: WeightTable | None = None) -> list[
     cinfo = centroid(t, wt)
     if root not in cinfo.vertices:
         raise ValueError(f"vertex {root} is not a centroid vertex")
-    order, parent, depth = bfs_tables(t, root)
-    groups: dict[int, list[int]] = {u: [u] for u in t.adj[root]}
-    top = [-1] * n
-    for v in order[1:]:
-        if parent[v] == root:
-            top[v] = v
-        else:
-            top[v] = top[parent[v]]
-            groups[top[v]].append(v)
-
+    depth = distances_from(t, root)
     result = []
-    for child in t.adj[root]:
-        members = sorted(groups[child])
-        ranked = sorted(members, key=lambda v: (wt.w[v], depth[v], v))
+    for branch in branches_at(t, root):
+        members = sorted(branch.vertices)
+        ranked = heapq.nsmallest(3, members, key=lambda v: (wt.w[v], depth[v], v))
         u = ranked[0]
         index = members[0]
         if u not in t.adj[root]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .tree import Tree, bfs_tables, distances_from
 
@@ -121,31 +121,28 @@ class GameMatrix:
             if any(x < 0 for x in self.entries[i]):
                 raise ValueError("entries must be non-negative")
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(self.entries[i][j] for i in range(self.n))
-
     def to_csv(self) -> str:
         return "\n".join(",".join(str(x) for x in row) for row in self.entries) + "\n"
 
 
-def gain_row(t: Tree, x: int) -> list[int]:
-    """The full matrix row A[x][.] in O(n).
+def _cut_gains(t: Tree, root: int, is_row: bool) -> list[int]:
+    """Matrix row (``is_row``) or column at ``root`` in O(n), rooted there.
 
-    With the tree rooted at x, the opponent at y (at depth k) confines
-    Player 1 to the component left after cutting the path edge just past its
-    midpoint, so A[x][y] = n - size(ancestor of y at depth ceil(k/2)).
+    With the other start v at depth k, Player 1 keeps the component on the
+    own side of the path edge cut just past the midpoint. For a row (Player 1
+    at the root) that edge sits above v's ancestor a at depth ceil(k/2) and
+    the entry is n - size(a); for a column (Player 1 at v) it sits above the
+    ancestor a at depth floor(k/2) + 1 and the entry is size(a).
     """
     n = t.n
-    order, parent, depth = bfs_tables(t, x)
+    order, parent, depth = bfs_tables(t, root)
     sz = [1] * n
     for v in reversed(order[1:]):
         sz[parent[v]] += sz[v]
-    row = [0] * n
+    gain_at, offset = ([n - s for s in sz], 1) if is_row else (sz, 2)
+    out = [0] * n
     path: list[int] = []
-    stack: list[tuple[int, bool]] = [(x, False)]
+    stack: list[tuple[int, bool]] = [(root, False)]
     while stack:
         v, done = stack.pop()
         if done:
@@ -153,39 +150,22 @@ def gain_row(t: Tree, x: int) -> list[int]:
             continue
         stack.append((v, True))
         path.append(v)
-        k = depth[v]
-        if v != x:
-            row[v] = n - sz[path[(k + 1) // 2]]
+        if v != root:
+            out[v] = gain_at[path[(depth[v] + offset) // 2]]
         for w in t.adj[v]:
             if w != parent[v]:
                 stack.append((w, False))
-    return row
+    return out
+
+
+def gain_row(t: Tree, x: int) -> list[int]:
+    """The full matrix row A[x][.] in O(n)."""
+    return _cut_gains(t, x, True)
 
 
 def gain_column(t: Tree, y: int) -> list[int]:
-    """The full matrix column A[.][y] in O(n), rooted at the opponent."""
-    n = t.n
-    order, parent, depth = bfs_tables(t, y)
-    sz = [1] * n
-    for v in reversed(order[1:]):
-        sz[parent[v]] += sz[v]
-    col = [0] * n
-    path: list[int] = []
-    stack: list[tuple[int, bool]] = [(y, False)]
-    while stack:
-        v, done = stack.pop()
-        if done:
-            path.pop()
-            continue
-        stack.append((v, True))
-        path.append(v)
-        k = depth[v]
-        if v != y:
-            col[v] = sz[path[k - (k + 1) // 2 + 1]]
-        for w in t.adj[v]:
-            if w != parent[v]:
-                stack.append((w, False))
-    return col
+    """The full matrix column A[.][y] in O(n)."""
+    return _cut_gains(t, y, False)
 
 
 def game_matrix(t: Tree) -> GameMatrix:
@@ -323,26 +303,28 @@ def gain(t: Tree, x: MixedStrategy, y: MixedStrategy):
     return total
 
 
+def _sweep(n: int, mix: MixedStrategy, line: Callable[[int], Sequence[int]]) -> list:
+    """The mix-weighted sum of ``line(v)`` over the support vertices v.
+
+    With matrix rows this is the gain against every pure reply; with
+    columns, the gain of every pure start.
+    """
+    acc = [0] * n
+    for v, p in mix.probs.items():
+        acc = [a + p * g for a, g in zip(acc, line(v))]
+    return acc
+
+
 def reply_gains(t: Tree, x: MixedStrategy) -> list:
     """Player 1's expected gain against every pure opposing vertex."""
     _check_dims(t, x)
-    acc = [0] * t.n
-    for v, px in x.probs.items():
-        row = gain_row(t, v)
-        for w in range(t.n):
-            acc[w] = acc[w] + px * row[w]
-    return acc
+    return _sweep(t.n, x, lambda v: gain_row(t, v))
 
 
 def start_gains(t: Tree, y: MixedStrategy) -> list:
     """Player 1's expected gain for every pure start against opposing mix y."""
     _check_dims(t, y)
-    acc = [0] * t.n
-    for v, py in y.probs.items():
-        col = gain_column(t, v)
-        for w in range(t.n):
-            acc[w] = acc[w] + py * col[w]
-    return acc
+    return _sweep(t.n, y, lambda v: gain_column(t, v))
 
 
 def guaranteed_gain(t: Tree, x: MixedStrategy):

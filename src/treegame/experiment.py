@@ -1,6 +1,6 @@
 """Random-tree evaluation harness: sample centroidal trees, compare the
-centroidal strategy's guaranteed gain against an upper bound on the safety
-value, and histogram the normalized differences.
+centroidal strategy's guaranteed gain against the exact safety value (the
+records' ``upper_bound``), and histogram the normalized differences.
 
 Runs are reproducible bit-for-bit: trial i derives its seed from a SHA-256
 hash of (master seed, i), so trials are order-independent.
@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from .css import CSSResult, css_run
-from .diffusion import format_fraction, gain_column, game_matrix
-from .solver import solve_column_restricted, solve_value
+from .css import css_run
+from .diffusion import format_fraction
+from .solver import solve_value
 from .tree import Tree, centroid, weight_table
 
 
@@ -28,13 +28,14 @@ class ExperimentConfig:
     n: int
     trials: int
     seed: int
-    exact_threshold: int = 150
     bin_width: Fraction = Fraction(1, 100)
     bin_max: Fraction = Fraction(30, 100)
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("tree size must be >= 1")
+        if self.n == 2:
+            raise ValueError("no 2-vertex tree has a single centroid")
         if self.trials < 1:
             raise ValueError("need at least one trial")
         if not (0 < self.bin_width <= self.bin_max):
@@ -49,8 +50,7 @@ class TrialRecord:
     centroid: int
     centroid_weight: int
     css_gain: Fraction
-    upper_bound: Fraction
-    upper_bound_kind: str  # "exact-LP" | "opposing-strategy"
+    upper_bound: Fraction  # the exact safety value
     diff_ratio: Fraction
 
 
@@ -130,36 +130,6 @@ def sample_centroidal(n: int, seed: int, max_attempts: int = 10_000) -> Tree:
     raise RuntimeError(f"no centroidal tree of size {n} found in {max_attempts} attempts")
 
 
-def upper_bound(
-    t: Tree,
-    exact_threshold: int = 150,
-    css_result: CSSResult | None = None,
-) -> tuple[Fraction, str]:
-    """An exact upper bound on the safety value.
-
-    Small trees get the exact LP value. Larger ones get the best opposing
-    mix supported on the centroid plus the vertices the centroidal strategy
-    covers (all within distance 2 of the centroid); its worst case over every
-    pure start bounds the value from above.
-    """
-    if t.n <= exact_threshold:
-        cinfo = centroid(t)
-        warm = {cinfo.root, *t.adj[cinfo.root]}
-        sol = solve_value(game_matrix(t), warm_start=warm)
-        return sol.value, "exact-LP"
-    res = css_result or css_run(t)
-    support = {res.root}
-    for ub in res.branches_used:
-        support.add(ub.info.u)
-        if ub.info.t is not None and ub.gamma:
-            support.add(ub.info.t)
-        if ub.info.s is not None and ub.delta:
-            support.add(ub.info.s)
-    columns = {y: gain_column(t, y) for y in sorted(support)}
-    bound, _ = solve_column_restricted(columns, t.n, warm_start=support)
-    return bound, "opposing-strategy"
-
-
 def _build_histogram(ratios: list[Fraction], width: Fraction, top: Fraction) -> Histogram:
     nbins = int(top / width)
     counts = [0] * (nbins + 1)
@@ -192,12 +162,12 @@ def run_experiment(
             res = css_run(t)
             wt = weight_table(t)
             cw = wt.w[res.root]
-            bound, kind = upper_bound(t, cfg.exact_threshold, css_result=res)
+            bound = solve_value(t).value
             ratio = (bound - res.guaranteed_gain) / cw
             if ratio < 0:
                 raise RuntimeError(f"negative gap {ratio}; bound below guaranteed gain")
             result.records.append(
-                TrialRecord(i, seed_i, t.n, res.root, cw, res.guaranteed_gain, bound, kind, ratio)
+                TrialRecord(i, seed_i, t.n, res.root, cw, res.guaranteed_gain, bound, ratio)
             )
             ratios.append(ratio)
         except Exception as exc:  # noqa: BLE001 - per-trial isolation is the contract
@@ -232,7 +202,6 @@ def write_records_csv(records: list[TrialRecord], path: str) -> None:
                 "css_gain_exact",
                 "upper_bound",
                 "upper_bound_exact",
-                "upper_bound_kind",
                 "diff_ratio",
                 "diff_ratio_exact",
             ]
@@ -249,7 +218,6 @@ def write_records_csv(records: list[TrialRecord], path: str) -> None:
                     format_fraction(r.css_gain),
                     _dec(r.upper_bound),
                     format_fraction(r.upper_bound),
-                    r.upper_bound_kind,
                     _dec(r.diff_ratio),
                     format_fraction(r.diff_ratio),
                 ]
@@ -265,12 +233,12 @@ def write_histogram_csv(histogram: Histogram, path: str) -> None:
         w.writerow([f"{float(histogram.bin_max):.6g}", "inf", histogram.overflow])
 
 
-_CONFIG_KEYS = {"n": int, "trials": int, "seed": int, "exact_threshold": int}
+_CONFIG_KEYS = {"n": int, "trials": int, "seed": int}
 
 
 def parse_config_file(path: str) -> dict:
-    """Plain key=value config: n, trials, seed, exact_threshold, bin_width,
-    bin_max. Blank lines and #-comments are skipped."""
+    """Plain key=value config: n, trials, seed, bin_width, bin_max. Blank
+    lines and #-comments are skipped."""
     out: dict = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):

@@ -1,4 +1,4 @@
-"""Exact zero-sum solver for the safe game.
+"""Exact zero-sum solver for the safe game on a tree.
 
 The safety value of a non-negative payoff matrix A is computed through the
 standard scaling transform: with value v > 0, maximizing the total mass of
@@ -13,11 +13,14 @@ Everything runs over exact rationals. The simplex uses a most-improving
 entering rule for speed but switches permanently to Bland's anti-cycling
 rule after a fixed number of pivots, which guarantees termination.
 
-For matrices beyond a small size the full LP is never built. Instead a
-support-generation loop solves exact subgames on growing candidate supports
-and expands them with exact best responses until neither player can improve;
-at that point the weak-duality certificate (worst reply against X equals the
-best start against Y equals the subgame value) proves optimality on the full
+The n x n gain matrix is never built. A support-generation loop (the
+double-oracle method) solves exact subgames on growing candidate supports,
+seeded with the centroid and its neighbours, and expands them with exact
+best responses until neither player can improve. It reads only the matrix
+rows and columns it needs, each computed in O(n) from the tree and cached
+for the call. At that point the weak-duality certificate (worst reply
+against X equals the best start against Y equals the subgame value),
+swept against all n pure replies and starts, proves optimality on the full
 game.
 """
 
@@ -25,11 +28,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
-from .diffusion import GameMatrix, MixedStrategy
+from .diffusion import MixedStrategy, _sweep, gain_column, gain_row, reply_gains, start_gains
+from .tree import Tree, centroid
 
-_DIRECT_LIMIT = 12
 _BLAND_AFTER = 200
 
 
@@ -186,76 +189,50 @@ class ZeroSumSolution:
         return max(self.p1_reply_gains)
 
 
-def _matrix_reply_gains(a: GameMatrix, x: MixedStrategy) -> list[Fraction]:
-    acc = [Fraction(0)] * a.n
-    for v, p in x.probs.items():
-        row = a.entries[v]
-        for w in range(a.n):
-            acc[w] += p * row[w]
-    return acc
+def solve_value(t: Tree, method: str = "oracle") -> ZeroSumSolution:
+    """Safety value of the tree with maxmin/minmax strategies and an exact
+    certificate.
 
-
-def _matrix_start_gains(a: GameMatrix, y: MixedStrategy) -> list[Fraction]:
-    acc = [Fraction(0)] * a.n
-    for v, p in y.probs.items():
-        for w in range(a.n):
-            acc[w] += p * a.entries[w][v]
-    return acc
-
-
-def _finish(a: GameMatrix, value: Fraction, x: MixedStrategy, y: MixedStrategy) -> ZeroSumSolution:
-    g2 = _matrix_reply_gains(a, x)
-    g1 = _matrix_start_gains(a, y)
-    if min(g2) != value or max(g1) != value:
-        raise SolverError("optimality certificate failed")
-    return ZeroSumSolution(value, x, y, tuple(g2), tuple(g1))
-
-
-def _support_seed(a: GameMatrix, warm_start: Iterable[int]) -> list[int]:
-    seed = sorted({v for v in warm_start if 0 <= v < a.n})
-    if seed:
-        return seed
-    best = max(range(a.n), key=lambda i: (sum(a.entries[i]), -i))
-    return [best]
-
-
-def solve_value(
-    a: GameMatrix,
-    method: str = "auto",
-    warm_start: Iterable[int] = (),
-) -> ZeroSumSolution:
-    """Safety value with maxmin/minmax strategies and an exact certificate.
-
-    ``method`` is "direct" (full LP), "oracle" (support generation) or
-    "auto". ``warm_start`` optionally seeds the candidate supports, e.g. with
-    the centroid and its neighbourhood.
+    ``method`` is "oracle" (support generation seeded with the centroid and
+    its neighbours) or "direct" (the same loop seeded with every vertex, so
+    the first subgame is the full game; a test reference).
     """
-    n = a.n
+    if method not in ("direct", "oracle"):
+        raise ValueError(f"unknown method {method!r}")
+    n = t.n
     if n == 1:
         one = MixedStrategy.pure(1, 0)
         return ZeroSumSolution(Fraction(0), one, one, (Fraction(0),), (Fraction(0),))
-    if method not in ("auto", "direct", "oracle"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "direct" or (method == "auto" and n <= _DIRECT_LIMIT):
-        value, xs, ys = solve_matrix_game(a.entries)
-        x = MixedStrategy(n, {i: p for i, p in enumerate(xs) if p})
-        y = MixedStrategy(n, {i: p for i, p in enumerate(ys) if p})
-        return _finish(a, value, x, y)
+    rows: dict[int, list[int]] = {}
+    cols: dict[int, list[int]] = {}
 
-    sx = _support_seed(a, warm_start)
+    def row(v: int) -> list[int]:
+        if v not in rows:
+            rows[v] = gain_row(t, v)
+        return rows[v]
+
+    def col(v: int) -> list[int]:
+        if v not in cols:
+            cols[v] = gain_column(t, v)
+        return cols[v]
+
+    if method == "direct":
+        sx = list(range(n))
+    else:
+        root = centroid(t).root
+        sx = sorted({root, *t.adj[root]})
     sy = list(sx)
-    entries = a.entries
     # The number of best responses admitted per side doubles every round, so
     # games whose optima need nearly full support (stars, say) converge in
     # O(log n) rounds while small-support games keep their subgames tiny.
     budget = 2
     for _ in range(2 * n + 4):
-        sub = [[entries[i][j] for j in sy] for i in sx]
+        sub = [[r[j] for j in sy] for r in map(row, sx)]
         v, xr, yr = solve_matrix_game(sub)
         x = MixedStrategy(n, {sx[i]: p for i, p in enumerate(xr) if p})
         y = MixedStrategy(n, {sy[j]: p for j, p in enumerate(yr) if p})
-        g1 = _matrix_start_gains(a, y)
-        g2 = _matrix_reply_gains(a, x)
+        g1 = _sweep(n, y, col)
+        g2 = _sweep(n, x, row)
         b1 = max(g1)
         b2 = min(g2)
         if b1 == v and b2 == v:
@@ -270,51 +247,15 @@ def solve_value(
     raise SolverError("support generation did not converge")
 
 
-def verify_solution(a: GameMatrix, sol: ZeroSumSolution, tol: float = 1e-9) -> bool:
-    """Recompute both reply sweeps from the matrix and check that the worst
+def verify_solution(t: Tree, sol: ZeroSumSolution, tol: float = 1e-9) -> bool:
+    """Recompute both reply sweeps from the tree and check that the worst
     reply against the maxmin mix and the best start against the minmax mix
     both equal the claimed value (exactly in rational mode, within ``tol``
     for float strategies)."""
-    if sol.maxmin.n != a.n or sol.minmax.n != a.n:
+    if sol.maxmin.n != t.n or sol.minmax.n != t.n:
         return False
-    g2 = _matrix_reply_gains(a, sol.maxmin)
-    g1 = _matrix_start_gains(a, sol.minmax)
+    g2 = reply_gains(t, sol.maxmin)
+    g1 = start_gains(t, sol.minmax)
     if sol.maxmin.is_rational and sol.minmax.is_rational:
         return min(g2) == sol.value == max(g1)
     return abs(min(g2) - sol.value) <= tol and abs(max(g1) - sol.value) <= tol
-
-
-def solve_column_restricted(
-    columns: Mapping[int, Sequence[int]],
-    n: int,
-    warm_start: Iterable[int] = (),
-) -> tuple[Fraction, MixedStrategy]:
-    """Best opposing mix supported on the given columns, against all n starts.
-
-    ``columns[y]`` is the full matrix column for candidate vertex y. Returns
-    (bound, Y) with bound = max over every pure start of its gain against Y,
-    i.e. the tightest upper bound on the safety value achievable on that
-    support. Only the listed columns are ever needed, so the full matrix is
-    not required.
-    """
-    sy = sorted(columns.keys())
-    if not sy:
-        raise ValueError("need at least one candidate column")
-    sx = sorted({v for v in warm_start if 0 <= v < n} | set(sy))
-    budget = 2
-    for _ in range(n + 4):
-        sub = [[columns[y][i] for y in sy] for i in sx]
-        v, _, yr = solve_matrix_game(sub)
-        ymix = {sy[j]: p for j, p in enumerate(yr) if p}
-        g1 = [Fraction(0)] * n
-        for y, p in ymix.items():
-            col = columns[y]
-            for i in range(n):
-                g1[i] += p * col[i]
-        b1 = max(g1)
-        if b1 == v:
-            return v, MixedStrategy(n, ymix)
-        movers = sorted((i for i in range(n) if g1[i] > v), key=lambda i: (-g1[i], i))
-        sx = sorted(set(sx) | set(movers[:budget]))
-        budget *= 2
-    raise SolverError("column-restricted solve did not converge")

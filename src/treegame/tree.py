@@ -13,6 +13,14 @@ class TreeFormatError(ValueError):
     """Raised when an edge-list document is malformed; message carries the line number."""
 
 
+class _EdgeError(ValueError):
+    """A bad edge, with its position in the edge list."""
+
+    def __init__(self, index: int, message: str) -> None:
+        super().__init__(message)
+        self.index = index
+
+
 @dataclass(frozen=True)
 class Tree:
     """Undirected tree on vertices 0..n-1 with symmetric adjacency lists.
@@ -34,8 +42,6 @@ class Tree:
     ) -> "Tree":
         if n < 1:
             raise ValueError(f"vertex count must be >= 1, got {n}")
-        if len(edges) != n - 1:
-            raise ValueError(f"a tree on {n} vertices needs {n - 1} edges, got {len(edges)}")
         neighbours: list[list[int]] = [[] for _ in range(n)]
         parent_uf = list(range(n))
 
@@ -45,22 +51,25 @@ class Tree:
                 a = parent_uf[a]
             return a
 
-        seen: set[tuple[int, int]] = set()
-        for u, v in edges:
+        # Edges are checked in order, so surplus edges fail as a cycle or a
+        # duplicate; a count left short afterwards means a disconnected graph.
+        for i, (u, v) in enumerate(edges):
             if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"vertex id out of range on edge ({u}, {v})")
+                raise _EdgeError(i, f"vertex id out of range on edge ({u}, {v})")
             if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise ValueError(f"duplicate edge ({u}, {v})")
-            seen.add(key)
+                raise _EdgeError(i, f"self-loop at vertex {u}")
             ru, rv = find(u), find(v)
             if ru == rv:
-                raise ValueError(f"edge ({u}, {v}) creates a cycle")
+                if v in neighbours[u]:
+                    raise _EdgeError(i, f"duplicate edge ({u}, {v})")
+                raise _EdgeError(i, f"edge ({u}, {v}) creates a cycle")
             parent_uf[ru] = rv
             neighbours[u].append(v)
             neighbours[v].append(u)
+        if len(edges) != n - 1:
+            raise ValueError(
+                f"a tree on {n} vertices needs {n - 1} edges, got {len(edges)}; tree is disconnected"
+            )
         return cls(n, tuple(tuple(sorted(ns)) for ns in neighbours), labels)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
@@ -115,18 +124,8 @@ def parse_tree(text: str) -> Tree:
         raise TreeFormatError(f"line 1: vertex count must be >= 1, got {n}")
 
     edges: list[tuple[int, int]] = []
-    parent_uf = list(range(n))
-
-    def find(a: int) -> int:
-        while parent_uf[a] != a:
-            parent_uf[a] = parent_uf[parent_uf[a]]
-            a = parent_uf[a]
-        return a
-
-    seen: set[tuple[int, int]] = set()
-    lineno = 1
-    for raw in lines[1:]:
-        lineno += 1
+    linenos: list[int] = []
+    for lineno, raw in enumerate(lines[1:], start=2):
         stripped = raw.strip()
         if not stripped:
             continue
@@ -134,28 +133,16 @@ def parse_tree(text: str) -> Tree:
         if len(parts) != 2:
             raise TreeFormatError(f"line {lineno}: malformed edge line {stripped!r}")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            edges.append((int(parts[0]), int(parts[1])))
         except ValueError:
             raise TreeFormatError(f"line {lineno}: malformed edge line {stripped!r}") from None
-        if not (0 <= u < n and 0 <= v < n):
-            raise TreeFormatError(f"line {lineno}: vertex id out of range on edge ({u}, {v})")
-        if u == v:
-            raise TreeFormatError(f"line {lineno}: self-loop at vertex {u}")
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise TreeFormatError(f"line {lineno}: duplicate edge ({u}, {v})")
-        seen.add(key)
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            raise TreeFormatError(f"line {lineno}: edge ({u}, {v}) creates a cycle")
-        parent_uf[ru] = rv
-        edges.append((u, v))
-
-    if len(edges) != n - 1:
-        raise TreeFormatError(
-            f"line {lineno}: expected {n - 1} edge lines, found {len(edges)}; tree is disconnected"
-        )
-    return Tree.from_edges(n, edges)
+        linenos.append(lineno)
+    try:
+        return Tree.from_edges(n, edges)
+    except _EdgeError as exc:
+        raise TreeFormatError(f"line {linenos[exc.index]}: {exc}") from None
+    except ValueError as exc:
+        raise TreeFormatError(f"line {len(lines)}: {exc}") from None
 
 
 def bfs_tables(t: Tree, root: int) -> tuple[list[int], list[int], list[int]]:
@@ -173,15 +160,6 @@ def bfs_tables(t: Tree, root: int) -> tuple[list[int], list[int], list[int]]:
                 order.append(w)
     parent[root] = -1
     return order, parent, depth
-
-
-def subtree_sizes(t: Tree, root: int) -> list[int]:
-    """Subtree sizes when the tree is rooted at ``root``."""
-    order, parent, _ = bfs_tables(t, root)
-    sz = [1] * t.n
-    for v in reversed(order[1:]):
-        sz[parent[v]] += sz[v]
-    return sz
 
 
 def distances_from(t: Tree, v: int) -> tuple[int, ...]:

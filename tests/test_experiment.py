@@ -12,7 +12,6 @@ from treegame import (
     centroid,
     complete_tree_value,
     css_run,
-    game_matrix,
     maximal_gain,
     MixedStrategy,
     parse_config_file,
@@ -21,7 +20,6 @@ from treegame import (
     sample_centroidal,
     solve_value,
     trial_seed,
-    upper_bound,
     write_histogram_csv,
     write_records_csv,
 )
@@ -71,10 +69,7 @@ class TestTrialSeed:
 
 
 class TestUpperBound:
-    def test_exact_lp_kind(self):
-        t = build_complete_tree(CompleteTreeSpec(2, 2))
-        bound, kind = upper_bound(t)
-        assert (bound, kind) == (Fraction(24, 11), "exact-LP")
+    """The trial bound is the exact safety value."""
 
     def test_spider_body_reply_is_leg_length(self):
         spec = SpiderSpec(3, 4)
@@ -85,23 +80,15 @@ class TestUpperBound:
         for seed in range(6):
             t = sample_centroidal(3 + seed * 9, seed)
             res = css_run(t)
-            bound, _ = upper_bound(t)
+            bound = solve_value(t).value
             assert bound >= res.guaranteed_gain
 
-    def test_opposing_strategy_kind_above_threshold(self):
-        t = sample_centroidal(25, 4)
-        bound, kind = upper_bound(t, exact_threshold=10)
-        assert kind == "opposing-strategy"
-        value = solve_value(game_matrix(t)).value
-        assert css_run(t).guaranteed_gain <= value <= bound
-
     def test_large_tree_pipeline(self):
-        # The opposing-strategy path never materializes the full matrix, so
-        # it must stay cheap well past the exact-LP threshold.
+        # The solver never materializes the full matrix, so the exact value
+        # stays cheap on large trees.
         t = sample_centroidal(400, 31)
         res = css_run(t)
-        bound, kind = upper_bound(t, exact_threshold=150, css_result=res)
-        assert kind == "opposing-strategy"
+        bound = solve_value(t).value
         assert res.guaranteed_gain <= bound
 
 
@@ -121,7 +108,6 @@ class TestRunExperiment:
         assert len(res.records) == 8 and not res.failures
         assert sum(res.histogram.counts) + res.histogram.overflow == 8
         assert all(r.diff_ratio >= 0 for r in res.records)
-        assert all(r.upper_bound_kind == "exact-LP" for r in res.records)
 
     def test_bit_for_bit_reproducible(self):
         cfg = ExperimentConfig(n=15, trials=4, seed=21)
@@ -178,6 +164,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ExperimentConfig(n=5, trials=1, seed=1, bin_width=Fraction(0))
 
+    def test_rejects_two_vertices(self):
+        # Every 2-vertex tree is bicentroidal, so sampling could never succeed.
+        with pytest.raises(ValueError, match="single centroid"):
+            ExperimentConfig(n=2, trials=3, seed=1)
+
 
 class TestCsvAndConfigFiles:
     def test_records_csv_round_trip(self, tmp_path):
@@ -193,6 +184,18 @@ class TestCsvAndConfigFiles:
             assert Fraction(row["css_gain_exact"]) == rec.css_gain
             assert Fraction(row["diff_ratio_exact"]) == rec.diff_ratio
             assert abs(float(row["upper_bound"]) - float(rec.upper_bound)) < 1e-9
+
+    def test_records_csv_columns(self, tmp_path):
+        res = run_experiment(ExperimentConfig(n=10, trials=1, seed=13))
+        path = tmp_path / "records.csv"
+        write_records_csv(res.records, str(path))
+        with open(path) as fh:
+            header = next(csv.reader(fh))
+        assert header == [
+            "trial", "tree_seed", "n", "centroid", "centroid_weight", "css_gain",
+            "css_gain_exact", "upper_bound", "upper_bound_exact", "diff_ratio",
+            "diff_ratio_exact",
+        ]
 
     def test_histogram_csv_bins(self, tmp_path):
         cfg = ExperimentConfig(n=10, trials=3, seed=13)

@@ -13,7 +13,6 @@ from treegame import (
     complete_tree_safe_strategy,
     complete_tree_value,
     gain,
-    game_matrix,
     guaranteed_gain,
     maximal_gain,
     solve_value,
@@ -211,7 +210,7 @@ class TestCompleteTreeValue:
     @pytest.mark.parametrize("arity,height", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
     def test_value_matches_lp(self, arity, height):
         spec = CompleteTreeSpec(arity, height)
-        sol = solve_value(game_matrix(build_complete_tree(spec)))
+        sol = solve_value(build_complete_tree(spec))
         assert sol.value == complete_tree_value(spec)
 
     def test_strategies_achieve_value_for_every_tree_up_to_n_100(self):
@@ -232,4 +231,4 @@ class TestCompleteTreeValue:
             assert guaranteed_gain(t, complete_tree_safe_strategy(spec))[0] == value
             assert maximal_gain(t, complete_tree_opposing_strategy(spec))[0] == value
             if spec.n <= 31:
-                assert solve_value(game_matrix(t)).value == value, (arity, height)
+                assert solve_value(t).value == value, (arity, height)

@@ -1,31 +1,27 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from treegame import (
-    GameMatrix,
     MixedStrategy,
     SpiderSpec,
+    Tree,
     ZeroSumSolution,
     build_complete_tree,
     build_spider,
     CompleteTreeSpec,
     complete_tree_value,
-    game_matrix,
-    guaranteed_gain,
     maximal_gain,
+    guaranteed_gain,
     random_tree,
-    solve_column_restricted,
     solve_matrix_game,
     solve_value,
     verify_solution,
 )
 
-from conftest import path_tree, star_tree
-
-
-def matrix_from(rows):
-    return GameMatrix(len(rows), tuple(tuple(r) for r in rows))
+from conftest import dense_certificate_holds, path_tree, star_tree
 
 
 class TestMatrixGame:
@@ -46,86 +42,79 @@ class TestMatrixGame:
 
 class TestSolveValue:
     def test_single_vertex_trivial(self):
-        sol = solve_value(game_matrix(path_tree(1)))
+        sol = solve_value(path_tree(1))
         assert sol.value == 0
 
     def test_edge_value_half(self):
-        sol = solve_value(game_matrix(path_tree(2)))
+        sol = solve_value(path_tree(2))
         assert sol.value == Fraction(1, 2)
         assert sol.maxmin == MixedStrategy.uniform(2)
 
     def test_complete_tree_matches_closed_form(self):
         spec = CompleteTreeSpec(2, 2)
-        sol = solve_value(game_matrix(build_complete_tree(spec)))
+        sol = solve_value(build_complete_tree(spec))
         assert sol.value == Fraction(24, 11) == complete_tree_value(spec)
 
     def test_certificate_values(self):
-        sol = solve_value(game_matrix(random_tree(20, 6)))
+        sol = solve_value(random_tree(20, 6))
         assert sol.primal_value == sol.value == sol.dual_value
 
     def test_direct_and_oracle_agree(self):
         for seed in (1, 2, 3):
-            a = game_matrix(random_tree(26, seed))
+            t = random_tree(26, seed)
             assert (
-                solve_value(a, method="direct").value == solve_value(a, method="oracle").value
+                solve_value(t, method="direct").value == solve_value(t, method="oracle").value
             )
-
-    def test_warm_start_irrelevant_to_value(self):
-        a = game_matrix(random_tree(33, 9))
-        assert solve_value(a).value == solve_value(a, warm_start=range(10)).value
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):
-            solve_value(game_matrix(path_tree(3)), method="nope")
+            solve_value(path_tree(3), method="nope")
 
     def test_strategies_against_tree_sweeps(self):
         t = random_tree(24, 44)
-        sol = solve_value(game_matrix(t))
+        sol = solve_value(t)
         assert guaranteed_gain(t, sol.maxmin)[0] == sol.value
         assert maximal_gain(t, sol.minmax)[0] == sol.value
 
     def test_value_invariant_under_automorphism(self):
         n = 11
         t = path_tree(n)
-        a = game_matrix(t).entries
         pi = [n - 1 - v for v in range(n)]
-        permuted = [[a[pi[i]][pi[j]] for j in range(n)] for i in range(n)]
-        assert solve_value(matrix_from(permuted)).value == solve_value(matrix_from(a)).value
+        relabelled = Tree.from_edges(n, [(pi[u], pi[v]) for u, v in t.edges()])
+        assert solve_value(relabelled).value == solve_value(t).value
 
     @pytest.mark.parametrize("seed", range(10))
     def test_duality_exact_on_catalog(self, seed):
         n = 10 + 5 * seed  # sizes 10..55
-        sol = solve_value(game_matrix(random_tree(n, seed)))
+        sol = solve_value(random_tree(n, seed))
         assert sol.primal_value == sol.dual_value == sol.value
 
     @pytest.mark.parametrize("seed", range(12))
     def test_arbitrary_nonnegative_matrices(self, seed):
-        # The solver is not tied to diffusion matrices: any non-negative
-        # matrix with a zero diagonal must come back with a tight exact
-        # certificate, on both solve paths.
+        # The matrix-game solver is not tied to diffusion matrices: any
+        # non-negative matrix with a zero diagonal must come back with mixes
+        # whose worst replies meet at the value exactly.
         import random as rnd
 
         rng = rnd.Random(seed)
         n = rng.randrange(2, 15)
-        entries = tuple(
-            tuple(0 if i == j else rng.randrange(0, 21) for j in range(n)) for i in range(n)
-        )
-        a = GameMatrix(n, entries)
-        direct = solve_value(a, method="direct")
-        oracle = solve_value(a, method="oracle")
-        assert direct.value == oracle.value
-        assert verify_solution(a, direct) and verify_solution(a, oracle)
+        a = [[0 if i == j else rng.randrange(0, 21) for j in range(n)] for i in range(n)]
+        value, x, y = solve_matrix_game(a)
+        assert sum(x) == sum(y) == 1 and min(x) >= 0 and min(y) >= 0
+        worst_reply = min(sum(x[i] * a[i][j] for i in range(n)) for j in range(n))
+        best_start = max(sum(a[i][j] * y[j] for j in range(n)) for i in range(n))
+        assert worst_reply == value == best_start
 
 
 class TestVerifySolution:
     def test_correct_solution_true(self):
-        a = game_matrix(path_tree(3))
-        assert verify_solution(a, solve_value(a))
+        t = path_tree(3)
+        assert verify_solution(t, solve_value(t))
 
     def test_perturbed_maxmin_false(self):
         spec = CompleteTreeSpec(2, 2)
-        a = game_matrix(build_complete_tree(spec))
-        sol = solve_value(a)
+        t = build_complete_tree(spec)
+        sol = solve_value(t)
         probs = dict(sol.maxmin.probs)
         eps = Fraction(1, 100)
         probs[0] -= eps
@@ -133,24 +122,23 @@ class TestVerifySolution:
         bad = ZeroSumSolution(
             sol.value, MixedStrategy(7, probs), sol.minmax, sol.p2_reply_gains, sol.p1_reply_gains
         )
-        assert not verify_solution(a, bad)
+        assert not verify_solution(t, bad)
 
     def test_pure_maxmin_false(self):
-        a = game_matrix(star_tree(3))
-        sol = solve_value(a)
+        t = star_tree(3)
+        sol = solve_value(t)
         bad = ZeroSumSolution(
             sol.value, MixedStrategy.pure(4, 0), sol.minmax, sol.p2_reply_gains, sol.p1_reply_gains
         )
-        assert not verify_solution(a, bad)
+        assert not verify_solution(t, bad)
 
     def test_wrong_dimension_false(self):
-        a = game_matrix(path_tree(3))
-        sol = solve_value(a)
-        assert not verify_solution(game_matrix(path_tree(4)), sol)
+        sol = solve_value(path_tree(3))
+        assert not verify_solution(path_tree(4), sol)
 
     def test_float_strategies_verified_within_tolerance(self):
-        a = game_matrix(path_tree(3))
-        sol = solve_value(a)
+        t = path_tree(3)
+        sol = solve_value(t)
         rounded = ZeroSumSolution(
             sol.value,
             MixedStrategy(3, {v: float(p) for v, p in sol.maxmin.probs.items()}),
@@ -158,30 +146,65 @@ class TestVerifySolution:
             sol.p2_reply_gains,
             sol.p1_reply_gains,
         )
-        assert verify_solution(a, rounded)
+        assert verify_solution(t, rounded)
 
 
 class TestColumnRestricted:
+    """An opposing mix restricted to some columns bounds the value from
+    above; with every column available the best such mix attains it."""
+
     def test_full_support_recovers_value(self):
         t = random_tree(18, 21)
-        a = game_matrix(t)
-        from treegame import gain_column
-
-        cols = {y: gain_column(t, y) for y in range(18)}
-        bound, y = solve_column_restricted(cols, 18)
-        assert bound == solve_value(a).value
-        assert maximal_gain(t, y)[0] == bound
+        full = solve_value(t, method="direct")
+        assert full.value == solve_value(t).value
+        assert maximal_gain(t, full.minmax)[0] == full.value
 
     def test_restricted_support_upper_bounds_value(self):
         t = build_spider(SpiderSpec(3, 3))
-        from treegame import gain_column
-
-        cols = {0: gain_column(t, 0)}
-        bound, y = solve_column_restricted(cols, t.n)
-        assert y == MixedStrategy.pure(t.n, 0)
+        bound = maximal_gain(t, MixedStrategy.pure(t.n, 0))[0]
         assert bound == 3  # pure body reply concedes one full leg
-        assert bound >= solve_value(game_matrix(t)).value
+        assert bound >= solve_value(t).value
 
-    def test_empty_support_rejected(self):
-        with pytest.raises(ValueError):
-            solve_column_restricted({}, 5)
+
+def _broom(handle: int, bristles: int) -> Tree:
+    edges = [(i, i + 1) for i in range(handle - 1)]
+    edges += [(handle - 1, handle + b) for b in range(bristles)]
+    return Tree.from_edges(handle + bristles, edges)
+
+
+def _caterpillar(spine: int, legs: tuple[int, ...]) -> Tree:
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    n = spine
+    for i, k in enumerate(legs):
+        edges += [(i, n + j) for j in range(k)]
+        n += k
+    return Tree.from_edges(n, edges)
+
+
+SHAPES = st.one_of(
+    st.integers(1, 29).map(star_tree),
+    st.tuples(st.integers(1, 15), st.integers(1, 15)).map(lambda hb: _broom(*hb)),
+    st.integers(1, 8).flatmap(
+        lambda spine: st.lists(st.integers(0, 2), min_size=spine, max_size=spine).map(
+            lambda legs: _caterpillar(spine, tuple(legs))
+        )
+    ),
+    st.tuples(st.integers(3, 9), st.integers(1, 3)).map(
+        lambda ml: build_spider(SpiderSpec(*ml))
+    ),
+    st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1), (5, 1)]).map(
+        lambda mh: build_complete_tree(CompleteTreeSpec(*mh))
+    ),
+    st.tuples(st.integers(1, 30), st.integers(0, 10**6)).map(lambda ns: random_tree(*ns)),
+)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(SHAPES)
+def test_oracle_and_direct_agree_on_shapes(t):
+    assert t.n <= 30
+    oracle = solve_value(t)
+    direct = solve_value(t, method="direct")
+    assert oracle.value == direct.value
+    assert dense_certificate_holds(t, oracle)
+    assert dense_certificate_holds(t, direct)
