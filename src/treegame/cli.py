@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Data goes to stdout, diagnostics to stderr. Exit codes: 0 success, 1 input
-error, 2 internal verification failure (a failed certificate, a broken
-solver or CSS invariant, or an experiment with failed trials). Rational mode
+error, 2 internal verification failure (a failed certificate, any broken
+internal invariant, or an experiment with failed trials). Rational mode
 renders fractions as "p/q" strings; --float switches to decimals. Identical
 invocations produce byte-identical output.
 """
@@ -17,7 +17,7 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .css import CSSError, css_run, verify_centroid_reply
+from .css import css_run, verify_centroid_reply
 from .diffusion import (
     Color,
     format_fraction,
@@ -46,7 +46,7 @@ from .families import (
     spider_optimal_depth,
     spider_safe_strategy,
 )
-from .solver import SolverError, solve_value, verify_solution
+from .solver import solve_value, verify_solution
 from .tree import Tree, centroid, parse_tree, weight_table
 
 
@@ -334,9 +334,6 @@ def experiment_cmd(n, trials, seed, config_file, out_dir) -> None:
 def main() -> None:
     try:
         cli.main(standalone_mode=False)
-    except (VerificationFailure, SolverError, CSSError) as exc:
-        click.echo(f"verification failure: {exc}", err=True)
-        sys.exit(2)
     except click.exceptions.Exit as exc:
         sys.exit(exc.exit_code)
     except click.Abort:
@@ -344,7 +341,13 @@ def main() -> None:
     except click.ClickException as exc:
         exc.show()
         sys.exit(1)
-    except (ValueError, OSError, RuntimeError) as exc:
+    except RuntimeError as exc:
+        # After click's own Exit and Abort, which subclass RuntimeError. Every
+        # other one is a broken internal invariant: VerificationFailure,
+        # SolverError, CSSError, or a tree, diffusion or closed-form check.
+        click.echo(f"verification failure: {exc}", err=True)
+        sys.exit(2)
+    except (ValueError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
 

@@ -7,12 +7,15 @@ grey, and grey blocks all further spread. If both players start on the same
 vertex, that vertex is immediately grey and nobody gains anything.
 
 All gains are exact: integers for pure strategy pairs, ``Fraction`` for
-mixed strategies built from rational probabilities. Strategies with float
+mixed strategies built from rational probabilities. The mixed-strategy
+sweeps sum integer numerators over the mix's common denominator and build a
+``Fraction`` only for a value they return. Strategies with finite float
 probabilities are accepted and produce float gains.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
@@ -187,8 +190,9 @@ class MixedStrategy:
     """A probability distribution over starting vertices.
 
     Probabilities are exact ``Fraction``s (or ints) in rational mode, or
-    floats in floating mode; zero entries are dropped. The distribution must
-    sum to 1 (exactly when rational, within 1e-12 when floating).
+    finite floats in floating mode; zero entries are dropped. The
+    distribution must sum to 1 (exactly when rational, within 1e-12 when
+    floating).
     """
 
     __slots__ = ("n", "probs")
@@ -201,6 +205,8 @@ class MixedStrategy:
             if not (0 <= v < n):
                 raise ValueError(f"vertex {v} out of range")
             if isinstance(p, float):
+                if not math.isfinite(p):
+                    raise ValueError(f"non-finite probability {p!r} at vertex {v}")
                 if p < 0:
                     raise ValueError(f"negative probability at vertex {v}")
                 if p != 0.0:
@@ -303,28 +309,54 @@ def gain(t: Tree, x: MixedStrategy, y: MixedStrategy):
     return total
 
 
-def _sweep(n: int, mix: MixedStrategy, line: Callable[[int], Sequence[int]]) -> list:
-    """The mix-weighted sum of ``line(v)`` over the support vertices v.
+def _sweep(n: int, mix: MixedStrategy, line: Callable[[int], Sequence[int]]) -> tuple[list, int]:
+    """The mix-weighted sum of ``line(v)`` over the support vertices v, as
+    ``(numerators, den)``: entry i of the sum is ``numerators[i] / den``.
 
     With matrix rows this is the gain against every pure reply; with
-    columns, the gain of every pure start.
+    columns, the gain of every pure start. For a rational mix ``den`` is the
+    lcm of the probability denominators and each probability p enters as the
+    integer weight ``p * den``, so the numerators are plain ints and no
+    ``Fraction`` is built per entry. For a float mix the weights are the
+    probabilities themselves, the numerators are float sums and ``den`` is 1.
     """
+    if mix.is_rational:
+        den = math.lcm(*(p.denominator for p in mix.probs.values()))
+        weights = {v: p.numerator * (den // p.denominator) for v, p in mix.probs.items()}
+    else:
+        den, weights = 1, mix.probs
     acc = [0] * n
-    for v, p in mix.probs.items():
-        acc = [a + p * g for a, g in zip(acc, line(v))]
-    return acc
+    for v, w in weights.items():
+        acc = [a + w * g for a, g in zip(acc, line(v))]
+    return acc, den
+
+
+def _gains(mix: MixedStrategy, sums: tuple[list, int]) -> list:
+    """Per-entry gains from a ``_sweep`` result: exact ``Fraction``s for a
+    rational mix, the float sums otherwise."""
+    acc, den = sums
+    return [Fraction(a, den) for a in acc] if mix.is_rational else acc
+
+
+def _extreme(mix: MixedStrategy, sums: tuple[list, int], pick: Callable) -> tuple:
+    """The min or max (``pick``) of a ``_sweep`` result, found on the
+    numerators, with the tuple of vertices that attain it."""
+    acc, den = sums
+    best = pick(acc)
+    value = Fraction(best, den) if mix.is_rational else best
+    return value, tuple(v for v, a in enumerate(acc) if a == best)
 
 
 def reply_gains(t: Tree, x: MixedStrategy) -> list:
     """Player 1's expected gain against every pure opposing vertex."""
     _check_dims(t, x)
-    return _sweep(t.n, x, lambda v: gain_row(t, v))
+    return _gains(x, _sweep(t.n, x, lambda v: gain_row(t, v)))
 
 
 def start_gains(t: Tree, y: MixedStrategy) -> list:
     """Player 1's expected gain for every pure start against opposing mix y."""
     _check_dims(t, y)
-    return _sweep(t.n, y, lambda v: gain_column(t, v))
+    return _gains(y, _sweep(t.n, y, lambda v: gain_column(t, v)))
 
 
 def guaranteed_gain(t: Tree, x: MixedStrategy):
@@ -333,9 +365,8 @@ def guaranteed_gain(t: Tree, x: MixedStrategy):
     Returns (value, tuple of minimizing vertices). Works from per-support
     matrix rows, so the full n x n matrix is never materialized.
     """
-    g = reply_gains(t, x)
-    best = min(g)
-    return best, tuple(v for v in range(t.n) if g[v] == best)
+    _check_dims(t, x)
+    return _extreme(x, _sweep(t.n, x, lambda v: gain_row(t, v)), min)
 
 
 def maximal_gain(t: Tree, y: MixedStrategy):
@@ -343,6 +374,5 @@ def maximal_gain(t: Tree, y: MixedStrategy):
 
     Returns (value, tuple of maximizing vertices).
     """
-    g = start_gains(t, y)
-    best = max(g)
-    return best, tuple(v for v in range(t.n) if g[v] == best)
+    _check_dims(t, y)
+    return _extreme(y, _sweep(t.n, y, lambda v: gain_column(t, v)), max)

@@ -21,7 +21,10 @@ rows and columns it needs, each computed in O(n) from the tree and cached
 for the call. At that point the weak-duality certificate (worst reply
 against X equals the best start against Y equals the subgame value),
 swept against all n pure replies and starts, proves optimality on the full
-game.
+game. Each round's sweeps are integer numerators over the mix's common
+denominator and are compared with the subgame value by cross-multiplying;
+the certificate's ``Fraction`` tuples are built only in the round that
+returns.
 """
 
 from __future__ import annotations
@@ -231,17 +234,23 @@ def solve_value(t: Tree, method: str = "oracle") -> ZeroSumSolution:
         v, xr, yr = solve_matrix_game(sub)
         x = MixedStrategy(n, {sx[i]: p for i, p in enumerate(xr) if p})
         y = MixedStrategy(n, {sy[j]: p for j, p in enumerate(yr) if p})
-        g1 = _sweep(n, y, col)
-        g2 = _sweep(n, x, row)
-        b1 = max(g1)
-        b2 = min(g2)
-        if b1 == v and b2 == v:
-            return ZeroSumSolution(v, x, y, tuple(g2), tuple(g1))
-        if b1 > v:
-            movers = sorted((i for i in range(n) if g1[i] > v), key=lambda i: (-g1[i], i))
+        # Entry i of a sweep is g[i] / d and v = vn / vd with d, vd > 0, so
+        # g[i] / d against v compares as g[i] * vd against vn * d.
+        g1, d1 = _sweep(n, y, col)
+        g2, d2 = _sweep(n, x, row)
+        vn, vd = v.numerator, v.denominator
+        v1, v2 = vn * d1, vn * d2
+        b1 = max(g1) * vd
+        b2 = min(g2) * vd
+        if b1 == v1 and b2 == v2:
+            p2 = tuple(Fraction(a, d2) for a in g2)
+            p1 = tuple(Fraction(a, d1) for a in g1)
+            return ZeroSumSolution(v, x, y, p2, p1)
+        if b1 > v1:
+            movers = sorted((i for i in range(n) if g1[i] * vd > v1), key=lambda i: (-g1[i], i))
             sx = sorted(set(sx) | set(movers[:budget]))
-        if b2 < v:
-            movers = sorted((j for j in range(n) if g2[j] < v), key=lambda j: (g2[j], j))
+        if b2 < v2:
+            movers = sorted((j for j in range(n) if g2[j] * vd < v2), key=lambda j: (g2[j], j))
             sy = sorted(set(sy) | set(movers[:budget]))
         budget *= 2
     raise SolverError("support generation did not converge")

@@ -189,15 +189,23 @@ class TestDeterminismAndExitCodes:
         assert json.loads(proc.stdout)["value"] == "4/5"
 
     @pytest.mark.parametrize(
-        "target,error,command", [("solve_value", "SolverError", "value"), ("css_run", "CSSError", "css")]
+        "target,error,command",
+        [
+            ("solve_value", "SolverError", "value"),
+            ("css_run", "CSSError", "css"),
+            ("complete_tree_value", "RuntimeError", "ctree"),
+        ],
     )
     def test_internal_error_exit_code(self, target, error, command):
-        # A solver or CSS invariant failing is an internal error, not bad input.
+        # A broken solver, CSS, tree, diffusion or closed-form invariant is an
+        # internal error, not bad input.
+        tree_args = "'--m', '2', '--h', '2'" if command == "ctree" else "'--ctree', '2', '2'"
         script = (
-            "import sys, treegame, treegame.cli\n"
-            f"def boom(*args, **kwargs):\n    raise treegame.{error}('forced failure')\n"
+            "import sys, treegame.cli\n"
+            "from treegame import *\n"
+            f"def boom(*args, **kwargs):\n    raise {error}('forced failure')\n"
             f"treegame.cli.{target} = boom\n"
-            f"sys.argv = ['treegame', '{command}', '--ctree', '2', '2']\n"
+            f"sys.argv = ['treegame', '{command}', {tree_args}]\n"
             "treegame.cli.main()\n"
         )
         proc = run_python("-c", script)

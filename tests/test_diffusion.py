@@ -23,6 +23,7 @@ from treegame import (
     random_tree,
     reply_gains,
     simulate_diffusion,
+    start_gains,
     strategy_from_pairs,
     strategy_to_pairs,
 )
@@ -190,6 +191,13 @@ class TestMixedStrategy:
         with pytest.raises(ValueError, match="duplicate"):
             strategy_from_pairs(2, [[0, "1/2"], [0, "1/2"]])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            MixedStrategy(3, {0: bad, 1: 1.0})
+        with pytest.raises(ValueError, match="non-finite"):
+            strategy_from_pairs(3, [[0, bad], [1, 1.0]])
+
 
 class TestGainFunctionals:
     def test_pure_pair_picks_entry(self):
@@ -270,6 +278,54 @@ class TestGainFunctionals:
         y = mk(data.draw(verts), data.draw(weights))
         g = gain(t, x, y)
         assert guaranteed_gain(t, x)[0] <= g <= maximal_gain(t, y)[0]
+
+
+# The first eight primes above 10**12. They are pairwise coprime, so a mix
+# whose probabilities use k of them has a common denominator near 10**(12 k).
+_BIG_PRIMES = (
+    1000000000039,
+    1000000000061,
+    1000000000063,
+    1000000000091,
+    1000000000121,
+    1000000000163,
+    1000000000169,
+    1000000000177,
+)
+
+
+class TestSweepAgainstDenseOracle:
+    @given(st.integers(1, 30), st.integers(0, 5_000), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_huge_common_denominator(self, n, seed, data):
+        t = random_tree(n, seed)
+        a = simulation_matrix(t)
+        k = data.draw(st.integers(1, min(n, len(_BIG_PRIMES) + 1)))
+        verts = data.draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True))
+        primes = data.draw(st.permutations(_BIG_PRIMES))[: k - 1]
+        # Each of the first k - 1 probabilities is below 1/k, so the last,
+        # whose denominator is the product of the primes, stays positive.
+        probs = {v: Fraction(data.draw(st.integers(1, q // k)), q) for v, q in zip(verts, primes)}
+        probs[verts[-1]] = 1 - sum(probs.values())
+        mix = MixedStrategy(n, probs)
+        replies = [sum(p * a[v][w] for v, p in probs.items()) for w in range(n)]
+        starts = [sum(a[w][v] * p for v, p in probs.items()) for w in range(n)]
+
+        got = reply_gains(t, mix) + start_gains(t, mix)
+        assert got == replies + starts
+        assert all(type(g) is Fraction for g in got)
+        low, high = min(replies), max(starts)
+        worst, best = guaranteed_gain(t, mix), maximal_gain(t, mix)
+        assert worst == (low, tuple(w for w in range(n) if replies[w] == low))
+        assert best == (high, tuple(w for w in range(n) if starts[w] == high))
+        assert type(worst[0]) is Fraction and type(best[0]) is Fraction
+
+        approx = MixedStrategy(n, {v: float(p) for v, p in probs.items()})
+        for got, exact in ((reply_gains(t, approx), replies), (start_gains(t, approx), starts)):
+            assert all(type(g) is float for g in got)
+            assert all(abs(g - e) < 1e-9 for g, e in zip(got, exact))
+        assert type(guaranteed_gain(t, approx)[0]) is float
+        assert type(maximal_gain(t, approx)[0]) is float
 
 
 class TestDistanceRuleAgainstSimulation:

@@ -16,8 +16,10 @@ from treegame import (
     maximal_gain,
     guaranteed_gain,
     random_tree,
+    reply_gains,
     solve_matrix_game,
     solve_value,
+    start_gains,
     verify_solution,
 )
 
@@ -58,6 +60,31 @@ class TestSolveValue:
     def test_certificate_values(self):
         sol = solve_value(random_tree(20, 6))
         assert sol.primal_value == sol.value == sol.dual_value
+
+    @pytest.mark.parametrize(
+        "t",
+        [
+            star_tree(1),
+            star_tree(12),
+            build_spider(SpiderSpec(5, 3)),
+            build_spider(SpiderSpec(3, 6)),
+            build_complete_tree(CompleteTreeSpec(2, 3)),
+            build_complete_tree(CompleteTreeSpec(3, 2)),
+            random_tree(40, 7),
+            random_tree(90, 11),
+        ],
+        ids=["star1", "star12", "spider5x3", "spider3x6", "ctree2-3", "ctree3-2", "random40", "random90"],
+    )
+    def test_certificate_gains_are_exact(self, t):
+        sol = solve_value(t)
+        assert type(sol.value) is Fraction
+        assert sol.maxmin.is_rational and sol.minmax.is_rational
+        for gains in (sol.p1_reply_gains, sol.p2_reply_gains):
+            assert type(gains) is tuple and len(gains) == t.n
+            assert all(type(g) is Fraction for g in gains)
+        assert min(sol.p2_reply_gains) == sol.value == max(sol.p1_reply_gains)
+        assert sol.p2_reply_gains == tuple(reply_gains(t, sol.maxmin))
+        assert sol.p1_reply_gains == tuple(start_gains(t, sol.minmax))
 
     def test_direct_and_oracle_agree(self):
         for seed in (1, 2, 3):
