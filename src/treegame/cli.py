@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import click
@@ -63,7 +62,7 @@ def _num(x, as_float: bool):
 
 
 def _emit(doc: dict) -> None:
-    click.echo(json.dumps(doc, indent=2))
+    click.echo(json.dumps(doc, indent=2), file=sys.stdout)
 
 
 _INPUT_OPTIONS = [
@@ -123,7 +122,7 @@ def matrix_cmd(tree_file, spider_spec, ctree_spec, fmt) -> None:
     t = _load_tree(tree_file, spider_spec, ctree_spec)
     a = game_matrix(t)
     if fmt == "csv":
-        click.echo(a.to_csv(), nl=False)
+        click.echo(a.to_csv(), nl=False, file=sys.stdout)
     else:
         _emit({"schema": "treegame.matrix/1", "n": a.n, "entries": [list(r) for r in a.entries]})
 
@@ -222,10 +221,9 @@ def css_cmd(tree_file, spider_spec, ctree_spec, strict_centroidal, as_float) -> 
 @click.option("--m", "legs", type=int, required=True, help="Number of legs (>= 3).")
 @click.option("--l", "leg_length", type=int, required=True, help="Vertices per leg.")
 @click.option("--k", type=int, default=None, help="Covered depth; defaults to the optimal one.")
-@click.option("--exact-threshold", type=int, default=150, show_default=True)
 @click.option("--float", "as_float", is_flag=True, help="Render numbers as decimals.")
-def spider_cmd(legs, leg_length, k, exact_threshold, as_float) -> None:
-    """Spider safe strategy plus a bound report."""
+def spider_cmd(legs, leg_length, k, as_float) -> None:
+    """Spider safe strategy with its exact safety value and bound sandwich."""
     spec = SpiderSpec(legs, leg_length)
     t = build_spider(spec)
     if k is None:
@@ -234,10 +232,8 @@ def spider_cmd(legs, leg_length, k, exact_threshold, as_float) -> None:
         ggain = guaranteed_gain(t, spider_safe_strategy(spec, k))[0]
     strat = spider_safe_strategy(spec, k)
     body_gain = spider_body_reply_gain(spec, k)
-    value = None
-    if spec.n <= exact_threshold:
-        value = solve_value(t).value
-    sandwich_ok = ggain <= (value if value is not None else Fraction(leg_length)) <= leg_length
+    value = solve_value(t).value
+    sandwich_ok = ggain <= value <= leg_length
     doc = {
         "schema": "treegame.spider/1",
         "spec": {"m": legs, "l": leg_length, "n": spec.n},
@@ -245,7 +241,7 @@ def spider_cmd(legs, leg_length, k, exact_threshold, as_float) -> None:
         "strategy": strategy_to_pairs(strat, as_float),
         "guaranteed_gain": _num(ggain, as_float),
         "body_reply_gain": _num(body_gain, as_float),
-        "value": _num(value, as_float) if value is not None else None,
+        "value": _num(value, as_float),
         "upper_bound": leg_length,
         "sandwich_ok": sandwich_ok,
     }
@@ -327,7 +323,7 @@ def experiment_cmd(n, trials, seed, config_file, out_dir) -> None:
     )
     if result.failures:
         for f in result.failures:
-            click.echo(f"trial {f.index} failed: {f.error}", err=True)
+            click.echo(f"trial {f.index} failed: {f.error}", file=sys.stderr)
         raise VerificationFailure(f"{len(result.failures)} of {cfg.trials} trials failed")
 
 
@@ -345,10 +341,10 @@ def main() -> None:
         # After click's own Exit and Abort, which subclass RuntimeError. Every
         # other one is a broken internal invariant: VerificationFailure,
         # SolverError, CSSError, or a tree, diffusion or closed-form check.
-        click.echo(f"verification failure: {exc}", err=True)
+        click.echo(f"verification failure: {exc}", file=sys.stderr)
         sys.exit(2)
     except (ValueError, OSError) as exc:
-        click.echo(f"error: {exc}", err=True)
+        click.echo(f"error: {exc}", file=sys.stderr)
         sys.exit(1)
 
 

@@ -14,27 +14,40 @@ entering rule for speed but switches permanently to Bland's anti-cycling
 rule after a fixed number of pivots, which guarantees termination.
 
 The n x n gain matrix is never built. A support-generation loop (the
-double-oracle method) solves exact subgames on growing candidate supports,
-seeded with the centroid and its neighbours, and expands them with exact
-best responses until neither player can improve. It reads only the matrix
-rows and columns it needs, each computed in O(n) from the tree and cached
-for the call. At that point the weak-duality certificate (worst reply
-against X equals the best start against Y equals the subgame value),
-swept against all n pure replies and starts, proves optimality on the full
-game. Each round's sweeps are integer numerators over the mix's common
-denominator and are compared with the subgame value by cross-multiplying;
-the certificate's ``Fraction`` tuples are built only in the round that
-returns.
+double-oracle method) solves exact subgames on growing candidate supports
+and expands them with exact best responses until neither player can
+improve. It reads only the matrix rows and columns it needs, each computed
+in O(n) from the tree and cached for the call.
+
+The loop runs over the tree's automorphism orbits
+(``automorphism_orbits``). A zero-sum game invariant under a permutation
+group has optimal mixes that are constant on its orbits, so a candidate
+support is a set of orbits and the subgame has one row and one column per
+orbit: its entry for orbits (i, j) is the gain of one member of orbit i
+against the mix spread evenly over orbit j, scaled by the lcm L of the
+column orbits' sizes to stay an integer (the subgame value is divided by L).
+A tree with no symmetry has single-vertex orbits and the vertex subgames.
+Supports are seeded with the orbits of the centroid and its neighbours, and
+every vertex that improves on the subgame value adds its whole orbit.
+
+The weak-duality certificate (worst reply against X equals the best start
+against Y equals the subgame value) is swept against all n pure replies and
+starts, so it proves optimality on the full game, whatever the orbit
+partition was. Each round's sweeps are integer numerators over the mix's
+common denominator and are compared with the subgame value by
+cross-multiplying; the certificate's ``Fraction`` tuples are built only in
+the round that returns.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .diffusion import MixedStrategy, _sweep, gain_column, gain_row, reply_gains, start_gains
-from .tree import Tree, centroid
+from .tree import Tree, automorphism_orbits, centroid
 
 _BLAND_AFTER = 200
 
@@ -43,9 +56,15 @@ class SolverError(RuntimeError):
     """Raised when the LP machinery reaches a state it never should."""
 
 
-def _exact_div(num: int, den: int) -> int:
-    q, rem = divmod(num, den)
-    if rem:
+def _exact_div_row(num: list[int], den: int) -> list[int]:
+    """``num`` divided entry by entry by ``den`` > 0, which must be exact.
+
+    Floor division gives q * den <= num entry by entry, so the sums agree
+    only if every division is exact: one check per row, not per entry."""
+    if den == 1:
+        return num
+    q = [a // den for a in num]
+    if sum(q) * den != sum(num):
         raise SolverError("inexact division in integer pivot")
     return q
 
@@ -114,16 +133,14 @@ def _simplex_max(
                 ri = rows[i]
                 f = ri[enter]
                 if f:
-                    rows[i] = [
-                        _exact_div(ri[j] * piv - f * prow[j], den) for j in range(ncols + 1)
-                    ]
+                    rows[i] = _exact_div_row([a * piv - f * b for a, b in zip(ri, prow)], den)
                 else:
-                    rows[i] = [_exact_div(v * piv, den) for v in ri]
+                    rows[i] = _exact_div_row([a * piv for a in ri], den)
         f = z[enter]
         if f:
-            z = [_exact_div(z[j] * piv - f * prow[j], den) for j in range(ncols)]
+            z = _exact_div_row([a * piv - f * b for a, b in zip(z, prow)], den)
         else:
-            z = [_exact_div(v * piv, den) for v in z]
+            z = _exact_div_row([a * piv for a in z], den)
         basis[leave] = enter
         den = piv
         pivots += 1
@@ -192,13 +209,32 @@ class ZeroSumSolution:
         return max(self.p1_reply_gains)
 
 
+def _spread(
+    n: int, orbits: list[tuple[int, ...]], support: list[int], mass: list[Fraction]
+) -> MixedStrategy:
+    """The vertex mix that spreads each support orbit's mass evenly over its
+    members."""
+    return MixedStrategy(
+        n, {v: p / len(orbits[k]) for k, p in zip(support, mass) if p for v in orbits[k]}
+    )
+
+
+def _admit(support: list[int], movers: list[int], orbit_of: list[int], budget: int) -> list[int]:
+    """``support`` grown by the first ``budget`` orbits, in mover order, of
+    the improving vertices ``movers`` that it does not hold yet."""
+    new = [k for k in dict.fromkeys(orbit_of[v] for v in movers) if k not in support]
+    return sorted(support + new[:budget])
+
+
 def solve_value(t: Tree, method: str = "oracle") -> ZeroSumSolution:
     """Safety value of the tree with maxmin/minmax strategies and an exact
     certificate.
 
-    ``method`` is "oracle" (support generation seeded with the centroid and
-    its neighbours) or "direct" (the same loop seeded with every vertex, so
-    the first subgame is the full game; a test reference).
+    The candidate supports are sets of automorphism orbits and both mixes are
+    constant on orbits. ``method`` is "oracle" (support generation seeded
+    with the orbits of the centroid and its neighbours) or "direct" (the same
+    loop seeded with every orbit, so the first subgame is the full orbit
+    game; a test reference).
     """
     if method not in ("direct", "oracle"):
         raise ValueError(f"unknown method {method!r}")
@@ -219,23 +255,40 @@ def solve_value(t: Tree, method: str = "oracle") -> ZeroSumSolution:
             cols[v] = gain_column(t, v)
         return cols[v]
 
+    info = centroid(t)
+    orbits = automorphism_orbits(t, info)
+    orbit_of = [0] * n
+    for k, members in enumerate(orbits):
+        for v in members:
+            orbit_of[v] = k
     if method == "direct":
-        sx = list(range(n))
+        sx = list(range(len(orbits)))
     else:
-        root = centroid(t).root
-        sx = sorted({root, *t.adj[root]})
+        sx = sorted({orbit_of[v] for v in (info.root, *t.adj[info.root])})
     sy = list(sx)
-    # The number of best responses admitted per side doubles every round, so
-    # games whose optima need nearly full support (stars, say) converge in
+    # The number of best-response orbits admitted per side doubles every
+    # round, so games whose optima need nearly full support converge in
     # O(log n) rounds while small-support games keep their subgames tiny.
     budget = 2
     for _ in range(2 * n + 4):
-        sub = [[r[j] for j in sy] for r in map(row, sx)]
+        # Against a mix spread evenly over orbit O_j, every member of orbit
+        # O_i gains the same sum over O_j (an automorphism maps one member to
+        # another and O_j onto itself), so one representative row per orbit
+        # gives the orbit game. Entries are scaled by the lcm of the column
+        # orbit sizes to stay integers.
+        scale = math.lcm(*(len(orbits[j]) for j in sy))
+        sub = [
+            [sum(r[b] for b in orbits[j]) * (scale // len(orbits[j])) for j in sy]
+            for r in (row(orbits[i][0]) for i in sx)
+        ]
         v, xr, yr = solve_matrix_game(sub)
-        x = MixedStrategy(n, {sx[i]: p for i, p in enumerate(xr) if p})
-        y = MixedStrategy(n, {sy[j]: p for j, p in enumerate(yr) if p})
+        v /= scale
+        x = _spread(n, orbits, sx, xr)
+        y = _spread(n, orbits, sy, yr)
         # Entry i of a sweep is g[i] / d and v = vn / vd with d, vd > 0, so
-        # g[i] / d against v compares as g[i] * vd against vn * d.
+        # g[i] / d against v compares as g[i] * vd against vn * d. The sweeps
+        # and the certificate run over all n vertices, so an orbit partition
+        # that is not one cannot produce a wrong answer.
         g1, d1 = _sweep(n, y, col)
         g2, d2 = _sweep(n, x, row)
         vn, vd = v.numerator, v.denominator
@@ -246,12 +299,18 @@ def solve_value(t: Tree, method: str = "oracle") -> ZeroSumSolution:
             p2 = tuple(Fraction(a, d2) for a in g2)
             p1 = tuple(Fraction(a, d1) for a in g1)
             return ZeroSumSolution(v, x, y, p2, p1)
+        size = len(sx) + len(sy)
         if b1 > v1:
             movers = sorted((i for i in range(n) if g1[i] * vd > v1), key=lambda i: (-g1[i], i))
-            sx = sorted(set(sx) | set(movers[:budget]))
+            sx = _admit(sx, movers, orbit_of, budget)
         if b2 < v2:
             movers = sorted((j for j in range(n) if g2[j] * vd < v2), key=lambda j: (g2[j], j))
-            sy = sorted(set(sy) | set(movers[:budget]))
+            sy = _admit(sy, movers, orbit_of, budget)
+        # Over true orbits no member of a support orbit improves on the
+        # subgame value, so improving vertices lie outside the supports; a
+        # round that admits nothing means the partition is not the orbits'.
+        if len(sx) + len(sy) == size:
+            raise SolverError("support generation stalled: no improving vertex outside the supports")
         budget *= 2
     raise SolverError("support generation did not converge")
 

@@ -239,3 +239,37 @@ def centroid(t: Tree, wt: WeightTable | None = None) -> CentroidInfo:
             raise RuntimeError(f"vertex {v} minimizes weight but has a branch above n/2")
     kind = "centroidal" if len(verts) == 1 else "bicentroidal"
     return CentroidInfo(verts, kind, verts[0])
+
+
+def automorphism_orbits(t: Tree, info: CentroidInfo | None = None) -> list[tuple[int, ...]]:
+    """Orbits of the tree's automorphism group: the classes of vertices that
+    some automorphism maps onto one another. Each orbit is sorted, and the
+    orbits are listed by their smallest vertex.
+
+    Every automorphism maps the centroid onto itself, so the tree is rooted
+    at the centroid, or at a virtual root above the centroid edge when there
+    are two centroids. Each rooted subtree gets an Aho-Hopcroft-Ullman code,
+    the sorted tuple of its children's codes interned to an int; two vertices
+    share an orbit exactly when their codes match and their parents share an
+    orbit. O(n log n). ``info`` is the tree's centroid, if already known.
+    """
+    info = info or centroid(t)
+    order, parent, _ = bfs_tables(t, info.vertices[0])
+    if len(info.vertices) == 2:
+        parent[info.vertices[1]] = -1  # both centroids hang from the virtual root
+    child_codes: list[list[int]] = [[] for _ in range(t.n)]
+    code = [0] * t.n
+    codes: dict[tuple[int, ...], int] = {}
+    for v in reversed(order):
+        code[v] = codes.setdefault(tuple(sorted(child_codes[v])), len(codes))
+        if parent[v] >= 0:
+            child_codes[parent[v]].append(code[v])
+    orbit = [0] * t.n
+    orbit_ids: dict[tuple[int, int], int] = {}
+    for v in order:
+        up = orbit[parent[v]] if parent[v] >= 0 else -1
+        orbit[v] = orbit_ids.setdefault((code[v], up), len(orbit_ids))
+    members: dict[int, list[int]] = {}
+    for v in range(t.n):
+        members.setdefault(orbit[v], []).append(v)
+    return [tuple(vs) for vs in members.values()]

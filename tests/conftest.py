@@ -13,7 +13,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from pathlib import Path
 
 from treegame import Tree, simulate_diffusion
@@ -76,6 +76,19 @@ def brute_weight(t: Tree, v: int) -> int:
 
 def brute_weights(t: Tree) -> list[int]:
     return [brute_weight(t, v) for v in range(t.n)]
+
+
+def brute_orbits(t: Tree) -> list[tuple[int, ...]]:
+    """Automorphism orbits from every adjacency-preserving permutation of the
+    vertices (n <= 7), each sorted and listed by smallest vertex."""
+    assert t.n <= 7
+    edges = {frozenset(e) for e in t.edges()}
+    images: list[set[int]] = [{v} for v in range(t.n)]
+    for p in permutations(range(t.n)):
+        if all(frozenset((p[u], p[v])) in edges for u, v in t.edges()):
+            for v in range(t.n):
+                images[v].add(p[v])
+    return sorted({tuple(sorted(s)) for s in images})
 
 
 def simulation_matrix(t: Tree) -> list[list[int]]:

@@ -1,12 +1,24 @@
 import csv
+import gc
+import io
 import json
+import sys
+import weakref
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 
-from treegame import guaranteed_gain, parse_tree, strategy_from_pairs
-from treegame.cli import cli
+from treegame import (
+    SpiderSpec,
+    build_spider,
+    guaranteed_gain,
+    parse_tree,
+    solve_value,
+    strategy_from_pairs,
+)
+from treegame.cli import cli, main
 
 from conftest import run_python
 
@@ -123,10 +135,24 @@ class TestSpiderCommand:
         assert doc["guaranteed_gain"] == "3/1"
         assert doc["sandwich_ok"] is True
         assert doc["upper_bound"] == 4
+        assert Fraction(doc["value"]) == solve_value(build_spider(SpiderSpec(3, 4))).value
 
     def test_explicit_depth(self, runner):
         doc = run_json(runner, ["spider", "--m", "3", "--l", "4", "--k", "2"])
         assert doc["k"] == 2 and doc["body_reply_gain"] == "3/1"
+        assert Fraction(doc["value"]) == solve_value(build_spider(SpiderSpec(3, 4))).value
+
+    def test_many_legs_report_exact_value(self, runner):
+        # n = 201: every spider reports its exact value, whatever its size.
+        doc = run_json(runner, ["spider", "--m", "50", "--l", "4"])
+        value = solve_value(build_spider(SpiderSpec(50, 4))).value
+        assert Fraction(doc["value"]) == value
+        assert Fraction(doc["guaranteed_gain"]) <= value <= 4
+        assert doc["sandwich_ok"] is True
+
+    def test_exact_threshold_option_removed(self, runner):
+        result = runner.invoke(cli, ["spider", "--m", "3", "--l", "4", "--exact-threshold", "10"])
+        assert result.exit_code == 2
 
     def test_rejects_two_legs(self, runner):
         result = runner.invoke(cli, ["spider", "--m", "2", "--l", "4"])
@@ -237,3 +263,38 @@ class TestDeterminismAndExitCodes:
         assert (doc["completed"], doc["failed"]) == (0, 2)
         assert "trial 0 failed" in proc.stderr and "2 of 2 trials failed" in proc.stderr
         assert (tmp_path / "records.csv").exists() and (tmp_path / "histogram.csv").exists()
+
+
+def test_redirected_streams_are_released(monkeypatch, tmp_path):
+    # Without an explicit ``file=``, click.echo caches a wrapper per output
+    # stream in a WeakKeyDictionary whose value, for a StringIO, is the stream
+    # itself, so each in-process call would keep its whole output alive.
+    import treegame.experiment
+    from treegame.solver import SolverError
+
+    def boom(t, method="oracle"):
+        raise SolverError("forced failure")
+
+    monkeypatch.setattr(treegame.experiment, "solve_value", boom)
+    calls = [
+        (["value", "--spider", "3", "2"], "stdout"),
+        (["matrix", "--spider", "3", "1"], "stdout"),
+        (["experiment", "--n", "2", "--trials", "1", "--seed", "0"], "stderr"),
+        (["experiment", "--n", "9", "--trials", "1", "--seed", "0", "--out", str(tmp_path)], "stderr"),
+    ]
+    refs = []
+    for _ in range(5):
+        for args, written in calls:
+            out, err = io.StringIO(), io.StringIO()
+            monkeypatch.setattr(sys, "argv", ["treegame", *args])
+            with redirect_stdout(out), redirect_stderr(err):
+                try:
+                    main()
+                except SystemExit:
+                    pass
+            assert (out if written == "stdout" else err).getvalue()
+            refs += [weakref.ref(out), weakref.ref(err)]
+            del out, err
+    gc.collect()
+    assert len(refs) == 40
+    assert [r for r in refs if r() is not None] == []

@@ -4,8 +4,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import treegame.solver
 from treegame import (
     MixedStrategy,
+    SolverError,
+    automorphism_orbits,
     SpiderSpec,
     Tree,
     ZeroSumSolution,
@@ -22,6 +25,7 @@ from treegame import (
     start_gains,
     verify_solution,
 )
+from treegame.solver import _exact_div_row
 
 from conftest import dense_certificate_holds, path_tree, star_tree
 
@@ -40,6 +44,33 @@ class TestMatrixGame:
     def test_single_entry(self):
         value, x, y = solve_matrix_game([[7]])
         assert value == 7 and x == [1] and y == [1]
+
+
+class TestExactDivRow:
+    def test_exact_row(self):
+        assert _exact_div_row([6, -9, 0, 3, -3], 3) == [2, -3, 0, 1, -1]
+        assert _exact_div_row([5, -7, 0], 1) == [5, -7, 0]
+
+    @pytest.mark.parametrize(
+        "row", [[6, 7, 9], [-7, 6], [6, -9, -4], [-1], [4, -5, 9], [-6, 3, 1, -2]]
+    )
+    def test_one_inexact_entry_raises(self, row):
+        with pytest.raises(SolverError, match="inexact"):
+            _exact_div_row(row, 3)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.integers(-10**30, 10**30), min_size=1, max_size=12),
+        st.integers(2, 10**12),
+        st.data(),
+    )
+    def test_agrees_with_per_entry_division(self, quotients, den, data):
+        row = [q * den for q in quotients]
+        assert _exact_div_row(row, den) == quotients
+        i = data.draw(st.integers(0, len(row) - 1))
+        row[i] += data.draw(st.integers(1, den - 1)) * data.draw(st.sampled_from([1, -1]))
+        with pytest.raises(SolverError, match="inexact"):
+            _exact_div_row(row, den)
 
 
 class TestSolveValue:
@@ -235,3 +266,94 @@ def test_oracle_and_direct_agree_on_shapes(t):
     assert oracle.value == direct.value
     assert dense_certificate_holds(t, oracle)
     assert dense_certificate_holds(t, direct)
+
+
+class TestShapeRegression:
+    """Shapes whose optimal mixes cover whole families of equivalent
+    vertices, checked against closed forms or the dense simulation oracle."""
+
+    @pytest.mark.parametrize("leaves", [1, 2, 3, 7, 25, 100, 300])
+    def test_star_closed_form(self, leaves):
+        t = star_tree(leaves)
+        sol = solve_value(t)
+        assert sol.value == Fraction(leaves**2, leaves**2 + 1)
+        assert verify_solution(t, sol)
+
+    @pytest.mark.parametrize(
+        "mh",
+        [(2, 1), (2, 2), (2, 3), (2, 5), (2, 8), (3, 1), (3, 2), (3, 5), (4, 3), (5, 2), (7, 1)],
+    )
+    def test_complete_tree_closed_form(self, mh):
+        spec = CompleteTreeSpec(*mh)
+        t = build_complete_tree(spec)
+        sol = solve_value(t)
+        assert sol.value == complete_tree_value(spec)
+        assert verify_solution(t, sol)
+
+    @pytest.mark.parametrize(
+        "t",
+        [
+            _broom(3, 40),
+            _broom(10, 20),
+            _broom(30, 2),
+            _caterpillar(5, (3, 3, 3, 3, 3)),
+            _caterpillar(6, (4, 0, 4, 4, 0, 4)),
+            _caterpillar(9, (1, 2, 3, 4, 5, 4, 3, 2, 1)),
+            build_spider(SpiderSpec(29, 2)),
+            build_spider(SpiderSpec(15, 3)),
+            build_spider(SpiderSpec(12, 4)),
+            build_spider(SpiderSpec(59, 1)),
+        ],
+        ids=[
+            "broom3x40", "broom10x20", "broom30x2", "caterpillar5x3", "caterpillar6-gaps",
+            "caterpillar9-ramp", "spider29x2", "spider15x3", "spider12x4", "spider59x1",
+        ],
+    )
+    def test_dense_certificate(self, t):
+        assert t.n <= 60
+        sol = solve_value(t)
+        assert dense_certificate_holds(t, sol)
+        assert sol.value == solve_value(t, method="direct").value
+
+
+def _one_orbit(t, info=None):
+    return [tuple(range(t.n))]
+
+
+def _merge_first_two(t, info=None):
+    orbits = automorphism_orbits(t, info)
+    if len(orbits) < 2:
+        return orbits
+    return sorted([tuple(sorted(orbits[0] + orbits[1])), *orbits[2:]])
+
+
+def _blocks_of_three(t, info=None):
+    return [tuple(range(i, min(i + 3, t.n))) for i in range(0, t.n, 3)]
+
+
+@pytest.mark.parametrize("wrong", [_one_orbit, _merge_first_two, _blocks_of_three])
+@pytest.mark.parametrize(
+    "t",
+    [
+        path_tree(2),
+        path_tree(7),
+        star_tree(9),
+        build_spider(SpiderSpec(4, 3)),
+        build_complete_tree(CompleteTreeSpec(2, 3)),
+        random_tree(30, 3),
+        random_tree(45, 8),
+    ],
+    ids=["path2", "path7", "star9", "spider4x3", "ctree2-3", "random30", "random45"],
+)
+def test_wrong_orbit_partition_never_gives_a_wrong_value(monkeypatch, t, wrong):
+    # The certificate is swept over all n vertices, so a partition that is
+    # not the orbit partition ends in a certified value or in SolverError.
+    expected = solve_value(t).value
+    monkeypatch.setattr(treegame.solver, "automorphism_orbits", wrong)
+    try:
+        sol = solve_value(t)
+    except SolverError:
+        return
+    assert sol.value == expected
+    assert verify_solution(t, sol)
+    assert dense_certificate_holds(t, sol)

@@ -3,8 +3,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treegame import (
+    CompleteTreeSpec,
+    SpiderSpec,
     Tree,
     TreeFormatError,
+    automorphism_orbits,
+    build_complete_tree,
+    build_spider,
     branches_at,
     centroid,
     distances_from,
@@ -13,7 +18,7 @@ from treegame import (
     weight_table,
 )
 
-from conftest import all_labeled_trees, brute_weights, path_tree, star_tree
+from conftest import all_labeled_trees, brute_orbits, brute_weights, path_tree, prufer_decode, star_tree
 
 
 class TestParseTree:
@@ -209,3 +214,70 @@ class TestDistances:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             distances_from(path_tree(3), 5)
+
+
+def _prufer_tree(n_seq):
+    n, seq = n_seq
+    return Tree.from_edges(n, prufer_decode(tuple(seq), n))
+
+
+def _bicentroidal(halves):
+    # Two trees of k vertices joined by one edge: the edge splits n = 2k in
+    # half, so both of its ends are centroids.
+    k, a, b, u, v = halves
+    left = prufer_decode(tuple(a), k) if k > 1 else []
+    right = prufer_decode(tuple(b), k) if k > 1 else []
+    edges = left + [(x + k, y + k) for x, y in right] + [(u % k, k + v % k)]
+    return Tree.from_edges(2 * k, edges)
+
+
+SMALL_TREES = st.one_of(
+    st.integers(3, 7).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2))
+    ).map(_prufer_tree),
+    st.integers(1, 3).flatmap(
+        lambda k: st.tuples(
+            st.just(k),
+            st.lists(st.integers(0, k - 1), min_size=max(k - 2, 0), max_size=max(k - 2, 0)),
+            st.lists(st.integers(0, k - 1), min_size=max(k - 2, 0), max_size=max(k - 2, 0)),
+            st.integers(0, 6),
+            st.integers(0, 6),
+        )
+    ).map(_bicentroidal),
+    st.integers(1, 7).map(path_tree),
+)
+
+
+class TestAutomorphismOrbits:
+    @settings(max_examples=150, deadline=None)
+    @given(SMALL_TREES)
+    def test_matches_brute_force(self, t):
+        assert automorphism_orbits(t) == brute_orbits(t)
+
+    def test_every_tree_up_to_five_vertices(self):
+        for n in range(1, 6):
+            for t in all_labeled_trees(n):
+                assert automorphism_orbits(t) == brute_orbits(t)
+
+    def test_families(self):
+        assert automorphism_orbits(star_tree(4)) == [(0,), (1, 2, 3, 4)]
+        assert automorphism_orbits(path_tree(4)) == [(0, 3), (1, 2)]
+        assert automorphism_orbits(build_spider(SpiderSpec(3, 2))) == [(0,), (1, 3, 5), (2, 4, 6)]
+        ctree = build_complete_tree(CompleteTreeSpec(2, 3))
+        assert automorphism_orbits(ctree) == [(0,), (1, 2), tuple(range(3, 7)), tuple(range(7, 15))]
+
+    def test_shared_centroid(self):
+        t = random_tree(60, 5)
+        assert automorphism_orbits(t, centroid(t)) == automorphism_orbits(t)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 120), st.integers(0, 10_000))
+    def test_partition_invariant_under_relabelling(self, n, seed):
+        import random as rnd
+
+        t = random_tree(n, seed)
+        pi = list(range(n))
+        rnd.Random(seed).shuffle(pi)
+        relabelled = Tree.from_edges(n, [(pi[u], pi[v]) for u, v in t.edges()])
+        moved = sorted(tuple(sorted(pi[v] for v in orbit)) for orbit in automorphism_orbits(t))
+        assert automorphism_orbits(relabelled) == moved
