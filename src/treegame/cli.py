@@ -2,9 +2,9 @@
 
 Data goes to stdout, diagnostics to stderr. Exit codes: 0 success, 1 input
 error, 2 internal verification failure (a failed certificate, any broken
-internal invariant, or an experiment with failed trials). Rational mode
-renders fractions as "p/q" strings; --float switches to decimals. Identical
-invocations produce byte-identical output.
+internal invariant, or an experiment with failed trials). Every result is
+exact and renders as "p/q" strings; --float renders the same results as
+decimals. Identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations

@@ -7,10 +7,10 @@ grey, and grey blocks all further spread. If both players start on the same
 vertex, that vertex is immediately grey and nobody gains anything.
 
 All gains are exact: integers for pure strategy pairs, ``Fraction`` for
-mixed strategies built from rational probabilities. The mixed-strategy
+mixed strategies, whose probabilities are exact rationals (floats are
+rejected; decimals are produced only when rendering). The mixed-strategy
 sweeps sum integer numerators over the mix's common denominator and build a
-``Fraction`` only for a value they return. Strategies with finite float
-probabilities are accepted and produce float gains.
+``Fraction`` only for a value they return.
 """
 
 from __future__ import annotations
@@ -189,55 +189,41 @@ def game_matrix(t: Tree) -> GameMatrix:
 class MixedStrategy:
     """A probability distribution over starting vertices.
 
-    Probabilities are exact ``Fraction``s (or ints) in rational mode, or
-    finite floats in floating mode; zero entries are dropped. The
-    distribution must sum to 1 (exactly when rational, within 1e-12 when
-    floating).
+    Vertices are plain ints. Probabilities are exact: ``Fraction``s, ints or
+    "p/q" strings, stored as ``Fraction``s, summing to exactly 1; zero
+    entries are dropped. A float probability (NaN and ±inf included) is
+    rejected; decimals are produced only when rendering (``strategy_to_pairs``
+    with ``as_float``).
     """
 
     __slots__ = ("n", "probs")
 
-    def __init__(self, n: int, probs: Mapping[int, Fraction | int | float]):
+    def __init__(self, n: int, probs: Mapping[int, Fraction | int | str]):
         if n < 1:
             raise ValueError("strategy needs at least one vertex")
-        cleaned: dict[int, Fraction | float] = {}
+        cleaned: dict[int, Fraction] = {}
         for v, p in probs.items():
+            if type(v) is not int:
+                raise ValueError(f"vertex {v!r} is not an int")
             if not (0 <= v < n):
                 raise ValueError(f"vertex {v} out of range")
             if isinstance(p, float):
-                if not math.isfinite(p):
-                    raise ValueError(f"non-finite probability {p!r} at vertex {v}")
-                if p < 0:
-                    raise ValueError(f"negative probability at vertex {v}")
-                if p != 0.0:
-                    cleaned[v] = p
-            else:
-                p = Fraction(p)
-                if p < 0:
-                    raise ValueError(f"negative probability at vertex {v}")
-                if p != 0:
-                    cleaned[v] = p
+                raise ValueError(f"float probability {p!r} at vertex {v}; probabilities must be exact")
+            p = Fraction(p)
+            if p < 0:
+                raise ValueError(f"negative probability at vertex {v}")
+            if p != 0:
+                cleaned[v] = p
         total = sum(cleaned.values())
-        if self._is_exact(cleaned):
-            if total != 1:
-                raise ValueError(f"probabilities sum to {total}, expected 1")
-        elif abs(total - 1.0) > 1e-12:
-            raise ValueError(f"probabilities sum to {total!r}, expected 1 within 1e-12")
+        if total != 1:
+            raise ValueError(f"probabilities sum to {total}, expected 1")
         self.n = n
         self.probs = dict(sorted(cleaned.items()))
-
-    @staticmethod
-    def _is_exact(probs: Mapping[int, Fraction | float]) -> bool:
-        return all(not isinstance(p, float) for p in probs.values())
-
-    @property
-    def is_rational(self) -> bool:
-        return self._is_exact(self.probs)
 
     def support(self) -> tuple[int, ...]:
         return tuple(self.probs.keys())
 
-    def __getitem__(self, v: int) -> Fraction | float:
+    def __getitem__(self, v: int) -> Fraction:
         return self.probs.get(v, Fraction(0))
 
     def __eq__(self, other: object) -> bool:
@@ -266,30 +252,23 @@ def format_fraction(value: Fraction | int) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def parse_probability(text: str | int | float) -> Fraction | float:
-    if isinstance(text, float):
-        return text
-    if isinstance(text, int):
-        return Fraction(text)
-    return Fraction(text)
-
-
 def strategy_to_pairs(x: MixedStrategy, as_float: bool = False) -> list[list]:
-    """Sparse JSON form: a list of [vertex, probability] pairs."""
-    if as_float or not x.is_rational:
+    """Sparse JSON form: a list of [vertex, probability] pairs, with "p/q"
+    strings, or decimals when rendering ``as_float``."""
+    if as_float:
         return [[v, float(p)] for v, p in x.probs.items()]
     return [[v, format_fraction(p)] for v, p in x.probs.items()]
 
 
 def strategy_from_pairs(n: int, pairs: Iterable[Iterable]) -> MixedStrategy:
-    """Inverse of ``strategy_to_pairs``; accepts "p/q" strings, ints or floats."""
-    probs: dict[int, Fraction | float] = {}
+    """Inverse of ``strategy_to_pairs`` without ``as_float``: each
+    probability, a "p/q" string or an int, goes to ``MixedStrategy`` as is."""
+    probs: dict[int, Fraction | int | str] = {}
     for item in pairs:
         v, p = list(item)
-        v = int(v)
         if v in probs:
             raise ValueError(f"duplicate vertex {v} in strategy")
-        probs[v] = parse_probability(p)
+        probs[v] = p
     return MixedStrategy(n, probs)
 
 
@@ -309,54 +288,48 @@ def gain(t: Tree, x: MixedStrategy, y: MixedStrategy):
     return total
 
 
-def _sweep(n: int, mix: MixedStrategy, line: Callable[[int], Sequence[int]]) -> tuple[list, int]:
+def _sweep(n: int, mix: MixedStrategy, line: Callable[[int], Sequence[int]]) -> tuple[list[int], int]:
     """The mix-weighted sum of ``line(v)`` over the support vertices v, as
     ``(numerators, den)``: entry i of the sum is ``numerators[i] / den``.
 
     With matrix rows this is the gain against every pure reply; with
-    columns, the gain of every pure start. For a rational mix ``den`` is the
-    lcm of the probability denominators and each probability p enters as the
-    integer weight ``p * den``, so the numerators are plain ints and no
-    ``Fraction`` is built per entry. For a float mix the weights are the
-    probabilities themselves, the numerators are float sums and ``den`` is 1.
+    columns, the gain of every pure start. ``den`` is the lcm of the
+    probability denominators and each probability p enters as the integer
+    weight ``p * den``, so the numerators are plain ints and no ``Fraction``
+    is built per entry.
     """
-    if mix.is_rational:
-        den = math.lcm(*(p.denominator for p in mix.probs.values()))
-        weights = {v: p.numerator * (den // p.denominator) for v, p in mix.probs.items()}
-    else:
-        den, weights = 1, mix.probs
+    den = math.lcm(*(p.denominator for p in mix.probs.values()))
     acc = [0] * n
-    for v, w in weights.items():
+    for v, p in mix.probs.items():
+        w = p.numerator * (den // p.denominator)
         acc = [a + w * g for a, g in zip(acc, line(v))]
     return acc, den
 
 
-def _gains(mix: MixedStrategy, sums: tuple[list, int]) -> list:
-    """Per-entry gains from a ``_sweep`` result: exact ``Fraction``s for a
-    rational mix, the float sums otherwise."""
+def _gains(sums: tuple[list[int], int]) -> list[Fraction]:
+    """Per-entry exact gains from a ``_sweep`` result."""
     acc, den = sums
-    return [Fraction(a, den) for a in acc] if mix.is_rational else acc
+    return [Fraction(a, den) for a in acc]
 
 
-def _extreme(mix: MixedStrategy, sums: tuple[list, int], pick: Callable) -> tuple:
+def _extreme(sums: tuple[list[int], int], pick: Callable) -> tuple[Fraction, tuple[int, ...]]:
     """The min or max (``pick``) of a ``_sweep`` result, found on the
     numerators, with the tuple of vertices that attain it."""
     acc, den = sums
     best = pick(acc)
-    value = Fraction(best, den) if mix.is_rational else best
-    return value, tuple(v for v, a in enumerate(acc) if a == best)
+    return Fraction(best, den), tuple(v for v, a in enumerate(acc) if a == best)
 
 
 def reply_gains(t: Tree, x: MixedStrategy) -> list:
     """Player 1's expected gain against every pure opposing vertex."""
     _check_dims(t, x)
-    return _gains(x, _sweep(t.n, x, lambda v: gain_row(t, v)))
+    return _gains(_sweep(t.n, x, lambda v: gain_row(t, v)))
 
 
 def start_gains(t: Tree, y: MixedStrategy) -> list:
     """Player 1's expected gain for every pure start against opposing mix y."""
     _check_dims(t, y)
-    return _gains(y, _sweep(t.n, y, lambda v: gain_column(t, v)))
+    return _gains(_sweep(t.n, y, lambda v: gain_column(t, v)))
 
 
 def guaranteed_gain(t: Tree, x: MixedStrategy):
@@ -366,7 +339,7 @@ def guaranteed_gain(t: Tree, x: MixedStrategy):
     matrix rows, so the full n x n matrix is never materialized.
     """
     _check_dims(t, x)
-    return _extreme(x, _sweep(t.n, x, lambda v: gain_row(t, v)), min)
+    return _extreme(_sweep(t.n, x, lambda v: gain_row(t, v)), min)
 
 
 def maximal_gain(t: Tree, y: MixedStrategy):
@@ -375,4 +348,4 @@ def maximal_gain(t: Tree, y: MixedStrategy):
     Returns (value, tuple of maximizing vertices).
     """
     _check_dims(t, y)
-    return _extreme(y, _sweep(t.n, y, lambda v: gain_column(t, v)), max)
+    return _extreme(_sweep(t.n, y, lambda v: gain_column(t, v)), max)

@@ -40,6 +40,8 @@ class ExperimentConfig:
             raise ValueError("need at least one trial")
         if not (0 < self.bin_width <= self.bin_max):
             raise ValueError("need 0 < bin_width <= bin_max")
+        if self.bin_max % self.bin_width:
+            raise ValueError("bin_max must be a whole multiple of bin_width")
 
 
 @dataclass(frozen=True)
@@ -233,12 +235,12 @@ def write_histogram_csv(histogram: Histogram, path: str) -> None:
         w.writerow([f"{float(histogram.bin_max):.6g}", "inf", histogram.overflow])
 
 
-_CONFIG_KEYS = {"n": int, "trials": int, "seed": int}
+_CONFIG_KEYS = {"n": int, "trials": int, "seed": int, "bin_width": Fraction, "bin_max": Fraction}
 
 
 def parse_config_file(path: str) -> dict:
     """Plain key=value config: n, trials, seed, bin_width, bin_max. Blank
-    lines and #-comments are skipped."""
+    lines and #-comments are skipped. Every error names ``path:lineno``."""
     out: dict = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -250,10 +252,10 @@ def parse_config_file(path: str) -> dict:
             key, _, value = line.partition("=")
             key = key.strip()
             value = value.strip()
-            if key in _CONFIG_KEYS:
-                out[key] = _CONFIG_KEYS[key](value)
-            elif key in ("bin_width", "bin_max"):
-                out[key] = Fraction(value)
-            else:
+            if key not in _CONFIG_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            try:
+                out[key] = _CONFIG_KEYS[key](value)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ValueError(f"{path}:{lineno}: bad value {value!r} for {key}: {exc}") from None
     return out

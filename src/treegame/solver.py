@@ -36,7 +36,9 @@ starts, so it proves optimality on the full game, whatever the orbit
 partition was. Each round's sweeps are integer numerators over the mix's
 common denominator and are compared with the subgame value by
 cross-multiplying; the certificate's ``Fraction`` tuples are built only in
-the round that returns.
+the round that returns. Strategies hold exact probabilities only, so
+``verify_solution`` makes one exact comparison; decimals appear only when
+the command line renders a result with ``--float``.
 """
 
 from __future__ import annotations
@@ -315,15 +317,10 @@ def solve_value(t: Tree, method: str = "oracle") -> ZeroSumSolution:
     raise SolverError("support generation did not converge")
 
 
-def verify_solution(t: Tree, sol: ZeroSumSolution, tol: float = 1e-9) -> bool:
+def verify_solution(t: Tree, sol: ZeroSumSolution) -> bool:
     """Recompute both reply sweeps from the tree and check that the worst
     reply against the maxmin mix and the best start against the minmax mix
-    both equal the claimed value (exactly in rational mode, within ``tol``
-    for float strategies)."""
+    both equal the claimed value exactly."""
     if sol.maxmin.n != t.n or sol.minmax.n != t.n:
         return False
-    g2 = reply_gains(t, sol.maxmin)
-    g1 = start_gains(t, sol.minmax)
-    if sol.maxmin.is_rational and sol.minmax.is_rational:
-        return min(g2) == sol.value == max(g1)
-    return abs(min(g2) - sol.value) <= tol and abs(max(g1) - sol.value) <= tol
+    return min(reply_gains(t, sol.maxmin)) == sol.value == max(start_gains(t, sol.minmax))

@@ -72,9 +72,6 @@ class Tree:
             )
         return cls(n, tuple(tuple(sorted(ns)) for ns in neighbours), labels)
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
-
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 

@@ -2,6 +2,7 @@ import csv
 import gc
 import io
 import json
+import re
 import sys
 import weakref
 from contextlib import redirect_stderr, redirect_stdout
@@ -192,6 +193,37 @@ class TestExperimentCommand:
         assert result.exit_code != 0
 
 
+def _decimals(doc):
+    """``doc`` with every "p/q" string replaced by its float."""
+    if isinstance(doc, str) and re.fullmatch(r"-?\d+/\d+", doc):
+        return float(Fraction(doc))
+    if isinstance(doc, list):
+        return [_decimals(x) for x in doc]
+    if isinstance(doc, dict):
+        return {k: _decimals(v) for k, v in doc.items()}
+    return doc
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["value", "--ctree", "2", "2"],
+        ["value", "--spider", "3", "4"],
+        ["css", "--ctree", "2", "3"],
+        ["css", "--spider", "4", "3"],
+        ["spider", "--m", "3", "--l", "4"],
+        ["ctree", "--m", "3", "--h", "2"],
+    ],
+    ids=["value-ctree", "value-spider", "css-ctree", "css-spider", "spider", "ctree"],
+)
+def test_float_flag_only_renders(runner, args):
+    # Results are exact; --float changes nothing but how each "p/q" prints.
+    exact = run_json(runner, args)
+    rendered = runner.invoke(cli, [*args, "--float"], catch_exceptions=False)
+    assert rendered.exit_code == 0, rendered.output
+    assert rendered.output == json.dumps(_decimals(exact), indent=2) + "\n"
+
+
 class TestDeterminismAndExitCodes:
     def test_byte_identical_invocations(self, runner):
         a = runner.invoke(cli, ["value", "--ctree", "3", "2"], catch_exceptions=False)
@@ -245,6 +277,28 @@ class TestDeterminismAndExitCodes:
         )
         assert proc.returncode == 1
         assert "single centroid" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "config,message",
+        [
+            ("n=abc\n", "exp.cfg:1: bad value 'abc' for n"),
+            ("n=9\nbin_width=1/0\n", "exp.cfg:2: bad value '1/0' for bin_width"),
+            ("n=9\nbin_width=3/100\nbin_max=1/10\n", "bin_max must be a whole multiple of bin_width"),
+        ],
+        ids=["non-integer", "zero-denominator", "partial-last-bin"],
+    )
+    def test_experiment_bad_config_is_input_error(self, tmp_path, config, message):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(config)
+        proc = run_python(
+            "-m", "treegame.cli", "experiment", "--config", str(cfg), "--trials", "2", "--seed", "1",
+            "--out", str(tmp_path),
+        )
+        assert proc.returncode == 1, proc.stderr
+        # One error line, no traceback; line errors name the file and line.
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("error: ") and message in line
+        assert proc.stdout == ""
 
     def test_experiment_failed_trials_exit_code(self, tmp_path):
         # Output files and the summary are still written before exiting 2.

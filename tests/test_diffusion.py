@@ -175,12 +175,6 @@ class TestMixedStrategy:
         x = MixedStrategy(3, {0: Fraction(1), 1: Fraction(0)})
         assert x.support() == (0,)
 
-    def test_float_mode_tolerance(self):
-        x = MixedStrategy(3, {0: 0.5, 1: 0.5})
-        assert not x.is_rational
-        with pytest.raises(ValueError):
-            MixedStrategy(3, {0: 0.5, 1: 0.4999})
-
     def test_json_round_trip(self):
         x = MixedStrategy(5, {0: Fraction(3, 11), 2: Fraction(4, 11), 4: Fraction(4, 11)})
         pairs = strategy_to_pairs(x)
@@ -191,12 +185,23 @@ class TestMixedStrategy:
         with pytest.raises(ValueError, match="duplicate"):
             strategy_from_pairs(2, [[0, "1/2"], [0, "1/2"]])
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), 0.5])
     def test_rejects_non_finite(self, bad):
-        with pytest.raises(ValueError, match="non-finite"):
-            MixedStrategy(3, {0: bad, 1: 1.0})
-        with pytest.raises(ValueError, match="non-finite"):
-            strategy_from_pairs(3, [[0, bad], [1, 1.0]])
+        # Every float probability is rejected, finite or not, even 0.5 beside
+        # 0.5: strategies are exact, and decimals come only from rendering.
+        for other in (0.5, "1/2"):
+            with pytest.raises(ValueError, match="float probability"):
+                MixedStrategy(3, {0: bad, 1: other})
+            with pytest.raises(ValueError, match="float probability"):
+                strategy_from_pairs(3, [[0, bad], [1, other]])
+
+    @pytest.mark.parametrize("vertex", [1.7, True, "1"])
+    def test_rejects_non_int_vertex(self, vertex):
+        # Neither rounded (1.7 is not vertex 1) nor coerced (True, "1").
+        with pytest.raises(ValueError, match="not an int"):
+            strategy_from_pairs(3, [[vertex, "1/2"], [0, "1/2"]])
+        with pytest.raises(ValueError, match="not an int"):
+            MixedStrategy(3, {vertex: Fraction(1, 2), 0: Fraction(1, 2)})
 
 
 class TestGainFunctionals:
@@ -248,18 +253,6 @@ class TestGainFunctionals:
         g = reply_gains(t, x)
         for y in range(16):
             assert g[y] == sum(Fraction(1, 3) * a[v][y] for v in (1, 5, 9))
-
-    def test_float_mode_gains(self):
-        # Floating strategies flow through the same functionals and land
-        # within double precision of the exact rational results.
-        spec = CompleteTreeSpec(2, 2)
-        t = build_complete_tree(spec)
-        exact = complete_tree_safe_strategy(spec)
-        approx = MixedStrategy(7, {v: float(p) for v, p in exact.probs.items()})
-        assert not approx.is_rational
-        g, _ = guaranteed_gain(t, approx)
-        assert isinstance(g, float)
-        assert abs(g - 24 / 11) < 1e-12
 
     @given(st.integers(2, 40), st.integers(0, 5_000), st.data())
     @settings(max_examples=40, deadline=None)
@@ -319,13 +312,6 @@ class TestSweepAgainstDenseOracle:
         assert worst == (low, tuple(w for w in range(n) if replies[w] == low))
         assert best == (high, tuple(w for w in range(n) if starts[w] == high))
         assert type(worst[0]) is Fraction and type(best[0]) is Fraction
-
-        approx = MixedStrategy(n, {v: float(p) for v, p in probs.items()})
-        for got, exact in ((reply_gains(t, approx), replies), (start_gains(t, approx), starts)):
-            assert all(type(g) is float for g in got)
-            assert all(abs(g - e) < 1e-9 for g, e in zip(got, exact))
-        assert type(guaranteed_gain(t, approx)[0]) is float
-        assert type(maximal_gain(t, approx)[0]) is float
 
 
 class TestDistanceRuleAgainstSimulation:

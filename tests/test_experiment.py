@@ -164,6 +164,19 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ExperimentConfig(n=5, trials=1, seed=1, bin_width=Fraction(0))
 
+    def test_rejects_bin_max_not_a_multiple_of_bin_width(self):
+        # 1/10 over 3/100 leaves a partial last bin, where a ratio in
+        # (9/100, 1/10] would index past the end of the counts.
+        with pytest.raises(ValueError, match="whole multiple"):
+            ExperimentConfig(n=5, trials=1, seed=1, bin_width=Fraction(3, 100), bin_max=Fraction(1, 10))
+        # A whole multiple is accepted, and a ratio in its last bin counted:
+        # the 4-leaf star's gap of 12/85 lies in (5/40, 6/40].
+        from conftest import star_tree
+
+        cfg = ExperimentConfig(n=5, trials=1, seed=1, bin_width=Fraction(1, 40), bin_max=Fraction(3, 20))
+        res = run_experiment(cfg, tree_source=lambda i, s: star_tree(4))
+        assert res.histogram.counts == (0, 0, 0, 0, 0, 0, 1)
+
     def test_rejects_two_vertices(self):
         # Every 2-vertex tree is bicentroidal, so sampling could never succeed.
         with pytest.raises(ValueError, match="single centroid"):
@@ -220,4 +233,11 @@ class TestCsvAndConfigFiles:
         path = tmp_path / "exp.cfg"
         path.write_text("bogus=1\n")
         with pytest.raises(ValueError, match="unknown config key"):
+            parse_config_file(str(path))
+
+    @pytest.mark.parametrize("line", ["n=abc", "bin_width=1/0", "trials=2.5", "bin_max=x"])
+    def test_config_file_bad_value_names_the_line(self, tmp_path, line):
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"seed=1\n{line}\n")
+        with pytest.raises(ValueError, match="exp.cfg:2: bad value"):
             parse_config_file(str(path))
