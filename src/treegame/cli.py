@@ -28,7 +28,8 @@ from .diffusion import (
 )
 from .experiment import (
     ExperimentConfig,
-    parse_config_file,
+    _RangeError,
+    _read_config,
     run_experiment,
     write_histogram_csv,
     write_records_csv,
@@ -290,16 +291,22 @@ def experiment_cmd(n, trials, seed, config_file, out_dir) -> None:
     """Run the random-tree evaluation; writes records.csv and histogram.csv.
 
     Exits 2, after writing both files and the summary, if any trial failed."""
-    settings: dict = {}
-    if config_file:
-        settings.update(parse_config_file(config_file))
+    from_file = _read_config(config_file) if config_file else {}
+    settings = {key: value for key, (value, _) in from_file.items()}
     for key, val in (("n", n), ("trials", trials), ("seed", seed)):
         if val is not None:
             settings[key] = val
+            from_file.pop(key, None)
     missing = [k for k in ("n", "trials", "seed") if k not in settings]
     if missing:
         raise click.UsageError(f"missing required settings: {', '.join(missing)}")
-    cfg = ExperimentConfig(**settings)
+    try:
+        cfg = ExperimentConfig(**settings)
+    except _RangeError as exc:
+        lineno = next((from_file[k][1] for k in exc.keys if k in from_file), None)
+        if lineno is None:
+            raise
+        raise ValueError(f"{config_file}:{lineno}: {exc}") from None
     result = run_experiment(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -15,7 +15,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .diffusion import MixedStrategy, guaranteed_gain, reply_gains
-from .tree import Tree, WeightTable, branches_at, centroid, distances_from, weight_table
+from .tree import Tree, WeightTable, bfs_tables, centroid, weight_table
 
 
 class CSSError(RuntimeError):
@@ -163,22 +163,28 @@ def branch_probabilities(b: BranchInfo, n: int) -> tuple[Fraction, Fraction, Fra
 
 
 def analyze_branches(t: Tree, root: int, wt: WeightTable | None = None) -> list[BranchInfo]:
-    """Classify every branch at the centroid root.
+    """Classify every branch at the centroid root, in adjacency order.
 
-    The three lowest-weight vertices of a branch are picked by sorting on
-    (weight, distance from the root, vertex id). The structure the
-    classification relies on is asserted: u adjacent to the root, t adjacent
-    to u, and s adjacent to t for thin branches.
+    One breadth-first pass from the root gives each vertex its depth and its
+    branch, named by its depth-1 ancestor. The three lowest-weight vertices
+    of a branch are picked by sorting on (weight, depth, vertex id). The
+    structure the classification relies on is asserted: u adjacent to the
+    root, t adjacent to u, and s adjacent to t for thin branches.
     """
     n = t.n
     wt = wt or weight_table(t)
     cinfo = centroid(t, wt)
     if root not in cinfo.vertices:
         raise ValueError(f"vertex {root} is not a centroid vertex")
-    depth = distances_from(t, root)
+    order, parent, depth = bfs_tables(t, root)
+    top = [root] * n  # depth-1 ancestor
+    branches: dict[int, list[int]] = {u: [] for u in t.adj[root]}
+    for v in order[1:]:
+        top[v] = v if parent[v] == root else top[parent[v]]
+        branches[top[v]].append(v)
     result = []
-    for branch in branches_at(t, root):
-        members = sorted(branch.vertices)
+    for vertices in branches.values():
+        members = sorted(vertices)
         ranked = heapq.nsmallest(3, members, key=lambda v: (wt.w[v], depth[v], v))
         u = ranked[0]
         index = members[0]
@@ -204,12 +210,6 @@ def analyze_branches(t: Tree, root: int, wt: WeightTable | None = None) -> list[
     return result
 
 
-def _degenerate_result(t: Tree) -> CSSResult:
-    one = MixedStrategy.pure(1, 0)
-    zero = Fraction(0)
-    return CSSResult(one, 0, Fraction(1), (), zero, (0,), zero, (zero,))
-
-
 def css_run(t: Tree, strict_centroidal: bool = False) -> CSSResult:
     """Build the centroidal safe strategy.
 
@@ -226,8 +226,6 @@ def css_run(t: Tree, strict_centroidal: bool = False) -> CSSResult:
     ``strict_centroidal`` is set, in which case it is rejected.
     """
     n = t.n
-    if n == 1:
-        return _degenerate_result(t)
     wt = weight_table(t)
     cinfo = centroid(t, wt)
     if strict_centroidal and cinfo.kind != "centroidal":

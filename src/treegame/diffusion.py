@@ -207,6 +207,8 @@ class MixedStrategy:
                 raise ValueError(f"vertex {v!r} is not an int")
             if not (0 <= v < n):
                 raise ValueError(f"vertex {v} out of range")
+            if isinstance(p, bool):
+                raise ValueError(f"probability {p!r} at vertex {v} is a bool, not a number")
             if isinstance(p, float):
                 raise ValueError(f"float probability {p!r} at vertex {v}; probabilities must be exact")
             p = Fraction(p)

@@ -23,6 +23,14 @@ from .solver import solve_value
 from .tree import Tree, centroid, weight_table
 
 
+class _RangeError(ValueError):
+    """A setting out of range, with the settings its rule reads, the rejected one first."""
+
+    def __init__(self, message: str, *keys: str) -> None:
+        super().__init__(message)
+        self.keys = keys
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     n: int
@@ -33,15 +41,15 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         if self.n < 1:
-            raise ValueError("tree size must be >= 1")
+            raise _RangeError("tree size must be >= 1", "n")
         if self.n == 2:
-            raise ValueError("no 2-vertex tree has a single centroid")
+            raise _RangeError("no 2-vertex tree has a single centroid", "n")
         if self.trials < 1:
-            raise ValueError("need at least one trial")
+            raise _RangeError("need at least one trial", "trials")
         if not (0 < self.bin_width <= self.bin_max):
-            raise ValueError("need 0 < bin_width <= bin_max")
+            raise _RangeError("need 0 < bin_width <= bin_max", "bin_width", "bin_max")
         if self.bin_max % self.bin_width:
-            raise ValueError("bin_max must be a whole multiple of bin_width")
+            raise _RangeError("bin_max must be a whole multiple of bin_width", "bin_max", "bin_width")
 
 
 @dataclass(frozen=True)
@@ -241,6 +249,11 @@ _CONFIG_KEYS = {"n": int, "trials": int, "seed": int, "bin_width": Fraction, "bi
 def parse_config_file(path: str) -> dict:
     """Plain key=value config: n, trials, seed, bin_width, bin_max. Blank
     lines and #-comments are skipped. Every error names ``path:lineno``."""
+    return {key: value for key, (value, _) in _read_config(path).items()}
+
+
+def _read_config(path: str) -> dict:
+    """``parse_config_file``'s settings with their lines: key -> (value, lineno)."""
     out: dict = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -255,7 +268,7 @@ def parse_config_file(path: str) -> dict:
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
             try:
-                out[key] = _CONFIG_KEYS[key](value)
+                out[key] = (_CONFIG_KEYS[key](value), lineno)
             except (ValueError, ZeroDivisionError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad value {value!r} for {key}: {exc}") from None
     return out

@@ -6,8 +6,9 @@ w = Y / v subject to A w <= 1 gives v = 1 / sum(w), the optimal opposing mix
 Y = v * w, and the dual prices of the constraints scale to the maxmin mix X.
 Because diffusion matrices are non-negative with a positive entry in every
 column (any neighbour of a vertex gains at least itself), the LP is bounded
-and no offset shift is required; restricted subgames solved inside the
-support-generation loop are shifted by +1 to guard all-zero columns.
+and no offset shift is required. A matrix with an all-zero column is
+shifted by +1; of the subgames the support-generation loop solves, only the
+one-vertex tree's 1 x 1 zero subgame has one.
 
 Everything runs over exact rationals. The simplex uses a most-improving
 entering rule for speed but switches permanently to Bland's anti-cycling
@@ -228,22 +229,16 @@ def _admit(support: list[int], movers: list[int], orbit_of: list[int], budget: i
     return sorted(support + new[:budget])
 
 
-def solve_value(t: Tree, method: str = "oracle") -> ZeroSumSolution:
+def solve_value(t: Tree) -> ZeroSumSolution:
     """Safety value of the tree with maxmin/minmax strategies and an exact
     certificate.
 
-    The candidate supports are sets of automorphism orbits and both mixes are
-    constant on orbits. ``method`` is "oracle" (support generation seeded
-    with the orbits of the centroid and its neighbours) or "direct" (the same
-    loop seeded with every orbit, so the first subgame is the full orbit
-    game; a test reference).
+    Support generation runs over automorphism orbits, seeded with the orbits
+    of the centroid and its neighbours, and both mixes are constant on
+    orbits. A one-vertex tree goes through the same loop: its only subgame
+    is 1 x 1 and zero, so the value is 0 with both mixes pure.
     """
-    if method not in ("direct", "oracle"):
-        raise ValueError(f"unknown method {method!r}")
     n = t.n
-    if n == 1:
-        one = MixedStrategy.pure(1, 0)
-        return ZeroSumSolution(Fraction(0), one, one, (Fraction(0),), (Fraction(0),))
     rows: dict[int, list[int]] = {}
     cols: dict[int, list[int]] = {}
 
@@ -263,10 +258,7 @@ def solve_value(t: Tree, method: str = "oracle") -> ZeroSumSolution:
     for k, members in enumerate(orbits):
         for v in members:
             orbit_of[v] = k
-    if method == "direct":
-        sx = list(range(len(orbits)))
-    else:
-        sx = sorted({orbit_of[v] for v in (info.root, *t.adj[info.root])})
+    sx = sorted({orbit_of[v] for v in (info.root, *t.adj[info.root])})
     sy = list(sx)
     # The number of best-response orbits admitted per side doubles every
     # round, so games whose optima need nearly full support converge in

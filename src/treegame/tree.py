@@ -83,16 +83,6 @@ class Tree:
 
 
 @dataclass(frozen=True)
-class Branch:
-    """A maximal subtree having some vertex v as a leaf: the vertices on one
-    side of v (v itself excluded) plus the branch's edge count."""
-
-    root_neighbor: int
-    vertices: frozenset[int]
-    edge_count: int
-
-
-@dataclass(frozen=True)
 class WeightTable:
     w: tuple[int, ...]
     co_weight: tuple[int, ...]
@@ -167,39 +157,14 @@ def distances_from(t: Tree, v: int) -> tuple[int, ...]:
     return tuple(depth)
 
 
-def branches_at(t: Tree, v: int) -> list[Branch]:
-    """All branches of the tree at ``v``, one per neighbor.
-
-    The branch edge count equals the number of vertices on that side of v,
-    and the branches partition V minus v.
-    """
-    if not (0 <= v < t.n):
-        raise ValueError(f"vertex {v} out of range")
-    order, parent, _ = bfs_tables(t, v)
-    top = [-1] * t.n  # depth-1 ancestor when rooted at v
-    groups: dict[int, list[int]] = {u: [u] for u in t.adj[v]}
-    for w in order[1:]:
-        if parent[w] == v:
-            top[w] = w
-        else:
-            top[w] = top[parent[w]]
-            groups[top[w]].append(w)
-    return [
-        Branch(root_neighbor=u, vertices=frozenset(groups[u]), edge_count=len(groups[u]))
-        for u in t.adj[v]
-    ]
-
-
 def weight_table(t: Tree) -> WeightTable:
-    """Per-vertex weight: the maximum edge count over the branches at the vertex.
+    """Per-vertex weight: the maximum edge count over the branches at the
+    vertex, 0 for a lone vertex.
 
     Computed in O(n): one subtree-size pass from an arbitrary root, then the
-    parent-side branch of each vertex is n - size(v). For n = 1 the weight is
-    defined as 0 (co-weight 1).
+    parent-side branch of each vertex is n - size(v).
     """
     n = t.n
-    if n == 1:
-        return WeightTable((0,), (1,))
     order, parent, _ = bfs_tables(t, 0)
     sz = [1] * n
     for v in reversed(order[1:]):
@@ -221,8 +186,6 @@ def centroid(t: Tree, wt: WeightTable | None = None) -> CentroidInfo:
     For a bicentroidal tree the reported root is the smaller vertex id, which
     keeps downstream algorithms deterministic.
     """
-    if t.n == 1:
-        return CentroidInfo((0,), "centroidal", 0)
     wt = wt or weight_table(t)
     mn = min(wt.w)
     verts = tuple(v for v in range(t.n) if wt.w[v] == mn)

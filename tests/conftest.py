@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import permutations, product
 from pathlib import Path
 
-from treegame import Tree, simulate_diffusion
+from treegame import Tree, simulate_diffusion, solve_matrix_game
 
 
 def path_tree(n: int) -> Tree:
@@ -58,9 +58,10 @@ def all_labeled_trees(n: int):
         yield Tree.from_edges(n, prufer_decode(seq, n))
 
 
-def brute_weight(t: Tree, v: int) -> int:
-    """Max branch edge count at v by explicit component enumeration."""
-    best = 0
+def brute_branches(t: Tree, v: int) -> list[set[int]]:
+    """The components left when v is removed, one per neighbour of v in
+    adjacency order, each found by its own depth-first search."""
+    branches = []
     for start in t.adj[v]:
         seen = {v, start}
         stack = [start]
@@ -70,8 +71,13 @@ def brute_weight(t: Tree, v: int) -> int:
                 if u not in seen:
                     seen.add(u)
                     stack.append(u)
-        best = max(best, len(seen) - 1)
-    return best
+        branches.append(seen - {v})
+    return branches
+
+
+def brute_weight(t: Tree, v: int) -> int:
+    """Max branch edge count at v by explicit component enumeration."""
+    return max((len(b) for b in brute_branches(t, v)), default=0)
 
 
 def brute_weights(t: Tree) -> list[int]:
@@ -107,6 +113,13 @@ def brute_guaranteed_gain(t: Tree, strategy) -> Fraction:
         if best is None or g < best:
             best = g
     return best
+
+
+def dense_value(t: Tree, matrix=None) -> Fraction:
+    """The safety value from one exact LP over the whole dense gain matrix
+    (by default the simulation matrix): no support generation, orbits or
+    row and column kernels."""
+    return solve_matrix_game(simulation_matrix(t) if matrix is None else matrix)[0]
 
 
 def dense_certificate_holds(t: Tree, sol, matrix=None) -> bool:

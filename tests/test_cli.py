@@ -224,6 +224,52 @@ def test_float_flag_only_renders(runner, args):
     assert rendered.output == json.dumps(_decimals(exact), indent=2) + "\n"
 
 
+ONE_VERTEX_DOCUMENTS = {
+    "centroid": {
+        "schema": "treegame.centroid/1",
+        "n": 1,
+        "weights": [0],
+        "co_weights": [1],
+        "centroid": {"vertices": [0], "kind": "centroidal", "root": 0},
+    },
+    "value": {
+        "schema": "treegame.value/1",
+        "n": 1,
+        "value": "0/1",
+        "maxmin": [[0, "1/1"]],
+        "minmax": [[0, "1/1"]],
+        "primal_value": "0/1",
+        "dual_value": "0/1",
+        "verified": True,
+    },
+    "css": {
+        "schema": "treegame.css/1",
+        "n": 1,
+        "root": 0,
+        "strategy": [[0, "1/1"]],
+        "alpha": "1/1",
+        "branches": [],
+        "guaranteed_gain": "0/1",
+        "centroid_gain": "0/1",
+        "theorem4": "pass",
+        "trace": ["0/1"],
+    },
+}
+
+
+@pytest.mark.parametrize("command", ["centroid", "value", "css", "matrix"])
+def test_one_vertex_documents(runner, tmp_path, command):
+    # The one-vertex tree runs through the general code of every command.
+    path = tmp_path / "p1.tree"
+    path.write_text("1\n")
+    result = runner.invoke(cli, [command, "--tree", str(path)], catch_exceptions=False)
+    assert result.exit_code == 0
+    if command == "matrix":
+        assert result.output == "0\n"
+    else:
+        assert result.output == json.dumps(ONE_VERTEX_DOCUMENTS[command], indent=2) + "\n"
+
+
 class TestDeterminismAndExitCodes:
     def test_byte_identical_invocations(self, runner):
         a = runner.invoke(cli, ["value", "--ctree", "3", "2"], catch_exceptions=False)
@@ -300,12 +346,34 @@ class TestDeterminismAndExitCodes:
         assert line.startswith("error: ") and message in line
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize(
+        "config,flags,expected",
+        [
+            ("n=9\ntrials=0\nseed=1\n", [], "{cfg}:2: need at least one trial"),
+            ("# size\nn=2\ntrials=2\nseed=1\n", [], "{cfg}:2: no 2-vertex tree has a single centroid"),
+            ("n=9\ntrials=2\nseed=1\n\nbin_width=-1/100\n", [], "{cfg}:5: need 0 < bin_width <= bin_max"),
+            ("n=9\ntrials=2\nseed=1\nbin_width=7/100\n", [], "{cfg}:4: bin_max must be a whole multiple of bin_width"),
+            ("n=9\ntrials=2\nseed=1\n", ["--trials", "0"], "need at least one trial"),
+        ],
+        ids=["trials-zero", "two-vertices", "negative-bin-width", "bin-width-default-max", "flag"],
+    )
+    def test_experiment_config_range_error_names_the_line(self, tmp_path, config, flags, expected):
+        # A value from the file is named by its line; one from a flag is not.
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(config)
+        proc = run_python(
+            "-m", "treegame.cli", "experiment", "--config", str(cfg), *flags, "--out", str(tmp_path)
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.splitlines() == ["error: " + expected.format(cfg=cfg)]
+        assert proc.stdout == ""
+
     def test_experiment_failed_trials_exit_code(self, tmp_path):
         # Output files and the summary are still written before exiting 2.
         script = (
             "import sys, treegame.experiment, treegame.cli\n"
             "from treegame.solver import SolverError\n"
-            "def boom(t, method='oracle'):\n    raise SolverError('forced failure')\n"
+            "def boom(t):\n    raise SolverError('forced failure')\n"
             "treegame.experiment.solve_value = boom\n"
             f"sys.argv = ['treegame', 'experiment', '--n', '9', '--trials', '2', '--seed', '4',"
             f" '--out', {str(tmp_path)!r}]\n"
@@ -326,7 +394,7 @@ def test_redirected_streams_are_released(monkeypatch, tmp_path):
     import treegame.experiment
     from treegame.solver import SolverError
 
-    def boom(t, method="oracle"):
+    def boom(t):
         raise SolverError("forced failure")
 
     monkeypatch.setattr(treegame.experiment, "solve_value", boom)

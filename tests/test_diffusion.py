@@ -195,6 +195,14 @@ class TestMixedStrategy:
             with pytest.raises(ValueError, match="float probability"):
                 strategy_from_pairs(3, [[0, bad], [1, other]])
 
+    @pytest.mark.parametrize("pairs", [[[0, True]], [[0, 1], [1, False]]], ids=["true", "false"])
+    def test_rejects_bool_probability(self, pairs):
+        # A JSON true is not probability 1, and a false is not a dropped zero.
+        with pytest.raises(ValueError, match="is a bool"):
+            strategy_from_pairs(2, pairs)
+        with pytest.raises(ValueError, match="is a bool"):
+            MixedStrategy(2, dict(pairs))
+
     @pytest.mark.parametrize("vertex", [1.7, True, "1"])
     def test_rejects_non_int_vertex(self, vertex):
         # Neither rounded (1.7 is not vertex 1) nor coerced (True, "1").

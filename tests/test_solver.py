@@ -27,7 +27,7 @@ from treegame import (
 )
 from treegame.solver import _exact_div_row
 
-from conftest import dense_certificate_holds, path_tree, star_tree
+from conftest import dense_certificate_holds, dense_value, path_tree, simulation_matrix, star_tree
 
 
 class TestMatrixGame:
@@ -120,13 +120,11 @@ class TestSolveValue:
     def test_direct_and_oracle_agree(self):
         for seed in (1, 2, 3):
             t = random_tree(26, seed)
-            assert (
-                solve_value(t, method="direct").value == solve_value(t, method="oracle").value
-            )
+            assert solve_value(t).value == dense_value(t)
 
     def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            solve_value(path_tree(3), method="nope")
+        with pytest.raises(TypeError):
+            solve_value(path_tree(3), method="direct")
 
     def test_strategies_against_tree_sweeps(self):
         t = random_tree(24, 44)
@@ -201,9 +199,9 @@ class TestColumnRestricted:
 
     def test_full_support_recovers_value(self):
         t = random_tree(18, 21)
-        full = solve_value(t, method="direct")
-        assert full.value == solve_value(t).value
-        assert maximal_gain(t, full.minmax)[0] == full.value
+        sol = solve_value(t)
+        assert sol.value == dense_value(t)
+        assert maximal_gain(t, sol.minmax)[0] == sol.value
 
     def test_restricted_support_upper_bounds_value(self):
         t = build_spider(SpiderSpec(3, 3))
@@ -249,11 +247,10 @@ SHAPES = st.one_of(
 @given(SHAPES)
 def test_oracle_and_direct_agree_on_shapes(t):
     assert t.n <= 30
-    oracle = solve_value(t)
-    direct = solve_value(t, method="direct")
-    assert oracle.value == direct.value
-    assert dense_certificate_holds(t, oracle)
-    assert dense_certificate_holds(t, direct)
+    sol = solve_value(t)
+    matrix = simulation_matrix(t)
+    assert sol.value == dense_value(t, matrix)
+    assert dense_certificate_holds(t, sol, matrix)
 
 
 class TestShapeRegression:
@@ -300,8 +297,9 @@ class TestShapeRegression:
     def test_dense_certificate(self, t):
         assert t.n <= 60
         sol = solve_value(t)
-        assert dense_certificate_holds(t, sol)
-        assert sol.value == solve_value(t, method="direct").value
+        matrix = simulation_matrix(t)
+        assert dense_certificate_holds(t, sol, matrix)
+        assert sol.value == dense_value(t, matrix)
 
 
 def _one_orbit(t, info=None):

@@ -7,10 +7,10 @@ from treegame import (
     SpiderSpec,
     Tree,
     TreeFormatError,
+    analyze_branches,
     automorphism_orbits,
     build_complete_tree,
     build_spider,
-    branches_at,
     centroid,
     distances_from,
     parse_tree,
@@ -18,7 +18,15 @@ from treegame import (
     weight_table,
 )
 
-from conftest import all_labeled_trees, brute_orbits, brute_weights, path_tree, prufer_decode, star_tree
+from conftest import (
+    all_labeled_trees,
+    brute_branches,
+    brute_orbits,
+    brute_weights,
+    path_tree,
+    prufer_decode,
+    star_tree,
+)
 
 
 class TestParseTree:
@@ -67,35 +75,6 @@ class TestParseTree:
     def test_bad_count(self):
         with pytest.raises(TreeFormatError, match="line 1"):
             parse_tree("zero\n0 1")
-
-
-class TestBranches:
-    def test_path_center_two_branches(self):
-        t = path_tree(5)
-        bs = branches_at(t, 2)
-        assert sorted(b.edge_count for b in bs) == [2, 2]
-        assert {frozenset(b.vertices) for b in bs} == {frozenset({0, 1}), frozenset({3, 4})}
-
-    def test_star_center(self):
-        t = star_tree(4)
-        bs = branches_at(t, 0)
-        assert [b.edge_count for b in bs] == [1, 1, 1, 1]
-
-    def test_path_leaf_single_branch(self):
-        t = path_tree(5)
-        bs = branches_at(t, 0)
-        assert len(bs) == 1 and bs[0].edge_count == 4
-
-    def test_partition_and_edge_sum(self):
-        t = random_tree(40, 99)
-        for v in (0, 7, 23):
-            bs = branches_at(t, v)
-            union = set()
-            for b in bs:
-                assert not (union & b.vertices)
-                union |= b.vertices
-            assert union == set(range(40)) - {v}
-            assert sum(b.edge_count for b in bs) == 39
 
 
 class TestWeights:
@@ -167,7 +146,7 @@ class TestCentroid:
         for t in all_labeled_trees(n):
             info = centroid(t)
             for v in range(n):
-                condition = all(2 * b.edge_count <= n for b in branches_at(t, v))
+                condition = all(2 * len(b) <= n for b in brute_branches(t, v))
                 assert condition == (v in info.vertices)
 
     @given(st.integers(2, 150), st.integers(0, 10_000))
@@ -193,8 +172,8 @@ class TestCentroid:
             if v in cv:
                 continue
             assert wt.w[v] > wt.co_weight[v]
-            holding = [b for b in branches_at(t, v) if cv & b.vertices]
-            assert len(holding) == 1 and holding[0].edge_count == wt.w[v]
+            holding = [b for b in brute_branches(t, v) if cv & b]
+            assert len(holding) == 1 and len(holding[0]) == wt.w[v]
 
 
 class TestDistances:
@@ -281,3 +260,31 @@ class TestAutomorphismOrbits:
         relabelled = Tree.from_edges(n, [(pi[u], pi[v]) for u, v in t.edges()])
         moved = sorted(tuple(sorted(pi[v] for v in orbit)) for orbit in automorphism_orbits(t))
         assert automorphism_orbits(relabelled) == moved
+
+
+BRANCH_TREES = st.one_of(
+    st.integers(2, 40).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2))
+    ).map(_prufer_tree),
+    st.integers(1, 30).map(star_tree),
+    st.integers(1, 30).map(path_tree),
+    st.integers(1, 15).flatmap(
+        lambda k: st.tuples(
+            st.just(k),
+            st.lists(st.integers(0, k - 1), min_size=max(k - 2, 0), max_size=max(k - 2, 0)),
+            st.lists(st.integers(0, k - 1), min_size=max(k - 2, 0), max_size=max(k - 2, 0)),
+            st.integers(0, 14),
+            st.integers(0, 14),
+        )
+    ).map(_bicentroidal),
+)
+
+
+class TestCentroidBranches:
+    @settings(max_examples=150, deadline=None)
+    @given(BRANCH_TREES)
+    def test_match_brute_force(self, t):
+        # From every centroid vertex, so both ends of a bicentroidal edge.
+        for root in centroid(t).vertices:
+            got = [set(b.vertices) for b in analyze_branches(t, root)]
+            assert got == brute_branches(t, root)
