@@ -290,7 +290,9 @@ def gain(t: Tree, x: MixedStrategy, y: MixedStrategy):
     return total
 
 
-def _sweep(n: int, mix: MixedStrategy, line: Callable[[int], Sequence[int]]) -> tuple[list[int], int]:
+def _sweep(
+    n: int, mix: MixedStrategy, line: Callable[[int], Sequence[int]], orbits: Sequence[Sequence[int]] = ()
+) -> tuple[list[int], int]:
     """The mix-weighted sum of ``line(v)`` over the support vertices v, as
     ``(numerators, den)``: entry i of the sum is ``numerators[i] / den``.
 
@@ -299,12 +301,30 @@ def _sweep(n: int, mix: MixedStrategy, line: Callable[[int], Sequence[int]]) -> 
     probability denominators and each probability p enters as the integer
     weight ``p * den``, so the numerators are plain ints and no ``Fraction``
     is built per entry.
+
+    ``orbits`` are orbits of a group of checked automorphisms of the tree
+    (``checked_orbits``). If the mix is constant on each, the group fixes
+    it, so the sum is constant on each too: each orbit's mass goes on its
+    first member, one line is read per orbit, and each entry becomes the
+    average over its orbit, which is exactly the vertex-by-vertex sum
+    (averaging is linear; the division is exact, and checked).
     """
     den = math.lcm(*(p.denominator for p in mix.probs.values()))
+    weight = {v: p.numerator * (den // p.denominator) for v, p in mix.probs.items()}
+    merged = [o for o in orbits if o[0] in weight]
+    if not merged or any(weight.get(v) != weight.get(o[0]) for o in orbits for v in o):
+        orbits = merged = []
+    for o in merged:
+        weight[o[0]] = sum(weight.pop(v) for v in o)
     acc = [0] * n
-    for v, p in mix.probs.items():
-        w = p.numerator * (den // p.denominator)
+    for v, w in weight.items():
         acc = [a + w * g for a, g in zip(acc, line(v))]
+    for o in orbits:
+        mean, rest = divmod(sum(acc[v] for v in o), len(o))
+        if rest:
+            raise RuntimeError("inexact orbit average: the orbits are not a group's")
+        for v in o:
+            acc[v] = mean
     return acc, den
 
 

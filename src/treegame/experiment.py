@@ -247,8 +247,9 @@ _CONFIG_KEYS = {"n": int, "trials": int, "seed": int, "bin_width": Fraction, "bi
 
 
 def parse_config_file(path: str) -> dict:
-    """Plain key=value config: n, trials, seed, bin_width, bin_max. Blank
-    lines and #-comments are skipped. Every error names ``path:lineno``."""
+    """Plain key=value config: n, trials, seed, bin_width, bin_max, each set
+    at most once. Blank lines and #-comments are skipped. Every error names
+    ``path:lineno``."""
     return {key: value for key, (value, _) in _read_config(path).items()}
 
 
@@ -267,6 +268,8 @@ def _read_config(path: str) -> dict:
             value = value.strip()
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            if key in out:
+                raise ValueError(f"{path}:{lineno}: duplicate config key {key!r} (first set on line {out[key][1]})")
             try:
                 out[key] = (_CONFIG_KEYS[key](value), lineno)
             except (ValueError, ZeroDivisionError) as exc:

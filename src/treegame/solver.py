@@ -32,14 +32,21 @@ Supports are seeded with the orbits of the centroid and its neighbours, and
 every vertex that improves on the subgame value adds its whole orbit.
 
 The weak-duality certificate (worst reply against X equals the best start
-against Y equals the subgame value) is swept against all n pure replies and
-starts, so it proves optimality on the full game, whatever the orbit
-partition was. Each round's sweeps are integer numerators over the mix's
-common denominator and are compared with the subgame value by
-cross-multiplying; the certificate's ``Fraction`` tuples are built only in
-the round that returns. Strategies hold exact probabilities only, so
-``verify_solution`` makes one exact comparison; decimals appear only when
-the command line renders a result with ``--float``.
+against Y equals the subgame value) holds at all n pure replies and starts,
+so it proves optimality on the full game, whatever the orbit partition was.
+A sweep reads the row or column of one vertex per checked orbit the mix
+meets (``checked_orbits``): swaps of sibling subtrees, each checked against
+the tree's adjacency, map the vertices of such an orbit onto one another
+and fix the mix, so the gain at every other member follows from the one
+read. A partition that is not the orbits' gives swaps that fail the check,
+hence smaller checked orbits and more lines, never a wrong entry; a mix not
+constant on them gets one line per support vertex. Each round's sweeps are
+integer numerators over the mix's common denominator and are compared with
+the subgame value by cross-multiplying; the certificate's ``Fraction``
+tuples are built only in the round that returns. Strategies hold exact
+probabilities only, so ``verify_solution`` makes one exact comparison;
+decimals appear only when the command line renders a result with
+``--float``.
 """
 
 from __future__ import annotations
@@ -49,8 +56,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .diffusion import MixedStrategy, _sweep, gain_column, gain_row, reply_gains, start_gains
-from .tree import Tree, automorphism_orbits, centroid
+from .diffusion import MixedStrategy, _sweep, gain_column, gain_row
+from .tree import Tree, automorphism_orbits, centroid, checked_orbits
 
 _BLAND_AFTER = 200
 
@@ -254,6 +261,7 @@ def solve_value(t: Tree) -> ZeroSumSolution:
 
     info = centroid(t)
     orbits = automorphism_orbits(t, info)
+    sym: list[tuple[int, ...]] | None = None
     orbit_of = [0] * n
     for k, members in enumerate(orbits):
         for v in members:
@@ -281,10 +289,13 @@ def solve_value(t: Tree) -> ZeroSumSolution:
         y = _spread(n, orbits, sy, yr)
         # Entry i of a sweep is g[i] / d and v = vn / vd with d, vd > 0, so
         # g[i] / d against v compares as g[i] * vd against vn * d. The sweeps
-        # and the certificate run over all n vertices, so an orbit partition
-        # that is not one cannot produce a wrong answer.
-        g1, d1 = _sweep(n, y, col)
-        g2, d2 = _sweep(n, x, row)
+        # cover all n vertices through automorphisms checked against the
+        # tree, so a wrong orbit partition cannot produce a wrong answer.
+        # They are built once a support holds an orbit of several vertices.
+        if sym is None and any(len(orbits[k]) > 1 for k in (*sx, *sy)):
+            sym = checked_orbits(t, orbits, info)
+        g1, d1 = _sweep(n, y, col, sym or ())
+        g2, d2 = _sweep(n, x, row, sym or ())
         vn, vd = v.numerator, v.denominator
         v1, v2 = vn * d1, vn * d2
         b1 = max(g1) * vd
@@ -312,7 +323,12 @@ def solve_value(t: Tree) -> ZeroSumSolution:
 def verify_solution(t: Tree, sol: ZeroSumSolution) -> bool:
     """Recompute both reply sweeps from the tree and check that the worst
     reply against the maxmin mix and the best start against the minmax mix
-    both equal the claimed value exactly."""
+    both equal the claimed value exactly. The checked orbits the sweeps use
+    are rebuilt from the tree, not taken from ``sol``."""
     if sol.maxmin.n != t.n or sol.minmax.n != t.n:
         return False
-    return min(reply_gains(t, sol.maxmin)) == sol.value == max(start_gains(t, sol.minmax))
+    info = centroid(t)
+    sym = checked_orbits(t, automorphism_orbits(t, info), info)
+    g2, d2 = _sweep(t.n, sol.maxmin, lambda v: gain_row(t, v), sym)
+    g1, d1 = _sweep(t.n, sol.minmax, lambda v: gain_column(t, v), sym)
+    return Fraction(min(g2), d2) == sol.value == Fraction(max(g1), d1)

@@ -233,3 +233,64 @@ def automorphism_orbits(t: Tree, info: CentroidInfo | None = None) -> list[tuple
     for v in range(t.n):
         members.setdefault(orbit[v], []).append(v)
     return [tuple(vs) for vs in members.values()]
+
+
+def checked_orbits(t: Tree, orbits: list[tuple[int, ...]], info: CentroidInfo | None = None) -> list[tuple[int, ...]]:
+    """Sets of more than one vertex that automorphisms of ``t``, each checked
+    against ``t.adj``, map onto one another, sorted and listed by smallest
+    vertex: the orbits of more than one vertex if ``orbits`` is the orbit
+    partition, finer sets whatever else it is.
+
+    On the tree rooted as in ``automorphism_orbits``, two children of one
+    vertex that are consecutive members of one class of ``orbits`` give a
+    swap of their subtrees, children paired in (class, id) order, kept if
+    ``_is_automorphism`` accepts it. The walk enters only the first child of
+    each run of swapped siblings, so the swapped sizes add up to O(n).
+    """
+    info = info or centroid(t)
+    _, parent, _ = bfs_tables(t, info.vertices[0])
+    if len(info.vertices) == 2:
+        parent[info.vertices[1]] = -1  # both centroids hang from the virtual root
+    cls = [0] * t.n
+    kids: list[list[int]] = [[] for _ in range(t.n)]
+    for k, members in enumerate(orbits):
+        for v in members:
+            cls[v] = k
+            if parent[v] >= 0:
+                kids[parent[v]].append(v)
+    up: dict[int, int] = {}  # a swapped vertex points to its image's component
+
+    def find(v: int) -> int:
+        while v in up:
+            v = up[v]
+        return v
+
+    todo = [sorted(info.vertices, key=cls.__getitem__)]
+    while todo:
+        prev = -1
+        for v in todo.pop():
+            pairs, stack = [], [(prev, v)] if prev >= 0 and cls[prev] == cls[v] else []
+            while stack:
+                a, b = stack.pop()
+                pairs.append((a, b))
+                stack.extend(zip(kids[a], kids[b]))
+            if pairs and _is_automorphism(t, pairs):
+                up.update((w, find(u)) for u, w in pairs)
+            else:
+                todo.append(kids[v])
+            prev = v
+    comps: dict[int, list[int]] = {}
+    for v in sorted({*up, *up.values()}):
+        comps.setdefault(find(v), []).append(v)
+    return [tuple(vs) for vs in comps.values()]
+
+
+def _is_automorphism(t: Tree, pairs: list[tuple[int, int]]) -> bool:
+    """Whether swapping each pair (u, w), and fixing every other vertex, is
+    an automorphism of ``t``: the pairs are disjoint and sigma(adj[v]) ==
+    adj[sigma(v)] for every moved v. O(swapped size)."""
+    sigma = dict(pairs)
+    sigma.update((w, u) for u, w in pairs)
+    if len(sigma) != 2 * len(pairs):
+        return False
+    return all({sigma.get(x, x) for x in t.adj[v]} == set(t.adj[w]) for v, w in sigma.items())

@@ -330,8 +330,9 @@ class TestDeterminismAndExitCodes:
             ("n=abc\n", "exp.cfg:1: bad value 'abc' for n"),
             ("n=9\nbin_width=1/0\n", "exp.cfg:2: bad value '1/0' for bin_width"),
             ("n=9\nbin_width=3/100\nbin_max=1/10\n", "bin_max must be a whole multiple of bin_width"),
+            ("n=9\ntrials=0\n\ntrials=1\n", "exp.cfg:4: duplicate config key 'trials' (first set on line 2)"),
         ],
-        ids=["non-integer", "zero-denominator", "partial-last-bin"],
+        ids=["non-integer", "zero-denominator", "partial-last-bin", "duplicate-key"],
     )
     def test_experiment_bad_config_is_input_error(self, tmp_path, config, message):
         cfg = tmp_path / "exp.cfg"

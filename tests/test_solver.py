@@ -4,6 +4,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import treegame.diffusion
 import treegame.solver
 from treegame import (
     MixedStrategy,
@@ -343,3 +344,24 @@ def test_wrong_orbit_partition_never_gives_a_wrong_value(monkeypatch, t, wrong):
     assert sol.value == expected
     assert verify_solution(t, sol)
     assert dense_certificate_holds(t, sol)
+
+
+@pytest.mark.parametrize(
+    "t",
+    [star_tree(1000), build_spider(SpiderSpec(200, 5)), build_complete_tree(CompleteTreeSpec(3, 6))],
+    ids=["star1000", "spider200x5", "ctree3-6"],
+)
+def test_full_support_games_read_one_line_per_orbit(monkeypatch, t):
+    # Solving and verifying read a row or column per support orbit, not one
+    # per support vertex (over 800 lines on the star and on the spider).
+    lines = []
+    cut_gains = treegame.diffusion._cut_gains
+
+    def counting(tree, root, is_row):
+        lines.append(root)
+        return cut_gains(tree, root, is_row)
+
+    monkeypatch.setattr(treegame.diffusion, "_cut_gains", counting)
+    sol = solve_value(t)
+    assert verify_solution(t, sol)
+    assert len(lines) <= 20

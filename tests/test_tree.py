@@ -1,9 +1,12 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treegame import (
     CompleteTreeSpec,
+    MixedStrategy,
     SpiderSpec,
     Tree,
     TreeFormatError,
@@ -12,11 +15,14 @@ from treegame import (
     build_complete_tree,
     build_spider,
     centroid,
+    checked_orbits,
     distances_from,
     parse_tree,
     random_tree,
     weight_table,
 )
+from treegame.diffusion import _sweep, gain_column, gain_row
+from treegame.tree import _is_automorphism
 
 from conftest import (
     all_labeled_trees,
@@ -25,6 +31,7 @@ from conftest import (
     brute_weights,
     path_tree,
     prufer_decode,
+    simulation_matrix,
     star_tree,
 )
 
@@ -288,3 +295,122 @@ class TestCentroidBranches:
         for root in centroid(t).vertices:
             got = [set(b.vertices) for b in analyze_branches(t, root)]
             assert got == brute_branches(t, root)
+
+
+SYMMETRIC_TREES = st.one_of(
+    BRANCH_TREES,
+    st.tuples(st.integers(3, 9), st.integers(1, 4)).map(lambda ml: build_spider(SpiderSpec(*ml))),
+    st.sampled_from([(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (4, 1), (5, 1)]).map(
+        lambda mh: build_complete_tree(CompleteTreeSpec(*mh))
+    ),
+)
+
+
+def _wrong_partitions(t):
+    yield [tuple(range(t.n))]
+    yield [tuple(range(i, min(i + 3, t.n))) for i in range(0, t.n, 3)]
+
+
+def _refines(finer, coarser):
+    owner = {v: k for k, members in enumerate(coarser) for v in members}
+    return all(len({owner[v] for v in members}) == 1 for members in finer)
+
+
+# Centroid 0 with a leaf 1 and the subtrees 2-3, 4-5 and 6-(7, 8): the
+# orbits are {2, 4}, {3, 5} and {7, 8}, every other vertex alone.
+_BROOM = Tree.from_edges(9, [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (0, 6), (6, 7), (6, 8)])
+
+
+class TestCheckedOrbits:
+    @settings(max_examples=150, deadline=None)
+    @given(SMALL_TREES)
+    def test_components_match_brute_force(self, t):
+        assert checked_orbits(t, automorphism_orbits(t)) == [o for o in brute_orbits(t) if len(o) > 1]
+
+    def test_every_tree_up_to_five_vertices(self):
+        for n in range(1, 6):
+            for t in all_labeled_trees(n):
+                assert checked_orbits(t, automorphism_orbits(t)) == [o for o in brute_orbits(t) if len(o) > 1]
+
+    @settings(max_examples=150, deadline=None)
+    @given(SYMMETRIC_TREES)
+    def test_never_coarser_than_the_orbits(self, t):
+        orbits = automorphism_orbits(t)
+        assert checked_orbits(t, orbits) == [o for o in orbits if len(o) > 1]
+        for wrong in _wrong_partitions(t):
+            assert _refines(checked_orbits(t, wrong), orbits)
+
+    def test_injected_non_automorphisms_fail_the_check(self):
+        assert _is_automorphism(_BROOM, [(2, 4), (3, 5)])
+        assert not _is_automorphism(_BROOM, [(1, 2)])  # a leaf and an inner vertex
+        assert not _is_automorphism(_BROOM, [(4, 6), (5, 7)])  # non-isomorphic siblings
+        assert not _is_automorphism(_BROOM, [(2, 4), (4, 6)])  # not a disjoint pairing
+        assert not _is_automorphism(_BROOM, [(3, 3)])
+
+    def test_wrong_classes_give_no_wrong_swap(self):
+        # Each depth as one class puts the leaf 1 beside the inner vertex 2
+        # and the subtree at 4 beside the larger one at 6.
+        by_depth = [(0,), (1, 2, 4, 6), (3, 5, 7, 8)]
+        assert checked_orbits(_BROOM, by_depth) == [(2, 4), (3, 5), (7, 8)]
+        assert automorphism_orbits(_BROOM) == [(0,), (1,), (2, 4), (3, 5), (6,), (7, 8)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(SYMMETRIC_TREES, st.data())
+    def test_sweep_matches_simulation(self, t, data):
+        # Mixes constant on the orbits read one line per orbit they meet;
+        # any other mix is swept vertex by vertex. Both equal the per-entry
+        # sums over the simulation matrix.
+        classes = automorphism_orbits(t)
+        orbits = checked_orbits(t, classes)
+        symmetric = data.draw(st.booleans())
+        if symmetric:
+            per_class = data.draw(st.lists(st.integers(0, 4), min_size=len(classes), max_size=len(classes)))
+            counts = {v: c for members, c in zip(classes, per_class) for v in members}
+        else:
+            counts = dict(enumerate(data.draw(st.lists(st.integers(0, 4), min_size=t.n, max_size=t.n))))
+        if not any(counts.values()):
+            counts = {v: 1 for v in range(t.n)}
+        total = sum(counts.values())
+        mix = MixedStrategy(t.n, {v: Fraction(c, total) for v, c in counts.items()})
+        a = simulation_matrix(t)
+        read: list[int] = []
+
+        def row(v):
+            read.append(v)
+            return gain_row(t, v)
+
+        def col(v):
+            read.append(v)
+            return gain_column(t, v)
+
+        acc, den = _sweep(t.n, mix, row, orbits)
+        assert [Fraction(g, den) for g in acc] == [
+            sum(p * a[v][w] for v, p in mix.probs.items()) for w in range(t.n)
+        ]
+        acc, den = _sweep(t.n, mix, col, orbits)
+        assert [Fraction(g, den) for g in acc] == [
+            sum(a[w][v] * p for v, p in mix.probs.items()) for w in range(t.n)
+        ]
+        if symmetric:
+            others = {v for members in orbits for v in members[1:]}
+            reps = [v for v in mix.probs if v not in others]
+            assert sorted(read) == sorted(reps + reps)
+        else:
+            assert len(read) <= 2 * len(mix.probs)
+
+    @pytest.mark.parametrize(
+        "wrong",
+        [lambda t: [tuple(range(t.n))], lambda t: [(0,), (1, 2, 4, 6), (3, 5, 7, 8)]],
+        ids=["one-class", "by-depth"],
+    )
+    def test_sweep_over_wrong_classes_matches_simulation(self, wrong):
+        # Mixes spread evenly over wrong classes still sweep exactly.
+        t = _BROOM
+        a = simulation_matrix(t)
+        orbits = checked_orbits(t, wrong(t))
+        for members in wrong(t):
+            mix = MixedStrategy(t.n, {v: Fraction(1, len(members)) for v in members})
+            acc, den = _sweep(t.n, mix, lambda v: gain_row(t, v), orbits)
+            assert [Fraction(g, den) for g in acc] == [
+                sum(p * a[v][w] for v, p in mix.probs.items()) for w in range(t.n)
+            ]
