@@ -10,11 +10,11 @@ comparisons, never floats.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
-from .diffusion import MixedStrategy, guaranteed_gain, reply_gains
+from .diffusion import MixedStrategy, _check_dims, _extreme, _sweep, gain_row
 from .tree import Tree, WeightTable, bfs_tables, centroid, weight_table
 
 
@@ -63,6 +63,11 @@ class UsedBranch:
 
 @dataclass(frozen=True)
 class CSSResult:
+    """The strategy with its build record. ``root_weight`` is the root's
+    weight. The gain of the strategy against pure reply v is
+    ``reply_numerators[v] / reply_den``, from the one sweep over every reply
+    that ``guaranteed_gain`` and ``worst_replies`` are read from."""
+
     strategy: MixedStrategy
     root: int
     alpha: Fraction
@@ -71,11 +76,14 @@ class CSSResult:
     worst_replies: tuple[int, ...]
     centroid_gain: Fraction
     trace: tuple[Fraction, ...]
+    root_weight: int
+    reply_numerators: tuple[int, ...] = field(repr=False)
+    reply_den: int
 
 
 @dataclass(frozen=True)
 class CentroidReplyReport:
-    """Outcome of sweeping every pure reply against the strategy: passes when
+    """Outcome of checking every pure reply against the strategy: passes when
     the centroid attains the minimum (ties allowed); any vertex strictly
     below the centroid value is listed."""
 
@@ -83,7 +91,13 @@ class CentroidReplyReport:
     root: int
     root_gain: Fraction
     violations: tuple[tuple[int, Fraction], ...]
-    reply_values: tuple[Fraction, ...]
+    reply_numerators: tuple[int, ...] = field(repr=False)
+    reply_den: int
+
+    @property
+    def reply_values(self) -> tuple[Fraction, ...]:
+        """The gain against every pure reply, built on each read."""
+        return tuple(Fraction(a, self.reply_den) for a in self.reply_numerators)
 
 
 def _classify(n: int, size: int, w1: int, w2: int | None, w3: int | None) -> BranchClass:
@@ -220,7 +234,8 @@ def css_run(t: Tree, strict_centroidal: bool = False) -> CSSResult:
     alpha * (1 + sum of ratios) = 1, and the centroid-reply gain is
     accumulated from the co-weights of the covered vertices. The guaranteed
     gain in the result is recomputed independently by full minimization over
-    every pure reply.
+    every pure reply, from one exact sweep of the support's matrix rows; the
+    result keeps that sweep, and ``verify_centroid_reply`` reads it.
 
     Bicentroidal input is rooted at the smaller-id centroid vertex unless
     ``strict_centroidal`` is set, in which case it is rejected.
@@ -277,7 +292,8 @@ def css_run(t: Tree, strict_centroidal: bool = False) -> CSSResult:
     if sum(probs.values()) != 1:
         raise CSSError("probability ledger does not sum to 1")
     strategy = MixedStrategy(n, probs)
-    ggain, worst = guaranteed_gain(t, strategy)
+    acc, den = _sweep(n, strategy, lambda v: gain_row(t, v))
+    ggain, worst = _extreme((acc, den), min)
     return CSSResult(
         strategy=strategy,
         root=root,
@@ -287,21 +303,34 @@ def css_run(t: Tree, strict_centroidal: bool = False) -> CSSResult:
         worst_replies=worst,
         centroid_gain=gain_now,
         trace=tuple(trace),
+        root_weight=wt.w[root],
+        reply_numerators=tuple(acc),
+        reply_den=den,
     )
 
 
 def verify_centroid_reply(t: Tree, result: CSSResult) -> CentroidReplyReport:
-    """Sweep every pure reply against the strategy and check the centroid
-    attains the minimum gain; ties with other vertices are fine."""
-    g = reply_gains(t, result.strategy)
-    root_gain = g[result.root]
-    violations = tuple((v, g[v]) for v in range(t.n) if g[v] < root_gain)
+    """Check that the centroid attains the minimum gain over all n pure
+    replies; ties with other vertices are fine.
+
+    The check reads the exact sweep that ``css_run`` kept rather than
+    sweeping again: every reply whose numerator is below the root's is a
+    violation. A result for a tree of another size, or one whose sweep does
+    not have an entry per vertex, raises ``ValueError``.
+    """
+    _check_dims(t, result.strategy)
+    acc, den = result.reply_numerators, result.reply_den
+    if len(acc) != t.n:
+        raise ValueError(f"dimension mismatch: reply sweep over {len(acc)} vertices, tree has {t.n}")
+    root_num = acc[result.root]
+    violations = tuple((v, Fraction(a, den)) for v, a in enumerate(acc) if a < root_num)
     return CentroidReplyReport(
         passed=not violations,
         root=result.root,
-        root_gain=root_gain,
+        root_gain=Fraction(root_num, den),
         violations=violations,
-        reply_values=tuple(g),
+        reply_numerators=acc,
+        reply_den=den,
     )
 
 

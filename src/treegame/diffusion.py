@@ -19,9 +19,10 @@ import math
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .tree import Tree, bfs_tables, distances_from
+from .tree import Tree, distances_from
 
 
 class Color(IntEnum):
@@ -136,28 +137,40 @@ def _cut_gains(t: Tree, root: int, is_row: bool) -> list[int]:
     at the root) that edge sits above v's ancestor a at depth ceil(k/2) and
     the entry is n - size(a); for a column (Player 1 at v) it sits above the
     ancestor a at depth floor(k/2) + 1 and the entry is size(a).
+
+    One iterative preorder pass fills parent and depth, one reverse pass sums
+    the subtree sizes, and one forward pass over the preorder keeps
+    ``path[depth[v]] = v``: in preorder, ``path[:k]`` then holds v's
+    ancestors, so ancestor a is read from ``path``. Both later passes skip
+    the root, first in the preorder, through ``islice``: a slice would copy
+    n entries, which at n = 10^5 raised the benchmark's peak memory.
     """
     n = t.n
-    order, parent, depth = bfs_tables(t, root)
+    adj = t.adj
+    parent = [-1] * n
+    depth = [0] * n
+    parent[root] = root
+    order = []
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        k = depth[v] + 1
+        for w in adj[v]:
+            if parent[w] < 0:
+                parent[w] = v
+                depth[w] = k
+                stack.append(w)
     sz = [1] * n
-    for v in reversed(order[1:]):
+    for v in islice(reversed(order), n - 1):
         sz[parent[v]] += sz[v]
     gain_at, offset = ([n - s for s in sz], 1) if is_row else (sz, 2)
     out = [0] * n
-    path: list[int] = []
-    stack: list[tuple[int, bool]] = [(root, False)]
-    while stack:
-        v, done = stack.pop()
-        if done:
-            path.pop()
-            continue
-        stack.append((v, True))
-        path.append(v)
-        if v != root:
-            out[v] = gain_at[path[(depth[v] + offset) // 2]]
-        for w in t.adj[v]:
-            if w != parent[v]:
-                stack.append((w, False))
+    path = [root] * (max(depth) + 1)
+    for v in islice(order, 1, None):
+        k = depth[v]
+        path[k] = v
+        out[v] = gain_at[path[(k + offset) // 2]]
     return out
 
 

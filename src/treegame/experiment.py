@@ -20,7 +20,7 @@ from typing import Callable
 from .css import css_run
 from .diffusion import format_fraction
 from .solver import solve_value
-from .tree import Tree, centroid, weight_table
+from .tree import Tree, centroid
 
 
 class _RangeError(ValueError):
@@ -170,8 +170,7 @@ def run_experiment(
         try:
             t = tree_source(i, seed_i) if tree_source else sample_centroidal(cfg.n, seed_i)
             res = css_run(t)
-            wt = weight_table(t)
-            cw = wt.w[res.root]
+            cw = res.root_weight
             bound = solve_value(t).value
             ratio = (bound - res.guaranteed_gain) / cw
             if ratio < 0:

@@ -1,11 +1,16 @@
+import dataclasses
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from treegame import (
     BranchClass,
     SpiderSpec,
     CompleteTreeSpec,
+    MixedStrategy,
     Tree,
     analyze_branches,
     branch_criterion,
@@ -17,14 +22,16 @@ from treegame import (
     complete_tree_safe_strategy,
     complete_tree_value,
     css_run,
+    gain_row,
     random_tree,
     reply_gains,
     sample_centroidal,
     solve_value,
     verify_centroid_reply,
+    weight_table,
 )
 
-from conftest import brute_guaranteed_gain, path_tree, star_tree
+from conftest import brute_guaranteed_gain, path_tree, prufer_decode, simulation_matrix, star_tree
 
 
 def branch_by_index(branches, index):
@@ -255,20 +262,104 @@ class TestCentroidReplyReport:
     def test_bad_strategy_reports_violations(self):
         t = star_tree(4)
         res = css_run(t)
-        from treegame import CSSResult, MixedStrategy
-
-        skewed = CSSResult(
+        # A pure strategy's reply sweep is its matrix row over denominator 1.
+        skewed = dataclasses.replace(
+            res,
             strategy=MixedStrategy.pure(5, 1),
-            root=res.root,
             alpha=Fraction(9, 10),
-            branches_used=res.branches_used,
-            guaranteed_gain=res.guaranteed_gain,
-            worst_replies=res.worst_replies,
-            centroid_gain=res.centroid_gain,
-            trace=res.trace,
+            reply_numerators=tuple(gain_row(t, 1)),
+            reply_den=1,
         )
         report = verify_centroid_reply(t, skewed)
         assert not report.passed and report.violations
+
+    def test_result_from_another_tree_raises(self):
+        res = css_run(star_tree(4))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            verify_centroid_reply(star_tree(5), res)
+        foreign = dataclasses.replace(res, strategy=MixedStrategy.pure(6, 0))
+        with pytest.raises(ValueError, match="strategy over 6 vertices"):
+            verify_centroid_reply(star_tree(4), foreign)
+
+    def test_sweep_without_an_entry_per_vertex_raises(self):
+        t = star_tree(4)
+        res = css_run(t)
+        short = dataclasses.replace(res, reply_numerators=res.reply_numerators[:-1])
+        with pytest.raises(ValueError, match="reply sweep over 4 vertices"):
+            verify_centroid_reply(t, short)
+
+    def test_root_weight_is_the_centroid_weight(self):
+        for seed in (1, 6):
+            t = sample_centroidal(40, seed)
+            res = css_run(t)
+            assert res.root_weight == weight_table(t).w[res.root]
+
+
+def _with_strategy(t, res, mix):
+    """``res`` with ``mix`` as its strategy, carrying mix's own reply sweep."""
+    den = math.lcm(*(p.denominator for p in mix.probs.values()))
+    return dataclasses.replace(
+        res,
+        strategy=mix,
+        reply_numerators=tuple(int(g * den) for g in reply_gains(t, mix)),
+        reply_den=den,
+    )
+
+
+def _assert_report_matches_simulation(t, res):
+    """The report agrees with per-entry ``Fraction`` sums over the
+    simulation's gain matrix."""
+    a = simulation_matrix(t)
+    values = tuple(
+        sum((p * a[v][y] for v, p in res.strategy.probs.items()), Fraction(0)) for y in range(t.n)
+    )
+    violations = tuple((y, g) for y, g in enumerate(values) if g < values[res.root])
+    report = verify_centroid_reply(t, res)
+    assert report.passed is (not violations)
+    assert report.root == res.root
+    assert report.root_gain == values[res.root]
+    assert report.violations == violations
+    assert report.reply_values == values
+    return report
+
+
+class TestCentroidReplyAgainstSimulation:
+    @given(st.integers(3, 40), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_prufer_random_centroidal_trees(self, n, data):
+        code = data.draw(st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2))
+        t = Tree.from_edges(n, prufer_decode(tuple(code), n))
+        assume(centroid(t).kind == "centroidal")
+        report = _assert_report_matches_simulation(t, css_run(t))
+        assert report.passed
+
+    @pytest.mark.parametrize(
+        "t",
+        [pytest.param(star_tree(k), id=f"star{k}") for k in (1, 2, 5, 12)]
+        + [
+            pytest.param(build_spider(SpiderSpec(m, l)), id=f"spider{m}x{l}")
+            for m, l in ((3, 1), (3, 5), (3, 8), (5, 3))
+        ]
+        + [
+            pytest.param(build_complete_tree(CompleteTreeSpec(a, h)), id=f"ctree{a}x{h}")
+            for a, h in ((2, 2), (2, 3), (3, 2))
+        ],
+    )
+    def test_families(self, t):
+        assert _assert_report_matches_simulation(t, css_run(t)).passed
+
+    @given(st.integers(3, 30), st.integers(0, 5_000), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_skewed_strategy(self, n, seed, data):
+        t = sample_centroidal(n, seed)
+        res = css_run(t)
+        # Mass n/(n+1) on a vertex v other than the root and 1/(n+1) on the
+        # root: the reply at v gains at most (n-1)/(n+1), less than the
+        # reply at the root, which gains at least n/(n+1).
+        v = data.draw(st.integers(0, n - 1).filter(lambda v: v != res.root))
+        mix = MixedStrategy(n, {v: Fraction(n, n + 1), res.root: Fraction(1, n + 1)})
+        report = _assert_report_matches_simulation(t, _with_strategy(t, res, mix))
+        assert not report.passed
 
 
 class TestIterationBounds:

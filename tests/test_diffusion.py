@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from treegame import (
@@ -13,6 +13,7 @@ from treegame import (
     complete_tree_safe_strategy,
     CompleteTreeSpec,
     SpiderSpec,
+    Tree,
     gain,
     gain_column,
     gain_row,
@@ -28,7 +29,34 @@ from treegame import (
     strategy_to_pairs,
 )
 
-from conftest import path_tree, simulation_matrix, star_tree
+from conftest import path_tree, prufer_decode, simulation_matrix, star_tree
+
+
+@st.composite
+def kernel_trees(draw):
+    """Prufer-random trees (n <= 30), paths (n <= 40), brooms (a path with
+    leaves on one end), stars and the trees on one and two vertices, under a
+    random relabelling."""
+    kind = draw(st.sampled_from(["prufer", "path", "broom", "star", "tiny"]))
+    if kind == "prufer":
+        n = draw(st.integers(3, 30))
+        code = draw(st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2))
+        edges = prufer_decode(tuple(code), n)
+    elif kind == "path":
+        n = draw(st.integers(1, 40))
+        edges = [(i, i + 1) for i in range(n - 1)]
+    elif kind == "broom":
+        handle, bristles = draw(st.integers(1, 30)), draw(st.integers(1, 10))
+        n = handle + bristles
+        edges = [(i, i + 1) for i in range(handle - 1)] + [(handle - 1, handle + j) for j in range(bristles)]
+    elif kind == "star":
+        n = draw(st.integers(2, 31))
+        edges = [(0, i) for i in range(1, n)]
+    else:
+        n = draw(st.integers(1, 2))
+        edges = [(0, 1)] if n == 2 else []
+    perm = draw(st.permutations(range(n)))
+    return Tree.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
 
 
 class TestSimulation:
@@ -101,6 +129,17 @@ class TestGameMatrix:
             for y in range(23):
                 assert row[y] == pure_gain(t, x, y)
                 assert col[y] == pure_gain(t, y, x)
+
+    @given(kernel_trees())
+    @settings(max_examples=150, deadline=None)
+    @example(path_tree(40))  # the deepest tree drawn, and its column at the root
+    @example(Tree.from_edges(1, []))
+    @example(path_tree(2))
+    def test_rows_columns_match_simulation_at_every_root(self, t):
+        a = simulation_matrix(t)
+        for x in range(t.n):
+            assert gain_row(t, x) == a[x]
+            assert gain_column(t, x) == [a[y][x] for y in range(t.n)]
 
     def test_entry_bounds_and_disjoint_colors(self):
         t = random_tree(19, 77)
