@@ -15,7 +15,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .diffusion import MixedStrategy, _check_dims, _extreme, _sweep, gain_row
-from .tree import Tree, WeightTable, bfs_tables, centroid, weight_table
+from .tree import Tree, WeightTable, centroid, preorder, weight_table
 
 
 class CSSError(RuntimeError):
@@ -179,18 +179,18 @@ def branch_probabilities(b: BranchInfo, n: int) -> tuple[Fraction, Fraction, Fra
 def analyze_branches(t: Tree, root: int, wt: WeightTable | None = None) -> list[BranchInfo]:
     """Classify every branch at the centroid root, in adjacency order.
 
-    One breadth-first pass from the root gives each vertex its depth and its
-    branch, named by its depth-1 ancestor. The three lowest-weight vertices
-    of a branch are picked by sorting on (weight, depth, vertex id). The
-    structure the classification relies on is asserted: u adjacent to the
-    root, t adjacent to u, and s adjacent to t for thin branches.
+    One walk from the root gives each vertex its depth and its branch, named
+    by its depth-1 ancestor. The three lowest-weight vertices of a branch
+    are picked by sorting on (weight, depth, vertex id). The structure the
+    classification relies on is asserted: u adjacent to the root, t
+    adjacent to u, and s adjacent to t for thin branches.
     """
     n = t.n
     wt = wt or weight_table(t)
     cinfo = centroid(t, wt)
     if root not in cinfo.vertices:
         raise ValueError(f"vertex {root} is not a centroid vertex")
-    order, parent, depth = bfs_tables(t, root)
+    order, parent, depth = preorder(t, root)
     top = [root] * n  # depth-1 ancestor
     branches: dict[int, list[int]] = {u: [] for u in t.adj[root]}
     for v in order[1:]:

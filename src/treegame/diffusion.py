@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .tree import Tree, distances_from
+from .tree import Tree, distances_from, preorder
 
 
 class Color(IntEnum):
@@ -138,29 +138,15 @@ def _cut_gains(t: Tree, root: int, is_row: bool) -> list[int]:
     the entry is n - size(a); for a column (Player 1 at v) it sits above the
     ancestor a at depth floor(k/2) + 1 and the entry is size(a).
 
-    One iterative preorder pass fills parent and depth, one reverse pass sums
-    the subtree sizes, and one forward pass over the preorder keeps
+    One walk (``preorder``) gives parent and depth, one reverse pass sums
+    the subtree sizes, and one forward pass over the walk keeps
     ``path[depth[v]] = v``: in preorder, ``path[:k]`` then holds v's
     ancestors, so ancestor a is read from ``path``. Both later passes skip
-    the root, first in the preorder, through ``islice``: a slice would copy
+    the root, first in the walk, through ``islice``: a slice would copy
     n entries, which at n = 10^5 raised the benchmark's peak memory.
     """
     n = t.n
-    adj = t.adj
-    parent = [-1] * n
-    depth = [0] * n
-    parent[root] = root
-    order = []
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        k = depth[v] + 1
-        for w in adj[v]:
-            if parent[w] < 0:
-                parent[w] = v
-                depth[w] = k
-                stack.append(w)
+    order, parent, depth = preorder(t, root)
     sz = [1] * n
     for v in islice(reversed(order), n - 1):
         sz[parent[v]] += sz[v]
@@ -341,30 +327,12 @@ def _sweep(
     return acc, den
 
 
-def _gains(sums: tuple[list[int], int]) -> list[Fraction]:
-    """Per-entry exact gains from a ``_sweep`` result."""
-    acc, den = sums
-    return [Fraction(a, den) for a in acc]
-
-
 def _extreme(sums: tuple[list[int], int], pick: Callable) -> tuple[Fraction, tuple[int, ...]]:
     """The min or max (``pick``) of a ``_sweep`` result, found on the
     numerators, with the tuple of vertices that attain it."""
     acc, den = sums
     best = pick(acc)
     return Fraction(best, den), tuple(v for v, a in enumerate(acc) if a == best)
-
-
-def reply_gains(t: Tree, x: MixedStrategy) -> list:
-    """Player 1's expected gain against every pure opposing vertex."""
-    _check_dims(t, x)
-    return _gains(_sweep(t.n, x, lambda v: gain_row(t, v)))
-
-
-def start_gains(t: Tree, y: MixedStrategy) -> list:
-    """Player 1's expected gain for every pure start against opposing mix y."""
-    _check_dims(t, y)
-    return _gains(_sweep(t.n, y, lambda v: gain_column(t, v)))
 
 
 def guaranteed_gain(t: Tree, x: MixedStrategy):

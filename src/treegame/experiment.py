@@ -41,7 +41,9 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         if self.n < 1:
-            raise _RangeError("tree size must be >= 1", "n")
+            raise _RangeError("tree size must be >= 3", "n")
+        if self.n == 1:
+            raise _RangeError("a 1-vertex tree has centroid weight 0, which the gap ratio divides by", "n")
         if self.n == 2:
             raise _RangeError("no 2-vertex tree has a single centroid", "n")
         if self.trials < 1:

@@ -51,6 +51,7 @@ decimals appear only when the command line renders a result with
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -246,19 +247,8 @@ def solve_value(t: Tree) -> ZeroSumSolution:
     is 1 x 1 and zero, so the value is 0 with both mixes pure.
     """
     n = t.n
-    rows: dict[int, list[int]] = {}
-    cols: dict[int, list[int]] = {}
-
-    def row(v: int) -> list[int]:
-        if v not in rows:
-            rows[v] = gain_row(t, v)
-        return rows[v]
-
-    def col(v: int) -> list[int]:
-        if v not in cols:
-            cols[v] = gain_column(t, v)
-        return cols[v]
-
+    row = functools.cache(functools.partial(gain_row, t))
+    col = functools.cache(functools.partial(gain_column, t))
     info = centroid(t)
     orbits = automorphism_orbits(t, info)
     sym: list[tuple[int, ...]] | None = None

@@ -42,6 +42,12 @@ class Tree:
     ) -> "Tree":
         if n < 1:
             raise ValueError(f"vertex count must be >= 1, got {n}")
+        # Checked before the O(n) tables are allocated, so a short edge list
+        # with a huge claimed n fails fast.
+        if len(edges) < n - 1:
+            raise ValueError(
+                f"a tree on {n} vertices needs {n - 1} edges, got {len(edges)}; tree is disconnected"
+            )
         neighbours: list[list[int]] = [[] for _ in range(n)]
         parent_uf = list(range(n))
 
@@ -51,8 +57,8 @@ class Tree:
                 a = parent_uf[a]
             return a
 
-        # Edges are checked in order, so surplus edges fail as a cycle or a
-        # duplicate; a count left short afterwards means a disconnected graph.
+        # Edges are checked in order: after n - 1 good ones the graph is
+        # connected, so a surplus edge fails as a cycle or a duplicate.
         for i, (u, v) in enumerate(edges):
             if not (0 <= u < n and 0 <= v < n):
                 raise _EdgeError(i, f"vertex id out of range on edge ({u}, {v})")
@@ -66,10 +72,6 @@ class Tree:
             parent_uf[ru] = rv
             neighbours[u].append(v)
             neighbours[v].append(u)
-        if len(edges) != n - 1:
-            raise ValueError(
-                f"a tree on {n} vertices needs {n - 1} edges, got {len(edges)}; tree is disconnected"
-            )
         return cls(n, tuple(tuple(sorted(ns)) for ns in neighbours), labels)
 
     def degree(self, v: int) -> int:
@@ -132,28 +134,36 @@ def parse_tree(text: str) -> Tree:
         raise TreeFormatError(f"line {len(lines)}: {exc}") from None
 
 
-def bfs_tables(t: Tree, root: int) -> tuple[list[int], list[int], list[int]]:
-    """Breadth-first traversal from ``root``: (visit order, parent, depth)."""
+def preorder(t: Tree, root: int) -> tuple[list[int], list[int], list[int]]:
+    """Iterative depth-first walk from ``root``: (order, parent, depth), with
+    ``parent[root] = -1``. Each vertex comes after its parent and before the
+    rest of its own subtree, so every subtree is a contiguous run of
+    ``order`` and ``order[0]`` is the root."""
     n = t.n
+    adj = t.adj
     parent = [-1] * n
     depth = [0] * n
-    order = [root]
     parent[root] = root
-    for v in order:
-        for w in t.adj[v]:
-            if parent[w] == -1:
+    order = []
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        k = depth[v] + 1
+        for w in adj[v]:
+            if parent[w] < 0:
                 parent[w] = v
-                depth[w] = depth[v] + 1
-                order.append(w)
+                depth[w] = k
+                stack.append(w)
     parent[root] = -1
     return order, parent, depth
 
 
 def distances_from(t: Tree, v: int) -> tuple[int, ...]:
-    """Breadth-first distances from ``v``; d(v, v) = 0."""
+    """Distances from ``v``, the depths of one rooted walk; d(v, v) = 0."""
     if not (0 <= v < t.n):
         raise ValueError(f"vertex {v} out of range")
-    _, _, depth = bfs_tables(t, v)
+    _, _, depth = preorder(t, v)
     return tuple(depth)
 
 
@@ -161,11 +171,12 @@ def weight_table(t: Tree) -> WeightTable:
     """Per-vertex weight: the maximum edge count over the branches at the
     vertex, 0 for a lone vertex.
 
-    Computed in O(n): one subtree-size pass from an arbitrary root, then the
-    parent-side branch of each vertex is n - size(v).
+    Computed in O(n): one walk from vertex 0 and a reverse pass over it sum
+    the subtree sizes, then the parent-side branch of each vertex is
+    n - size(v).
     """
     n = t.n
-    order, parent, _ = bfs_tables(t, 0)
+    order, parent, _ = preorder(t, 0)
     sz = [1] * n
     for v in reversed(order[1:]):
         sz[parent[v]] += sz[v]
@@ -214,7 +225,7 @@ def automorphism_orbits(t: Tree, info: CentroidInfo | None = None) -> list[tuple
     orbit. O(n log n). ``info`` is the tree's centroid, if already known.
     """
     info = info or centroid(t)
-    order, parent, _ = bfs_tables(t, info.vertices[0])
+    order, parent, _ = preorder(t, info.vertices[0])
     if len(info.vertices) == 2:
         parent[info.vertices[1]] = -1  # both centroids hang from the virtual root
     child_codes: list[list[int]] = [[] for _ in range(t.n)]
@@ -248,7 +259,7 @@ def checked_orbits(t: Tree, orbits: list[tuple[int, ...]], info: CentroidInfo | 
     each run of swapped siblings, so the swapped sizes add up to O(n).
     """
     info = info or centroid(t)
-    _, parent, _ = bfs_tables(t, info.vertices[0])
+    _, parent, _ = preorder(t, info.vertices[0])
     if len(info.vertices) == 2:
         parent[info.vertices[1]] = -1  # both centroids hang from the virtual root
     cls = [0] * t.n

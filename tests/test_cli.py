@@ -355,8 +355,21 @@ class TestDeterminismAndExitCodes:
             ("n=9\ntrials=2\nseed=1\n\nbin_width=-1/100\n", [], "{cfg}:5: need 0 < bin_width <= bin_max"),
             ("n=9\ntrials=2\nseed=1\nbin_width=7/100\n", [], "{cfg}:4: bin_max must be a whole multiple of bin_width"),
             ("n=9\ntrials=2\nseed=1\n", ["--trials", "0"], "need at least one trial"),
+            (
+                "trials=2\nn=1\nseed=1\n",
+                [],
+                "{cfg}:2: a 1-vertex tree has centroid weight 0, which the gap ratio divides by",
+            ),
+            (
+                "n=9\ntrials=2\nseed=1\n",
+                ["--n", "1"],
+                "a 1-vertex tree has centroid weight 0, which the gap ratio divides by",
+            ),
         ],
-        ids=["trials-zero", "two-vertices", "negative-bin-width", "bin-width-default-max", "flag"],
+        ids=[
+            "trials-zero", "two-vertices", "negative-bin-width", "bin-width-default-max", "flag",
+            "one-vertex", "one-vertex-flag",
+        ],
     )
     def test_experiment_config_range_error_names_the_line(self, tmp_path, config, flags, expected):
         # A value from the file is named by its line; one from a flag is not.

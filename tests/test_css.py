@@ -1,5 +1,4 @@
 import dataclasses
-import math
 from fractions import Fraction
 
 import pytest
@@ -24,12 +23,12 @@ from treegame import (
     css_run,
     gain_row,
     random_tree,
-    reply_gains,
     sample_centroidal,
     solve_value,
     verify_centroid_reply,
     weight_table,
 )
+from treegame.diffusion import _sweep
 
 from conftest import brute_guaranteed_gain, path_tree, prufer_decode, simulation_matrix, star_tree
 
@@ -225,7 +224,8 @@ class TestCssRun:
         for seed in (2, 9):
             t = sample_centroidal(35, seed)
             res = css_run(t)
-            assert reply_gains(t, res.strategy)[res.root] == res.centroid_gain
+            acc, den = _sweep(t.n, res.strategy, lambda v: gain_row(t, v))
+            assert Fraction(acc[res.root], den) == res.centroid_gain
 
 
 class TestCentroidReplyReport:
@@ -297,13 +297,8 @@ class TestCentroidReplyReport:
 
 def _with_strategy(t, res, mix):
     """``res`` with ``mix`` as its strategy, carrying mix's own reply sweep."""
-    den = math.lcm(*(p.denominator for p in mix.probs.values()))
-    return dataclasses.replace(
-        res,
-        strategy=mix,
-        reply_numerators=tuple(int(g * den) for g in reply_gains(t, mix)),
-        reply_den=den,
-    )
+    acc, den = _sweep(t.n, mix, lambda v: gain_row(t, v))
+    return dataclasses.replace(res, strategy=mix, reply_numerators=tuple(acc), reply_den=den)
 
 
 def _assert_report_matches_simulation(t, res):

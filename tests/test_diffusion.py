@@ -22,12 +22,11 @@ from treegame import (
     maximal_gain,
     pure_gain,
     random_tree,
-    reply_gains,
     simulate_diffusion,
-    start_gains,
     strategy_from_pairs,
     strategy_to_pairs,
 )
+from treegame.diffusion import _sweep
 
 from conftest import path_tree, prufer_decode, simulation_matrix, star_tree
 
@@ -297,7 +296,8 @@ class TestGainFunctionals:
         t = random_tree(16, 13)
         a = game_matrix(t).entries
         x = MixedStrategy(16, {1: Fraction(1, 3), 5: Fraction(1, 3), 9: Fraction(1, 3)})
-        g = reply_gains(t, x)
+        acc, den = _sweep(16, x, lambda v: gain_row(t, v))
+        g = [Fraction(num, den) for num in acc]
         for y in range(16):
             assert g[y] == sum(Fraction(1, 3) * a[v][y] for v in (1, 5, 9))
 
@@ -351,7 +351,9 @@ class TestSweepAgainstDenseOracle:
         replies = [sum(p * a[v][w] for v, p in probs.items()) for w in range(n)]
         starts = [sum(a[w][v] * p for v, p in probs.items()) for w in range(n)]
 
-        got = reply_gains(t, mix) + start_gains(t, mix)
+        sweeps = (_sweep(n, mix, lambda v: gain_row(t, v)), _sweep(n, mix, lambda v: gain_column(t, v)))
+        assert all(type(num) is int for acc, _ in sweeps for num in acc)
+        got = [Fraction(num, den) for acc, den in sweeps for num in acc]
         assert got == replies + starts
         assert all(type(g) is Fraction for g in got)
         low, high = min(replies), max(starts)

@@ -159,6 +159,9 @@ class TestConfigValidation:
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
             ExperimentConfig(n=0, trials=1, seed=1)
+        # The lone vertex's centroid weight is 0, and the gap ratio divides by it.
+        with pytest.raises(ValueError, match="centroid weight 0"):
+            ExperimentConfig(n=1, trials=1, seed=1)
         with pytest.raises(ValueError):
             ExperimentConfig(n=5, trials=0, seed=1)
         with pytest.raises(ValueError):

@@ -20,10 +20,8 @@ from treegame import (
     maximal_gain,
     guaranteed_gain,
     random_tree,
-    reply_gains,
     solve_matrix_game,
     solve_value,
-    start_gains,
     verify_solution,
 )
 from treegame.solver import _exact_div_row
@@ -115,8 +113,16 @@ class TestSolveValue:
             assert type(gains) is tuple and len(gains) == t.n
             assert all(type(g) is Fraction for g in gains)
         assert min(sol.p2_reply_gains) == sol.value == max(sol.p1_reply_gains)
-        assert sol.p2_reply_gains == tuple(reply_gains(t, sol.maxmin))
-        assert sol.p1_reply_gains == tuple(start_gains(t, sol.minmax))
+        # Per-entry sums over the simulation's gain matrix, not a sweep.
+        a = simulation_matrix(t)
+        replies = tuple(
+            sum((p * a[v][y] for v, p in sol.maxmin.probs.items()), Fraction(0)) for y in range(t.n)
+        )
+        starts = tuple(
+            sum((a[x][w] * q for w, q in sol.minmax.probs.items()), Fraction(0)) for x in range(t.n)
+        )
+        assert sol.p2_reply_gains == replies
+        assert sol.p1_reply_gains == starts
 
     def test_direct_and_oracle_agree(self):
         for seed in (1, 2, 3):

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -70,6 +71,18 @@ class TestParseTree:
     def test_truncated_is_disconnected(self):
         with pytest.raises(TreeFormatError, match="disconnected"):
             parse_tree("4\n0 1\n2 3")
+
+    def test_short_list_rejected_before_allocating(self):
+        # A claimed n far above the edge count fails before the O(n)
+        # neighbour lists and union-find array are built.
+        tracemalloc.start()
+        try:
+            with pytest.raises(TreeFormatError, match="line 2: .*disconnected"):
+                parse_tree("1000000\n0 1")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_extra_lines_rejected(self):
         with pytest.raises(TreeFormatError, match="line 3: duplicate edge"):
