@@ -302,11 +302,12 @@ def _sweep(
     is built per entry.
 
     ``orbits`` are orbits of a group of checked automorphisms of the tree
-    (``checked_orbits``). If the mix is constant on each, the group fixes
-    it, so the sum is constant on each too: each orbit's mass goes on its
-    first member, one line is read per orbit, and each entry becomes the
-    average over its orbit, which is exactly the vertex-by-vertex sum
-    (averaging is linear; the division is exact, and checked).
+    (those of ``automorphism_orbits`` with more than one vertex). If the mix
+    is constant on each, the group fixes it, so the sum is constant on each
+    too: each orbit's mass goes on its first member, one line is read per
+    orbit, and each entry becomes the average over its orbit, which is
+    exactly the vertex-by-vertex sum (averaging is linear; the division is
+    exact, and checked).
     """
     den = math.lcm(*(p.denominator for p in mix.probs.values()))
     weight = {v: p.numerator * (den // p.denominator) for v, p in mix.probs.items()}

@@ -20,33 +20,33 @@ and expands them with exact best responses until neither player can
 improve. It reads only the matrix rows and columns it needs, each computed
 in O(n) from the tree and cached for the call.
 
-The loop runs over the tree's automorphism orbits
-(``automorphism_orbits``). A zero-sum game invariant under a permutation
-group has optimal mixes that are constant on its orbits, so a candidate
-support is a set of orbits and the subgame has one row and one column per
-orbit: its entry for orbits (i, j) is the gain of one member of orbit i
-against the mix spread evenly over orbit j, scaled by the lcm L of the
-column orbits' sizes to stay an integer (the subgame value is divided by L).
-A tree with no symmetry has single-vertex orbits and the vertex subgames.
-Supports are seeded with the orbits of the centroid and its neighbours, and
-every vertex that improves on the subgame value adds its whole orbit.
+The loop runs over one partition, the tree's automorphism orbits
+(``automorphism_orbits``): the orbits of a group of sibling-subtree swaps,
+each checked against the tree's adjacency. A zero-sum game invariant under
+a permutation group has optimal mixes that are constant on its orbits, so a
+candidate support is a set of orbits and the subgame has one row and one
+column per orbit: its entry for orbits (i, j) is the gain of one member of
+orbit i against the mix spread evenly over orbit j, scaled by the lcm L of
+the column orbits' sizes to stay an integer (the subgame value is divided
+by L). A tree with no symmetry has single-vertex orbits and the vertex
+subgames. Supports are seeded with the orbits of the centroid and its
+neighbours, and every vertex that improves on the subgame value adds its
+whole orbit.
 
 The weak-duality certificate (worst reply against X equals the best start
 against Y equals the subgame value) holds at all n pure replies and starts,
-so it proves optimality on the full game, whatever the orbit partition was.
-A sweep reads the row or column of one vertex per checked orbit the mix
-meets (``checked_orbits``): swaps of sibling subtrees, each checked against
-the tree's adjacency, map the vertices of such an orbit onto one another
-and fix the mix, so the gain at every other member follows from the one
-read. A partition that is not the orbits' gives swaps that fail the check,
-hence smaller checked orbits and more lines, never a wrong entry; a mix not
-constant on them gets one line per support vertex. Each round's sweeps are
-integer numerators over the mix's common denominator and are compared with
-the subgame value by cross-multiplying; the certificate's ``Fraction``
-tuples are built only in the round that returns. Strategies hold exact
-probabilities only, so ``verify_solution`` makes one exact comparison;
-decimals appear only when the command line renders a result with
-``--float``.
+so it proves optimality on the full game. A sweep reads the row or column
+of one vertex per orbit of several vertices that the mix meets: the group
+maps the members of such an orbit onto one another and fixes the mix, so
+the gain at every other member follows from the one read. Since every swap
+is checked, a wrong subtree code gives smaller orbits and more lines, never
+a wrong entry; a mix not constant on the orbits gets one line per support
+vertex. Each round's sweeps are integer numerators over the mix's common
+denominator and are compared with the subgame value by cross-multiplying;
+the certificate's ``Fraction`` tuples are built only in the round that
+returns. Strategies hold exact probabilities only, so ``verify_solution``
+makes one exact comparison; decimals appear only when the command line
+renders a result with ``--float``.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .diffusion import MixedStrategy, _sweep, gain_column, gain_row
-from .tree import Tree, automorphism_orbits, centroid, checked_orbits
+from .tree import Tree, automorphism_orbits, centroid
 
 _BLAND_AFTER = 200
 
@@ -241,17 +241,18 @@ def solve_value(t: Tree) -> ZeroSumSolution:
     """Safety value of the tree with maxmin/minmax strategies and an exact
     certificate.
 
-    Support generation runs over automorphism orbits, seeded with the orbits
-    of the centroid and its neighbours, and both mixes are constant on
-    orbits. A one-vertex tree goes through the same loop: its only subgame
-    is 1 x 1 and zero, so the value is 0 with both mixes pure.
+    Support generation runs over the automorphism orbits, seeded with the
+    orbits of the centroid and its neighbours, both mixes are constant on
+    orbits, and the sweeps use the same orbits. A one-vertex tree goes
+    through the same loop: its only subgame is 1 x 1 and zero, so the value
+    is 0 with both mixes pure.
     """
     n = t.n
     row = functools.cache(functools.partial(gain_row, t))
     col = functools.cache(functools.partial(gain_column, t))
     info = centroid(t)
     orbits = automorphism_orbits(t, info)
-    sym: list[tuple[int, ...]] | None = None
+    sym = [o for o in orbits if len(o) > 1]
     orbit_of = [0] * n
     for k, members in enumerate(orbits):
         for v in members:
@@ -279,13 +280,9 @@ def solve_value(t: Tree) -> ZeroSumSolution:
         y = _spread(n, orbits, sy, yr)
         # Entry i of a sweep is g[i] / d and v = vn / vd with d, vd > 0, so
         # g[i] / d against v compares as g[i] * vd against vn * d. The sweeps
-        # cover all n vertices through automorphisms checked against the
-        # tree, so a wrong orbit partition cannot produce a wrong answer.
-        # They are built once a support holds an orbit of several vertices.
-        if sym is None and any(len(orbits[k]) > 1 for k in (*sx, *sy)):
-            sym = checked_orbits(t, orbits, info)
-        g1, d1 = _sweep(n, y, col, sym or ())
-        g2, d2 = _sweep(n, x, row, sym or ())
+        # cover all n vertices.
+        g1, d1 = _sweep(n, y, col, sym)
+        g2, d2 = _sweep(n, x, row, sym)
         vn, vd = v.numerator, v.denominator
         v1, v2 = vn * d1, vn * d2
         b1 = max(g1) * vd
@@ -301,9 +298,10 @@ def solve_value(t: Tree) -> ZeroSumSolution:
         if b2 < v2:
             movers = sorted((j for j in range(n) if g2[j] * vd < v2), key=lambda j: (g2[j], j))
             sy = _admit(sy, movers, orbit_of, budget)
-        # Over true orbits no member of a support orbit improves on the
-        # subgame value, so improving vertices lie outside the supports; a
-        # round that admits nothing means the partition is not the orbits'.
+        # An invariant check, not a reachable exit: over the orbits of any
+        # group of checked automorphisms, which fixes both mixes, no member
+        # of a support orbit improves on the subgame value. So improving
+        # vertices lie outside the supports, and every round admits one.
         if len(sx) + len(sy) == size:
             raise SolverError("support generation stalled: no improving vertex outside the supports")
         budget *= 2
@@ -313,12 +311,11 @@ def solve_value(t: Tree) -> ZeroSumSolution:
 def verify_solution(t: Tree, sol: ZeroSumSolution) -> bool:
     """Recompute both reply sweeps from the tree and check that the worst
     reply against the maxmin mix and the best start against the minmax mix
-    both equal the claimed value exactly. The checked orbits the sweeps use
-    are rebuilt from the tree, not taken from ``sol``."""
+    both equal the claimed value exactly. The orbits the sweeps use are
+    rebuilt from the tree, not taken from ``sol``."""
     if sol.maxmin.n != t.n or sol.minmax.n != t.n:
         return False
-    info = centroid(t)
-    sym = checked_orbits(t, automorphism_orbits(t, info), info)
+    sym = [o for o in automorphism_orbits(t) if len(o) > 1]
     g2, d2 = _sweep(t.n, sol.maxmin, lambda v: gain_row(t, v), sym)
     g1, d1 = _sweep(t.n, sol.minmax, lambda v: gain_column(t, v), sym)
     return Fraction(min(g2), d2) == sol.value == Fraction(max(g1), d1)

@@ -1,4 +1,9 @@
-"""Tree structure, branch weights and the centroid.
+"""Tree structure, the one rooted walk, branch weights, the centroid and
+the automorphism orbits.
+
+Every traversal is ``preorder``, a walk from one root. The orbits come from
+one walk from the centroid: subtree codes propose sibling swaps, and each
+swap is checked against the tree before it merges vertices.
 
 A ``Tree`` is immutable after construction, so every function here is pure
 and safe to call from concurrent workers.
@@ -140,6 +145,8 @@ def preorder(t: Tree, root: int) -> tuple[list[int], list[int], list[int]]:
     rest of its own subtree, so every subtree is a contiguous run of
     ``order`` and ``order[0]`` is the root."""
     n = t.n
+    if not 0 <= root < n:
+        raise ValueError(f"vertex {root} out of range")
     adj = t.adj
     parent = [-1] * n
     depth = [0] * n
@@ -161,8 +168,6 @@ def preorder(t: Tree, root: int) -> tuple[list[int], list[int], list[int]]:
 
 def distances_from(t: Tree, v: int) -> tuple[int, ...]:
     """Distances from ``v``, the depths of one rooted walk; d(v, v) = 0."""
-    if not (0 <= v < t.n):
-        raise ValueError(f"vertex {v} out of range")
     _, _, depth = preorder(t, v)
     return tuple(depth)
 
@@ -215,14 +220,18 @@ def centroid(t: Tree, wt: WeightTable | None = None) -> CentroidInfo:
 def automorphism_orbits(t: Tree, info: CentroidInfo | None = None) -> list[tuple[int, ...]]:
     """Orbits of the tree's automorphism group: the classes of vertices that
     some automorphism maps onto one another. Each orbit is sorted, and the
-    orbits are listed by their smallest vertex.
+    orbits are listed by their smallest vertex. Every automorphism used is
+    checked against ``t.adj``, so the classes are always the orbits of a
+    group of automorphisms; a wrong code could only make them finer.
 
-    Every automorphism maps the centroid onto itself, so the tree is rooted
-    at the centroid, or at a virtual root above the centroid edge when there
-    are two centroids. Each rooted subtree gets an Aho-Hopcroft-Ullman code,
-    the sorted tuple of its children's codes interned to an int; two vertices
-    share an orbit exactly when their codes match and their parents share an
-    orbit. O(n log n). ``info`` is the tree's centroid, if already known.
+    Every automorphism maps the centroid onto itself, so one walk
+    (``preorder``) roots the tree at the centroid, or at a virtual root
+    above the centroid edge when there are two centroids. Each rooted
+    subtree gets an Aho-Hopcroft-Ullman code, the sorted tuple of its
+    children's codes interned to an int. The codes only propose swaps of
+    sibling subtrees (``_swap_orbits``), and the orbits are the components
+    of the swaps that pass the check. O(n log n). ``info`` is the tree's
+    centroid, if already known.
     """
     info = info or centroid(t)
     order, parent, _ = preorder(t, info.vertices[0])
@@ -235,40 +244,25 @@ def automorphism_orbits(t: Tree, info: CentroidInfo | None = None) -> list[tuple
         code[v] = codes.setdefault(tuple(sorted(child_codes[v])), len(codes))
         if parent[v] >= 0:
             child_codes[parent[v]].append(code[v])
-    orbit = [0] * t.n
-    orbit_ids: dict[tuple[int, int], int] = {}
-    for v in order:
-        up = orbit[parent[v]] if parent[v] >= 0 else -1
-        orbit[v] = orbit_ids.setdefault((code[v], up), len(orbit_ids))
-    members: dict[int, list[int]] = {}
-    for v in range(t.n):
-        members.setdefault(orbit[v], []).append(v)
-    return [tuple(vs) for vs in members.values()]
+    return _swap_orbits(t, info.vertices, parent, code)
 
 
-def checked_orbits(t: Tree, orbits: list[tuple[int, ...]], info: CentroidInfo | None = None) -> list[tuple[int, ...]]:
-    """Sets of more than one vertex that automorphisms of ``t``, each checked
-    against ``t.adj``, map onto one another, sorted and listed by smallest
-    vertex: the orbits of more than one vertex if ``orbits`` is the orbit
-    partition, finer sets whatever else it is.
+def _swap_orbits(t: Tree, roots: tuple[int, ...], parent: list[int], cls: list[int]) -> list[tuple[int, ...]]:
+    """The components of the sibling-subtree swaps that the classes ``cls``
+    propose and ``_is_automorphism`` accepts, every other vertex alone;
+    sorted and listed by smallest vertex. Wrong classes give swaps that
+    fail the check, so finer components, never a wrong one.
 
-    On the tree rooted as in ``automorphism_orbits``, two children of one
-    vertex that are consecutive members of one class of ``orbits`` give a
-    swap of their subtrees, children paired in (class, id) order, kept if
-    ``_is_automorphism`` accepts it. The walk enters only the first child of
-    each run of swapped siblings, so the swapped sizes add up to O(n).
+    Two children of one vertex (or two ``roots``, the children of the
+    virtual root) that are consecutive in one class give a swap of their
+    subtrees, children paired in (class, id) order. The walk enters only
+    the first child of each run of swapped siblings, so the swapped sizes
+    add up to O(n).
     """
-    info = info or centroid(t)
-    _, parent, _ = preorder(t, info.vertices[0])
-    if len(info.vertices) == 2:
-        parent[info.vertices[1]] = -1  # both centroids hang from the virtual root
-    cls = [0] * t.n
     kids: list[list[int]] = [[] for _ in range(t.n)]
-    for k, members in enumerate(orbits):
-        for v in members:
-            cls[v] = k
-            if parent[v] >= 0:
-                kids[parent[v]].append(v)
+    for v in sorted(range(t.n), key=cls.__getitem__):
+        if parent[v] >= 0:
+            kids[parent[v]].append(v)
     up: dict[int, int] = {}  # a swapped vertex points to its image's component
 
     def find(v: int) -> int:
@@ -276,7 +270,7 @@ def checked_orbits(t: Tree, orbits: list[tuple[int, ...]], info: CentroidInfo | 
             v = up[v]
         return v
 
-    todo = [sorted(info.vertices, key=cls.__getitem__)]
+    todo = [sorted(roots, key=cls.__getitem__)]
     while todo:
         prev = -1
         for v in todo.pop():
@@ -291,7 +285,7 @@ def checked_orbits(t: Tree, orbits: list[tuple[int, ...]], info: CentroidInfo | 
                 todo.append(kids[v])
             prev = v
     comps: dict[int, list[int]] = {}
-    for v in sorted({*up, *up.values()}):
+    for v in range(t.n):
         comps.setdefault(find(v), []).append(v)
     return [tuple(vs) for vs in comps.values()]
 

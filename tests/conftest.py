@@ -8,6 +8,7 @@ something slower and simpler.
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 import os
 import subprocess
@@ -15,7 +16,9 @@ import sys
 from fractions import Fraction
 from itertools import permutations, product
 from pathlib import Path
+from unittest import mock
 
+import treegame.tree
 from treegame import Tree, simulate_diffusion, solve_matrix_game
 
 
@@ -95,6 +98,24 @@ def brute_orbits(t: Tree) -> list[tuple[int, ...]]:
             for v in range(t.n):
                 images[v].add(p[v])
     return sorted({tuple(sorted(s)) for s in images})
+
+
+@contextlib.contextmanager
+def proposing(classes):
+    """Within the block, ``automorphism_orbits`` proposes its sibling swaps
+    from the partition ``classes`` instead of the subtree codes. Every
+    proposed swap still goes through the automorphism check."""
+    label = {v: k for k, members in enumerate(classes) for v in members}
+    swap_orbits = treegame.tree._swap_orbits
+    calls = []
+
+    def seam(t, roots, parent, cls):
+        calls.append(t)
+        return swap_orbits(t, roots, parent, [label[v] for v in range(t.n)])
+
+    with mock.patch.object(treegame.tree, "_swap_orbits", seam):
+        yield
+    assert calls, "automorphism_orbits never proposed swaps through the seam"
 
 
 def simulation_matrix(t: Tree) -> list[list[int]]:

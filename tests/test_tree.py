@@ -16,7 +16,6 @@ from treegame import (
     build_complete_tree,
     build_spider,
     centroid,
-    checked_orbits,
     distances_from,
     parse_tree,
     random_tree,
@@ -31,6 +30,7 @@ from conftest import (
     brute_orbits,
     brute_weights,
     path_tree,
+    proposing,
     prufer_decode,
     simulation_matrix,
     star_tree,
@@ -214,6 +214,14 @@ class TestDistances:
         with pytest.raises(ValueError):
             distances_from(path_tree(3), 5)
 
+    @pytest.mark.parametrize("walk", [gain_row, gain_column, distances_from])
+    @pytest.mark.parametrize("v", [-1, 7])
+    def test_every_rooted_walk_rejects_a_vertex_out_of_range(self, walk, v):
+        # The walk's own check: -1 would index from the end and give a wrong
+        # row, and n a bare IndexError.
+        with pytest.raises(ValueError, match="out of range"):
+            walk(random_tree(7, 0), v)
+
 
 def _prufer_tree(n_seq):
     n, seq = n_seq
@@ -334,24 +342,21 @@ def _refines(finer, coarser):
 _BROOM = Tree.from_edges(9, [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (0, 6), (6, 7), (6, 8)])
 
 
+def _checked_orbits(t, classes):
+    """The orbits of more than one vertex that ``automorphism_orbits`` gives
+    when ``classes``, not the subtree codes, propose the swaps."""
+    with proposing(classes):
+        return [o for o in automorphism_orbits(t) if len(o) > 1]
+
+
 class TestCheckedOrbits:
-    @settings(max_examples=150, deadline=None)
-    @given(SMALL_TREES)
-    def test_components_match_brute_force(self, t):
-        assert checked_orbits(t, automorphism_orbits(t)) == [o for o in brute_orbits(t) if len(o) > 1]
-
-    def test_every_tree_up_to_five_vertices(self):
-        for n in range(1, 6):
-            for t in all_labeled_trees(n):
-                assert checked_orbits(t, automorphism_orbits(t)) == [o for o in brute_orbits(t) if len(o) > 1]
-
     @settings(max_examples=150, deadline=None)
     @given(SYMMETRIC_TREES)
     def test_never_coarser_than_the_orbits(self, t):
         orbits = automorphism_orbits(t)
-        assert checked_orbits(t, orbits) == [o for o in orbits if len(o) > 1]
+        assert _checked_orbits(t, orbits) == [o for o in orbits if len(o) > 1]
         for wrong in _wrong_partitions(t):
-            assert _refines(checked_orbits(t, wrong), orbits)
+            assert _refines(_checked_orbits(t, wrong), orbits)
 
     def test_injected_non_automorphisms_fail_the_check(self):
         assert _is_automorphism(_BROOM, [(2, 4), (3, 5)])
@@ -364,7 +369,7 @@ class TestCheckedOrbits:
         # Each depth as one class puts the leaf 1 beside the inner vertex 2
         # and the subtree at 4 beside the larger one at 6.
         by_depth = [(0,), (1, 2, 4, 6), (3, 5, 7, 8)]
-        assert checked_orbits(_BROOM, by_depth) == [(2, 4), (3, 5), (7, 8)]
+        assert _checked_orbits(_BROOM, by_depth) == [(2, 4), (3, 5), (7, 8)]
         assert automorphism_orbits(_BROOM) == [(0,), (1,), (2, 4), (3, 5), (6,), (7, 8)]
 
     @settings(max_examples=150, deadline=None)
@@ -374,7 +379,7 @@ class TestCheckedOrbits:
         # any other mix is swept vertex by vertex. Both equal the per-entry
         # sums over the simulation matrix.
         classes = automorphism_orbits(t)
-        orbits = checked_orbits(t, classes)
+        orbits = _checked_orbits(t, classes)
         symmetric = data.draw(st.booleans())
         if symmetric:
             per_class = data.draw(st.lists(st.integers(0, 4), min_size=len(classes), max_size=len(classes)))
@@ -420,7 +425,7 @@ class TestCheckedOrbits:
         # Mixes spread evenly over wrong classes still sweep exactly.
         t = _BROOM
         a = simulation_matrix(t)
-        orbits = checked_orbits(t, wrong(t))
+        orbits = _checked_orbits(t, wrong(t))
         for members in wrong(t):
             mix = MixedStrategy(t.n, {v: Fraction(1, len(members)) for v in members})
             acc, den = _sweep(t.n, mix, lambda v: gain_row(t, v), orbits)
