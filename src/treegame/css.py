@@ -292,7 +292,7 @@ def css_run(t: Tree, strict_centroidal: bool = False) -> CSSResult:
     if sum(probs.values()) != 1:
         raise CSSError("probability ledger does not sum to 1")
     strategy = MixedStrategy(n, probs)
-    acc, den = _sweep(n, strategy, lambda v: gain_row(t, v))
+    acc, den = _sweep(n, strategy.weights(), lambda v: gain_row(t, v))
     ggain, worst = _extreme((acc, den), min)
     return CSSResult(
         strategy=strategy,
@@ -333,14 +333,3 @@ def verify_centroid_reply(t: Tree, result: CSSResult) -> CentroidReplyReport:
         reply_den=den,
     )
 
-
-def check_iteration_bounds(trace, bounds) -> bool:
-    """True when every executed step kept the centroid-reply gain
-    non-decreasing and below the added branch's gain bound:
-    trace[i] <= trace[i+1] <= bounds[i]."""
-    if len(trace) != len(bounds) + 1:
-        return False
-    for i, bound in enumerate(bounds):
-        if not (trace[i] <= trace[i + 1] <= bound):
-            return False
-    return True

@@ -239,6 +239,13 @@ class MixedStrategy:
         inner = ", ".join(f"{v}: {p}" for v, p in self.probs.items())
         return f"MixedStrategy(n={self.n}, {{{inner}}})"
 
+    def weights(self) -> tuple[dict[int, int], int]:
+        """The probabilities as integer weights over one denominator:
+        ``(weights, den)``, with ``den`` the lcm of the probabilities'
+        denominators and ``probs[v] == weights[v] / den``."""
+        den = math.lcm(*(p.denominator for p in self.probs.values()))
+        return {v: p.numerator * (den // p.denominator) for v, p in self.probs.items()}, den
+
     @classmethod
     def pure(cls, n: int, v: int) -> "MixedStrategy":
         return cls(n, {v: Fraction(1)})
@@ -290,16 +297,16 @@ def gain(t: Tree, x: MixedStrategy, y: MixedStrategy):
 
 
 def _sweep(
-    n: int, mix: MixedStrategy, line: Callable[[int], Sequence[int]], orbits: Sequence[Sequence[int]] = ()
+    n: int, mix: tuple[dict[int, int], int], line: Callable[[int], Sequence[int]], orbits: Sequence[Sequence[int]] = ()
 ) -> tuple[list[int], int]:
     """The mix-weighted sum of ``line(v)`` over the support vertices v, as
     ``(numerators, den)``: entry i of the sum is ``numerators[i] / den``.
 
     With matrix rows this is the gain against every pure reply; with
-    columns, the gain of every pure start. ``den`` is the lcm of the
-    probability denominators and each probability p enters as the integer
-    weight ``p * den``, so the numerators are plain ints and no ``Fraction``
-    is built per entry.
+    columns, the gain of every pure start. The mix comes as ``(weights,
+    den)``, each support vertex v having probability ``weights[v] / den``
+    (``MixedStrategy.weights`` gives that form), so the numerators are plain
+    ints and no ``Fraction`` is built per entry.
 
     ``orbits`` are orbits of a group of checked automorphisms of the tree
     (those of ``automorphism_orbits`` with more than one vertex). If the mix
@@ -309,8 +316,7 @@ def _sweep(
     exactly the vertex-by-vertex sum (averaging is linear; the division is
     exact, and checked).
     """
-    den = math.lcm(*(p.denominator for p in mix.probs.values()))
-    weight = {v: p.numerator * (den // p.denominator) for v, p in mix.probs.items()}
+    weight, den = dict(mix[0]), mix[1]
     merged = [o for o in orbits if o[0] in weight]
     if not merged or any(weight.get(v) != weight.get(o[0]) for o in orbits for v in o):
         orbits = merged = []
@@ -343,7 +349,7 @@ def guaranteed_gain(t: Tree, x: MixedStrategy):
     matrix rows, so the full n x n matrix is never materialized.
     """
     _check_dims(t, x)
-    return _extreme(_sweep(t.n, x, lambda v: gain_row(t, v)), min)
+    return _extreme(_sweep(t.n, x.weights(), lambda v: gain_row(t, v)), min)
 
 
 def maximal_gain(t: Tree, y: MixedStrategy):
@@ -352,4 +358,4 @@ def maximal_gain(t: Tree, y: MixedStrategy):
     Returns (value, tuple of maximizing vertices).
     """
     _check_dims(t, y)
-    return _extreme(_sweep(t.n, y, lambda v: gain_column(t, v)), max)
+    return _extreme(_sweep(t.n, y.weights(), lambda v: gain_column(t, v)), max)

@@ -10,9 +10,12 @@ and no offset shift is required. A matrix with an all-zero column is
 shifted by +1; of the subgames the support-generation loop solves, only the
 one-vertex tree's 1 x 1 zero subgame has one.
 
-Everything runs over exact rationals. The simplex uses a most-improving
-entering rule for speed but switches permanently to Bland's anti-cycling
-rule after a fixed number of pivots, which guarantees termination.
+Everything is exact and, inside the solver, integer: the simplex tableau
+and each round's mixes are integer numerators over one denominator, and
+``Fraction``s are built only where values leave the solver. The simplex
+uses a most-improving entering rule for speed but switches permanently to
+Bland's anti-cycling rule after a fixed number of pivots, which guarantees
+termination.
 
 The n x n gain matrix is never built. A support-generation loop (the
 double-oracle method) solves exact subgames on growing candidate supports
@@ -43,9 +46,9 @@ is checked, a wrong subtree code gives smaller orbits and more lines, never
 a wrong entry; a mix not constant on the orbits gets one line per support
 vertex. Each round's sweeps are integer numerators over the mix's common
 denominator and are compared with the subgame value by cross-multiplying;
-the certificate's ``Fraction`` tuples are built only in the round that
-returns. Strategies hold exact probabilities only, so ``verify_solution``
-makes one exact comparison; decimals appear only when the command line
+only the round that returns builds the strategies and the certificate's
+ends. Strategies hold exact probabilities only, so ``verify_solution``
+makes exact comparisons; decimals appear only when the command line
 renders a result with ``--float``.
 """
 
@@ -84,32 +87,34 @@ def _simplex_max(
     a_rows: Sequence[Sequence[int]],
     b: Sequence[int],
     c: Sequence[int],
-) -> tuple[Fraction, list[Fraction], list[Fraction]]:
-    """Maximize c.x subject to A x <= b, x >= 0, with integer data and b >= 0.
+) -> tuple[list[int], list[int], int]:
+    """Maximize c.x subject to A x <= b, x >= 0, with integer data (which
+    ``solve_matrix_game``, the only caller, checks) and b >= 0.
 
-    Returns (objective, x, duals). The slack basis is feasible because
-    b >= 0, so no phase-1 is needed.
+    Returns (x, duals, den): the optimal point and the dual prices as
+    integer numerators over one positive denominator. The slack basis is
+    feasible because b >= 0, so no phase-1 is needed.
 
     The tableau is kept fraction-free: an integer matrix M and a positive
     denominator d represent the true tableau M / d. A pivot on (r, c) maps
     every other row i to (M[i][j] * M[r][c] - M[i][c] * M[r][j]) / d, which
     is an exact integer division (entries stay minors of the original
     system), leaves row r unchanged, and sets d to M[r][c]. All sign tests
-    against M are valid because d > 0 throughout. Verifies the primal and
-    dual objectives agree exactly before returning.
+    against M are valid because d > 0 throughout, and so is the ratio test,
+    which compares b_i / a_i by cross-multiplying, ties going to the smaller
+    basis index. Verifies the primal and dual objectives agree exactly
+    before returning.
     """
     m = len(a_rows)
     nv = len(c)
     ncols = m + nv
     rows: list[list[int]] = []
     for i in range(m):
-        if any(x != int(x) for x in a_rows[i]):
-            raise SolverError("integer tableau required")
-        row = [int(x) for x in a_rows[i]]
+        row = list(a_rows[i])
         row.extend(1 if j == i else 0 for j in range(m))
-        row.append(int(b[i]))
+        row.append(b[i])
         rows.append(row)
-    z = [int(x) for x in c] + [0] * m
+    z = list(c) + [0] * m
     basis = [nv + i for i in range(m)]
     den = 1
 
@@ -126,19 +131,16 @@ def _simplex_max(
             enter = next((j for j in range(ncols) if z[j] > 0), -1)
         if enter < 0:
             break
-        leave = -1
-        best_key: tuple[Fraction, int] | None = None
+        leave = piv = -1
         for i in range(m):
             coef = rows[i][enter]
-            if coef > 0:
-                key = (Fraction(rows[i][ncols], coef), basis[i])
-                if best_key is None or key < best_key:
-                    best_key = key
-                    leave = i
+            if coef > 0 and (
+                leave < 0 or (rows[i][ncols] * piv, basis[i]) < (rows[leave][ncols] * coef, basis[leave])
+            ):
+                leave, piv = i, coef
         if leave < 0:
             raise SolverError("linear program is unbounded")
         prow = rows[leave]
-        piv = prow[enter]
         for i in range(m):
             if i != leave:
                 ri = rows[i]
@@ -156,78 +158,71 @@ def _simplex_max(
         den = piv
         pivots += 1
 
-    zero = Fraction(0)
-    x = [zero] * nv
+    x = [0] * nv
     for i in range(m):
         if basis[i] < nv:
-            x[basis[i]] = Fraction(rows[i][ncols], den)
-    duals = [Fraction(-z[nv + i], den) for i in range(m)]
-    obj = sum((c[j] * x[j] for j in range(nv)), zero)
-    dual_obj = sum((duals[i] * b[i] for i in range(m)), zero)
-    if obj != dual_obj:
+            x[basis[i]] = rows[i][ncols]
+    duals = [-z[nv + i] for i in range(m)]
+    if sum(cj * xj for cj, xj in zip(c, x)) != sum(yi * bi for yi, bi in zip(duals, b)):
         raise SolverError("primal and dual objectives disagree")
-    return obj, x, duals
+    return x, duals, den
 
 
 def solve_matrix_game(
     matrix: Sequence[Sequence[int]],
 ) -> tuple[Fraction, list[Fraction], list[Fraction]]:
     """Exact value and optimal mixes of the zero-sum game on a non-negative
-    matrix (rows: maximizer's pure strategies).
+    integer matrix (rows: maximizer's pure strategies).
 
-    A +1 shift is applied only when some column is all zero, which would make
-    the scaled LP unbounded; the shift moves the value, not the strategies.
+    Raises ``ValueError`` unless the matrix is non-empty and rectangular,
+    with at least one column, and every entry is a non-negative ``int``
+    (not a ``bool``). A +1 shift is applied only when some column is all
+    zero, which would make the scaled LP unbounded; the shift moves the
+    value, not the strategies. The LP's point w and duals come back as
+    integer numerators over one denominator d, and mass = sum(w) equals the
+    sum of the duals, so the value is d / mass and each mix entry is one
+    numerator over mass.
     """
-    m = len(matrix)
-    k = len(matrix[0])
-    shift = 0
-    for j in range(k):
-        if all(matrix[i][j] <= 0 for i in range(m)):
-            shift = 1
-            break
-    rows = [[matrix[i][j] + shift for j in range(k)] for i in range(m)]
-    obj, w, duals = _simplex_max(rows, [1] * m, [1] * k)
-    if obj <= 0:
+    k = len(matrix[0]) if matrix else 0
+    if k < 1 or any(len(r) != k for r in matrix):
+        raise ValueError("game matrix must be non-empty and rectangular, with at least one column")
+    if any(type(a) is not int or a < 0 for r in matrix for a in r):
+        raise ValueError("game matrix entries must be non-negative ints")
+    shift = 0 if all(any(r[j] for r in matrix) for j in range(k)) else 1
+    rows = [[a + shift for a in r] for r in matrix]
+    w, duals, den = _simplex_max(rows, [1] * len(rows), [1] * k)
+    mass = sum(w)
+    if mass <= 0:
         raise SolverError("degenerate game LP: zero optimal mass")
-    v = 1 / obj
-    y = [wj * v for wj in w]
-    x = [ui * v for ui in duals]
-    return v - shift, x, y
+    return Fraction(den, mass) - shift, [Fraction(u, mass) for u in duals], [Fraction(a, mass) for a in w]
 
 
 @dataclass(frozen=True)
 class ZeroSumSolution:
-    """Value, maxmin/minmax strategies, and the reply-value certificate.
+    """Value, maxmin/minmax strategies, and the two ends of the certificate.
 
-    ``p2_reply_gains[y]`` is the gain of the maxmin mix against the pure
-    opposing vertex y; ``p1_reply_gains[x]`` is the gain of the pure start x
-    against the minmax mix. Optimality is certified by
-    min(p2_reply_gains) == value == max(p1_reply_gains).
+    ``primal_value`` is the gain of the maxmin mix against its worst pure
+    reply and ``dual_value`` the gain of the best pure start against the
+    minmax mix, each over all n vertices. Optimality is certified by
+    primal_value == value == dual_value.
     """
 
     value: Fraction
     maxmin: MixedStrategy
     minmax: MixedStrategy
-    p2_reply_gains: tuple[Fraction, ...]
-    p1_reply_gains: tuple[Fraction, ...]
-
-    @property
-    def primal_value(self) -> Fraction:
-        return min(self.p2_reply_gains)
-
-    @property
-    def dual_value(self) -> Fraction:
-        return max(self.p1_reply_gains)
+    primal_value: Fraction
+    dual_value: Fraction
 
 
 def _spread(
-    n: int, orbits: list[tuple[int, ...]], support: list[int], mass: list[Fraction]
-) -> MixedStrategy:
+    orbits: list[tuple[int, ...]], support: list[int], mass: list[Fraction]
+) -> tuple[dict[int, int], int]:
     """The vertex mix that spreads each support orbit's mass evenly over its
-    members."""
-    return MixedStrategy(
-        n, {v: p / len(orbits[k]) for k, p in zip(support, mass) if p for v in orbits[k]}
-    )
+    members, as integer weights over one denominator: ``(weights, den)``
+    with probability ``weights[v] / den`` at each vertex v."""
+    parts = [(orbits[k], p.numerator, p.denominator * len(orbits[k])) for k, p in zip(support, mass) if p]
+    den = math.lcm(*(d for _, _, d in parts))
+    return {v: a * (den // d) for o, a, d in parts for v in o}, den
 
 
 def _admit(support: list[int], movers: list[int], orbit_of: list[int], budget: int) -> list[int]:
@@ -276,8 +271,8 @@ def solve_value(t: Tree) -> ZeroSumSolution:
         ]
         v, xr, yr = solve_matrix_game(sub)
         v /= scale
-        x = _spread(n, orbits, sx, xr)
-        y = _spread(n, orbits, sy, yr)
+        x = _spread(orbits, sx, xr)
+        y = _spread(orbits, sy, yr)
         # Entry i of a sweep is g[i] / d and v = vn / vd with d, vd > 0, so
         # g[i] / d against v compares as g[i] * vd against vn * d. The sweeps
         # cover all n vertices.
@@ -288,9 +283,8 @@ def solve_value(t: Tree) -> ZeroSumSolution:
         b1 = max(g1) * vd
         b2 = min(g2) * vd
         if b1 == v1 and b2 == v2:
-            p2 = tuple(Fraction(a, d2) for a in g2)
-            p1 = tuple(Fraction(a, d1) for a in g1)
-            return ZeroSumSolution(v, x, y, p2, p1)
+            maxmin, minmax = (MixedStrategy(n, {u: Fraction(a, d) for u, a in w.items()}) for w, d in (x, y))
+            return ZeroSumSolution(v, maxmin, minmax, Fraction(min(g2), d2), Fraction(max(g1), d1))
         size = len(sx) + len(sy)
         if b1 > v1:
             movers = sorted((i for i in range(n) if g1[i] * vd > v1), key=lambda i: (-g1[i], i))
@@ -311,11 +305,12 @@ def solve_value(t: Tree) -> ZeroSumSolution:
 def verify_solution(t: Tree, sol: ZeroSumSolution) -> bool:
     """Recompute both reply sweeps from the tree and check that the worst
     reply against the maxmin mix and the best start against the minmax mix
-    both equal the claimed value exactly. The orbits the sweeps use are
-    rebuilt from the tree, not taken from ``sol``."""
+    both equal the claimed value, ``primal_value`` and ``dual_value``
+    exactly. The orbits the sweeps use are rebuilt from the tree, not taken
+    from ``sol``."""
     if sol.maxmin.n != t.n or sol.minmax.n != t.n:
         return False
     sym = [o for o in automorphism_orbits(t) if len(o) > 1]
-    g2, d2 = _sweep(t.n, sol.maxmin, lambda v: gain_row(t, v), sym)
-    g1, d1 = _sweep(t.n, sol.minmax, lambda v: gain_column(t, v), sym)
-    return Fraction(min(g2), d2) == sol.value == Fraction(max(g1), d1)
+    g2, d2 = _sweep(t.n, sol.maxmin.weights(), lambda v: gain_row(t, v), sym)
+    g1, d1 = _sweep(t.n, sol.minmax.weights(), lambda v: gain_column(t, v), sym)
+    return sol.primal_value == Fraction(min(g2), d2) == sol.value == Fraction(max(g1), d1) == sol.dual_value

@@ -155,6 +155,18 @@ def dense_certificate_holds(t: Tree, sol, matrix=None) -> bool:
     return worst_reply == sol.value == best_start
 
 
+def check_iteration_bounds(trace, bounds) -> bool:
+    """True when every executed step kept the centroid-reply gain
+    non-decreasing and below the added branch's gain bound:
+    trace[i] <= trace[i+1] <= bounds[i]."""
+    if len(trace) != len(bounds) + 1:
+        return False
+    for i, bound in enumerate(bounds):
+        if not (trace[i] <= trace[i + 1] <= bound):
+            return False
+    return True
+
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 

@@ -36,10 +36,9 @@ from treegame import (
     trial_seed,
     verify_centroid_reply,
     verify_solution,
-    check_iteration_bounds,
 )
 
-from conftest import dense_certificate_holds
+from conftest import check_iteration_bounds, dense_certificate_holds
 
 COMPLETE_TREE_CASES = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]
 SPIDER_CASES = [(m, l) for m in (3, 4, 5) for l in range(2, 13)]

@@ -17,7 +17,6 @@ from treegame import (
     build_complete_tree,
     build_spider,
     centroid,
-    check_iteration_bounds,
     complete_tree_safe_strategy,
     complete_tree_value,
     css_run,
@@ -30,7 +29,7 @@ from treegame import (
 )
 from treegame.diffusion import _sweep
 
-from conftest import brute_guaranteed_gain, path_tree, prufer_decode, simulation_matrix, star_tree
+from conftest import brute_guaranteed_gain, check_iteration_bounds, path_tree, prufer_decode, simulation_matrix, star_tree
 
 
 def branch_by_index(branches, index):
@@ -224,7 +223,7 @@ class TestCssRun:
         for seed in (2, 9):
             t = sample_centroidal(35, seed)
             res = css_run(t)
-            acc, den = _sweep(t.n, res.strategy, lambda v: gain_row(t, v))
+            acc, den = _sweep(t.n, res.strategy.weights(), lambda v: gain_row(t, v))
             assert Fraction(acc[res.root], den) == res.centroid_gain
 
 
@@ -297,7 +296,7 @@ class TestCentroidReplyReport:
 
 def _with_strategy(t, res, mix):
     """``res`` with ``mix`` as its strategy, carrying mix's own reply sweep."""
-    acc, den = _sweep(t.n, mix, lambda v: gain_row(t, v))
+    acc, den = _sweep(t.n, mix.weights(), lambda v: gain_row(t, v))
     return dataclasses.replace(res, strategy=mix, reply_numerators=tuple(acc), reply_den=den)
 
 

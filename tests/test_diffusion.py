@@ -296,7 +296,7 @@ class TestGainFunctionals:
         t = random_tree(16, 13)
         a = game_matrix(t).entries
         x = MixedStrategy(16, {1: Fraction(1, 3), 5: Fraction(1, 3), 9: Fraction(1, 3)})
-        acc, den = _sweep(16, x, lambda v: gain_row(t, v))
+        acc, den = _sweep(16, x.weights(), lambda v: gain_row(t, v))
         g = [Fraction(num, den) for num in acc]
         for y in range(16):
             assert g[y] == sum(Fraction(1, 3) * a[v][y] for v in (1, 5, 9))
@@ -351,7 +351,8 @@ class TestSweepAgainstDenseOracle:
         replies = [sum(p * a[v][w] for v, p in probs.items()) for w in range(n)]
         starts = [sum(a[w][v] * p for v, p in probs.items()) for w in range(n)]
 
-        sweeps = (_sweep(n, mix, lambda v: gain_row(t, v)), _sweep(n, mix, lambda v: gain_column(t, v)))
+        weights = mix.weights()
+        sweeps = (_sweep(n, weights, lambda v: gain_row(t, v)), _sweep(n, weights, lambda v: gain_column(t, v)))
         assert all(type(num) is int for acc, _ in sweeps for num in acc)
         got = [Fraction(num, den) for acc, den in sweeps for num in acc]
         assert got == replies + starts

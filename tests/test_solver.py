@@ -1,3 +1,5 @@
+import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,13 +7,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import treegame.diffusion
+import treegame.solver
 from treegame import (
     MixedStrategy,
     SolverError,
     automorphism_orbits,
     SpiderSpec,
     Tree,
-    ZeroSumSolution,
     build_complete_tree,
     build_spider,
     CompleteTreeSpec,
@@ -23,7 +25,7 @@ from treegame import (
     solve_value,
     verify_solution,
 )
-from treegame.solver import _exact_div_row
+from treegame.solver import _BLAND_AFTER, _exact_div_row
 
 from conftest import dense_certificate_holds, dense_value, path_tree, proposing, simulation_matrix, star_tree
 
@@ -42,6 +44,15 @@ class TestMatrixGame:
     def test_single_entry(self):
         value, x, y = solve_matrix_game([[7]])
         assert value == 7 and x == [1] and y == [1]
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [[[0, 1], [1, 0, 5]], [[2], [3, 0]], [], [[-1]], [[]], [[0, True]], [[1, Fraction(1, 2)]], [[1.0]]],
+        ids=["ragged-long", "ragged-short", "empty", "negative", "no-column", "bool", "fraction", "float"],
+    )
+    def test_malformed_matrix_raises(self, matrix):
+        with pytest.raises(ValueError, match="game matrix"):
+            solve_matrix_game(matrix)
 
 
 class TestExactDivRow:
@@ -108,20 +119,10 @@ class TestSolveValue:
         sol = solve_value(t)
         assert type(sol.value) is Fraction
         assert all(type(p) is Fraction for mix in (sol.maxmin, sol.minmax) for p in mix.probs.values())
-        for gains in (sol.p1_reply_gains, sol.p2_reply_gains):
-            assert type(gains) is tuple and len(gains) == t.n
-            assert all(type(g) is Fraction for g in gains)
-        assert min(sol.p2_reply_gains) == sol.value == max(sol.p1_reply_gains)
+        assert type(sol.primal_value) is Fraction and type(sol.dual_value) is Fraction
+        assert sol.primal_value == sol.value == sol.dual_value
         # Per-entry sums over the simulation's gain matrix, not a sweep.
-        a = simulation_matrix(t)
-        replies = tuple(
-            sum((p * a[v][y] for v, p in sol.maxmin.probs.items()), Fraction(0)) for y in range(t.n)
-        )
-        starts = tuple(
-            sum((a[x][w] * q for w, q in sol.minmax.probs.items()), Fraction(0)) for x in range(t.n)
-        )
-        assert sol.p2_reply_gains == replies
-        assert sol.p1_reply_gains == starts
+        assert dense_certificate_holds(t, sol)
 
     def test_direct_and_oracle_agree(self):
         for seed in (1, 2, 3):
@@ -151,21 +152,55 @@ class TestSolveValue:
         sol = solve_value(random_tree(n, seed))
         assert sol.primal_value == sol.dual_value == sol.value
 
-    @pytest.mark.parametrize("seed", range(12))
-    def test_arbitrary_nonnegative_matrices(self, seed):
+    @pytest.mark.parametrize(
+        "seed, bland_after",
+        [pytest.param(s, b, id=f"bland-{s}" if b == 0 else str(s)) for b in (_BLAND_AFTER, 0) for s in range(12)],
+    )
+    def test_arbitrary_nonnegative_matrices(self, monkeypatch, seed, bland_after):
         # The matrix-game solver is not tied to diffusion matrices: any
-        # non-negative matrix with a zero diagonal must come back with mixes
-        # whose worst replies meet at the value exactly.
-        import random as rnd
-
-        rng = rnd.Random(seed)
+        # non-negative matrix must come back with mixes whose worst reply and
+        # best start meet at the value exactly, under the most-improving
+        # entering rule and under Bland's rule from the first pivot. Entries
+        # from {0, 1, 1, 2, 5} give rectangular games with many ratio-test
+        # ties (every right-hand side is 1).
+        monkeypatch.setattr(treegame.solver, "_BLAND_AFTER", bland_after)
+        rng = random.Random(seed)
         n = rng.randrange(2, 15)
-        a = [[0 if i == j else rng.randrange(0, 21) for j in range(n)] for i in range(n)]
-        value, x, y = solve_matrix_game(a)
-        assert sum(x) == sum(y) == 1 and min(x) >= 0 and min(y) >= 0
-        worst_reply = min(sum(x[i] * a[i][j] for i in range(n)) for j in range(n))
-        best_start = max(sum(a[i][j] * y[j] for j in range(n)) for i in range(n))
-        assert worst_reply == value == best_start
+        games = [[[0 if i == j else rng.randrange(0, 21) for j in range(n)] for i in range(n)]]
+        for _ in range(25):
+            m, k = rng.randrange(1, 9), rng.randrange(1, 9)
+            games.append([[rng.choice((0, 1, 1, 2, 5)) for _ in range(k)] for _ in range(m)])
+        for a in games:
+            value, x, y = solve_matrix_game(a)
+            assert sum(x) == sum(y) == 1 and min(x) >= 0 and min(y) >= 0
+            rows, cols = range(len(a)), range(len(a[0]))
+            worst_reply = min(sum(x[i] * a[i][j] for i in rows) for j in cols)
+            best_start = max(sum(a[i][j] * y[j] for j in cols) for i in rows)
+            assert worst_reply == value == best_start
+
+    @pytest.mark.parametrize(
+        "t",
+        [
+            random_tree(100, 5),
+            Tree.from_edges(
+                81, [(7 * u % 81, 7 * v % 81) for u, v in build_spider(SpiderSpec(40, 2)).edges()]
+            ),
+        ],
+        ids=["random100", "relabelled-spider40x2"],
+    )
+    def test_each_mix_is_built_once(self, monkeypatch, t):
+        # The loop keeps its mixes as integer weights; only the round that
+        # returns builds the two strategies.
+        built = []
+
+        def counting(n, probs):
+            built.append(n)
+            return MixedStrategy(n, probs)
+
+        monkeypatch.setattr(treegame.solver, "MixedStrategy", counting)
+        sol = solve_value(t)
+        assert len(built) == 2
+        assert verify_solution(t, sol)
 
 
 class TestVerifySolution:
@@ -181,18 +216,20 @@ class TestVerifySolution:
         eps = Fraction(1, 100)
         probs[0] -= eps
         probs[3] = probs.get(3, Fraction(0)) + eps
-        bad = ZeroSumSolution(
-            sol.value, MixedStrategy(7, probs), sol.minmax, sol.p2_reply_gains, sol.p1_reply_gains
-        )
+        bad = dataclasses.replace(sol, maxmin=MixedStrategy(7, probs))
         assert not verify_solution(t, bad)
 
     def test_pure_maxmin_false(self):
         t = star_tree(3)
         sol = solve_value(t)
-        bad = ZeroSumSolution(
-            sol.value, MixedStrategy.pure(4, 0), sol.minmax, sol.p2_reply_gains, sol.p1_reply_gains
-        )
+        bad = dataclasses.replace(sol, maxmin=MixedStrategy.pure(4, 0))
         assert not verify_solution(t, bad)
+
+    @pytest.mark.parametrize("field", ["primal_value", "dual_value"])
+    def test_wrong_certificate_end_false(self, field):
+        t = star_tree(3)
+        sol = solve_value(t)
+        assert not verify_solution(t, dataclasses.replace(sol, **{field: sol.value + 1}))
 
     def test_wrong_dimension_false(self):
         sol = solve_value(path_tree(3))

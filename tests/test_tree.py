@@ -401,11 +401,11 @@ class TestCheckedOrbits:
             read.append(v)
             return gain_column(t, v)
 
-        acc, den = _sweep(t.n, mix, row, orbits)
+        acc, den = _sweep(t.n, mix.weights(), row, orbits)
         assert [Fraction(g, den) for g in acc] == [
             sum(p * a[v][w] for v, p in mix.probs.items()) for w in range(t.n)
         ]
-        acc, den = _sweep(t.n, mix, col, orbits)
+        acc, den = _sweep(t.n, mix.weights(), col, orbits)
         assert [Fraction(g, den) for g in acc] == [
             sum(a[w][v] * p for v, p in mix.probs.items()) for w in range(t.n)
         ]
@@ -428,7 +428,7 @@ class TestCheckedOrbits:
         orbits = _checked_orbits(t, wrong(t))
         for members in wrong(t):
             mix = MixedStrategy(t.n, {v: Fraction(1, len(members)) for v in members})
-            acc, den = _sweep(t.n, mix, lambda v: gain_row(t, v), orbits)
+            acc, den = _sweep(t.n, mix.weights(), lambda v: gain_row(t, v), orbits)
             assert [Fraction(g, den) for g in acc] == [
                 sum(p * a[v][w] for v, p in mix.probs.items()) for w in range(t.n)
             ]
