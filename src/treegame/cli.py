@@ -102,7 +102,7 @@ def centroid_cmd(tree_file, spider_spec, ctree_spec) -> None:
     """Vertex weights, co-weights and the centroid."""
     t = _load_tree(tree_file, spider_spec, ctree_spec)
     wt = weight_table(t)
-    info = centroid(t, wt)
+    info = centroid(t)
     doc = {
         "schema": "treegame.centroid/1",
         "n": t.n,

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
-from .diffusion import MixedStrategy, _check_dims, _extreme, _sweep, gain_row
-from .tree import Tree, WeightTable, centroid, preorder, weight_table
+from .diffusion import MixedStrategy, _check_dims, _sweep, gain_row
+from .tree import Tree, centroid, preorder, weight_table
 
 
 class CSSError(RuntimeError):
@@ -63,20 +63,17 @@ class UsedBranch:
 
 @dataclass(frozen=True)
 class CSSResult:
-    """The strategy with its build record. ``root_weight`` is the root's
-    weight. The gain of the strategy against pure reply v is
-    ``reply_numerators[v] / reply_den``, from the one sweep over every reply
-    that ``guaranteed_gain`` and ``worst_replies`` are read from."""
+    """The strategy with its build record. The gain of the strategy against
+    pure reply v is ``reply_numerators[v] / reply_den``, from the one sweep
+    over every reply that ``guaranteed_gain`` is read from."""
 
     strategy: MixedStrategy
     root: int
     alpha: Fraction
     branches_used: tuple[UsedBranch, ...]
     guaranteed_gain: Fraction
-    worst_replies: tuple[int, ...]
     centroid_gain: Fraction
     trace: tuple[Fraction, ...]
-    root_weight: int
     reply_numerators: tuple[int, ...] = field(repr=False)
     reply_den: int
 
@@ -91,13 +88,6 @@ class CentroidReplyReport:
     root: int
     root_gain: Fraction
     violations: tuple[tuple[int, Fraction], ...]
-    reply_numerators: tuple[int, ...] = field(repr=False)
-    reply_den: int
-
-    @property
-    def reply_values(self) -> tuple[Fraction, ...]:
-        """The gain against every pure reply, built on each read."""
-        return tuple(Fraction(a, self.reply_den) for a in self.reply_numerators)
 
 
 def _classify(n: int, size: int, w1: int, w2: int | None, w3: int | None) -> BranchClass:
@@ -176,7 +166,7 @@ def branch_probabilities(b: BranchInfo, n: int) -> tuple[Fraction, Fraction, Fra
     return beta, gamma, delta
 
 
-def analyze_branches(t: Tree, root: int, wt: WeightTable | None = None) -> list[BranchInfo]:
+def analyze_branches(t: Tree, root: int) -> list[BranchInfo]:
     """Classify every branch at the centroid root, in adjacency order.
 
     One walk from the root gives each vertex its depth and its branch, named
@@ -186,9 +176,8 @@ def analyze_branches(t: Tree, root: int, wt: WeightTable | None = None) -> list[
     adjacent to u, and s adjacent to t for thin branches.
     """
     n = t.n
-    wt = wt or weight_table(t)
-    cinfo = centroid(t, wt)
-    if root not in cinfo.vertices:
+    wt = weight_table(t)
+    if root not in centroid(t).vertices:
         raise ValueError(f"vertex {root} is not a centroid vertex")
     order, parent, depth = preorder(t, root)
     top = [root] * n  # depth-1 ancestor
@@ -241,13 +230,12 @@ def css_run(t: Tree, strict_centroidal: bool = False) -> CSSResult:
     ``strict_centroidal`` is set, in which case it is rejected.
     """
     n = t.n
-    wt = weight_table(t)
-    cinfo = centroid(t, wt)
+    cinfo = centroid(t)
     if strict_centroidal and cinfo.kind != "centroidal":
         raise ValueError("tree is bicentroidal; a single-centroid tree is required")
     root = cinfo.root
 
-    branches = analyze_branches(t, root, wt)
+    branches = analyze_branches(t, root)
     ordered = sorted(branches, key=lambda b: (-b.criterion, b.index))
 
     zero = Fraction(0)
@@ -293,17 +281,14 @@ def css_run(t: Tree, strict_centroidal: bool = False) -> CSSResult:
         raise CSSError("probability ledger does not sum to 1")
     strategy = MixedStrategy(n, probs)
     acc, den = _sweep(n, strategy.weights(), lambda v: gain_row(t, v))
-    ggain, worst = _extreme((acc, den), min)
     return CSSResult(
         strategy=strategy,
         root=root,
         alpha=alpha,
         branches_used=tuple(used_branches),
-        guaranteed_gain=ggain,
-        worst_replies=worst,
+        guaranteed_gain=Fraction(min(acc), den),
         centroid_gain=gain_now,
         trace=tuple(trace),
-        root_weight=wt.w[root],
         reply_numerators=tuple(acc),
         reply_den=den,
     )
@@ -329,7 +314,5 @@ def verify_centroid_reply(t: Tree, result: CSSResult) -> CentroidReplyReport:
         root=result.root,
         root_gain=Fraction(root_num, den),
         violations=violations,
-        reply_numerators=acc,
-        reply_den=den,
     )
 

@@ -210,16 +210,19 @@ class MixedStrategy:
                 raise ValueError(f"probability {p!r} at vertex {v} is a bool, not a number")
             if isinstance(p, float):
                 raise ValueError(f"float probability {p!r} at vertex {v}; probabilities must be exact")
-            p = Fraction(p)
+            try:
+                p = Fraction(p)
+            except (TypeError, ValueError, ZeroDivisionError) as exc:
+                raise ValueError(f"bad probability {p!r} at vertex {v}: {exc}") from None
             if p < 0:
                 raise ValueError(f"negative probability at vertex {v}")
             if p != 0:
                 cleaned[v] = p
-        total = sum(cleaned.values())
-        if total != 1:
-            raise ValueError(f"probabilities sum to {total}, expected 1")
         self.n = n
         self.probs = dict(sorted(cleaned.items()))
+        weights, den = self.weights()
+        if sum(weights.values()) != den:
+            raise ValueError(f"probabilities sum to {sum(cleaned.values())}, expected 1")
 
     def support(self) -> tuple[int, ...]:
         return tuple(self.probs.keys())

@@ -12,6 +12,7 @@ import csv
 import hashlib
 import math
 import random
+import statistics
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -20,7 +21,7 @@ from typing import Callable
 from .css import css_run
 from .diffusion import format_fraction
 from .solver import solve_value
-from .tree import Tree, centroid
+from .tree import Tree, centroid, weight_table
 
 
 class _RangeError(ValueError):
@@ -172,7 +173,7 @@ def run_experiment(
         try:
             t = tree_source(i, seed_i) if tree_source else sample_centroidal(cfg.n, seed_i)
             res = css_run(t)
-            cw = res.root_weight
+            cw = weight_table(t).w[res.root]
             bound = solve_value(t).value
             ratio = (bound - res.guaranteed_gain) / cw
             if ratio < 0:
@@ -186,12 +187,7 @@ def run_experiment(
     result.histogram = _build_histogram(ratios, cfg.bin_width, cfg.bin_max)
     if ratios:
         result.mean_ratio = sum(ratios) / len(ratios)
-        ordered = sorted(ratios)
-        mid = len(ordered) // 2
-        if len(ordered) % 2:
-            result.median_ratio = ordered[mid]
-        else:
-            result.median_ratio = (ordered[mid - 1] + ordered[mid]) / 2
+        result.median_ratio = statistics.median(ratios)
     return result
 
 

@@ -99,11 +99,11 @@ def _simplex_max(
     denominator d represent the true tableau M / d. A pivot on (r, c) maps
     every other row i to (M[i][j] * M[r][c] - M[i][c] * M[r][j]) / d, which
     is an exact integer division (entries stay minors of the original
-    system), leaves row r unchanged, and sets d to M[r][c]. All sign tests
-    against M are valid because d > 0 throughout, and so is the ratio test,
-    which compares b_i / a_i by cross-multiplying, ties going to the smaller
-    basis index. Verifies the primal and dual objectives agree exactly
-    before returning.
+    system), leaves row r unchanged, and sets d to M[r][c]. Row m is the
+    objective, with right-hand side 0. All sign tests against M are valid
+    because d > 0 throughout, and so is the ratio test, which compares
+    b_i / a_i by cross-multiplying, ties going to the smaller basis index.
+    Verifies the primal and dual objectives agree exactly before returning.
     """
     m = len(a_rows)
     nv = len(c)
@@ -114,12 +114,13 @@ def _simplex_max(
         row.extend(1 if j == i else 0 for j in range(m))
         row.append(b[i])
         rows.append(row)
-    z = list(c) + [0] * m
+    rows.append(list(c) + [0] * (m + 1))  # the objective, row m, right-hand side 0
     basis = [nv + i for i in range(m)]
     den = 1
 
     pivots = 0
     while True:
+        z = rows[m]
         if pivots < _BLAND_AFTER:
             enter = -1
             best_rc = 0
@@ -141,7 +142,7 @@ def _simplex_max(
         if leave < 0:
             raise SolverError("linear program is unbounded")
         prow = rows[leave]
-        for i in range(m):
+        for i in range(m + 1):
             if i != leave:
                 ri = rows[i]
                 f = ri[enter]
@@ -149,11 +150,6 @@ def _simplex_max(
                     rows[i] = _exact_div_row([a * piv - f * b for a, b in zip(ri, prow)], den)
                 else:
                     rows[i] = _exact_div_row([a * piv for a in ri], den)
-        f = z[enter]
-        if f:
-            z = _exact_div_row([a * piv - f * b for a, b in zip(z, prow)], den)
-        else:
-            z = _exact_div_row([a * piv for a in z], den)
         basis[leave] = enter
         den = piv
         pivots += 1
@@ -162,7 +158,7 @@ def _simplex_max(
     for i in range(m):
         if basis[i] < nv:
             x[basis[i]] = rows[i][ncols]
-    duals = [-z[nv + i] for i in range(m)]
+    duals = [-rows[m][nv + i] for i in range(m)]
     if sum(cj * xj for cj, xj in zip(c, x)) != sum(yi * bi for yi, bi in zip(duals, b)):
         raise SolverError("primal and dual objectives disagree")
     return x, duals, den
@@ -215,7 +211,7 @@ class ZeroSumSolution:
 
 
 def _spread(
-    orbits: list[tuple[int, ...]], support: list[int], mass: list[Fraction]
+    orbits: Sequence[tuple[int, ...]], support: list[int], mass: list[Fraction]
 ) -> tuple[dict[int, int], int]:
     """The vertex mix that spreads each support orbit's mass evenly over its
     members, as integer weights over one denominator: ``(weights, den)``
@@ -246,7 +242,7 @@ def solve_value(t: Tree) -> ZeroSumSolution:
     row = functools.cache(functools.partial(gain_row, t))
     col = functools.cache(functools.partial(gain_column, t))
     info = centroid(t)
-    orbits = automorphism_orbits(t, info)
+    orbits = automorphism_orbits(t)
     sym = [o for o in orbits if len(o) > 1]
     orbit_of = [0] * n
     for k, members in enumerate(orbits):
@@ -306,8 +302,9 @@ def verify_solution(t: Tree, sol: ZeroSumSolution) -> bool:
     """Recompute both reply sweeps from the tree and check that the worst
     reply against the maxmin mix and the best start against the minmax mix
     both equal the claimed value, ``primal_value`` and ``dual_value``
-    exactly. The orbits the sweeps use are rebuilt from the tree, not taken
-    from ``sol``."""
+    exactly. The sweeps' orbits come from the tree, never from ``sol``: the
+    partition the tree keeps is a pure function of it with every swap
+    checked, so the certificate proves what a rebuilt one would."""
     if sol.maxmin.n != t.n or sol.minmax.n != t.n:
         return False
     sym = [o for o in automorphism_orbits(t) if len(o) > 1]

@@ -6,11 +6,14 @@ one walk from the centroid: subtree codes propose sibling swaps, and each
 swap is checked against the tree before it merges vertices.
 
 A ``Tree`` is immutable after construction, so every function here is pure
-and safe to call from concurrent workers.
+and safe to call from concurrent workers. ``weight_table``, ``centroid`` and
+``automorphism_orbits`` are kept on the tree on first use: a kept value never
+goes stale, and workers that race on a new tree compute an equal value twice.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 
@@ -87,6 +90,22 @@ class Tree:
 
     def label(self, v: int) -> str:
         return self.labels[v] if self.labels is not None else str(v)
+
+    def __reduce__(self):  # the fields only: no pickle or copy carries a kept table
+        return type(self), (self.n, self.adj, self.labels)
+
+
+def _kept(fn):
+    """``fn(t)``, computed on a tree's first call and kept in its ``__dict__``."""
+    key = "_kept_" + fn.__name__
+
+    @functools.wraps(fn)
+    def kept(t: Tree):
+        if key not in t.__dict__:
+            t.__dict__[key] = fn(t)
+        return t.__dict__[key]
+
+    return kept
 
 
 @dataclass(frozen=True)
@@ -172,6 +191,7 @@ def distances_from(t: Tree, v: int) -> tuple[int, ...]:
     return tuple(depth)
 
 
+@_kept
 def weight_table(t: Tree) -> WeightTable:
     """Per-vertex weight: the maximum edge count over the branches at the
     vertex, 0 for a lone vertex.
@@ -196,13 +216,14 @@ def weight_table(t: Tree) -> WeightTable:
     return WeightTable(tuple(w), tuple(n - x for x in w))
 
 
-def centroid(t: Tree, wt: WeightTable | None = None) -> CentroidInfo:
+@_kept
+def centroid(t: Tree) -> CentroidInfo:
     """Weight-minimizing vertices: a single vertex or two adjacent ones.
 
     For a bicentroidal tree the reported root is the smaller vertex id, which
     keeps downstream algorithms deterministic.
     """
-    wt = wt or weight_table(t)
+    wt = weight_table(t)
     mn = min(wt.w)
     verts = tuple(v for v in range(t.n) if wt.w[v] == mn)
     if len(verts) not in (1, 2):
@@ -217,12 +238,14 @@ def centroid(t: Tree, wt: WeightTable | None = None) -> CentroidInfo:
     return CentroidInfo(verts, kind, verts[0])
 
 
-def automorphism_orbits(t: Tree, info: CentroidInfo | None = None) -> list[tuple[int, ...]]:
+@_kept
+def automorphism_orbits(t: Tree) -> tuple[tuple[int, ...], ...]:
     """Orbits of the tree's automorphism group: the classes of vertices that
-    some automorphism maps onto one another. Each orbit is sorted, and the
-    orbits are listed by their smallest vertex. Every automorphism used is
-    checked against ``t.adj``, so the classes are always the orbits of a
-    group of automorphisms; a wrong code could only make them finer.
+    some automorphism maps onto one another. Each orbit is a sorted tuple,
+    and the orbits, a tuple kept on the tree, are listed by their smallest
+    vertex. Every automorphism used is checked against ``t.adj``, so the
+    classes are always the orbits of a group of automorphisms; a wrong code
+    could only make them finer.
 
     Every automorphism maps the centroid onto itself, so one walk
     (``preorder``) roots the tree at the centroid, or at a virtual root
@@ -230,10 +253,9 @@ def automorphism_orbits(t: Tree, info: CentroidInfo | None = None) -> list[tuple
     subtree gets an Aho-Hopcroft-Ullman code, the sorted tuple of its
     children's codes interned to an int. The codes only propose swaps of
     sibling subtrees (``_swap_orbits``), and the orbits are the components
-    of the swaps that pass the check. O(n log n). ``info`` is the tree's
-    centroid, if already known.
+    of the swaps that pass the check. O(n log n).
     """
-    info = info or centroid(t)
+    info = centroid(t)
     order, parent, _ = preorder(t, info.vertices[0])
     if len(info.vertices) == 2:
         parent[info.vertices[1]] = -1  # both centroids hang from the virtual root
@@ -247,7 +269,7 @@ def automorphism_orbits(t: Tree, info: CentroidInfo | None = None) -> list[tuple
     return _swap_orbits(t, info.vertices, parent, code)
 
 
-def _swap_orbits(t: Tree, roots: tuple[int, ...], parent: list[int], cls: list[int]) -> list[tuple[int, ...]]:
+def _swap_orbits(t: Tree, roots: tuple[int, ...], parent: list[int], cls: list[int]) -> tuple[tuple[int, ...], ...]:
     """The components of the sibling-subtree swaps that the classes ``cls``
     propose and ``_is_automorphism`` accepts, every other vertex alone;
     sorted and listed by smallest vertex. Wrong classes give swaps that
@@ -287,7 +309,7 @@ def _swap_orbits(t: Tree, roots: tuple[int, ...], parent: list[int], cls: list[i
     comps: dict[int, list[int]] = {}
     for v in range(t.n):
         comps.setdefault(find(v), []).append(v)
-    return [tuple(vs) for vs in comps.values()]
+    return tuple(tuple(vs) for vs in comps.values())
 
 
 def _is_automorphism(t: Tree, pairs: list[tuple[int, int]]) -> bool:

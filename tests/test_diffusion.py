@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -240,6 +241,22 @@ class TestMixedStrategy:
             strategy_from_pairs(2, pairs)
         with pytest.raises(ValueError, match="is a bool"):
             MixedStrategy(2, dict(pairs))
+
+    @pytest.mark.parametrize("bad", ["1/0", "abc", "1/", None, [1]])
+    def test_rejects_unparsable_probability(self, bad):
+        # A ValueError that names the vertex, never a bare ZeroDivisionError
+        # or TypeError (a JSON null or list in a strategy file).
+        message = re.escape(f"bad probability {bad!r} at vertex 1: ")
+        with pytest.raises(ValueError, match=message):
+            MixedStrategy(2, {0: "1/2", 1: bad})
+        with pytest.raises(ValueError, match=message):
+            strategy_from_pairs(2, [[0, "1/2"], [1, bad]])
+
+    def test_sum_message_names_the_exact_total(self):
+        with pytest.raises(ValueError, match=r"^probabilities sum to 3/4, expected 1$"):
+            MixedStrategy(3, {0: Fraction(1, 2), 1: "1/4"})
+        with pytest.raises(ValueError, match=r"^probabilities sum to 0, expected 1$"):
+            MixedStrategy(3, {0: 0})
 
     @pytest.mark.parametrize("vertex", [1.7, True, "1"])
     def test_rejects_non_int_vertex(self, vertex):

@@ -20,6 +20,7 @@ from treegame import (
     sample_centroidal,
     solve_value,
     trial_seed,
+    weight_table,
     write_histogram_csv,
     write_records_csv,
 )
@@ -141,6 +142,28 @@ class TestRunExperiment:
         ratios = sorted(r.diff_ratio for r in res.records)
         assert res.mean_ratio == sum(ratios) / 5
         assert res.median_ratio == ratios[2]
+
+    def test_median_of_an_even_count_is_the_exact_midpoint(self):
+        res = run_experiment(ExperimentConfig(n=12, trials=6, seed=2))
+        ratios = sorted(r.diff_ratio for r in res.records)
+        assert type(res.median_ratio) is Fraction
+        assert res.median_ratio == (ratios[2] + ratios[3]) / 2
+
+    def test_root_weight_is_the_centroid_weight(self):
+        from conftest import brute_weights
+
+        trees = {}
+
+        def source(i, seed):
+            trees[i] = sample_centroidal(40, seed)
+            return trees[i]
+
+        res = run_experiment(ExperimentConfig(n=40, trials=6, seed=1), tree_source=source)
+        assert len(res.records) == 6
+        for r in res.records:
+            t = trees[r.index]
+            assert r.centroid == centroid(t).root
+            assert r.centroid_weight == weight_table(t).w[r.centroid] == brute_weights(t)[r.centroid]
 
     def test_overflow_bin_warns(self):
         # On the 4-leaf star the centroidal strategy guarantees 4/5 while the

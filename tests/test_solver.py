@@ -378,10 +378,12 @@ def test_wrong_orbit_partition_never_gives_a_wrong_value(t, wrong):
     # Wrong classes propose swaps that fail the automorphism check, so the
     # partition the solver and the verifier use is still the orbits of a
     # group, only finer: the solve cannot stall and ends in the same value.
+    # The block runs on a fresh copy, since ``t`` keeps the orbits it has.
     expected = solve_value(t).value
     with proposing(wrong(t)):
-        sol = solve_value(t)
-        assert verify_solution(t, sol)
+        fresh = dataclasses.replace(t)
+        sol = solve_value(fresh)
+        assert verify_solution(fresh, sol)
     assert sol.value == expected
     assert dense_certificate_holds(t, sol)
 

@@ -1,10 +1,15 @@
+import dataclasses
+import pickle
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import treegame.tree
 from treegame import (
     CompleteTreeSpec,
     MixedStrategy,
@@ -16,11 +21,15 @@ from treegame import (
     build_complete_tree,
     build_spider,
     centroid,
+    css_run,
     distances_from,
     parse_tree,
     random_tree,
+    solve_value,
+    verify_solution,
     weight_table,
 )
+from treegame.cli import cli
 from treegame.diffusion import _sweep, gain_column, gain_row
 from treegame.tree import _is_automorphism
 
@@ -259,23 +268,19 @@ class TestAutomorphismOrbits:
     @settings(max_examples=150, deadline=None)
     @given(SMALL_TREES)
     def test_matches_brute_force(self, t):
-        assert automorphism_orbits(t) == brute_orbits(t)
+        assert list(automorphism_orbits(t)) == brute_orbits(t)
 
     def test_every_tree_up_to_five_vertices(self):
         for n in range(1, 6):
             for t in all_labeled_trees(n):
-                assert automorphism_orbits(t) == brute_orbits(t)
+                assert list(automorphism_orbits(t)) == brute_orbits(t)
 
     def test_families(self):
-        assert automorphism_orbits(star_tree(4)) == [(0,), (1, 2, 3, 4)]
-        assert automorphism_orbits(path_tree(4)) == [(0, 3), (1, 2)]
-        assert automorphism_orbits(build_spider(SpiderSpec(3, 2))) == [(0,), (1, 3, 5), (2, 4, 6)]
+        assert list(automorphism_orbits(star_tree(4))) == [(0,), (1, 2, 3, 4)]
+        assert list(automorphism_orbits(path_tree(4))) == [(0, 3), (1, 2)]
+        assert list(automorphism_orbits(build_spider(SpiderSpec(3, 2)))) == [(0,), (1, 3, 5), (2, 4, 6)]
         ctree = build_complete_tree(CompleteTreeSpec(2, 3))
-        assert automorphism_orbits(ctree) == [(0,), (1, 2), tuple(range(3, 7)), tuple(range(7, 15))]
-
-    def test_shared_centroid(self):
-        t = random_tree(60, 5)
-        assert automorphism_orbits(t, centroid(t)) == automorphism_orbits(t)
+        assert list(automorphism_orbits(ctree)) == [(0,), (1, 2), tuple(range(3, 7)), tuple(range(7, 15))]
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 120), st.integers(0, 10_000))
@@ -287,7 +292,52 @@ class TestAutomorphismOrbits:
         rnd.Random(seed).shuffle(pi)
         relabelled = Tree.from_edges(n, [(pi[u], pi[v]) for u, v in t.edges()])
         moved = sorted(tuple(sorted(pi[v] for v in orbit)) for orbit in automorphism_orbits(t))
-        assert automorphism_orbits(relabelled) == moved
+        assert list(automorphism_orbits(relabelled)) == moved
+
+
+def _tables(t):
+    return weight_table(t), centroid(t), automorphism_orbits(t)
+
+
+class TestKeptTables:
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: star_tree(6), lambda: path_tree(6), lambda: build_spider(SpiderSpec(4, 2)), lambda: random_tree(40, 2)],
+        ids=["star6", "path6", "spider4x2", "random40"],
+    )
+    def test_computed_once_per_tree(self, make):
+        # The tree module walks the tree once for the weights and once for
+        # the orbits, however many callers read them.
+        t = make()
+        with mock.patch.object(treegame.tree, "preorder", wraps=treegame.tree.preorder) as walks:
+            kept = _tables(t)
+            css_run(t)
+            assert verify_solution(t, solve_value(t))
+        assert all(a is b for a, b in zip(kept, _tables(t)))
+        assert walks.call_count == 2
+        orbits = kept[2]
+        assert type(orbits) is tuple and all(type(o) is tuple for o in orbits)
+
+    def test_value_command_builds_the_orbits_once(self):
+        with mock.patch.object(treegame.tree, "_swap_orbits", wraps=treegame.tree._swap_orbits) as spy:
+            result = CliRunner().invoke(cli, ["value", "--spider", "40", "2"])
+        assert result.exit_code == 0, result.output
+        assert spy.call_count == 1
+
+    def test_kept_tables_are_not_part_of_the_tree(self):
+        t = random_tree(30, 4)
+        fresh = Tree(t.n, t.adj)
+        _tables(t)
+        assert t == fresh and hash(t) == hash(fresh) and repr(t) == repr(fresh)
+        back = pickle.loads(pickle.dumps(t))
+        assert back == t and hash(back) == hash(t)
+        assert vars(back) == vars(fresh)  # the fields only
+        assert _tables(back) == _tables(t)
+
+    def test_replace_carries_no_kept_table(self):
+        t = random_tree(30, 4)
+        _tables(t)
+        assert vars(dataclasses.replace(t)) == vars(Tree(t.n, t.adj))
 
 
 BRANCH_TREES = st.one_of(
@@ -344,9 +394,10 @@ _BROOM = Tree.from_edges(9, [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (0, 6), (6,
 
 def _checked_orbits(t, classes):
     """The orbits of more than one vertex that ``automorphism_orbits`` gives
-    when ``classes``, not the subtree codes, propose the swaps."""
+    when ``classes``, not the subtree codes, propose the swaps; computed on
+    a fresh copy of ``t``, which may already keep its orbits."""
     with proposing(classes):
-        return [o for o in automorphism_orbits(t) if len(o) > 1]
+        return [o for o in automorphism_orbits(dataclasses.replace(t)) if len(o) > 1]
 
 
 class TestCheckedOrbits:
@@ -370,7 +421,7 @@ class TestCheckedOrbits:
         # and the subtree at 4 beside the larger one at 6.
         by_depth = [(0,), (1, 2, 4, 6), (3, 5, 7, 8)]
         assert _checked_orbits(_BROOM, by_depth) == [(2, 4), (3, 5), (7, 8)]
-        assert automorphism_orbits(_BROOM) == [(0,), (1,), (2, 4), (3, 5), (6,), (7, 8)]
+        assert list(automorphism_orbits(_BROOM)) == [(0,), (1,), (2, 4), (3, 5), (6,), (7, 8)]
 
     @settings(max_examples=150, deadline=None)
     @given(SYMMETRIC_TREES, st.data())
