@@ -13,9 +13,10 @@ import heapq
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from itertools import chain
 
 from .diffusion import MixedStrategy, _check_dims, _sweep, gain_row
-from .tree import Tree, centroid, preorder, weight_table
+from .tree import Tree, _runs, _walk, centroid, weight_table
 
 
 class CSSError(RuntimeError):
@@ -169,26 +170,31 @@ def branch_probabilities(b: BranchInfo, n: int) -> tuple[Fraction, Fraction, Fra
 def analyze_branches(t: Tree, root: int) -> list[BranchInfo]:
     """Classify every branch at the centroid root, in adjacency order.
 
-    One walk from the root gives each vertex its depth and its branch, named
-    by its depth-1 ancestor. The three lowest-weight vertices of a branch
-    are picked by sorting on (weight, depth, vertex id). The structure the
+    The tree's kept walk, rerooted at the root (``_runs``), gives the
+    branches as runs: the subtree of each child of the root in the walk,
+    and every run after the root's own subtree for the branch above it.
+    The three lowest-weight vertices of a branch are picked by sorting on
+    (weight, depth from the root, vertex id). The structure the
     classification relies on is asserted: u adjacent to the root, t
     adjacent to u, and s adjacent to t for thin branches.
     """
     n = t.n
-    wt = weight_table(t)
+    w = weight_table(t).w
     if root not in centroid(t).vertices:
         raise ValueError(f"vertex {root} is not a centroid vertex")
-    order, parent, depth = preorder(t, root)
-    top = [root] * n  # depth-1 ancestor
-    branches: dict[int, list[int]] = {u: [] for u in t.adj[root]}
-    for v in order[1:]:
-        top[v] = v if parent[v] == root else top[parent[v]]
-        branches[top[v]].append(v)
+    order, parent, depth, size, pos = _walk(t)
+    runs = _runs(t, root)
+    dist = [0] * n  # depth from the root
+    for lo, hi, off in runs:
+        for v in order[lo:hi]:
+            dist[v] = depth[v] + off
+    branches = {u: [(pos[u], pos[u] + size[u])] for u in t.adj[root]}
+    if parent[root] >= 0:
+        branches[parent[root]] = [(lo, hi) for lo, hi, _ in runs[1:]]
     result = []
-    for vertices in branches.values():
-        members = sorted(vertices)
-        ranked = heapq.nsmallest(3, members, key=lambda v: (wt.w[v], depth[v], v))
+    for spans in branches.values():
+        members = sorted(chain.from_iterable(order[lo:hi] for lo, hi in spans))
+        ranked = heapq.nsmallest(3, members, key=lambda v: (w[v], dist[v], v))
         u = ranked[0]
         index = members[0]
         if u not in t.adj[root]:
@@ -197,9 +203,9 @@ def analyze_branches(t: Tree, root: int) -> list[BranchInfo]:
         sv = ranked[2] if len(ranked) >= 3 else None
         if tv is not None and tv not in t.adj[u]:
             raise CSSError(f"branch {index}: second-lowest vertex {tv} not adjacent to {u}")
-        w1 = wt.w[u]
-        w2 = wt.w[tv] if tv is not None else None
-        w3 = wt.w[sv] if sv is not None else None
+        w1 = w[u]
+        w2 = w[tv] if tv is not None else None
+        w3 = w[sv] if sv is not None else None
         cls = _classify(n, len(members), w1, w2, w3)
         if cls is BranchClass.THIN and sv not in t.adj[tv]:
             raise CSSError(

@@ -19,10 +19,9 @@ import math
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
-from itertools import islice
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .tree import Tree, distances_from, preorder
+from .tree import Tree, _runs, _up, _walk, distances_from
 
 
 class Color(IntEnum):
@@ -129,34 +128,35 @@ class GameMatrix:
         return "\n".join(",".join(str(x) for x in row) for row in self.entries) + "\n"
 
 
-def _cut_gains(t: Tree, root: int, is_row: bool) -> list[int]:
-    """Matrix row (``is_row``) or column at ``root`` in O(n), rooted there.
+def _cut_gains(t: Tree, x: int, is_row: bool) -> list[int]:
+    """Matrix row (``is_row``) or column at ``x`` in O(n), rooted there.
 
     With the other start v at depth k, Player 1 keeps the component on the
     own side of the path edge cut just past the midpoint. For a row (Player 1
-    at the root) that edge sits above v's ancestor a at depth ceil(k/2) and
-    the entry is n - size(a); for a column (Player 1 at v) it sits above the
+    at x) that edge sits above v's ancestor a at depth ceil(k/2) and the
+    entry is n - size(a); for a column (Player 1 at v) it sits above the
     ancestor a at depth floor(k/2) + 1 and the entry is size(a).
 
-    One walk (``preorder``) gives parent and depth, one reverse pass sums
-    the subtree sizes, and one forward pass over the walk keeps
-    ``path[depth[v]] = v``: in preorder, ``path[:k]`` then holds v's
-    ancestors, so ancestor a is read from ``path``. Both later passes skip
-    the root, first in the walk, through ``islice``: a slice would copy
-    n entries, which at n = 10^5 raised the benchmark's peak memory.
+    The tree's kept walk, rerooted at x (``_runs``), gives the depths from
+    x and the sizes, which change only on the path from x to the walk's
+    root (``_up``). One forward pass over the runs keeps
+    ``path[k] = v`` for v at depth k from x: in preorder, ``path[:k]`` then
+    holds v's ancestors, so ancestor a is read from ``path``.
     """
     n = t.n
-    order, parent, depth = preorder(t, root)
-    sz = [1] * n
-    for v in islice(reversed(order), n - 1):
-        sz[parent[v]] += sz[v]
-    gain_at, offset = ([n - s for s in sz], 1) if is_row else (sz, 2)
+    runs = _runs(t, x)
+    order, _, depth, size, _ = _walk(t)
+    gain_at, offset = ([n - s for s in size], 1) if is_row else (size[:], 2)
+    for a, c in _up(t, x):  # rooted at x, a's subtree is all but c's
+        gain_at[a] = size[c] if is_row else n - size[c]
     out = [0] * n
-    path = [root] * (max(depth) + 1)
-    for v in islice(order, 1, None):
-        k = depth[v]
-        path[k] = v
-        out[v] = gain_at[path[(k + offset) // 2]]
+    path = [x] * (n + 1)  # x's own entry reads path[1]
+    for lo, hi, off in runs:
+        for v in order[lo:hi]:
+            k = depth[v] + off
+            path[k] = v
+            out[v] = gain_at[path[(k + offset) // 2]]
+    out[x] = 0
     return out
 
 
@@ -171,7 +171,7 @@ def gain_column(t: Tree, y: int) -> list[int]:
 
 
 def game_matrix(t: Tree) -> GameMatrix:
-    """All pure-pair gains; rows computed independently in O(n) each."""
+    """All pure-pair gains: n rows, each rerooted from the tree's one walk in O(n)."""
     n = t.n
     rows = []
     for x in range(n):

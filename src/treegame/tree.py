@@ -1,20 +1,26 @@
 """Tree structure, the one rooted walk, branch weights, the centroid and
 the automorphism orbits.
 
-Every traversal is ``preorder``, a walk from one root. The orbits come from
-one walk from the centroid: subtree codes propose sibling swaps, and each
-swap is checked against the tree before it merges vertices.
+Each tree keeps one walk (``_walk``): ``preorder`` from vertex 0, with the
+subtree sizes and each vertex's position in the walk. ``Tree.from_edges``
+takes it while checking its input, and every other rooting is read from it
+as runs (``_runs``): the weights, the branches and orbits at the
+centroid, and each gain-matrix line. The orbits come from the centroid's
+rooting: subtree codes propose sibling swaps, and each swap is checked
+against the tree before it merges vertices.
 
 A ``Tree`` is immutable after construction, so every function here is pure
-and safe to call from concurrent workers. ``weight_table``, ``centroid`` and
-``automorphism_orbits`` are kept on the tree on first use: a kept value never
-goes stale, and workers that race on a new tree compute an equal value twice.
+and safe to call from concurrent workers. The walk, ``weight_table``,
+``centroid`` and ``automorphism_orbits`` are kept on the tree on first use:
+a kept value never goes stale, and workers that race on a new tree compute
+an equal value twice.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import islice
 
 
 class TreeFormatError(ValueError):
@@ -56,31 +62,20 @@ class Tree:
             raise ValueError(
                 f"a tree on {n} vertices needs {n - 1} edges, got {len(edges)}; tree is disconnected"
             )
-        neighbours: list[list[int]] = [[] for _ in range(n)]
-        parent_uf = list(range(n))
-
-        def find(a: int) -> int:
-            while parent_uf[a] != a:
-                parent_uf[a] = parent_uf[parent_uf[a]]
-                a = parent_uf[a]
-            return a
-
-        # Edges are checked in order: after n - 1 good ones the graph is
-        # connected, so a surplus edge fails as a cycle or a duplicate.
-        for i, (u, v) in enumerate(edges):
-            if not (0 <= u < n and 0 <= v < n):
-                raise _EdgeError(i, f"vertex id out of range on edge ({u}, {v})")
-            if u == v:
-                raise _EdgeError(i, f"self-loop at vertex {u}")
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                if v in neighbours[u]:
-                    raise _EdgeError(i, f"duplicate edge ({u}, {v})")
-                raise _EdgeError(i, f"edge ({u}, {v}) creates a cycle")
-            parent_uf[ru] = rv
-            neighbours[u].append(v)
-            neighbours[v].append(u)
-        return cls(n, tuple(tuple(sorted(ns)) for ns in neighbours), labels)
+        # A graph with n - 1 edges that one walk covers is a tree: the walk
+        # from the tree's checks becomes its kept walk. Any other input goes
+        # to the ordered check, which finds the first bad edge.
+        if len(edges) == n - 1 and all(0 <= u < n and 0 <= v < n and u != v for u, v in edges):
+            neighbours: list[list[int]] = [[] for _ in range(n)]
+            for u, v in edges:
+                neighbours[u].append(v)
+                neighbours[v].append(u)
+            for ns in neighbours:
+                ns.sort()
+            t = cls(n, tuple(map(tuple, neighbours)), labels)
+            if len(_walk(t)[0]) == n:
+                return t
+        raise _first_bad_edge(n, edges)
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -93,6 +88,36 @@ class Tree:
 
     def __reduce__(self):  # the fields only: no pickle or copy carries a kept table
         return type(self), (self.n, self.adj, self.labels)
+
+
+def _first_bad_edge(n: int, edges: list[tuple[int, int]]) -> _EdgeError:
+    """The first edge, in order, after which ``edges`` is no tree's edge
+    list: out of range, a self-loop, a duplicate or a cycle. Only called on
+    a rejected list, which always has one: after n - 1 good edges the graph
+    is connected, so a surplus edge fails as a cycle or a duplicate."""
+    neighbours: list[list[int]] = [[] for _ in range(n)]
+    parent_uf = list(range(n))
+
+    def find(a: int) -> int:
+        while parent_uf[a] != a:
+            parent_uf[a] = parent_uf[parent_uf[a]]
+            a = parent_uf[a]
+        return a
+
+    for i, (u, v) in enumerate(edges):
+        if not (0 <= u < n and 0 <= v < n):
+            return _EdgeError(i, f"vertex id out of range on edge ({u}, {v})")
+        if u == v:
+            return _EdgeError(i, f"self-loop at vertex {u}")
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            if v in neighbours[u]:
+                return _EdgeError(i, f"duplicate edge ({u}, {v})")
+            return _EdgeError(i, f"edge ({u}, {v}) creates a cycle")
+        parent_uf[ru] = rv
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    raise RuntimeError("edge list rejected, but every edge passes the ordered check")
 
 
 def _kept(fn):
@@ -137,8 +162,7 @@ def parse_tree(text: str) -> Tree:
         raise TreeFormatError(f"line 1: vertex count must be >= 1, got {n}")
 
     edges: list[tuple[int, int]] = []
-    linenos: list[int] = []
-    for lineno, raw in enumerate(lines[1:], start=2):
+    for lineno, raw in enumerate(islice(lines, 1, None), start=2):
         stripped = raw.strip()
         if not stripped:
             continue
@@ -149,13 +173,17 @@ def parse_tree(text: str) -> Tree:
             edges.append((int(parts[0]), int(parts[1])))
         except ValueError:
             raise TreeFormatError(f"line {lineno}: malformed edge line {stripped!r}") from None
-        linenos.append(lineno)
+    # The line strings go before the tree's tables are built: at n = 10^5
+    # they would be most of the parse's peak memory.
+    last = len(lines)
+    del lines
     try:
         return Tree.from_edges(n, edges)
     except _EdgeError as exc:
-        raise TreeFormatError(f"line {linenos[exc.index]}: {exc}") from None
+        edge_linenos = (i for i, raw in enumerate(islice(text.splitlines(), 1, None), start=2) if raw.strip())
+        raise TreeFormatError(f"line {next(islice(edge_linenos, exc.index, None))}: {exc}") from None
     except ValueError as exc:
-        raise TreeFormatError(f"line {len(lines)}: {exc}") from None
+        raise TreeFormatError(f"line {last}: {exc}") from None
 
 
 def preorder(t: Tree, root: int) -> tuple[list[int], list[int], list[int]]:
@@ -192,28 +220,71 @@ def distances_from(t: Tree, v: int) -> tuple[int, ...]:
 
 
 @_kept
+def _walk(t: Tree) -> tuple[list[int], list[int], list[int], list[int], list[int]]:
+    """The tree's one walk: ``preorder`` from vertex 0 as ``(order, parent,
+    depth, size, pos)``, with each vertex's subtree size, summed in one
+    reverse pass, and its position in ``order``. The subtree of v is
+    ``order[pos[v]:pos[v] + size[v]]``."""
+    n = t.n
+    order, parent, depth = preorder(t, 0)
+    size = [1] * n
+    for v in islice(reversed(order), len(order) - 1):
+        size[parent[v]] += size[v]
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    return order, parent, depth, size, pos
+
+
+def _up(t: Tree, x: int) -> list[tuple[int, int]]:
+    """The pairs (a, c) from x up to the walk's root, c the child of
+    ancestor a on the path. Rooted at x, a's subtree is all but c's,
+    n - size[c] vertices; no other vertex's subtree changes."""
+    parent = _walk(t)[1]
+    path = []
+    a = parent[x]
+    while a >= 0:
+        path.append((a, x))
+        x, a = a, parent[a]
+    return path
+
+
+def _runs(t: Tree, x: int) -> list[tuple[int, int, int]]:
+    """The walk rerooted at x, as runs ``(lo, hi, off)``: the vertices
+    ``order[lo:hi]`` of each run in turn are a preorder from x, and v in a
+    run lies at depth ``depth[v] + off`` from x. The first run is x's own
+    subtree; then, for each (a, c) of ``_up``, the parts of a's subtree
+    before and after c's, at offset depth[x] - 2 depth[a]. The check of x
+    here is the one vertex check of every rerooted line."""
+    if type(x) is not int:
+        raise ValueError(f"vertex {x!r} is not an int")
+    if not 0 <= x < t.n:
+        raise ValueError(f"vertex {x} out of range")
+    _, _, depth, size, pos = _walk(t)
+    dx = depth[x]
+    runs = [(pos[x], pos[x] + size[x], -dx)]
+    for a, c in _up(t, x):
+        off = dx - 2 * depth[a]
+        runs += [(pos[a], pos[c], off), (pos[c] + size[c], pos[a] + size[a], off)]
+    return runs
+
+
+@_kept
 def weight_table(t: Tree) -> WeightTable:
     """Per-vertex weight: the maximum edge count over the branches at the
     vertex, 0 for a lone vertex.
 
-    Computed in O(n): one walk from vertex 0 and a reverse pass over it sum
-    the subtree sizes, then the parent-side branch of each vertex is
-    n - size(v).
+    Computed in O(n) from the kept walk's subtree sizes: the largest child
+    subtree of each vertex, against the parent-side branch, n - size(v).
     """
     n = t.n
-    order, parent, _ = preorder(t, 0)
-    sz = [1] * n
-    for v in reversed(order[1:]):
-        sz[parent[v]] += sz[v]
-    w = [0] * n
-    for v in range(n):
-        best = 0
-        for u in t.adj[v]:
-            cand = n - sz[v] if u == parent[v] else sz[u]
-            if cand > best:
-                best = cand
-        w[v] = best
-    return WeightTable(tuple(w), tuple(n - x for x in w))
+    _, parent, _, size, _ = _walk(t)
+    child = [0] * (n + 1)  # largest child subtree; the root's size lands in child[-1]
+    for p, s in zip(parent, size):
+        if s > child[p]:
+            child[p] = s
+    w = tuple([c if c > n - s else n - s for c, s in zip(child, size)])
+    return WeightTable(w, tuple(n - x for x in w))
 
 
 @_kept
@@ -247,16 +318,22 @@ def automorphism_orbits(t: Tree) -> tuple[tuple[int, ...], ...]:
     classes are always the orbits of a group of automorphisms; a wrong code
     could only make them finer.
 
-    Every automorphism maps the centroid onto itself, so one walk
-    (``preorder``) roots the tree at the centroid, or at a virtual root
-    above the centroid edge when there are two centroids. Each rooted
-    subtree gets an Aho-Hopcroft-Ullman code, the sorted tuple of its
-    children's codes interned to an int. The codes only propose swaps of
-    sibling subtrees (``_swap_orbits``), and the orbits are the components
-    of the swaps that pass the check. O(n log n).
+    Every automorphism maps the centroid onto itself, so the kept walk is
+    rerooted at the centroid, or at a virtual root above the centroid edge
+    when there are two centroids. Each rooted subtree gets an
+    Aho-Hopcroft-Ullman code, the sorted tuple of its children's codes
+    interned to an int. The codes only propose swaps of sibling subtrees
+    (``_swap_orbits``), and the orbits are the components of the swaps that
+    pass the check. O(n log n).
     """
     info = centroid(t)
-    order, parent, _ = preorder(t, info.vertices[0])
+    root = info.vertices[0]
+    walk_order, walk_parent, _, _, _ = _walk(t)
+    order = [v for lo, hi, _ in _runs(t, root) for v in walk_order[lo:hi]]
+    parent = walk_parent[:]
+    for a, c in _up(t, root):
+        parent[a] = c
+    parent[root] = -1
     if len(info.vertices) == 2:
         parent[info.vertices[1]] = -1  # both centroids hang from the virtual root
     child_codes: list[list[int]] = [[] for _ in range(t.n)]

@@ -1,16 +1,20 @@
 import re
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import treegame.diffusion
+import treegame.tree
 from treegame import (
     Color,
     GameMatrix,
     MixedStrategy,
     build_complete_tree,
     build_spider,
+    centroid,
     complete_tree_safe_strategy,
     CompleteTreeSpec,
     SpiderSpec,
@@ -391,3 +395,58 @@ class TestDistanceRuleAgainstSimulation:
                 col = simulate_diffusion(t, x, y)
                 assert col.player1_gain == pure_gain(t, x, y)
                 assert col.player2_gain == pure_gain(t, y, x)
+
+
+@st.composite
+def walk_root_trees(draw):
+    """Prufer-random trees (n <= 40), paths, stars and spiders, relabelled so
+    that vertex 0, where the kept walk starts, lands on a leaf (a path end
+    for a path), on a centroid vertex or anywhere."""
+    kind = draw(st.sampled_from(["prufer", "path", "star", "spider"]))
+    if kind == "prufer":
+        n = draw(st.integers(1, 40))
+        code = draw(st.lists(st.integers(0, n - 1), min_size=max(n - 2, 0), max_size=max(n - 2, 0)))
+        edges = prufer_decode(tuple(code), n) if n > 1 else []
+    elif kind == "path":
+        n = draw(st.integers(1, 40))
+        edges = [(i, i + 1) for i in range(n - 1)]
+    elif kind == "star":
+        n = draw(st.integers(2, 40))
+        edges = [(0, i) for i in range(1, n)]
+    else:
+        legs = draw(st.integers(3, 8))
+        t = build_spider(SpiderSpec(legs, draw(st.integers(1, 39 // legs))))
+        n, edges = t.n, t.edges()
+    shape = Tree.from_edges(n, edges)
+    leaves = [v for v in range(n) if shape.degree(v) <= 1]
+    where = draw(st.sampled_from([leaves, list(centroid(shape).vertices), list(range(n))]))
+    anchor = draw(st.sampled_from(where))
+    perm = draw(st.permutations(range(n)))
+    k = perm.index(0)
+    perm[k], perm[anchor] = perm[anchor], perm[k]  # the anchor becomes vertex 0
+    return Tree.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+class TestRerootedLines:
+    @given(walk_root_trees())
+    @settings(max_examples=200, deadline=None)
+    @example(Tree.from_edges(1, []))
+    def test_every_line_matches_simulation(self, t):
+        a = simulation_matrix(t)
+        for x in range(t.n):
+            assert gain_row(t, x) == a[x]
+            assert gain_column(t, x) == [a[y][x] for y in range(t.n)]
+        assert game_matrix(t).entries == tuple(map(tuple, a))
+
+    def test_oracles_do_not_read_the_kept_walk(self):
+        # simulate_diffusion and distances_from stay independent of the
+        # walk the lines are rerooted from.
+        t = random_tree(15, 6)
+        lines = [gain_row(t, x) for x in range(t.n)]
+        broken = mock.Mock(side_effect=AssertionError("read the kept walk"))
+        with mock.patch.object(treegame.tree, "_walk", broken), mock.patch.object(treegame.diffusion, "_walk", broken):
+            t = Tree(t.n, t.adj)  # nothing kept
+            assert simulation_matrix(t) == lines
+            assert [[pure_gain(t, x, y) for y in range(t.n)] for x in range(t.n)] == lines
+            with pytest.raises(AssertionError, match="kept walk"):
+                gain_row(t, 0)

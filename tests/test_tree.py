@@ -23,6 +23,7 @@ from treegame import (
     centroid,
     css_run,
     distances_from,
+    game_matrix,
     parse_tree,
     random_tree,
     solve_value,
@@ -100,6 +101,48 @@ class TestParseTree:
     def test_single_vertex(self):
         t = parse_tree("1")
         assert t.n == 1 and t.edges() == []
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # n - 1 edges, each in range and no self-loop, that leave a
+            # vertex unreached: the ordered check names the bad line.
+            ("4\n0 1\n1 2\n1 0", "line 4: duplicate edge (1, 0)"),
+            ("4\n0 1\n\n1 2\n2 0", "line 5: edge (2, 0) creates a cycle"),
+            ("4\n2 3\n3 2\n0 1", "line 3: duplicate edge (3, 2)"),
+            # A surplus edge fails as a cycle or a duplicate.
+            ("3\n0 1\n1 2\n2 0", "line 4: edge (2, 0) creates a cycle"),
+            ("3\n0 1\n1 2\n2 1\n0 5", "line 4: duplicate edge (2, 1)"),
+            # The first bad line wins, whatever comes after it.
+            ("5\n0 1\n1 2\n2 0\n3 9", "line 4: edge (2, 0) creates a cycle"),
+            ("4\n0 1\n1 0\n2 2\n0 3", "line 3: duplicate edge (1, 0)"),
+            ("4\n0 1\n1 2\n0 7\n2 0", "line 4: vertex id out of range on edge (0, 7)"),
+        ],
+    )
+    def test_first_bad_line_is_named(self, text, message):
+        with pytest.raises(TreeFormatError) as exc:
+            parse_tree(text)
+        assert str(exc.value) == message
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 7).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.tuples(st.integers(-1, n), st.integers(0, n)), min_size=max(n - 2, 0), max_size=n + 1),
+            )
+        )
+    )
+    def test_matches_the_first_bad_prefix(self, n_edges):
+        n, edges = n_edges
+        text = "\n".join([str(n)] + [f"{u} {v}" for u, v in edges])
+        expected = _first_bad_line(n, edges)
+        if expected is None:
+            assert sorted(parse_tree(text).edges()) == sorted((min(e), max(e)) for e in edges)
+        else:
+            with pytest.raises(TreeFormatError) as exc:
+                parse_tree(text)
+            assert str(exc.value) == expected
 
     def test_bad_count(self):
         with pytest.raises(TreeFormatError, match="line 1"):
@@ -231,6 +274,51 @@ class TestDistances:
         with pytest.raises(ValueError, match="out of range"):
             walk(random_tree(7, 0), v)
 
+    @pytest.mark.parametrize("line", [gain_row, gain_column])
+    @pytest.mark.parametrize("v", [True, False, 1.0, "1", None])
+    def test_rerooted_lines_reject_a_vertex_that_is_not_an_int(self, line, v):
+        # True would read vertex 1's line, and 1.0 fail on a bare TypeError.
+        with pytest.raises(ValueError, match="is not an int"):
+            line(random_tree(7, 0), v)
+
+
+def _first_bad_line(n, edges):
+    """The error for an edge list written one edge a line after the count,
+    or None for a tree: a short list fails on its last line; otherwise the
+    first edge that is out of range, a self-loop, or leaves its prefix no
+    forest (components counted from scratch) fails on its own line."""
+    if len(edges) < n - 1:
+        return f"line {len(edges) + 1}: a tree on {n} vertices needs {n - 1} edges, got {len(edges)}; tree is disconnected"
+    for i, (u, v) in enumerate(edges):
+        if not (0 <= u < n and 0 <= v < n):
+            return f"line {i + 2}: vertex id out of range on edge ({u}, {v})"
+        if u == v:
+            return f"line {i + 2}: self-loop at vertex {u}"
+        if _components(n, edges[: i + 1]) != n - i - 1:
+            if {u, v} in [set(e) for e in edges[:i]]:
+                return f"line {i + 2}: duplicate edge ({u}, {v})"
+            return f"line {i + 2}: edge ({u}, {v}) creates a cycle"
+    return None
+
+
+def _components(n, edges):
+    adj = {v: [] for v in range(n)}
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    seen, count = set(), 0
+    for s in range(n):
+        if s not in seen:
+            count += 1
+            seen.add(s)
+            stack = [s]
+            while stack:
+                for b in adj[stack.pop()]:
+                    if b not in seen:
+                        seen.add(b)
+                        stack.append(b)
+    return count
+
 
 def _prufer_tree(n_seq):
     n, seq = n_seq
@@ -306,17 +394,28 @@ class TestKeptTables:
         ids=["star6", "path6", "spider4x2", "random40"],
     )
     def test_computed_once_per_tree(self, make):
-        # The tree module walks the tree once for the weights and once for
-        # the orbits, however many callers read them.
-        t = make()
+        # The tree module walks the tree once, while checking its edges,
+        # however many callers read its tables and lines.
         with mock.patch.object(treegame.tree, "preorder", wraps=treegame.tree.preorder) as walks:
+            t = make()
             kept = _tables(t)
             css_run(t)
             assert verify_solution(t, solve_value(t))
+            game_matrix(t)
         assert all(a is b for a, b in zip(kept, _tables(t)))
-        assert walks.call_count == 2
+        assert walks.call_count == 1
         orbits = kept[2]
         assert type(orbits) is tuple and all(type(o) is tuple for o in orbits)
+
+    def test_tree_from_adjacency_lists_walks_on_first_use(self):
+        built = random_tree(40, 2)
+        with mock.patch.object(treegame.tree, "preorder", wraps=treegame.tree.preorder) as walks:
+            t = Tree(built.n, built.adj)
+            assert walks.call_count == 0
+            _tables(t)
+            css_run(t)
+            game_matrix(t)
+        assert walks.call_count == 1
 
     def test_value_command_builds_the_orbits_once(self):
         with mock.patch.object(treegame.tree, "_swap_orbits", wraps=treegame.tree._swap_orbits) as spy:
