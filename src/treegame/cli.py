@@ -227,11 +227,10 @@ def spider_cmd(legs, leg_length, k, as_float) -> None:
     """Spider safe strategy with its exact safety value and bound sandwich."""
     spec = SpiderSpec(legs, leg_length)
     t = build_spider(spec)
-    if k is None:
-        k, ggain = spider_optimal_depth(spec)
-    else:
-        ggain = guaranteed_gain(t, spider_safe_strategy(spec, k))[0]
+    k, ggain = spider_optimal_depth(spec) if k is None else (k, None)
     strat = spider_safe_strategy(spec, k)
+    if ggain is None:
+        ggain = guaranteed_gain(t, strat)[0]
     body_gain = spider_body_reply_gain(spec, k)
     value = solve_value(t).value
     sandwich_ok = ggain <= value <= leg_length

@@ -33,10 +33,11 @@ class BranchClass(Enum):
 
 @dataclass(frozen=True)
 class BranchInfo:
-    """One branch at the root: its vertex set, the up to three lowest-weight
-    vertices u, t, s (u adjacent to the root, t adjacent to u; for a thin
-    branch s must be adjacent to t), their weights, the class, and the
-    ordering criterion (zero for branches with fewer than three vertices)."""
+    """One branch at the root: its vertices in walk order (the kept walk
+    rerooted at the root), the up to three lowest-weight vertices u, t, s (u
+    adjacent to the root, t adjacent to u; for a thin branch s must be
+    adjacent to t), their weights, the class, and the ordering criterion
+    (zero for branches with fewer than three vertices)."""
 
     index: int  # smallest vertex id in the branch; used for tie-breaking
     vertices: tuple[int, ...]
@@ -193,10 +194,10 @@ def analyze_branches(t: Tree, root: int) -> list[BranchInfo]:
         branches[parent[root]] = [(lo, hi) for lo, hi, _ in runs[1:]]
     result = []
     for spans in branches.values():
-        members = sorted(chain.from_iterable(order[lo:hi] for lo, hi in spans))
+        members = list(chain.from_iterable(order[lo:hi] for lo, hi in spans))
         ranked = heapq.nsmallest(3, members, key=lambda v: (w[v], dist[v], v))
         u = ranked[0]
-        index = members[0]
+        index = min(members)
         if u not in t.adj[root]:
             raise CSSError(f"branch {index}: lowest-weight vertex {u} not adjacent to the root")
         tv = ranked[1] if len(ranked) >= 2 else None

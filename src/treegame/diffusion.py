@@ -21,7 +21,7 @@ from enum import IntEnum
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .tree import Tree, _runs, _up, _walk, distances_from
+from .tree import Tree, _runs, _up, _vertex, _walk, distances_from
 
 
 class Color(IntEnum):
@@ -59,9 +59,7 @@ class Coloring:
 def simulate_diffusion(t: Tree, x1: int, x2: int) -> Coloring:
     """Run the round-based diffusion until no vertex changes."""
     n = t.n
-    for v in (x1, x2):
-        if not (0 <= v < n):
-            raise ValueError(f"vertex {v} out of range")
+    x1, x2 = _vertex(n, x1), _vertex(n, x2)
     states = [Color.WHITE] * n
     if x1 == x2:
         states[x1] = Color.GREY
@@ -95,12 +93,10 @@ def simulate_diffusion(t: Tree, x1: int, x2: int) -> Coloring:
 def pure_gain(t: Tree, x1: int, x2: int) -> int:
     """Player 1's gain for a pure pair: the vertices strictly closer to x1.
 
-    Equals the Player-1 count of ``simulate_diffusion`` on trees; the two
-    computations are independent and cross-checked in the test suite.
+    Equals the Player-1 count of ``simulate_diffusion`` (an independent
+    computation, cross-checked in the tests); ``_vertex`` checks both starts.
     """
-    if x1 == x2:
-        if not (0 <= x1 < t.n):
-            raise ValueError(f"vertex {x1} out of range")
+    if _vertex(t.n, x1) == _vertex(t.n, x2):
         return 0
     d1 = distances_from(t, x1)
     d2 = distances_from(t, x2)
@@ -202,10 +198,7 @@ class MixedStrategy:
             raise ValueError("strategy needs at least one vertex")
         cleaned: dict[int, Fraction] = {}
         for v, p in probs.items():
-            if type(v) is not int:
-                raise ValueError(f"vertex {v!r} is not an int")
-            if not (0 <= v < n):
-                raise ValueError(f"vertex {v} out of range")
+            _vertex(n, v)
             if isinstance(p, bool):
                 raise ValueError(f"probability {p!r} at vertex {v} is a bool, not a number")
             if isinstance(p, float):

@@ -186,14 +186,23 @@ def parse_tree(text: str) -> Tree:
         raise TreeFormatError(f"line {last}: {exc}") from None
 
 
+def _vertex(n: int, v: int) -> int:
+    """The one vertex check: ``v`` if it is an ``int``, not a ``bool``, in
+    0..n-1, else ``ValueError``."""
+    if type(v) is not int:
+        raise ValueError(f"vertex {v!r} is not an int")
+    if not 0 <= v < n:
+        raise ValueError(f"vertex {v} out of range")
+    return v
+
+
 def preorder(t: Tree, root: int) -> tuple[list[int], list[int], list[int]]:
-    """Iterative depth-first walk from ``root``: (order, parent, depth), with
-    ``parent[root] = -1``. Each vertex comes after its parent and before the
-    rest of its own subtree, so every subtree is a contiguous run of
-    ``order`` and ``order[0]`` is the root."""
+    """Iterative depth-first walk from ``root``, checked by ``_vertex``:
+    (order, parent, depth), with ``parent[root] = -1``. Each vertex comes
+    after its parent and before the rest of its own subtree, so every
+    subtree is a contiguous run of ``order`` and ``order[0]`` is the root."""
     n = t.n
-    if not 0 <= root < n:
-        raise ValueError(f"vertex {root} out of range")
+    root = _vertex(n, root)
     adj = t.adj
     parent = [-1] * n
     depth = [0] * n
@@ -254,12 +263,9 @@ def _runs(t: Tree, x: int) -> list[tuple[int, int, int]]:
     ``order[lo:hi]`` of each run in turn are a preorder from x, and v in a
     run lies at depth ``depth[v] + off`` from x. The first run is x's own
     subtree; then, for each (a, c) of ``_up``, the parts of a's subtree
-    before and after c's, at offset depth[x] - 2 depth[a]. The check of x
-    here is the one vertex check of every rerooted line."""
-    if type(x) is not int:
-        raise ValueError(f"vertex {x!r} is not an int")
-    if not 0 <= x < t.n:
-        raise ValueError(f"vertex {x} out of range")
+    before and after c's, at offset depth[x] - 2 depth[a]. x is checked
+    by ``_vertex``, for every rerooted line."""
+    x = _vertex(t.n, x)
     _, _, depth, size, pos = _walk(t)
     dx = depth[x]
     runs = [(pos[x], pos[x] + size[x], -dx)]

@@ -25,14 +25,17 @@ from treegame import (
     distances_from,
     game_matrix,
     parse_tree,
+    pure_gain,
     random_tree,
+    simulate_diffusion,
     solve_value,
+    strategy_from_pairs,
     verify_solution,
     weight_table,
 )
 from treegame.cli import cli
 from treegame.diffusion import _sweep, gain_column, gain_row
-from treegame.tree import _is_automorphism
+from treegame.tree import _is_automorphism, preorder
 
 from conftest import (
     all_labeled_trees,
@@ -248,6 +251,23 @@ class TestCentroid:
             assert len(holding) == 1 and len(holding[0]) == wt.w[v]
 
 
+# Every public function that takes a vertex id, with the bad id in each
+# vertex argument; all of them check it in ``tree._vertex``.
+_VERTEX_ENTRY_POINTS = [
+    pytest.param(preorder, id="preorder"),
+    pytest.param(distances_from, id="distances_from"),
+    pytest.param(gain_row, id="gain_row"),
+    pytest.param(gain_column, id="gain_column"),
+    pytest.param(lambda t, v: simulate_diffusion(t, v, 0), id="simulate_diffusion_x1"),
+    pytest.param(lambda t, v: simulate_diffusion(t, 0, v), id="simulate_diffusion_x2"),
+    pytest.param(lambda t, v: pure_gain(t, v, 0), id="pure_gain_x1"),
+    pytest.param(lambda t, v: pure_gain(t, 0, v), id="pure_gain_x2"),
+    pytest.param(lambda t, v: pure_gain(t, v, v), id="pure_gain_same"),
+    pytest.param(lambda t, v: MixedStrategy(t.n, {v: 1}), id="MixedStrategy"),
+    pytest.param(lambda t, v: strategy_from_pairs(t.n, [[v, 1]]), id="strategy_from_pairs"),
+]
+
+
 class TestDistances:
     def test_path(self):
         assert distances_from(path_tree(5), 0) == (0, 1, 2, 3, 4)
@@ -266,20 +286,23 @@ class TestDistances:
         with pytest.raises(ValueError):
             distances_from(path_tree(3), 5)
 
-    @pytest.mark.parametrize("walk", [gain_row, gain_column, distances_from])
+    @pytest.mark.parametrize("entry", _VERTEX_ENTRY_POINTS)
     @pytest.mark.parametrize("v", [-1, 7])
-    def test_every_rooted_walk_rejects_a_vertex_out_of_range(self, walk, v):
-        # The walk's own check: -1 would index from the end and give a wrong
-        # row, and n a bare IndexError.
-        with pytest.raises(ValueError, match="out of range"):
-            walk(random_tree(7, 0), v)
+    def test_every_rooted_walk_rejects_a_vertex_out_of_range(self, entry, v):
+        # -1 would index from the end and give a wrong line, and n a bare
+        # IndexError.
+        with pytest.raises(ValueError) as exc:
+            entry(random_tree(7, 0), v)
+        assert str(exc.value) == f"vertex {v} out of range"
 
-    @pytest.mark.parametrize("line", [gain_row, gain_column])
-    @pytest.mark.parametrize("v", [True, False, 1.0, "1", None])
-    def test_rerooted_lines_reject_a_vertex_that_is_not_an_int(self, line, v):
-        # True would read vertex 1's line, and 1.0 fail on a bare TypeError.
-        with pytest.raises(ValueError, match="is not an int"):
-            line(random_tree(7, 0), v)
+    @pytest.mark.parametrize("entry", _VERTEX_ENTRY_POINTS)
+    @pytest.mark.parametrize("v", [True, False, 1.0, 1.5, "1", None])
+    def test_rerooted_lines_reject_a_vertex_that_is_not_an_int(self, entry, v):
+        # True would read vertex 1, 1.0 fail on a bare TypeError, and a
+        # pure pair of equal non-vertices gain 0.
+        with pytest.raises(ValueError) as exc:
+            entry(random_tree(7, 0), v)
+        assert str(exc.value) == f"vertex {v!r} is not an int"
 
 
 def _first_bad_line(n, edges):
