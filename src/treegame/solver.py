@@ -6,16 +6,20 @@ w = Y / v subject to A w <= 1 gives v = 1 / sum(w), the optimal opposing mix
 Y = v * w, and the dual prices of the constraints scale to the maxmin mix X.
 Because diffusion matrices are non-negative with a positive entry in every
 column (any neighbour of a vertex gains at least itself), the LP is bounded
-and no offset shift is required. A matrix with an all-zero column is
-shifted by +1; of the subgames the support-generation loop solves, only the
-one-vertex tree's 1 x 1 zero subgame has one.
+and no offset shift is required. ``solve_matrix_game`` shifts a matrix with
+an all-zero column by +1. Of the subgames the support-generation loop
+solves, only the one-vertex tree's 1 x 1 zero subgame has one; the tableau
+keeps such a column out of the LP and reads value 0 from it.
 
 Everything is exact and, inside the solver, integer: the simplex tableau
 and each round's mixes are integer numerators over one denominator, and
-``Fraction``s are built only where values leave the solver. The simplex
-uses a most-improving entering rule for speed but switches permanently to
-Bland's anti-cycling rule after a fixed number of pivots, which guarantees
-termination.
+``Fraction``s are built only where values leave the solver. One
+fraction-free tableau serves a whole ``solve_value`` call: each round adds
+its new columns and runs primal pivots, then adds its new rows and runs
+dual pivots, so it starts from the last round's basis, not from the slack
+basis. Primal and dual pivots follow Bland's anti-cycling rule, which
+guarantees termination. ``solve_matrix_game`` is one round of the same
+tableau.
 
 The n x n gain matrix is never built. A support-generation loop (the
 double-oracle method) solves exact subgames on growing candidate supports
@@ -29,12 +33,14 @@ each checked against the tree's adjacency. A zero-sum game invariant under
 a permutation group has optimal mixes that are constant on its orbits, so a
 candidate support is a set of orbits and the subgame has one row and one
 column per orbit: its entry for orbits (i, j) is the gain of one member of
-orbit i against the mix spread evenly over orbit j, scaled by the lcm L of
-the column orbits' sizes to stay an integer (the subgame value is divided
-by L). A tree with no symmetry has single-vertex orbits and the vertex
-subgames. Supports are seeded with the orbits of the centroid and its
-neighbours, and every vertex that improves on the subgame value adds its
-whole orbit.
+orbit i against the mix spread evenly over orbit j, S_ij / |O_j|, with S_ij
+that member's row summed over O_j. The LP keeps S in integers and weights
+column j by |O_j| instead: maximizing sum_j |O_j| u_j subject to S u <= 1
+has the same value v = 1 / sum_j |O_j| u_j, with the opposing mix
+v |O_j| u_j and the maxmin mix the normalized dual prices. A tree with no
+symmetry has single-vertex orbits and the vertex subgames. Supports are
+seeded with the orbits of the centroid and its neighbours, and every
+vertex that improves on the subgame value adds its whole orbit.
 
 The weak-duality certificate (worst reply against X equals the best start
 against Y equals the subgame value) holds at all n pure replies and starts,
@@ -56,14 +62,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from .diffusion import MixedStrategy, _sweep, gain_column, gain_row
 from .tree import Tree, automorphism_orbits, centroid
-
-_BLAND_AFTER = 200
 
 
 class SolverError(RuntimeError):
@@ -83,85 +87,181 @@ def _exact_div_row(num: list[int], den: int) -> list[int]:
     return q
 
 
-def _simplex_max(
-    a_rows: Sequence[Sequence[int]],
-    b: Sequence[int],
-    c: Sequence[int],
-) -> tuple[list[int], list[int], int]:
-    """Maximize c.x subject to A x <= b, x >= 0, with integer data (which
-    ``solve_matrix_game``, the only caller, checks) and b >= 0.
+def _eliminate(row: list[int], k: int, prow: list[int], piv: int, den: int) -> list[int]:
+    """One fraction-free pivot step on ``row``: (row * piv - row[k] * prow) / den."""
+    f = row[k]
+    if f:
+        return _exact_div_row([a * piv - f * b for a, b in zip(row, prow)], den)
+    return _exact_div_row([a * piv for a in row], den)
 
-    Returns (x, duals, den): the optimal point and the dual prices as
-    integer numerators over one positive denominator. The slack basis is
-    feasible because b >= 0, so no phase-1 is needed.
 
-    The tableau is kept fraction-free: an integer matrix M and a positive
-    denominator d represent the true tableau M / d. A pivot on (r, c) maps
-    every other row i to (M[i][j] * M[r][c] - M[i][c] * M[r][j]) / d, which
-    is an exact integer division (entries stay minors of the original
-    system), leaves row r unchanged, and sets d to M[r][c]. Row m is the
-    objective, with right-hand side 0. All sign tests against M are valid
-    because d > 0 throughout, and so is the ratio test, which compares
-    b_i / a_i by cross-multiplying, ties going to the smaller basis index.
-    Verifies the primal and dual objectives agree exactly before returning.
+class _Tableau:
+    """The LP of a game with non-negative integer entries S[i][j] and
+    positive integer column weights c[j], kept as one simplex tableau while
+    rows and columns arrive:
+
+        maximize sum_j c[j] u[j]  subject to  sum_j S[i][j] u[j] <= 1, u >= 0.
+
+    ``entry(i, j)`` and ``weight(j)`` give S and c for row and column keys;
+    each entry is asked for once. The tableau is fraction-free: integer rows
+    over one denominator d > 0, each row its right-hand side and then one
+    entry per tableau column in the order the columns arrived; ``z`` is the
+    objective row, -d times the objective and then d times each reduced
+    cost (positive means improving). A pivot maps every other row to
+    (row * piv - row[k] * prow) / d, an exact division (entries stay minors
+    of the original system); a negative pivot, which only dual pivots make,
+    negates the new tableau so that d stays positive. Primal and dual pivots
+    follow Bland's rule, which cannot cycle.
+
+    A new column's entries are d B^-1 a, read from the slack block, and its
+    reduced cost is d c[j] plus the objective row's slack part times a: the
+    basis stays primal feasible. A new row is d times the row minus each
+    basic column's coefficient times that column's row, with its slack
+    basic: the basis stays dual feasible. A column that is zero in every
+    row so far (the game's value is 0 then) waits outside the tableau until
+    a row gives it a positive entry.
     """
-    m = len(a_rows)
-    nv = len(c)
-    ncols = m + nv
-    rows: list[list[int]] = []
-    for i in range(m):
-        row = list(a_rows[i])
-        row.extend(1 if j == i else 0 for j in range(m))
-        row.append(b[i])
-        rows.append(row)
-    rows.append(list(c) + [0] * (m + 1))  # the objective, row m, right-hand side 0
-    basis = [nv + i for i in range(m)]
-    den = 1
 
-    pivots = 0
-    while True:
-        z = rows[m]
-        if pivots < _BLAND_AFTER:
-            enter = -1
-            best_rc = 0
-            for j in range(ncols):
-                if z[j] > best_rc:
-                    best_rc = z[j]
-                    enter = j
-        else:
-            enter = next((j for j in range(ncols) if z[j] > 0), -1)
-        if enter < 0:
-            break
-        leave = piv = -1
-        for i in range(m):
-            coef = rows[i][enter]
-            if coef > 0 and (
-                leave < 0 or (rows[i][ncols] * piv, basis[i]) < (rows[leave][ncols] * coef, basis[leave])
-            ):
-                leave, piv = i, coef
-        if leave < 0:
-            raise SolverError("linear program is unbounded")
-        prow = rows[leave]
-        for i in range(m + 1):
-            if i != leave:
-                ri = rows[i]
-                f = ri[enter]
-                if f:
-                    rows[i] = _exact_div_row([a * piv - f * b for a, b in zip(ri, prow)], den)
-                else:
-                    rows[i] = _exact_div_row([a * piv for a in ri], den)
-        basis[leave] = enter
-        den = piv
-        pivots += 1
+    def __init__(self, entry: Callable[[int, int], int], weight: Callable[[int], int]):
+        self.entry = entry
+        self.weight = weight
+        self.d = 1
+        self.rows: list[list[int]] = []
+        self.z = [0]
+        self.basis: list[int] = []  # the tableau column basic in each row
+        self.slack: list[int] = []  # the tableau column of each row's slack
+        self.var = [-1]  # per tableau column: its column's position, or -1 (slack, right-hand side)
+        self.row_keys: list[int] = []
+        self.col_keys: list[int] = []
+        self.cols: list[list[int]] = []  # per column position: S down the rows so far
+        self.c: list[int] = []
+        self.parked: list[int] = []  # positions of the columns that are zero in every row so far
+        self.primal_pivots = self.dual_pivots = 0
 
-    x = [0] * nv
-    for i in range(m):
-        if basis[i] < nv:
-            x[basis[i]] = rows[i][ncols]
-    duals = [-rows[m][nv + i] for i in range(m)]
-    if sum(cj * xj for cj, xj in zip(c, x)) != sum(yi * bi for yi, bi in zip(duals, b)):
-        raise SolverError("primal and dual objectives disagree")
-    return x, duals, den
+    def grow(self, rows: Iterable[int], cols: Iterable[int]) -> None:
+        """Add the rows and columns with these keys, and pivot to an optimum:
+        the new columns and primal pivots first, then the new rows and dual
+        pivots, then the waiting columns that a new row made non-zero."""
+        for key in cols:
+            self.col_keys.append(key)
+            self.cols.append([self.entry(i, key) for i in self.row_keys])
+            self.c.append(self.weight(key))
+            self.parked.append(len(self.cols) - 1)
+        self._enter_columns()
+        self._primal()
+        for key in rows:
+            self._add_row(key)
+        self._dual()
+        self._enter_columns()
+        self._primal()
+
+    def _enter_columns(self) -> None:
+        parked = self.parked
+        self.parked = []
+        d, z = self.d, self.z
+        for j in parked:
+            a = [(s, x) for s, x in zip(self.slack, self.cols[j]) if x]
+            if not a:
+                self.parked.append(j)
+                continue
+            for row in self.rows:
+                row.append(sum(x * row[s] for s, x in a))
+            z.append(d * self.c[j] + sum(x * z[s] for s, x in a))
+            self.var.append(j)
+
+    def _add_row(self, key: int) -> None:
+        d, var = self.d, self.var
+        r = [self.entry(key, j) for j in self.col_keys]
+        for col, x in zip(self.cols, r):
+            col.append(x)
+        new = [d] + [d * r[j] if j >= 0 else 0 for j in var[1:]]
+        for row, b in zip(self.rows, self.basis):
+            f = r[var[b]] if var[b] >= 0 else 0
+            if f:
+                new = [a - f * e for a, e in zip(new, row)]
+        for row in self.rows:
+            row.append(0)
+        self.z.append(0)
+        new.append(d)
+        self.rows.append(new)
+        self.basis.append(len(new) - 1)
+        self.slack.append(len(new) - 1)
+        self.var.append(-1)
+        self.row_keys.append(key)
+
+    def _pivot(self, r: int, k: int) -> None:
+        prow = self.rows[r]
+        piv = prow[k]
+        if piv < 0:
+            prow = [-a for a in prow]
+            piv = -piv
+        d = self.d
+        self.rows = [prow if i == r else _eliminate(row, k, prow, piv, d) for i, row in enumerate(self.rows)]
+        self.z = _eliminate(self.z, k, prow, piv, d)
+        self.basis[r] = k
+        self.d = piv
+
+    def _primal(self) -> None:
+        while True:
+            z = self.z
+            k = next((j for j in range(1, len(z)) if z[j] > 0), 0)
+            if not k:
+                return
+            # The ratio test compares b_i / a_i by cross-multiplying, ties
+            # going to the smaller basic column.
+            leave = piv = -1
+            for i, row in enumerate(self.rows):
+                a = row[k]
+                if a > 0 and (
+                    leave < 0 or (row[0] * piv, self.basis[i]) < (self.rows[leave][0] * a, self.basis[leave])
+                ):
+                    leave, piv = i, a
+            if leave < 0:
+                raise SolverError("linear program is unbounded")
+            self._pivot(leave, k)
+            self.primal_pivots += 1
+
+    def _dual(self) -> None:
+        while True:
+            rows, z = self.rows, self.z
+            r = min((i for i, row in enumerate(rows) if row[0] < 0), key=self.basis.__getitem__, default=-1)
+            if r < 0:
+                return
+            # Entering: the smallest z_k / a_k over a_k < 0 (every z_k <= 0),
+            # compared by cross-multiplying, ties going to the smaller column.
+            prow = rows[r]
+            k = 0
+            for j in range(1, len(prow)):
+                a = prow[j]
+                if a < 0 and (not k or z[j] * prow[k] < z[k] * a):
+                    k = j
+            if not k:
+                raise SolverError("linear program is infeasible")
+            self._pivot(r, k)
+            self.dual_pivots += 1
+
+    def solution(self) -> tuple[int, int, list[int], list[int]]:
+        """``(vn, mass, x, y)``: the game's value vn / mass, and its mixes as
+        integer weights over mass, aligned with ``row_keys`` and
+        ``col_keys``. At the optimum, v = 1 / sum_j c[j] u[j], the column
+        mix is v c[j] u[j] and the row mix is the dual prices, normalized;
+        a waiting zero column gives value 0 with both mixes pure. Checks
+        that the primal and dual objectives agree exactly."""
+        if self.parked:
+            j = self.parked[0]
+            return 0, 1, [1] + [0] * (len(self.row_keys) - 1), [int(i == j) for i in range(len(self.cols))]
+        u = [0] * len(self.cols)
+        for row, b in zip(self.rows, self.basis):
+            if self.var[b] >= 0:
+                u[self.var[b]] = row[0]
+        y = [c * a for c, a in zip(self.c, u)]
+        x = [-self.z[s] for s in self.slack]
+        mass = sum(y)
+        if sum(x) != mass:
+            raise SolverError("primal and dual objectives disagree")
+        if mass <= 0:
+            raise SolverError("degenerate game LP: zero optimal mass")
+        return self.d, mass, x, y
 
 
 def solve_matrix_game(
@@ -173,11 +273,9 @@ def solve_matrix_game(
     Raises ``ValueError`` unless the matrix is non-empty and rectangular,
     with at least one column, and every entry is a non-negative ``int``
     (not a ``bool``). A +1 shift is applied only when some column is all
-    zero, which would make the scaled LP unbounded; the shift moves the
-    value, not the strategies. The LP's point w and duals come back as
-    integer numerators over one denominator d, and mass = sum(w) equals the
-    sum of the duals, so the value is d / mass and each mix entry is one
-    numerator over mass.
+    zero; the shift moves the value, not the strategies. The game is one
+    round of the tableau that ``solve_value`` grows, with every column of
+    weight 1.
     """
     k = len(matrix[0]) if matrix else 0
     if k < 1 or any(len(r) != k for r in matrix):
@@ -185,12 +283,24 @@ def solve_matrix_game(
     if any(type(a) is not int or a < 0 for r in matrix for a in r):
         raise ValueError("game matrix entries must be non-negative ints")
     shift = 0 if all(any(r[j] for r in matrix) for j in range(k)) else 1
-    rows = [[a + shift for a in r] for r in matrix]
-    w, duals, den = _simplex_max(rows, [1] * len(rows), [1] * k)
-    mass = sum(w)
-    if mass <= 0:
-        raise SolverError("degenerate game LP: zero optimal mass")
-    return Fraction(den, mass) - shift, [Fraction(u, mass) for u in duals], [Fraction(a, mass) for a in w]
+    lp = _Tableau(lambda i, j: matrix[i][j] + shift, lambda j: 1)
+    lp.grow(range(len(matrix)), range(k))
+    vn, mass, x, y = lp.solution()
+    return Fraction(vn, mass) - shift, [Fraction(a, mass) for a in x], [Fraction(a, mass) for a in y]
+
+
+@dataclass(frozen=True)
+class SolveStats:
+    """What one ``solve_value`` call did, as counts: its support-generation
+    rounds, its primal and dual simplex pivots, its final subgame's orbit
+    rows and columns, and the gain rows and columns it read."""
+
+    rounds: int
+    primal_pivots: int
+    dual_pivots: int
+    rows: int
+    columns: int
+    lines: int
 
 
 @dataclass(frozen=True)
@@ -200,7 +310,8 @@ class ZeroSumSolution:
     ``primal_value`` is the gain of the maxmin mix against its worst pure
     reply and ``dual_value`` the gain of the best pure start against the
     minmax mix, each over all n vertices. Optimality is certified by
-    primal_value == value == dual_value.
+    primal_value == value == dual_value. ``stats`` counts the work done and
+    takes no part in comparisons.
     """
 
     value: Fraction
@@ -208,24 +319,26 @@ class ZeroSumSolution:
     minmax: MixedStrategy
     primal_value: Fraction
     dual_value: Fraction
+    stats: SolveStats = field(compare=False, repr=False)
 
 
 def _spread(
-    orbits: Sequence[tuple[int, ...]], support: list[int], mass: list[Fraction]
+    orbits: Sequence[tuple[int, ...]], keys: list[int], mix: list[int], den: int
 ) -> tuple[dict[int, int], int]:
-    """The vertex mix that spreads each support orbit's mass evenly over its
-    members, as integer weights over one denominator: ``(weights, den)``
-    with probability ``weights[v] / den`` at each vertex v."""
-    parts = [(orbits[k], p.numerator, p.denominator * len(orbits[k])) for k, p in zip(support, mass) if p]
-    den = math.lcm(*(d for _, _, d in parts))
-    return {v: a * (den // d) for o, a, d in parts for v in o}, den
+    """The vertex mix that spreads orbit ``keys[i]``'s mass ``mix[i] / den``
+    evenly over its members, as integer weights over one denominator:
+    ``(weights, den')`` with probability ``weights[v] / den'`` at each
+    vertex v."""
+    parts = [(orbits[k], a) for k, a in zip(keys, mix) if a]
+    lcm = math.lcm(*(len(o) for o, _ in parts))
+    return {v: a * (lcm // len(o)) for o, a in parts for v in o}, den * lcm
 
 
 def _admit(support: list[int], movers: list[int], orbit_of: list[int], budget: int) -> list[int]:
-    """``support`` grown by the first ``budget`` orbits, in mover order, of
-    the improving vertices ``movers`` that it does not hold yet."""
-    new = [k for k in dict.fromkeys(orbit_of[v] for v in movers) if k not in support]
-    return sorted(support + new[:budget])
+    """The first ``budget`` orbits, in mover order, of the improving vertices
+    ``movers`` that ``support`` does not hold yet."""
+    held = set(support)
+    return [k for k in dict.fromkeys(orbit_of[v] for v in movers) if k not in held][:budget]
 
 
 def solve_value(t: Tree) -> ZeroSumSolution:
@@ -234,9 +347,9 @@ def solve_value(t: Tree) -> ZeroSumSolution:
 
     Support generation runs over the automorphism orbits, seeded with the
     orbits of the centroid and its neighbours, both mixes are constant on
-    orbits, and the sweeps use the same orbits. A one-vertex tree goes
-    through the same loop: its only subgame is 1 x 1 and zero, so the value
-    is 0 with both mixes pure.
+    orbits, and the sweeps use the same orbits. One tableau is grown from
+    round to round. A one-vertex tree goes through the same loop: its only
+    subgame is 1 x 1 and zero, so the value is 0 with both mixes pure.
     """
     n = t.n
     row = functools.cache(functools.partial(gain_row, t))
@@ -248,51 +361,48 @@ def solve_value(t: Tree) -> ZeroSumSolution:
     for k, members in enumerate(orbits):
         for v in members:
             orbit_of[v] = k
-    sx = sorted({orbit_of[v] for v in (info.root, *t.adj[info.root])})
-    sy = list(sx)
+    # Every member of O_i gains the same against the mix spread evenly over
+    # O_j (an automorphism maps one member to another and O_j onto itself),
+    # so one member's row sum over O_j is S_ij, and column j weighs |O_j|.
+    lp = _Tableau(lambda i, j: sum(map(row(orbits[i][0]).__getitem__, orbits[j])), lambda j: len(orbits[j]))
+    new_x = sorted({orbit_of[v] for v in (info.root, *t.adj[info.root])})
+    new_y = list(new_x)
     # The number of best-response orbits admitted per side doubles every
     # round, so games whose optima need nearly full support converge in
     # O(log n) rounds while small-support games keep their subgames tiny.
     budget = 2
-    for _ in range(2 * n + 4):
-        # Against a mix spread evenly over orbit O_j, every member of orbit
-        # O_i gains the same sum over O_j (an automorphism maps one member to
-        # another and O_j onto itself), so one representative row per orbit
-        # gives the orbit game. Entries are scaled by the lcm of the column
-        # orbit sizes to stay integers.
-        scale = math.lcm(*(len(orbits[j]) for j in sy))
-        sub = [
-            [sum(r[b] for b in orbits[j]) * (scale // len(orbits[j])) for j in sy]
-            for r in (row(orbits[i][0]) for i in sx)
-        ]
-        v, xr, yr = solve_matrix_game(sub)
-        v /= scale
-        x = _spread(orbits, sx, xr)
-        y = _spread(orbits, sy, yr)
-        # Entry i of a sweep is g[i] / d and v = vn / vd with d, vd > 0, so
-        # g[i] / d against v compares as g[i] * vd against vn * d. The sweeps
-        # cover all n vertices.
+    for rounds in range(1, 2 * n + 5):
+        lp.grow(new_x, new_y)
+        vn, vd, xm, ym = lp.solution()
+        x = _spread(orbits, lp.row_keys, xm, vd)
+        y = _spread(orbits, lp.col_keys, ym, vd)
+        # Entry i of a sweep is g[i] / d and the value is vn / vd with d,
+        # vd > 0, so g[i] / d against it compares as g[i] * vd against
+        # vn * d. The sweeps cover all n vertices.
         g1, d1 = _sweep(n, y, col, sym)
         g2, d2 = _sweep(n, x, row, sym)
-        vn, vd = v.numerator, v.denominator
         v1, v2 = vn * d1, vn * d2
         b1 = max(g1) * vd
         b2 = min(g2) * vd
         if b1 == v1 and b2 == v2:
             maxmin, minmax = (MixedStrategy(n, {u: Fraction(a, d) for u, a in w.items()}) for w, d in (x, y))
-            return ZeroSumSolution(v, maxmin, minmax, Fraction(min(g2), d2), Fraction(max(g1), d1))
-        size = len(sx) + len(sy)
+            lines = row.cache_info().currsize + col.cache_info().currsize
+            stats = SolveStats(rounds, lp.primal_pivots, lp.dual_pivots, len(lp.row_keys), len(lp.col_keys), lines)
+            return ZeroSumSolution(
+                Fraction(vn, vd), maxmin, minmax, Fraction(min(g2), d2), Fraction(max(g1), d1), stats
+            )
+        new_x = new_y = []
         if b1 > v1:
             movers = sorted((i for i in range(n) if g1[i] * vd > v1), key=lambda i: (-g1[i], i))
-            sx = _admit(sx, movers, orbit_of, budget)
+            new_x = _admit(lp.row_keys, movers, orbit_of, budget)
         if b2 < v2:
             movers = sorted((j for j in range(n) if g2[j] * vd < v2), key=lambda j: (g2[j], j))
-            sy = _admit(sy, movers, orbit_of, budget)
+            new_y = _admit(lp.col_keys, movers, orbit_of, budget)
         # An invariant check, not a reachable exit: over the orbits of any
         # group of checked automorphisms, which fixes both mixes, no member
         # of a support orbit improves on the subgame value. So improving
         # vertices lie outside the supports, and every round admits one.
-        if len(sx) + len(sy) == size:
+        if not new_x and not new_y:
             raise SolverError("support generation stalled: no improving vertex outside the supports")
         budget *= 2
     raise SolverError("support generation did not converge")

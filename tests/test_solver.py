@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -21,13 +22,38 @@ from treegame import (
     maximal_gain,
     guaranteed_gain,
     random_tree,
+    sample_centroidal,
     solve_matrix_game,
     solve_value,
     verify_solution,
 )
-from treegame.solver import _BLAND_AFTER, _exact_div_row
+from treegame.solver import _exact_div_row, _Tableau
 
 from conftest import dense_certificate_holds, dense_value, path_tree, proposing, simulation_matrix, star_tree
+
+
+def _assert_weak_duality(a, weights, value, x, y):
+    """x and y are mixes whose worst reply and best start both equal
+    ``value`` in the game with entries a[i][j] / weights[j]."""
+    assert sum(x) == sum(y) == 1 and min(x) >= 0 and min(y) >= 0
+    rows, cols = range(len(a)), range(len(a[0]))
+    worst_reply = min(sum(x[i] * a[i][j] for i in rows) / weights[j] for j in cols)
+    best_start = max(sum(Fraction(a[i][j], weights[j]) * y[j] for j in cols) for i in rows)
+    assert worst_reply == value == best_start
+
+
+def _check_tableau(lp, a, weights):
+    """The grown tableau's solution is the game on the revealed part of
+    ``a`` with column weights ``weights``: the same value as a one-shot
+    solve of that game, scaled to integers, and mixes that certify it."""
+    sub = [[a[i][j] for j in lp.col_keys] for i in lp.row_keys]
+    w = [weights[j] for j in lp.col_keys]
+    vn, vd, x, y = lp.solution()
+    value = Fraction(vn, vd)
+    lcm = math.lcm(*w)
+    scaled = [[e * (lcm // c) for e, c in zip(r, w)] for r in sub]
+    assert value == solve_matrix_game(scaled)[0] / lcm == dense_value(None, scaled) / lcm
+    _assert_weak_duality(sub, w, value, [Fraction(e, vd) for e in x], [Fraction(e, vd) for e in y])
 
 
 class TestMatrixGame:
@@ -53,6 +79,82 @@ class TestMatrixGame:
     def test_malformed_matrix_raises(self, matrix):
         with pytest.raises(ValueError, match="game matrix"):
             solve_matrix_game(matrix)
+
+
+# Small alphabets give ties in both ratio tests; {0, 1} and repeated rows
+# give degenerate games and columns that are zero for a while.
+_ALPHABETS = [(0, 1), (0, 1, 1, 2), (0, 2, 2, 2, 5), tuple(range(60))]
+
+
+@st.composite
+def _reveals(draw):
+    """A non-negative int matrix, column weights, and the order in which a
+    tableau is grown over it: a batch of rows and columns per step, after a
+    first step of row 0 and column 0."""
+    alphabet = draw(st.sampled_from(_ALPHABETS))
+    m, k = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    a = []
+    for _ in range(m):
+        if a and draw(st.booleans()):
+            a.append(list(draw(st.sampled_from(a))))
+        else:
+            a.append(draw(st.lists(st.sampled_from(alphabet), min_size=k, max_size=k)))
+    weights = draw(st.lists(st.sampled_from((1, 1, 2, 3)), min_size=k, max_size=k))
+    lines = draw(st.permutations([(0, i) for i in range(1, m)] + [(1, j) for j in range(1, k)]))
+    steps = [[(0, 0), (1, 0)]]
+    for line in lines:
+        if draw(st.booleans()):
+            steps.append([])
+        steps[-1].append(line)
+    return a, weights, steps
+
+
+class TestWarmTableau:
+    """One tableau grown row by row and column by column must agree, after
+    every step, with a one-shot solve of the part revealed so far."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_reveals())
+    def test_every_step_matches_one_shot(self, case):
+        a, weights, steps = case
+        lp = _Tableau(lambda i, j: a[i][j], weights.__getitem__)
+        for step in steps:
+            cols = [key for side, key in step if side == 1]
+            primal, waiting = lp.primal_pivots, bool(lp.parked)
+            lp.grow([key for side, key in step if side == 0], cols)
+            _check_tableau(lp, a, weights)
+            # Dual pivots keep the tableau dual feasible, so new rows alone
+            # need no primal pivot unless a waiting column enters.
+            if not cols and not waiting:
+                assert lp.primal_pivots == primal
+
+    def test_new_row_cuts_off_the_optimum(self):
+        # Against [2] the LP's optimum is u = 1/2; the row [4] makes it
+        # infeasible, so a dual pivot moves to u = 1/4.
+        a = [[2], [4]]
+        lp = _Tableau(lambda i, j: a[i][j], lambda j: 1)
+        lp.grow([0], [0])
+        assert (lp.primal_pivots, lp.dual_pivots) == (1, 0)
+        lp.grow([1], [])
+        assert (lp.primal_pivots, lp.dual_pivots) == (1, 1)
+        _check_tableau(lp, a, [1])
+        assert lp.solution()[:2] == (4, 1)
+
+    def test_zero_column_waits_for_a_positive_row(self):
+        a = [[0, 3], [2, 1]]
+        lp = _Tableau(lambda i, j: a[i][j], lambda j: 1)
+        lp.grow([0], [0, 1])
+        assert lp.solution() == (0, 1, [1], [1, 0])
+        _check_tableau(lp, a, [1, 1])
+        lp.grow([1], [])
+        assert not lp.parked
+        _check_tableau(lp, a, [1, 1])
+
+    def test_dual_pivots_on_a_tree(self):
+        # Rounds on this tree add rows that cut off the last optimum.
+        sol = solve_value(sample_centroidal(100, 7))
+        assert sol.stats.rounds > 1 and sol.stats.dual_pivots > 0
+        assert sol.primal_value == sol.value == sol.dual_value
 
 
 class TestExactDivRow:
@@ -84,8 +186,18 @@ class TestExactDivRow:
 
 class TestSolveValue:
     def test_single_vertex_trivial(self):
+        # One round of the loop, on the 1 x 1 zero subgame: no early return.
         sol = solve_value(path_tree(1))
-        assert sol.value == 0
+        assert sol.value == sol.primal_value == sol.dual_value == 0
+        assert sol.maxmin == sol.minmax == MixedStrategy.pure(1, 0)
+        assert (sol.stats.rounds, sol.stats.rows, sol.stats.columns) == (1, 1, 1)
+
+    def test_stats_take_no_part_in_comparison(self):
+        t = random_tree(30, 4)
+        sol = solve_value(t)
+        other = dataclasses.replace(sol, stats=dataclasses.replace(sol.stats, rounds=0))
+        assert other == sol and "stats" not in repr(sol)
+        assert verify_solution(t, other)
 
     def test_edge_value_half(self):
         sol = solve_value(path_tree(2))
@@ -153,17 +265,15 @@ class TestSolveValue:
         assert sol.primal_value == sol.dual_value == sol.value
 
     @pytest.mark.parametrize(
-        "seed, bland_after",
-        [pytest.param(s, b, id=f"bland-{s}" if b == 0 else str(s)) for b in (_BLAND_AFTER, 0) for s in range(12)],
+        "seed, warm", [pytest.param(s, w, id=f"warm-{s}" if w else str(s)) for w in (False, True) for s in range(12)]
     )
-    def test_arbitrary_nonnegative_matrices(self, monkeypatch, seed, bland_after):
+    def test_arbitrary_nonnegative_matrices(self, seed, warm):
         # The matrix-game solver is not tied to diffusion matrices: any
         # non-negative matrix must come back with mixes whose worst reply and
-        # best start meet at the value exactly, under the most-improving
-        # entering rule and under Bland's rule from the first pivot. Entries
-        # from {0, 1, 1, 2, 5} give rectangular games with many ratio-test
-        # ties (every right-hand side is 1).
-        monkeypatch.setattr(treegame.solver, "_BLAND_AFTER", bland_after)
+        # best start meet at the value exactly, solved in one round or grown
+        # one row or column at a time (``warm``), checked after every step.
+        # Entries from {0, 1, 1, 2, 5} give rectangular games with many
+        # ratio-test ties (every right-hand side is 1).
         rng = random.Random(seed)
         n = rng.randrange(2, 15)
         games = [[[0 if i == j else rng.randrange(0, 21) for j in range(n)] for i in range(n)]]
@@ -171,12 +281,18 @@ class TestSolveValue:
             m, k = rng.randrange(1, 9), rng.randrange(1, 9)
             games.append([[rng.choice((0, 1, 1, 2, 5)) for _ in range(k)] for _ in range(m)])
         for a in games:
-            value, x, y = solve_matrix_game(a)
-            assert sum(x) == sum(y) == 1 and min(x) >= 0 and min(y) >= 0
-            rows, cols = range(len(a)), range(len(a[0]))
-            worst_reply = min(sum(x[i] * a[i][j] for i in rows) for j in cols)
-            best_start = max(sum(a[i][j] * y[j] for j in cols) for i in rows)
-            assert worst_reply == value == best_start
+            if not warm:
+                value, x, y = solve_matrix_game(a)
+                _assert_weak_duality(a, [1] * len(a[0]), value, x, y)
+                continue
+            lines = [(0, i) for i in range(1, len(a))] + [(1, j) for j in range(1, len(a[0]))]
+            rng.shuffle(lines)
+            lp = _Tableau(lambda i, j: a[i][j], lambda j: 1)
+            lp.grow([0], [0])
+            _check_tableau(lp, a, [1] * len(a[0]))
+            for side, key in lines:
+                lp.grow([key] * (1 - side), [key] * side)
+                _check_tableau(lp, a, [1] * len(a[0]))
 
     @pytest.mark.parametrize(
         "t",
@@ -417,5 +533,6 @@ def test_full_support_games_read_one_line_per_orbit(monkeypatch, t):
 
     monkeypatch.setattr(treegame.diffusion, "_cut_gains", counting)
     sol = solve_value(t)
+    assert sol.stats.lines == len(lines)
     assert verify_solution(t, sol)
     assert len(lines) <= 20
