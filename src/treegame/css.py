@@ -15,7 +15,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import chain
 
-from .diffusion import MixedStrategy, _check_dims, _sweep, gain_row
+from .diffusion import MixedStrategy, _check_dims, _packing, _sweep, gain_row
 from .tree import Tree, _runs, _walk, centroid, weight_table
 
 
@@ -287,7 +287,7 @@ def css_run(t: Tree, strict_centroidal: bool = False) -> CSSResult:
     if sum(probs.values()) != 1:
         raise CSSError("probability ledger does not sum to 1")
     strategy = MixedStrategy(n, probs)
-    acc, den = _sweep(n, strategy.weights(), lambda v: gain_row(t, v))
+    acc, den = _sweep(n, strategy.weights(), _packing(lambda v: gain_row(t, v)))
     return CSSResult(
         strategy=strategy,
         root=root,

@@ -10,15 +10,22 @@ All gains are exact: integers for pure strategy pairs, ``Fraction`` for
 mixed strategies, whose probabilities are exact rationals (floats are
 rejected; decimals are produced only when rendering). The mixed-strategy
 sweeps sum integer numerators over the mix's common denominator and build a
-``Fraction`` only for a value they return.
+``Fraction`` only for a value they return. A sweep packs each gain line into
+one int, a fixed-width field of whole 64-bit words per vertex, wide enough
+that no field's sum carries into the next, so a weighted sum of lines is a
+few exact big-int multiply-adds (``_sweep``).
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
+from itertools import repeat
+from operator import add, lshift
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .tree import Tree, _runs, _up, _vertex, _walk, distances_from
@@ -292,10 +299,46 @@ def gain(t: Tree, x: MixedStrategy, y: MixedStrategy):
     return total
 
 
+def _field_words(n: int, den: int) -> int:
+    """The 64-bit words per field of a packed sweep over ``n`` entries whose
+    weights sum to ``den``: the fewest that hold ``n * den``, which exceeds
+    every entry of the sum (gains are at most n - 1)."""
+    return -(-(n * den).bit_length() // 64)
+
+
+def _pack(line: Sequence[int], words: int) -> int:
+    """A gain line as one int: entry i in field i, the ``words`` 64-bit words
+    from bit 64 * words * i up, the entry in the lowest."""
+    packed = array("Q", line)
+    if words > 1:
+        wide = array("Q", [0]) * (words * len(packed))
+        wide[::words] = packed
+        packed = wide
+    if sys.byteorder == "big":
+        packed.byteswap()
+    return int.from_bytes(packed, "little")
+
+
+def _unpack(total: int, n: int, words: int) -> list[int]:
+    """The ``n`` fields of a packed sum, each joined from its words."""
+    fields = array("Q", total.to_bytes(8 * words * n, "little"))
+    if sys.byteorder == "big":
+        fields.byteswap()
+    acc = fields[words - 1 :: words].tolist()
+    for k in range(words - 2, -1, -1):
+        acc = list(map(add, map(lshift, acc, repeat(64, n)), fields[k::words]))
+    return acc
+
+
+def _packing(line: Callable[[int], Sequence[int]]) -> Callable[[int, int], int]:
+    """The packed-line reader (``_sweep``'s ``line``) of a list-line reader."""
+    return lambda v, words: _pack(line(v), words)
+
+
 def _sweep(
-    n: int, mix: tuple[dict[int, int], int], line: Callable[[int], Sequence[int]], orbits: Sequence[Sequence[int]] = ()
+    n: int, mix: tuple[dict[int, int], int], line: Callable[[int, int], int], orbits: Sequence[Sequence[int]] = ()
 ) -> tuple[list[int], int]:
-    """The mix-weighted sum of ``line(v)`` over the support vertices v, as
+    """The mix-weighted sum of the gain lines of the support vertices v, as
     ``(numerators, den)``: entry i of the sum is ``numerators[i] / den``.
 
     With matrix rows this is the gain against every pure reply; with
@@ -303,6 +346,14 @@ def _sweep(
     den)``, each support vertex v having probability ``weights[v] / den``
     (``MixedStrategy.weights`` gives that form), so the numerators are plain
     ints and no ``Fraction`` is built per entry.
+
+    The sum is packed ("SIMD within a register"): ``line(v, words)`` is v's
+    gain line as one int (``_pack``), entry i in field i of ``words``
+    64-bit words, so the weighted sum of the lines is one big-int
+    multiply-add per support vertex, in C, and the fields are read back
+    once at the end (``_unpack``). The width is ``_field_words(n, den)``:
+    every entry is a sum of non-negative terms at most (n - 1) * den, below
+    n * den, so no field, nor any partial sum of it, carries into the next.
 
     ``orbits`` are orbits of a group of checked automorphisms of the tree
     (those of ``automorphism_orbits`` with more than one vertex). If the mix
@@ -318,9 +369,11 @@ def _sweep(
         orbits = merged = []
     for o in merged:
         weight[o[0]] = sum(weight.pop(v) for v in o)
-    acc = [0] * n
+    words = _field_words(n, den)
+    total = 0
     for v, w in weight.items():
-        acc = [a + w * g for a, g in zip(acc, line(v))]
+        total += w * line(v, words)
+    acc = _unpack(total, n, words)
     for o in orbits:
         mean, rest = divmod(sum(acc[v] for v in o), len(o))
         if rest:
@@ -345,7 +398,7 @@ def guaranteed_gain(t: Tree, x: MixedStrategy):
     matrix rows, so the full n x n matrix is never materialized.
     """
     _check_dims(t, x)
-    return _extreme(_sweep(t.n, x.weights(), lambda v: gain_row(t, v)), min)
+    return _extreme(_sweep(t.n, x.weights(), _packing(lambda v: gain_row(t, v))), min)
 
 
 def maximal_gain(t: Tree, y: MixedStrategy):
@@ -354,4 +407,4 @@ def maximal_gain(t: Tree, y: MixedStrategy):
     Returns (value, tuple of maximizing vertices).
     """
     _check_dims(t, y)
-    return _extreme(_sweep(t.n, y.weights(), lambda v: gain_column(t, v)), max)
+    return _extreme(_sweep(t.n, y.weights(), _packing(lambda v: gain_column(t, v))), max)

@@ -18,8 +18,10 @@ fraction-free tableau serves a whole ``solve_value`` call: each round adds
 its new columns and runs primal pivots, then adds its new rows and runs
 dual pivots, so it starts from the last round's basis, not from the slack
 basis. Primal and dual pivots follow Bland's anti-cycling rule, which
-guarantees termination. ``solve_matrix_game`` is one round of the same
-tableau.
+guarantees termination; each pivot loop also checks that the objective
+moves only its own way and that no basis repeats while it stands still,
+so a broken tableau raises ``SolverError`` instead of pivoting forever.
+``solve_matrix_game`` is one round of the same tableau.
 
 The n x n gain matrix is never built. A support-generation loop (the
 double-oracle method) solves exact subgames on growing candidate supports
@@ -51,7 +53,11 @@ the gain at every other member follows from the one read. Since every swap
 is checked, a wrong subtree code gives smaller orbits and more lines, never
 a wrong entry; a mix not constant on the orbits gets one line per support
 vertex. Each round's sweeps are integer numerators over the mix's common
-denominator and are compared with the subgame value by cross-multiplying;
+denominator, summed packed (``diffusion._sweep``): each gain line is one
+int with a field of whole 64-bit words per vertex, the fewest that hold n
+times the denominator, so no field carries into the next, and the loop
+keeps the lines it packed at the current width beside their list forms.
+The sweeps are compared with the subgame value by cross-multiplying;
 only the round that returns builds the strategies and the certificate's
 ends. Strategies hold exact probabilities only, so ``verify_solution``
 makes exact comparisons; decimals appear only when the command line
@@ -66,7 +72,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .diffusion import MixedStrategy, _sweep, gain_column, gain_row
+from .diffusion import MixedStrategy, _field_words, _pack, _packing, _sweep, gain_column, gain_row
 from .tree import Tree, automorphism_orbits, centroid
 
 
@@ -201,7 +207,28 @@ class _Tableau:
         self.basis[r] = k
         self.d = piv
 
+    def _step(self, r: int, k: int, rising: bool, seen: set[frozenset[int]]) -> None:
+        """Pivot on row r and tableau column k, then check progress. The
+        objective -z[0] / d may only rise in primal pivots (``rising``) and
+        only fall in dual ones, and while it stays put no basis may repeat:
+        ``seen`` holds the phase's bases since the objective last moved.
+        Bland's rule keeps both on a correct tableau; on a broken one they
+        turn an endless pivot loop into a ``SolverError``, as bases are
+        finitely many."""
+        d, z0 = self.d, self.z[0]
+        self._pivot(r, k)
+        moved = z0 * self.d - self.z[0] * d  # the objective's change times d d' > 0
+        if moved:
+            if (moved > 0) != rising:
+                raise SolverError("simplex objective moved the wrong way")
+            seen.clear()
+        basis = frozenset(self.basis)
+        if basis in seen:
+            raise SolverError("simplex basis repeated: the pivots cycle")
+        seen.add(basis)
+
     def _primal(self) -> None:
+        seen = {frozenset(self.basis)}
         while True:
             z = self.z
             k = next((j for j in range(1, len(z)) if z[j] > 0), 0)
@@ -218,10 +245,11 @@ class _Tableau:
                     leave, piv = i, a
             if leave < 0:
                 raise SolverError("linear program is unbounded")
-            self._pivot(leave, k)
+            self._step(leave, k, True, seen)
             self.primal_pivots += 1
 
     def _dual(self) -> None:
+        seen = {frozenset(self.basis)}
         while True:
             rows, z = self.rows, self.z
             r = min((i for i, row in enumerate(rows) if row[0] < 0), key=self.basis.__getitem__, default=-1)
@@ -237,7 +265,7 @@ class _Tableau:
                     k = j
             if not k:
                 raise SolverError("linear program is infeasible")
-            self._pivot(r, k)
+            self._step(r, k, False, seen)
             self.dual_pivots += 1
 
     def solution(self) -> tuple[int, int, list[int], list[int]]:
@@ -293,7 +321,8 @@ def solve_matrix_game(
 class SolveStats:
     """What one ``solve_value`` call did, as counts: its support-generation
     rounds, its primal and dual simplex pivots, its final subgame's orbit
-    rows and columns, and the gain rows and columns it read."""
+    rows and columns, the gain rows and columns it read, and the widest
+    field of its packed sweeps, in 64-bit words (``_field_words``)."""
 
     rounds: int
     primal_pivots: int
@@ -301,6 +330,7 @@ class SolveStats:
     rows: int
     columns: int
     lines: int
+    sweep_words: int
 
 
 @dataclass(frozen=True)
@@ -341,6 +371,26 @@ def _admit(support: list[int], movers: list[int], orbit_of: list[int], budget: i
     return [k for k in dict.fromkeys(orbit_of[v] for v in movers) if k not in held][:budget]
 
 
+def _kept_packing(line: Callable[[int], Sequence[int]]) -> Callable[[int, int], int]:
+    """``_sweep``'s packed-line reader of ``line``, keeping the lines it
+    packed at the width last asked for. The mixes' denominators, and with
+    them the sweeps' widths, grow from round to round, so lines of a
+    narrower width are dropped, not kept for a sweep that will not come."""
+    kept: dict[int, int] = {}
+    width = 0
+
+    def read(v: int, words: int) -> int:
+        nonlocal width
+        if words != width:
+            kept.clear()
+            width = words
+        if v not in kept:
+            kept[v] = _pack(line(v), words)
+        return kept[v]
+
+    return read
+
+
 def solve_value(t: Tree) -> ZeroSumSolution:
     """Safety value of the tree with maxmin/minmax strategies and an exact
     certificate.
@@ -354,6 +404,7 @@ def solve_value(t: Tree) -> ZeroSumSolution:
     n = t.n
     row = functools.cache(functools.partial(gain_row, t))
     col = functools.cache(functools.partial(gain_column, t))
+    packed_row, packed_col = _kept_packing(row), _kept_packing(col)
     info = centroid(t)
     orbits = automorphism_orbits(t)
     sym = [o for o in orbits if len(o) > 1]
@@ -371,6 +422,7 @@ def solve_value(t: Tree) -> ZeroSumSolution:
     # round, so games whose optima need nearly full support converge in
     # O(log n) rounds while small-support games keep their subgames tiny.
     budget = 2
+    words = 0
     for rounds in range(1, 2 * n + 5):
         lp.grow(new_x, new_y)
         vn, vd, xm, ym = lp.solution()
@@ -379,15 +431,18 @@ def solve_value(t: Tree) -> ZeroSumSolution:
         # Entry i of a sweep is g[i] / d and the value is vn / vd with d,
         # vd > 0, so g[i] / d against it compares as g[i] * vd against
         # vn * d. The sweeps cover all n vertices.
-        g1, d1 = _sweep(n, y, col, sym)
-        g2, d2 = _sweep(n, x, row, sym)
+        g1, d1 = _sweep(n, y, packed_col, sym)
+        g2, d2 = _sweep(n, x, packed_row, sym)
+        words = max(words, _field_words(n, d1), _field_words(n, d2))
         v1, v2 = vn * d1, vn * d2
         b1 = max(g1) * vd
         b2 = min(g2) * vd
         if b1 == v1 and b2 == v2:
             maxmin, minmax = (MixedStrategy(n, {u: Fraction(a, d) for u, a in w.items()}) for w, d in (x, y))
             lines = row.cache_info().currsize + col.cache_info().currsize
-            stats = SolveStats(rounds, lp.primal_pivots, lp.dual_pivots, len(lp.row_keys), len(lp.col_keys), lines)
+            stats = SolveStats(
+                rounds, lp.primal_pivots, lp.dual_pivots, len(lp.row_keys), len(lp.col_keys), lines, words
+            )
             return ZeroSumSolution(
                 Fraction(vn, vd), maxmin, minmax, Fraction(min(g2), d2), Fraction(max(g1), d1), stats
             )
@@ -418,6 +473,6 @@ def verify_solution(t: Tree, sol: ZeroSumSolution) -> bool:
     if sol.maxmin.n != t.n or sol.minmax.n != t.n:
         return False
     sym = [o for o in automorphism_orbits(t) if len(o) > 1]
-    g2, d2 = _sweep(t.n, sol.maxmin.weights(), lambda v: gain_row(t, v), sym)
-    g1, d1 = _sweep(t.n, sol.minmax.weights(), lambda v: gain_column(t, v), sym)
+    g2, d2 = _sweep(t.n, sol.maxmin.weights(), _packing(lambda v: gain_row(t, v)), sym)
+    g1, d1 = _sweep(t.n, sol.minmax.weights(), _packing(lambda v: gain_column(t, v)), sym)
     return sol.primal_value == Fraction(min(g2), d2) == sol.value == Fraction(max(g1), d1) == sol.dual_value

@@ -155,6 +155,28 @@ def dense_certificate_holds(t: Tree, sol, matrix=None) -> bool:
     return worst_reply == sol.value == best_start
 
 
+def list_sweep(n, mix, line, orbits=()):
+    """The reference for ``diffusion._sweep``: the same orbit merging and
+    exact orbit average, with the mix-weighted sum of the list lines
+    ``line(v)`` taken one Python pass per support vertex."""
+    weight, den = dict(mix[0]), mix[1]
+    merged = [o for o in orbits if o[0] in weight]
+    if not merged or any(weight.get(v) != weight.get(o[0]) for o in orbits for v in o):
+        orbits = merged = []
+    for o in merged:
+        weight[o[0]] = sum(weight.pop(v) for v in o)
+    acc = [0] * n
+    for v, w in weight.items():
+        acc = [a + w * g for a, g in zip(acc, line(v))]
+    for o in orbits:
+        mean, rest = divmod(sum(acc[v] for v in o), len(o))
+        if rest:
+            raise RuntimeError("inexact orbit average: the orbits are not a group's")
+        for v in o:
+            acc[v] = mean
+    return acc, den
+
+
 def check_iteration_bounds(trace, bounds) -> bool:
     """True when every executed step kept the centroid-reply gain
     non-decreasing and below the added branch's gain bound:

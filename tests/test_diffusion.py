@@ -18,6 +18,7 @@ from treegame import (
     complete_tree_safe_strategy,
     CompleteTreeSpec,
     SpiderSpec,
+    automorphism_orbits,
     Tree,
     gain,
     gain_column,
@@ -31,9 +32,9 @@ from treegame import (
     strategy_from_pairs,
     strategy_to_pairs,
 )
-from treegame.diffusion import _sweep
+from treegame.diffusion import _field_words, _pack, _packing, _sweep, _unpack
 
-from conftest import path_tree, prufer_decode, simulation_matrix, star_tree
+from conftest import list_sweep, path_tree, prufer_decode, simulation_matrix, star_tree
 
 
 @st.composite
@@ -317,7 +318,7 @@ class TestGainFunctionals:
         t = random_tree(16, 13)
         a = game_matrix(t).entries
         x = MixedStrategy(16, {1: Fraction(1, 3), 5: Fraction(1, 3), 9: Fraction(1, 3)})
-        acc, den = _sweep(16, x.weights(), lambda v: gain_row(t, v))
+        acc, den = _sweep(16, x.weights(), _packing(lambda v: gain_row(t, v)))
         g = [Fraction(num, den) for num in acc]
         for y in range(16):
             assert g[y] == sum(Fraction(1, 3) * a[v][y] for v in (1, 5, 9))
@@ -373,7 +374,8 @@ class TestSweepAgainstDenseOracle:
         starts = [sum(a[w][v] * p for v, p in probs.items()) for w in range(n)]
 
         weights = mix.weights()
-        sweeps = (_sweep(n, weights, lambda v: gain_row(t, v)), _sweep(n, weights, lambda v: gain_column(t, v)))
+        rows, cols = _packing(lambda v: gain_row(t, v)), _packing(lambda v: gain_column(t, v))
+        sweeps = (_sweep(n, weights, rows), _sweep(n, weights, cols))
         assert all(type(num) is int for acc, _ in sweeps for num in acc)
         got = [Fraction(num, den) for acc, den in sweeps for num in acc]
         assert got == replies + starts
@@ -383,6 +385,59 @@ class TestSweepAgainstDenseOracle:
         assert worst == (low, tuple(w for w in range(n) if replies[w] == low))
         assert best == (high, tuple(w for w in range(n) if starts[w] == high))
         assert type(worst[0]) is Fraction and type(best[0]) is Fraction
+
+
+class TestPackedSweep:
+    # Where n * den falls: just below or just above a field-width step of
+    # 64 or 128 bits, or anywhere up to 300 bits.
+    PLACES = [(64, False), (64, True), (128, False), (128, True), (None, None)]
+
+    @given(kernel_trees(), st.sampled_from(PLACES), st.booleans(), st.booleans(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_list_sweep(self, t, place, constant, rows, data):
+        # Mixes constant on the automorphism orbits, explicit zero weights
+        # included, and mixes with one unit moved inside an orbit, summed
+        # over rows or columns, with and without the orbits.
+        n = t.n
+        orbits = automorphism_orbits(t)
+        home = next(o for o in orbits if centroid(t).root in o)  # fixed by the group, so 1 or 2 members
+        bits, above = place
+        if bits is None:
+            den = data.draw(st.integers(1, 2**300))
+        else:
+            den = 2**bits // n + 1 if above else (2**bits - 1) // n
+        # The rest of den goes on the centroid's orbit, so den is rounded,
+        # away from the step, to a multiple of its size.
+        size = len(home)
+        den = den // size * size if above is False else -(-den // size) * size
+        if bits is not None:
+            assert (n * den).bit_length() == bits + above
+            assert _field_words(n, den) == bits // 64 + above
+        weight = {}
+        for o in orbits:
+            if o is not home:
+                a = data.draw(st.integers(0, den // n))
+                weight.update((v, a) for v in o)
+        rest = den - sum(weight.values())
+        weight.update((v, rest // size) for v in home)
+        assert sum(weight.values()) == den
+        shared = [o for o in orbits if len(o) > 1 and weight[o[0]]]
+        if not constant and shared:
+            o = data.draw(st.sampled_from(shared))
+            weight[o[0]] -= 1
+            weight[o[1]] += 1
+        line = (lambda v: gain_row(t, v)) if rows else (lambda v: gain_column(t, v))
+        for sym in ((), [o for o in orbits if len(o) > 1]):
+            assert _sweep(n, (weight, den), _packing(line), sym) == list_sweep(n, (weight, den), line, sym)
+
+    @pytest.mark.parametrize("den", [2**64 - 1, 2**64 + 1, 2**128 - 1, 2**128 + 1])
+    def test_one_vertex(self, den):
+        line = lambda v: gain_row(Tree.from_edges(1, []), v)  # noqa: E731
+        assert _sweep(1, ({0: den}, den), _packing(line)) == list_sweep(1, ({0: den}, den), line) == ([0], den)
+
+    def test_field_widths(self):
+        assert [_field_words(1, 2**64 - 1), _field_words(1, 2**64), _field_words(2, 2**127)] == [1, 2, 3]
+        assert _unpack(_pack([0, 2**64 - 1, 5], 2) * 3, 3, 2) == [0, 3 * 2**64 - 3, 15]
 
 
 class TestDistanceRuleAgainstSimulation:

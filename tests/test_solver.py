@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -27,7 +28,8 @@ from treegame import (
     solve_value,
     verify_solution,
 )
-from treegame.solver import _exact_div_row, _Tableau
+from treegame.diffusion import _field_words, _sweep
+from treegame.solver import _eliminate, _exact_div_row, _Tableau
 
 from conftest import dense_certificate_holds, dense_value, path_tree, proposing, simulation_matrix, star_tree
 
@@ -157,6 +159,46 @@ class TestWarmTableau:
         assert sol.primal_value == sol.value == sol.dual_value
 
 
+def _unsigned_pivot(self, r, k):
+    """``_Tableau._pivot`` without the negation that keeps d positive."""
+    prow, d = self.rows[r], self.d
+    self.rows = [prow if i == r else _eliminate(row, k, prow, prow[k], d) for i, row in enumerate(self.rows)]
+    self.z = _eliminate(self.z, k, prow, prow[k], d)
+    self.basis[r], self.d = k, prow[k]
+
+
+def _basis_only_pivot(self, r, k):
+    """A pivot that changes the basis and none of the tableau."""
+    self.basis[r] = k
+
+
+class TestPivotStop:
+    """A broken tableau makes the pivot loops raise, not run forever."""
+
+    @pytest.fixture
+    def alarm(self):
+        def timeout(signum, frame):
+            raise TimeoutError("the pivot loop did not stop")
+
+        old = signal.signal(signal.SIGALRM, timeout)
+        signal.alarm(20)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+    @pytest.mark.parametrize(
+        "pivot, message",
+        [(_unsigned_pivot, "objective moved the wrong way"), (_basis_only_pivot, "basis repeated")],
+        ids=["unsigned", "basis-only"],
+    )
+    def test_broken_pivot_raises(self, monkeypatch, alarm, pivot, message):
+        # Without the loops' checks, the unsigned pivot pivots forever on
+        # this tree, whose rounds need dual pivots.
+        monkeypatch.setattr(_Tableau, "_pivot", pivot)
+        with pytest.raises(SolverError, match=message):
+            solve_value(sample_centroidal(100, 7))
+
+
 class TestExactDivRow:
     def test_exact_row(self):
         assert _exact_div_row([6, -9, 0, 3, -3], 3) == [2, -3, 0, 1, -1]
@@ -191,6 +233,17 @@ class TestSolveValue:
         assert sol.value == sol.primal_value == sol.dual_value == 0
         assert sol.maxmin == sol.minmax == MixedStrategy.pure(1, 0)
         assert (sol.stats.rounds, sol.stats.rows, sol.stats.columns) == (1, 1, 1)
+
+    def test_sweep_words_is_the_widest_sweep(self, monkeypatch):
+        widths = []
+
+        def sweep(n, mix, line, orbits=()):
+            widths.append(_field_words(n, mix[1]))
+            return _sweep(n, mix, line, orbits)
+
+        monkeypatch.setattr(treegame.solver, "_sweep", sweep)
+        sol = solve_value(sample_centroidal(1000, 4))
+        assert sol.stats.sweep_words == max(widths) == 3 and min(widths) == 1
 
     def test_stats_take_no_part_in_comparison(self):
         t = random_tree(30, 4)

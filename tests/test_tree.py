@@ -34,7 +34,7 @@ from treegame import (
     weight_table,
 )
 from treegame.cli import cli
-from treegame.diffusion import _sweep, gain_column, gain_row
+from treegame.diffusion import _packing, _sweep, gain_column, gain_row
 from treegame.tree import _is_automorphism, preorder
 
 from conftest import (
@@ -574,11 +574,11 @@ class TestCheckedOrbits:
             read.append(v)
             return gain_column(t, v)
 
-        acc, den = _sweep(t.n, mix.weights(), row, orbits)
+        acc, den = _sweep(t.n, mix.weights(), _packing(row), orbits)
         assert [Fraction(g, den) for g in acc] == [
             sum(p * a[v][w] for v, p in mix.probs.items()) for w in range(t.n)
         ]
-        acc, den = _sweep(t.n, mix.weights(), col, orbits)
+        acc, den = _sweep(t.n, mix.weights(), _packing(col), orbits)
         assert [Fraction(g, den) for g in acc] == [
             sum(a[w][v] * p for v, p in mix.probs.items()) for w in range(t.n)
         ]
@@ -601,7 +601,7 @@ class TestCheckedOrbits:
         orbits = _checked_orbits(t, wrong(t))
         for members in wrong(t):
             mix = MixedStrategy(t.n, {v: Fraction(1, len(members)) for v in members})
-            acc, den = _sweep(t.n, mix.weights(), lambda v: gain_row(t, v), orbits)
+            acc, den = _sweep(t.n, mix.weights(), _packing(lambda v: gain_row(t, v)), orbits)
             assert [Fraction(g, den) for g in acc] == [
                 sum(p * a[v][w] for v, p in mix.probs.items()) for w in range(t.n)
             ]
