@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import chain
 
 from .diffusion import MixedStrategy, _check_dims, _packing, _sweep, gain_row
-from .tree import Tree, _runs, _walk, centroid, weight_table
+from .tree import Tree, _kept, _runs, _walk, centroid, weight_table
 
 
 class CSSError(RuntimeError):
@@ -221,7 +221,8 @@ def analyze_branches(t: Tree, root: int) -> list[BranchInfo]:
 
 
 def css_run(t: Tree, strict_centroidal: bool = False) -> CSSResult:
-    """Build the centroidal safe strategy.
+    """Build the centroidal safe strategy, once per tree: the result is kept
+    on the tree like its centroid, and every later call reads it.
 
     Branches are visited in decreasing criterion order (ties by smallest
     contained vertex id) and added while the next criterion is at least the
@@ -234,13 +235,18 @@ def css_run(t: Tree, strict_centroidal: bool = False) -> CSSResult:
     result keeps that sweep, and ``verify_centroid_reply`` reads it.
 
     Bicentroidal input is rooted at the smaller-id centroid vertex unless
-    ``strict_centroidal`` is set, in which case it is rejected.
+    ``strict_centroidal`` is set, in which case it is rejected before the
+    kept result is read.
     """
-    n = t.n
-    cinfo = centroid(t)
-    if strict_centroidal and cinfo.kind != "centroidal":
+    if strict_centroidal and centroid(t).kind != "centroidal":
         raise ValueError("tree is bicentroidal; a single-centroid tree is required")
-    root = cinfo.root
+    return _css(t)
+
+
+@_kept
+def _css(t: Tree) -> CSSResult:
+    n = t.n
+    root = centroid(t).root
 
     branches = analyze_branches(t, root)
     ordered = sorted(branches, key=lambda b: (-b.criterion, b.index))

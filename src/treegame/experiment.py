@@ -108,25 +108,36 @@ def trial_seed(master: int, i: int) -> int:
 
 def random_tree(n: int, seed: int) -> Tree:
     """Draw uniform vertex pairs and keep an edge whenever it joins two
-    components, until n - 1 edges are in place. Deterministic in the seed."""
+    components, until n - 1 edges are in place. Deterministic in the seed.
+
+    Each vertex is drawn as ``random.Random(seed).randrange(n)`` draws it
+    in CPython 3.10-3.12: ``getrandbits(n.bit_length())``, redrawn while it
+    is n or more. Calling ``getrandbits`` directly skips ``randrange``'s
+    argument handling and gives the same stream."""
     if n < 1:
         raise ValueError("tree size must be >= 1")
-    rng = random.Random(seed)
+    bits = random.Random(seed).getrandbits
+    k = n.bit_length()
     parent = list(range(n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
     edges: list[tuple[int, int]] = []
     while len(edges) < n - 1:
-        u = rng.randrange(n)
-        v = rng.randrange(n)
+        u = bits(k)
+        while u >= n:
+            u = bits(k)
+        v = bits(k)
+        while v >= n:
+            v = bits(k)
         if u == v:
             continue
-        ru, rv = find(u), find(v)
+        # Union-find with path halving, inlined.
+        ru = u
+        while parent[ru] != ru:
+            parent[ru] = parent[parent[ru]]
+            ru = parent[ru]
+        rv = v
+        while parent[rv] != rv:
+            parent[rv] = parent[parent[rv]]
+            rv = parent[rv]
         if ru != rv:
             parent[ru] = rv
             edges.append((u, v))

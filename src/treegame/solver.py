@@ -6,10 +6,10 @@ w = Y / v subject to A w <= 1 gives v = 1 / sum(w), the optimal opposing mix
 Y = v * w, and the dual prices of the constraints scale to the maxmin mix X.
 Because diffusion matrices are non-negative with a positive entry in every
 column (any neighbour of a vertex gains at least itself), the LP is bounded
-and no offset shift is required. ``solve_matrix_game`` shifts a matrix with
-an all-zero column by +1. Of the subgames the support-generation loop
-solves, only the one-vertex tree's 1 x 1 zero subgame has one; the tableau
-keeps such a column out of the LP and reads value 0 from it.
+and no offset shift is required. Of the subgames the support-generation
+loop solves, only the one-vertex tree's 1 x 1 zero subgame has an all-zero
+column; the tableau keeps such a column out of the LP and reads value 0
+from it.
 
 Everything is exact and, inside the solver, integer: the simplex tableau
 and each round's mixes are integer numerators over one denominator, and
@@ -21,7 +21,6 @@ basis. Primal and dual pivots follow Bland's anti-cycling rule, which
 guarantees termination; each pivot loop also checks that the objective
 moves only its own way and that no basis repeats while it stands still,
 so a broken tableau raises ``SolverError`` instead of pivoting forever.
-``solve_matrix_game`` is one round of the same tableau.
 
 The n x n gain matrix is never built. A support-generation loop (the
 double-oracle method) solves exact subgames on growing candidate supports
@@ -42,7 +41,12 @@ has the same value v = 1 / sum_j |O_j| u_j, with the opposing mix
 v |O_j| u_j and the maxmin mix the normalized dual prices. A tree with no
 symmetry has single-vertex orbits and the vertex subgames. Supports are
 seeded with the orbits of the centroid and its neighbours, and every
-vertex that improves on the subgame value adds its whole orbit.
+vertex that improves on the subgame value adds its whole orbit. If the
+first round does not certify, the orbits of the paper's centroidal safe
+strategy's support (``css_run``, kept on the tree) go to the column side
+ahead of that round's improving vertices, within the round's budget: that
+support lies close to the optimal ones, and games solved in one round
+never build it.
 
 The weak-duality certificate (worst reply against X equals the best start
 against Y equals the subgame value) holds at all n pure replies and starts,
@@ -72,6 +76,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
+from .css import CSSError, css_run
 from .diffusion import MixedStrategy, _field_words, _pack, _packing, _sweep, gain_column, gain_row
 from .tree import Tree, automorphism_orbits, centroid
 
@@ -292,31 +297,6 @@ class _Tableau:
         return self.d, mass, x, y
 
 
-def solve_matrix_game(
-    matrix: Sequence[Sequence[int]],
-) -> tuple[Fraction, list[Fraction], list[Fraction]]:
-    """Exact value and optimal mixes of the zero-sum game on a non-negative
-    integer matrix (rows: maximizer's pure strategies).
-
-    Raises ``ValueError`` unless the matrix is non-empty and rectangular,
-    with at least one column, and every entry is a non-negative ``int``
-    (not a ``bool``). A +1 shift is applied only when some column is all
-    zero; the shift moves the value, not the strategies. The game is one
-    round of the tableau that ``solve_value`` grows, with every column of
-    weight 1.
-    """
-    k = len(matrix[0]) if matrix else 0
-    if k < 1 or any(len(r) != k for r in matrix):
-        raise ValueError("game matrix must be non-empty and rectangular, with at least one column")
-    if any(type(a) is not int or a < 0 for r in matrix for a in r):
-        raise ValueError("game matrix entries must be non-negative ints")
-    shift = 0 if all(any(r[j] for r in matrix) for j in range(k)) else 1
-    lp = _Tableau(lambda i, j: matrix[i][j] + shift, lambda j: 1)
-    lp.grow(range(len(matrix)), range(k))
-    vn, mass, x, y = lp.solution()
-    return Fraction(vn, mass) - shift, [Fraction(a, mass) for a in x], [Fraction(a, mass) for a in y]
-
-
 @dataclass(frozen=True)
 class SolveStats:
     """What one ``solve_value`` call did, as counts: its support-generation
@@ -391,6 +371,15 @@ def _kept_packing(line: Callable[[int], Sequence[int]]) -> Callable[[int, int], 
     return read
 
 
+def _css_support(t: Tree) -> list[int]:
+    """The support of the tree's centroidal safe strategy (``css_run``,
+    kept on the tree), or no vertex if building it fails."""
+    try:
+        return list(css_run(t).strategy.support())
+    except CSSError:
+        return []
+
+
 def solve_value(t: Tree) -> ZeroSumSolution:
     """Safety value of the tree with maxmin/minmax strategies and an exact
     certificate.
@@ -398,8 +387,11 @@ def solve_value(t: Tree) -> ZeroSumSolution:
     Support generation runs over the automorphism orbits, seeded with the
     orbits of the centroid and its neighbours, both mixes are constant on
     orbits, and the sweeps use the same orbits. One tableau is grown from
-    round to round. A one-vertex tree goes through the same loop: its only
-    subgame is 1 x 1 and zero, so the value is 0 with both mixes pure.
+    round to round. After a first round that does not certify, the column
+    side admits the orbits of ``css_run``'s support first; if building that
+    strategy raises ``CSSError``, the same loop runs without them. A
+    one-vertex tree goes through the same loop: its only subgame is 1 x 1
+    and zero, so the value is 0 with both mixes pure.
     """
     n = t.n
     row = functools.cache(functools.partial(gain_row, t))
@@ -446,13 +438,17 @@ def solve_value(t: Tree) -> ZeroSumSolution:
             return ZeroSumSolution(
                 Fraction(vn, vd), maxmin, minmax, Fraction(min(g2), d2), Fraction(max(g1), d1), stats
             )
-        new_x = new_y = []
+        new_x = []
         if b1 > v1:
             movers = sorted((i for i in range(n) if g1[i] * vd > v1), key=lambda i: (-g1[i], i))
             new_x = _admit(lp.row_keys, movers, orbit_of, budget)
+        # After a first round that does not certify, the paper's strategy's
+        # support, which lies close to the optimal ones, goes to the column
+        # side ahead of the improving vertices.
+        movers = _css_support(t) if rounds == 1 else []
         if b2 < v2:
-            movers = sorted((j for j in range(n) if g2[j] * vd < v2), key=lambda j: (g2[j], j))
-            new_y = _admit(lp.col_keys, movers, orbit_of, budget)
+            movers += sorted((j for j in range(n) if g2[j] * vd < v2), key=lambda j: (g2[j], j))
+        new_y = _admit(lp.col_keys, movers, orbit_of, budget)
         # An invariant check, not a reachable exit: over the orbits of any
         # group of checked automorphisms, which fixes both mixes, no member
         # of a support orbit improves on the subgame value. So improving
@@ -460,6 +456,8 @@ def solve_value(t: Tree) -> ZeroSumSolution:
         if not new_x and not new_y:
             raise SolverError("support generation stalled: no improving vertex outside the supports")
         budget *= 2
+        # Each sweep holds n numerators: free them before the next round's.
+        del g1, g2
     raise SolverError("support generation did not converge")
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import heapq
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -19,7 +20,8 @@ from pathlib import Path
 from unittest import mock
 
 import treegame.tree
-from treegame import Tree, simulate_diffusion, solve_matrix_game
+from treegame import Tree, simulate_diffusion
+from treegame.solver import _Tableau
 
 
 def path_tree(n: int) -> Tree:
@@ -59,6 +61,31 @@ def all_labeled_trees(n: int):
         return
     for seq in product(range(n), repeat=n - 2):
         yield Tree.from_edges(n, prufer_decode(seq, n))
+
+
+def randrange_random_tree(n: int, seed: int) -> Tree:
+    """The reference for ``random_tree``: the same process, drawing each
+    vertex with ``random.Random(seed).randrange(n)`` itself."""
+    rng = random.Random(seed)
+    parent = list(range(n))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    edges: list[tuple[int, int]] = []
+    while len(edges) < n - 1:
+        u = rng.randrange(n)
+        v = rng.randrange(n)
+        if u == v:
+            continue
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+            edges.append((u, v))
+    return Tree.from_edges(n, edges)
 
 
 def brute_branches(t: Tree, v: int) -> list[set[int]]:
@@ -134,6 +161,28 @@ def brute_guaranteed_gain(t: Tree, strategy) -> Fraction:
         if best is None or g < best:
             best = g
     return best
+
+
+def solve_matrix_game(matrix):
+    """Exact value and optimal mixes of the zero-sum game on a non-negative
+    integer matrix (rows: maximizer's pure strategies), as one round of the
+    tableau that ``solve_value`` grows, with every column of weight 1.
+
+    Raises ``ValueError`` unless the matrix is non-empty and rectangular,
+    with at least one column, and every entry is a non-negative ``int``
+    (not a ``bool``). A +1 shift is applied only when some column is all
+    zero; the shift moves the value, not the strategies.
+    """
+    k = len(matrix[0]) if matrix else 0
+    if k < 1 or any(len(r) != k for r in matrix):
+        raise ValueError("game matrix must be non-empty and rectangular, with at least one column")
+    if any(type(a) is not int or a < 0 for r in matrix for a in r):
+        raise ValueError("game matrix entries must be non-negative ints")
+    shift = 0 if all(any(r[j] for r in matrix) for j in range(k)) else 1
+    lp = _Tableau(lambda i, j: matrix[i][j] + shift, lambda j: 1)
+    lp.grow(range(len(matrix)), range(k))
+    vn, mass, x, y = lp.solution()
+    return Fraction(vn, mass) - shift, [Fraction(a, mass) for a in x], [Fraction(a, mass) for a in y]
 
 
 def dense_value(t: Tree, matrix=None) -> Fraction:

@@ -172,6 +172,16 @@ class TestCssRun:
         with pytest.raises(ValueError, match="bicentroidal"):
             css_run(path_tree(4), strict_centroidal=True)
 
+    def test_kept_on_the_tree(self):
+        # One computation per tree; the strict check still runs on a tree
+        # whose strategy is already kept.
+        t = path_tree(4)
+        res = css_run(t)
+        assert css_run(t) is res
+        with pytest.raises(ValueError, match="bicentroidal"):
+            css_run(t, strict_centroidal=True)
+        assert css_run(Tree.from_edges(4, t.edges())) == res
+
     def test_single_vertex_degenerate(self):
         res = css_run(Tree.from_edges(1, []))
         assert res.guaranteed_gain == 0 and res.strategy.support() == (0,)

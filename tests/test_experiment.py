@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+import treegame.css
+import treegame.solver
 from treegame import (
     CompleteTreeSpec,
     ExperimentConfig,
@@ -25,6 +27,9 @@ from treegame import (
     write_records_csv,
 )
 
+from conftest import randrange_random_tree
+
+
 class TestRandomTree:
     def test_two_vertices(self):
         t = random_tree(2, 0)
@@ -37,6 +42,13 @@ class TestRandomTree:
 
     def test_deterministic(self):
         assert random_tree(50, 123).edges() == random_tree(50, 123).edges()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 64, 65, 100, 1000])
+    def test_draws_the_randrange_stream(self, n):
+        # random_tree draws its vertices as randrange does in CPython
+        # 3.10-3.12; a Python whose randrange draws otherwise fails here.
+        for seed in range(100):
+            assert random_tree(n, seed).adj == randrange_random_tree(n, seed).adj
 
     def test_seeds_differ(self):
         assert random_tree(50, 1).edges() != random_tree(50, 2).edges()
@@ -176,6 +188,29 @@ class TestRunExperiment:
             res = run_experiment(cfg, tree_source=lambda i, s: star_tree(4))
         assert res.histogram.overflow == 1
         assert res.records[0].diff_ratio == Fraction(12, 85)
+
+
+    def test_css_is_computed_once_per_tree(self, monkeypatch):
+        # run_experiment and the solver's seed share the strategy kept on
+        # the tree: one computation per tree, however often it is read.
+        built, read = [], []
+        analyze = treegame.css.analyze_branches
+        seed_read = treegame.solver.css_run
+
+        def counting_analyze(t, root):
+            built.append(t)
+            return analyze(t, root)
+
+        def counting_read(t, strict_centroidal=False):
+            read.append(t)
+            return seed_read(t, strict_centroidal)
+
+        monkeypatch.setattr(treegame.css, "analyze_branches", counting_analyze)
+        monkeypatch.setattr(treegame.solver, "css_run", counting_read)
+        res = run_experiment(ExperimentConfig(n=60, trials=12, seed=5))
+        assert not res.failures and len(res.records) == 12
+        assert len(built) == len({id(t) for t in built}) == 12
+        assert read and {id(t) for t in read} <= {id(t) for t in built}
 
 
 class TestConfigValidation:
