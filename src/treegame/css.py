@@ -9,13 +9,14 @@ comparisons, never floats.
 
 from __future__ import annotations
 
+import functools
 import heapq
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import chain
 
-from .diffusion import MixedStrategy, _check_dims, _packing, _sweep, gain_row
+from .diffusion import MixedStrategy, _check_dims, _sweep, gain_row
 from .tree import Tree, _kept, _runs, _walk, centroid, weight_table
 
 
@@ -293,7 +294,7 @@ def _css(t: Tree) -> CSSResult:
     if sum(probs.values()) != 1:
         raise CSSError("probability ledger does not sum to 1")
     strategy = MixedStrategy(n, probs)
-    acc, den = _sweep(n, strategy.weights(), _packing(lambda v: gain_row(t, v)))
+    acc, den = _sweep(n, strategy.weights(), functools.partial(gain_row, t))
     return CSSResult(
         strategy=strategy,
         root=root,

@@ -18,6 +18,7 @@ few exact big-int multiply-adds (``_sweep``).
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from array import array
@@ -330,13 +331,8 @@ def _unpack(total: int, n: int, words: int) -> list[int]:
     return acc
 
 
-def _packing(line: Callable[[int], Sequence[int]]) -> Callable[[int, int], int]:
-    """The packed-line reader (``_sweep``'s ``line``) of a list-line reader."""
-    return lambda v, words: _pack(line(v), words)
-
-
 def _sweep(
-    n: int, mix: tuple[dict[int, int], int], line: Callable[[int, int], int], orbits: Sequence[Sequence[int]] = ()
+    n: int, mix: tuple[dict[int, int], int], line: Callable[[int], Sequence[int]], orbits: Sequence[Sequence[int]] = ()
 ) -> tuple[list[int], int]:
     """The mix-weighted sum of the gain lines of the support vertices v, as
     ``(numerators, den)``: entry i of the sum is ``numerators[i] / den``.
@@ -347,13 +343,15 @@ def _sweep(
     (``MixedStrategy.weights`` gives that form), so the numerators are plain
     ints and no ``Fraction`` is built per entry.
 
-    The sum is packed ("SIMD within a register"): ``line(v, words)`` is v's
-    gain line as one int (``_pack``), entry i in field i of ``words``
+    ``line(v)`` is v's gain line as a list of n ints. The sum is packed
+    ("SIMD within a register"), and the packing is this function's own: each
+    line read becomes one int (``_pack``), entry i in field i of ``words``
     64-bit words, so the weighted sum of the lines is one big-int
     multiply-add per support vertex, in C, and the fields are read back
     once at the end (``_unpack``). The width is ``_field_words(n, den)``:
     every entry is a sum of non-negative terms at most (n - 1) * den, below
     n * den, so no field, nor any partial sum of it, carries into the next.
+    No packed line outlives the sweep.
 
     ``orbits`` are orbits of a group of checked automorphisms of the tree
     (those of ``automorphism_orbits`` with more than one vertex). If the mix
@@ -372,7 +370,7 @@ def _sweep(
     words = _field_words(n, den)
     total = 0
     for v, w in weight.items():
-        total += w * line(v, words)
+        total += w * _pack(line(v), words)
     acc = _unpack(total, n, words)
     for o in orbits:
         mean, rest = divmod(sum(acc[v] for v in o), len(o))
@@ -398,7 +396,7 @@ def guaranteed_gain(t: Tree, x: MixedStrategy):
     matrix rows, so the full n x n matrix is never materialized.
     """
     _check_dims(t, x)
-    return _extreme(_sweep(t.n, x.weights(), _packing(lambda v: gain_row(t, v))), min)
+    return _extreme(_sweep(t.n, x.weights(), functools.partial(gain_row, t)), min)
 
 
 def maximal_gain(t: Tree, y: MixedStrategy):
@@ -407,4 +405,4 @@ def maximal_gain(t: Tree, y: MixedStrategy):
     Returns (value, tuple of maximizing vertices).
     """
     _check_dims(t, y)
-    return _extreme(_sweep(t.n, y.weights(), _packing(lambda v: gain_column(t, v))), max)
+    return _extreme(_sweep(t.n, y.weights(), functools.partial(gain_column, t)), max)

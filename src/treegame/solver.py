@@ -57,10 +57,10 @@ the gain at every other member follows from the one read. Since every swap
 is checked, a wrong subtree code gives smaller orbits and more lines, never
 a wrong entry; a mix not constant on the orbits gets one line per support
 vertex. Each round's sweeps are integer numerators over the mix's common
-denominator, summed packed (``diffusion._sweep``): each gain line is one
-int with a field of whole 64-bit words per vertex, the fewest that hold n
-times the denominator, so no field carries into the next, and the loop
-keeps the lines it packed at the current width beside their list forms.
+denominator, summed packed (``diffusion._sweep``): the sweep packs each
+gain line it reads into one int with a field of whole 64-bit words per
+vertex, the fewest that hold n times the denominator, so no field carries
+into the next; the loop keeps only the lines' list forms.
 The sweeps are compared with the subgame value by cross-multiplying;
 only the round that returns builds the strategies and the certificate's
 ends. Strategies hold exact probabilities only, so ``verify_solution``
@@ -77,7 +77,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .css import CSSError, css_run
-from .diffusion import MixedStrategy, _field_words, _pack, _packing, _sweep, gain_column, gain_row
+from .diffusion import MixedStrategy, _field_words, _sweep, gain_column, gain_row
 from .tree import Tree, automorphism_orbits, centroid
 
 
@@ -351,26 +351,6 @@ def _admit(support: list[int], movers: list[int], orbit_of: list[int], budget: i
     return [k for k in dict.fromkeys(orbit_of[v] for v in movers) if k not in held][:budget]
 
 
-def _kept_packing(line: Callable[[int], Sequence[int]]) -> Callable[[int, int], int]:
-    """``_sweep``'s packed-line reader of ``line``, keeping the lines it
-    packed at the width last asked for. The mixes' denominators, and with
-    them the sweeps' widths, grow from round to round, so lines of a
-    narrower width are dropped, not kept for a sweep that will not come."""
-    kept: dict[int, int] = {}
-    width = 0
-
-    def read(v: int, words: int) -> int:
-        nonlocal width
-        if words != width:
-            kept.clear()
-            width = words
-        if v not in kept:
-            kept[v] = _pack(line(v), words)
-        return kept[v]
-
-    return read
-
-
 def _css_support(t: Tree) -> list[int]:
     """The support of the tree's centroidal safe strategy (``css_run``,
     kept on the tree), or no vertex if building it fails."""
@@ -396,7 +376,6 @@ def solve_value(t: Tree) -> ZeroSumSolution:
     n = t.n
     row = functools.cache(functools.partial(gain_row, t))
     col = functools.cache(functools.partial(gain_column, t))
-    packed_row, packed_col = _kept_packing(row), _kept_packing(col)
     info = centroid(t)
     orbits = automorphism_orbits(t)
     sym = [o for o in orbits if len(o) > 1]
@@ -423,8 +402,8 @@ def solve_value(t: Tree) -> ZeroSumSolution:
         # Entry i of a sweep is g[i] / d and the value is vn / vd with d,
         # vd > 0, so g[i] / d against it compares as g[i] * vd against
         # vn * d. The sweeps cover all n vertices.
-        g1, d1 = _sweep(n, y, packed_col, sym)
-        g2, d2 = _sweep(n, x, packed_row, sym)
+        g1, d1 = _sweep(n, y, col, sym)
+        g2, d2 = _sweep(n, x, row, sym)
         words = max(words, _field_words(n, d1), _field_words(n, d2))
         v1, v2 = vn * d1, vn * d2
         b1 = max(g1) * vd
@@ -471,6 +450,6 @@ def verify_solution(t: Tree, sol: ZeroSumSolution) -> bool:
     if sol.maxmin.n != t.n or sol.minmax.n != t.n:
         return False
     sym = [o for o in automorphism_orbits(t) if len(o) > 1]
-    g2, d2 = _sweep(t.n, sol.maxmin.weights(), _packing(lambda v: gain_row(t, v)), sym)
-    g1, d1 = _sweep(t.n, sol.minmax.weights(), _packing(lambda v: gain_column(t, v)), sym)
+    g2, d2 = _sweep(t.n, sol.maxmin.weights(), functools.partial(gain_row, t), sym)
+    g1, d1 = _sweep(t.n, sol.minmax.weights(), functools.partial(gain_column, t), sym)
     return sol.primal_value == Fraction(min(g2), d2) == sol.value == Fraction(max(g1), d1) == sol.dual_value

@@ -64,8 +64,11 @@ class Tree:
             )
         # A graph with n - 1 edges that one walk covers is a tree: the walk
         # from the tree's checks becomes its kept walk. Any other input goes
-        # to the ordered check, which finds the first bad edge.
-        if len(edges) == n - 1 and all(0 <= u < n and 0 <= v < n and u != v for u, v in edges):
+        # to the ordered check, which finds the first bad edge. Endpoints
+        # follow ``_vertex``'s rule: an ``int``, not a ``bool``, in range.
+        if len(edges) == n - 1 and all(
+            type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n and u != v for u, v in edges
+        ):
             neighbours: list[list[int]] = [[] for _ in range(n)]
             for u, v in edges:
                 neighbours[u].append(v)
@@ -92,9 +95,10 @@ class Tree:
 
 def _first_bad_edge(n: int, edges: list[tuple[int, int]]) -> _EdgeError:
     """The first edge, in order, after which ``edges`` is no tree's edge
-    list: out of range, a self-loop, a duplicate or a cycle. Only called on
-    a rejected list, which always has one: after n - 1 good edges the graph
-    is connected, so a surplus edge fails as a cycle or a duplicate."""
+    list: an endpoint that is not an ``int`` (a ``bool`` included), out of
+    range, a self-loop, a duplicate or a cycle. Only called on a rejected
+    list, which always has one: after n - 1 good edges the graph is
+    connected, so a surplus edge fails as a cycle or a duplicate."""
     neighbours: list[list[int]] = [[] for _ in range(n)]
     parent_uf = list(range(n))
 
@@ -105,6 +109,9 @@ def _first_bad_edge(n: int, edges: list[tuple[int, int]]) -> _EdgeError:
         return a
 
     for i, (u, v) in enumerate(edges):
+        if type(u) is not int or type(v) is not int:
+            w = u if type(u) is not int else v
+            return _EdgeError(i, f"vertex {w!r} is not an int on edge ({u!r}, {v!r})")
         if not (0 <= u < n and 0 <= v < n):
             return _EdgeError(i, f"vertex id out of range on edge ({u}, {v})")
         if u == v:

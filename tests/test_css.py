@@ -26,7 +26,7 @@ from treegame import (
     solve_value,
     verify_centroid_reply,
 )
-from treegame.diffusion import _packing, _sweep
+from treegame.diffusion import _sweep
 
 from conftest import brute_guaranteed_gain, check_iteration_bounds, path_tree, prufer_decode, simulation_matrix, star_tree
 
@@ -232,7 +232,7 @@ class TestCssRun:
         for seed in (2, 9):
             t = sample_centroidal(35, seed)
             res = css_run(t)
-            acc, den = _sweep(t.n, res.strategy.weights(), _packing(lambda v: gain_row(t, v)))
+            acc, den = _sweep(t.n, res.strategy.weights(), lambda v: gain_row(t, v))
             assert Fraction(acc[res.root], den) == res.centroid_gain
 
 
@@ -299,7 +299,7 @@ class TestCentroidReplyReport:
 
 def _with_strategy(t, res, mix):
     """``res`` with ``mix`` as its strategy, carrying mix's own reply sweep."""
-    acc, den = _sweep(t.n, mix.weights(), _packing(lambda v: gain_row(t, v)))
+    acc, den = _sweep(t.n, mix.weights(), lambda v: gain_row(t, v))
     return dataclasses.replace(res, strategy=mix, reply_numerators=tuple(acc), reply_den=den)
 
 

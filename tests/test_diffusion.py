@@ -32,7 +32,7 @@ from treegame import (
     strategy_from_pairs,
     strategy_to_pairs,
 )
-from treegame.diffusion import _field_words, _pack, _packing, _sweep, _unpack
+from treegame.diffusion import _field_words, _pack, _sweep, _unpack
 
 from conftest import list_sweep, path_tree, prufer_decode, simulation_matrix, star_tree
 
@@ -318,7 +318,7 @@ class TestGainFunctionals:
         t = random_tree(16, 13)
         a = game_matrix(t).entries
         x = MixedStrategy(16, {1: Fraction(1, 3), 5: Fraction(1, 3), 9: Fraction(1, 3)})
-        acc, den = _sweep(16, x.weights(), _packing(lambda v: gain_row(t, v)))
+        acc, den = _sweep(16, x.weights(), lambda v: gain_row(t, v))
         g = [Fraction(num, den) for num in acc]
         for y in range(16):
             assert g[y] == sum(Fraction(1, 3) * a[v][y] for v in (1, 5, 9))
@@ -374,7 +374,7 @@ class TestSweepAgainstDenseOracle:
         starts = [sum(a[w][v] * p for v, p in probs.items()) for w in range(n)]
 
         weights = mix.weights()
-        rows, cols = _packing(lambda v: gain_row(t, v)), _packing(lambda v: gain_column(t, v))
+        rows, cols = lambda v: gain_row(t, v), lambda v: gain_column(t, v)
         sweeps = (_sweep(n, weights, rows), _sweep(n, weights, cols))
         assert all(type(num) is int for acc, _ in sweeps for num in acc)
         got = [Fraction(num, den) for acc, den in sweeps for num in acc]
@@ -428,12 +428,12 @@ class TestPackedSweep:
             weight[o[1]] += 1
         line = (lambda v: gain_row(t, v)) if rows else (lambda v: gain_column(t, v))
         for sym in ((), [o for o in orbits if len(o) > 1]):
-            assert _sweep(n, (weight, den), _packing(line), sym) == list_sweep(n, (weight, den), line, sym)
+            assert _sweep(n, (weight, den), line, sym) == list_sweep(n, (weight, den), line, sym)
 
     @pytest.mark.parametrize("den", [2**64 - 1, 2**64 + 1, 2**128 - 1, 2**128 + 1])
     def test_one_vertex(self, den):
         line = lambda v: gain_row(Tree.from_edges(1, []), v)  # noqa: E731
-        assert _sweep(1, ({0: den}, den), _packing(line)) == list_sweep(1, ({0: den}, den), line) == ([0], den)
+        assert _sweep(1, ({0: den}, den), line) == list_sweep(1, ({0: den}, den), line) == ([0], den)
 
     def test_field_widths(self):
         assert [_field_words(1, 2**64 - 1), _field_words(1, 2**64), _field_words(2, 2**127)] == [1, 2, 3]

@@ -246,15 +246,27 @@ class TestSolveValue:
         assert (sol.stats.rounds, sol.stats.rows, sol.stats.columns) == (1, 1, 1)
 
     def test_sweep_words_is_the_widest_sweep(self, monkeypatch):
+        # The sweeps pack each line afresh at their own width, but each line
+        # is still computed once: the gain kernel runs once per line read.
         widths = []
+        computed = []
+        cut_gains = treegame.diffusion._cut_gains
 
         def sweep(n, mix, line, orbits=()):
             widths.append(_field_words(n, mix[1]))
             return _sweep(n, mix, line, orbits)
 
+        def count(t, x, is_row):
+            computed.append((x, is_row))
+            return cut_gains(t, x, is_row)
+
+        t = sample_centroidal(1000, 4)
+        css_run(t)  # kept on the tree: the solver's seed reads no line
         monkeypatch.setattr(treegame.solver, "_sweep", sweep)
-        sol = solve_value(sample_centroidal(1000, 4))
+        monkeypatch.setattr(treegame.diffusion, "_cut_gains", count)
+        sol = solve_value(t)
         assert sol.stats.sweep_words == max(widths) == 3 and min(widths) == 1
+        assert len(computed) == len(set(computed)) == sol.stats.lines
 
     def test_stats_take_no_part_in_comparison(self):
         t = random_tree(30, 4)

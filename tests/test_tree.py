@@ -34,7 +34,7 @@ from treegame import (
     weight_table,
 )
 from treegame.cli import cli
-from treegame.diffusion import _packing, _sweep, gain_column, gain_row
+from treegame.diffusion import _sweep, gain_column, gain_row
 from treegame.tree import _is_automorphism, preorder
 
 from conftest import (
@@ -126,6 +126,16 @@ class TestParseTree:
         with pytest.raises(TreeFormatError) as exc:
             parse_tree(text)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("first", [True, False], ids=["u", "v"])
+    @pytest.mark.parametrize("w", [True, False, 1.0, "1", None])
+    def test_from_edges_rejects_an_endpoint_that_is_not_an_int(self, w, first):
+        # Endpoints follow the vertex check: True and False would be read as
+        # vertices 1 and 0 and give a tree, the others a bare TypeError.
+        edge = (w, 2) if first else (2, w)
+        with pytest.raises(ValueError) as exc:
+            Tree.from_edges(3, [(0, 1), edge])
+        assert str(exc.value) == f"vertex {w!r} is not an int on edge ({edge[0]!r}, {edge[1]!r})"
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -574,11 +584,11 @@ class TestCheckedOrbits:
             read.append(v)
             return gain_column(t, v)
 
-        acc, den = _sweep(t.n, mix.weights(), _packing(row), orbits)
+        acc, den = _sweep(t.n, mix.weights(), row, orbits)
         assert [Fraction(g, den) for g in acc] == [
             sum(p * a[v][w] for v, p in mix.probs.items()) for w in range(t.n)
         ]
-        acc, den = _sweep(t.n, mix.weights(), _packing(col), orbits)
+        acc, den = _sweep(t.n, mix.weights(), col, orbits)
         assert [Fraction(g, den) for g in acc] == [
             sum(a[w][v] * p for v, p in mix.probs.items()) for w in range(t.n)
         ]
@@ -601,7 +611,7 @@ class TestCheckedOrbits:
         orbits = _checked_orbits(t, wrong(t))
         for members in wrong(t):
             mix = MixedStrategy(t.n, {v: Fraction(1, len(members)) for v in members})
-            acc, den = _sweep(t.n, mix.weights(), _packing(lambda v: gain_row(t, v)), orbits)
+            acc, den = _sweep(t.n, mix.weights(), lambda v: gain_row(t, v), orbits)
             assert [Fraction(g, den) for g in acc] == [
                 sum(p * a[v][w] for v, p in mix.probs.items()) for w in range(t.n)
             ]
