@@ -39,9 +39,6 @@ class Color(IntEnum):
     GREY = 3
 
 
-_COLOR_NAMES = {Color.WHITE: "white", Color.PLAYER1: "player1", Color.PLAYER2: "player2", Color.GREY: "grey"}
-
-
 @dataclass(frozen=True)
 class Coloring:
     """Final vertex states after diffusion has terminated."""
@@ -61,7 +58,7 @@ class Coloring:
         return self.count(Color.PLAYER2)
 
     def names(self) -> list[str]:
-        return [_COLOR_NAMES[s] for s in self.states]
+        return [s.name.lower() for s in self.states]
 
 
 def simulate_diffusion(t: Tree, x1: int, x2: int) -> Coloring:
@@ -293,11 +290,9 @@ def _check_dims(t: Tree, *strategies: MixedStrategy) -> None:
 def gain(t: Tree, x: MixedStrategy, y: MixedStrategy):
     """Expected Player-1 gain of mixed strategies: the bilinear form X A Y^T."""
     _check_dims(t, x, y)
-    total = 0
-    for v, px in x.probs.items():
-        row = gain_row(t, v)
-        total += px * sum(py * row[w] for w, py in y.probs.items())
-    return total
+    acc, den = _sweep(t.n, x.weights(), functools.partial(gain_row, t))
+    weights, yden = y.weights()
+    return Fraction(sum(w * acc[v] for v, w in weights.items()), den * yden)
 
 
 def _field_words(n: int, den: int) -> int:

@@ -110,10 +110,10 @@ def random_tree(n: int, seed: int) -> Tree:
     """Draw uniform vertex pairs and keep an edge whenever it joins two
     components, until n - 1 edges are in place. Deterministic in the seed.
 
-    Each vertex is drawn as ``random.Random(seed).randrange(n)`` draws it
-    in CPython 3.10-3.12: ``getrandbits(n.bit_length())``, redrawn while it
-    is n or more. Calling ``getrandbits`` directly skips ``randrange``'s
-    argument handling and gives the same stream."""
+    Each vertex is drawn as ``random.Random(seed).randrange(n)`` draws it in
+    CPython 3.10-3.13, the versions CI tests: ``getrandbits(n.bit_length())``,
+    redrawn while it is n or more. Calling ``getrandbits`` directly skips
+    ``randrange``'s argument handling and gives the same stream."""
     if n < 1:
         raise ValueError("tree size must be >= 1")
     bits = random.Random(seed).getrandbits

@@ -2,25 +2,26 @@
 the automorphism orbits.
 
 Each tree keeps one walk (``_walk``): ``preorder`` from vertex 0, with the
-subtree sizes and each vertex's position in the walk. ``Tree.from_edges``
-takes it while checking its input, and every other rooting is read from it
-as runs (``_runs``): the weights, the branches and orbits at the
+subtree sizes and each vertex's position in the walk, taken when the tree
+is built and its one check that it is a tree. Every other rooting is read
+from it as runs (``_runs``): the weights, the branches and orbits at the
 centroid, and each gain-matrix line. The orbits come from the centroid's
 rooting: subtree codes propose sibling swaps, and each swap is checked
 against the tree before it merges vertices.
 
 A ``Tree`` is immutable after construction, so every function here is pure
-and safe to call from concurrent workers. The walk, ``weight_table``,
-``centroid`` and ``automorphism_orbits`` are kept on the tree on first use:
-a kept value never goes stale, and workers that race on a new tree compute
-an equal value twice.
+and safe to call from concurrent workers. ``weight_table``, ``centroid``
+and ``automorphism_orbits`` are kept on the tree on first use: a kept
+value never goes stale, and workers that race on a new tree compute an
+equal value twice.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
+from operator import contains
 
 
 class TreeFormatError(ValueError):
@@ -39,6 +40,8 @@ class _EdgeError(ValueError):
 class Tree:
     """Undirected tree on vertices 0..n-1 with symmetric adjacency lists.
 
+    Every ``Tree``, however it is built, is checked by its kept walk
+    (``_walk``), which raises ``ValueError`` on anything but a tree.
     ``labels`` is an optional side table used only for reporting; vertex ids
     stay dense 0-based integers everywhere.
     """
@@ -47,6 +50,9 @@ class Tree:
     adj: tuple[tuple[int, ...], ...]
     labels: tuple[str, ...] | None = None
 
+    def __post_init__(self) -> None:
+        _walk(self)
+
     @classmethod
     def from_edges(
         cls,
@@ -54,31 +60,25 @@ class Tree:
         edges: list[tuple[int, int]],
         labels: tuple[str, ...] | None = None,
     ) -> "Tree":
-        if n < 1:
-            raise ValueError(f"vertex count must be >= 1, got {n}")
+        if type(n) is not int or n < 1:
+            raise ValueError(f"vertex count must be an int >= 1, got {n!r}")
         # Checked before the O(n) tables are allocated, so a short edge list
         # with a huge claimed n fails fast.
         if len(edges) < n - 1:
             raise ValueError(
                 f"a tree on {n} vertices needs {n - 1} edges, got {len(edges)}; tree is disconnected"
             )
-        # A graph with n - 1 edges that one walk covers is a tree: the walk
-        # from the tree's checks becomes its kept walk. Any other input goes
-        # to the ordered check, which finds the first bad edge. Endpoints
-        # follow ``_vertex``'s rule: an ``int``, not a ``bool``, in range.
-        if len(edges) == n - 1 and all(
-            type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n and u != v for u, v in edges
-        ):
-            neighbours: list[list[int]] = [[] for _ in range(n)]
+        # The tree's check accepts or rejects; the ordered check names a bad edge.
+        neighbours: list[list[int]] = [[] for _ in range(n)]
+        try:
             for u, v in edges:
                 neighbours[u].append(v)
                 neighbours[v].append(u)
             for ns in neighbours:
                 ns.sort()
-            t = cls(n, tuple(map(tuple, neighbours)), labels)
-            if len(_walk(t)[0]) == n:
-                return t
-        raise _first_bad_edge(n, edges)
+            return cls(n, tuple(map(tuple, neighbours)), labels)
+        except (TypeError, IndexError, ValueError) as exc:
+            raise _first_bad_edge(n, edges) or exc from None
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -93,12 +93,12 @@ class Tree:
         return type(self), (self.n, self.adj, self.labels)
 
 
-def _first_bad_edge(n: int, edges: list[tuple[int, int]]) -> _EdgeError:
+def _first_bad_edge(n: int, edges: list[tuple[int, int]]) -> _EdgeError | None:
     """The first edge, in order, after which ``edges`` is no tree's edge
-    list: an endpoint that is not an ``int`` (a ``bool`` included), out of
-    range, a self-loop, a duplicate or a cycle. Only called on a rejected
-    list, which always has one: after n - 1 good edges the graph is
-    connected, so a surplus edge fails as a cycle or a duplicate."""
+    list: not a pair, an endpoint that is not an ``int`` (a ``bool``
+    included), out of range, a self-loop, a duplicate or a cycle; None if
+    there is none. After n - 1 good edges the graph is connected, so a
+    surplus edge fails as a cycle or a duplicate."""
     neighbours: list[list[int]] = [[] for _ in range(n)]
     parent_uf = list(range(n))
 
@@ -108,7 +108,11 @@ def _first_bad_edge(n: int, edges: list[tuple[int, int]]) -> _EdgeError:
             a = parent_uf[a]
         return a
 
-    for i, (u, v) in enumerate(edges):
+    for i, edge in enumerate(edges):
+        try:
+            u, v = edge
+        except (TypeError, ValueError):
+            return _EdgeError(i, f"edge {edge!r} is not a pair of vertices")
         if type(u) is not int or type(v) is not int:
             w = u if type(u) is not int else v
             return _EdgeError(i, f"vertex {w!r} is not an int on edge ({u!r}, {v!r})")
@@ -124,7 +128,7 @@ def _first_bad_edge(n: int, edges: list[tuple[int, int]]) -> _EdgeError:
         parent_uf[ru] = rv
         neighbours[u].append(v)
         neighbours[v].append(u)
-    raise RuntimeError("edge list rejected, but every edge passes the ordered check")
+    return None
 
 
 def _kept(fn):
@@ -207,7 +211,8 @@ def preorder(t: Tree, root: int) -> tuple[list[int], list[int], list[int]]:
     """Iterative depth-first walk from ``root``, checked by ``_vertex``:
     (order, parent, depth), with ``parent[root] = -1``. Each vertex comes
     after its parent and before the rest of its own subtree, so every
-    subtree is a contiguous run of ``order`` and ``order[0]`` is the root."""
+    subtree is a contiguous run of ``order`` and ``order[0]`` is the root.
+    It pops n vertices, so it ends even on lists that are no tree's."""
     n = t.n
     root = _vertex(n, root)
     adj = t.adj
@@ -216,7 +221,7 @@ def preorder(t: Tree, root: int) -> tuple[list[int], list[int], list[int]]:
     parent[root] = root
     order = []
     stack = [root]
-    while stack:
+    for _ in range(n):
         v = stack.pop()
         order.append(v)
         k = depth[v] + 1
@@ -240,9 +245,26 @@ def _walk(t: Tree) -> tuple[list[int], list[int], list[int], list[int], list[int
     """The tree's one walk: ``preorder`` from vertex 0 as ``(order, parent,
     depth, size, pos)``, with each vertex's subtree size, summed in one
     reverse pass, and its position in ``order``. The subtree of v is
-    ``order[pos[v]:pos[v] + size[v]]``."""
-    n = t.n
-    order, parent, depth = preorder(t, 0)
+    ``order[pos[v]:pos[v] + size[v]]``. It is also the one tree check:
+    ``ValueError`` unless the lists hold 2(n - 1) ``int`` entries, the walk
+    reaches all n vertices, all in range, and each but the root lists its
+    walk parent: 2(n - 1) distinct arcs, so no missing reverse, duplicate or
+    cycle is left."""
+    n, adj, labels = t.n, t.adj, t.labels
+    order: list[int] = []
+    try:  # no length, an entry that is no index or is n or more, or fewer than n reached: no walk
+        if type(n) is int and len(adj) == n > 0 and (labels is None or len(labels) == n):
+            order, parent, depth = preorder(t, 0)
+    except (TypeError, IndexError):
+        pass
+    if (
+        not order
+        or min(order) < 0  # a negative entry read as a vertex from the end
+        or sum(map(len, adj)) != 2 * n - 2
+        or not set(map(type, chain.from_iterable(adj))) <= {int}
+        or not all(map(contains, islice(adj, 1, None), parent[1:]))  # each vertex but the root, 0
+    ):
+        raise ValueError(f"not a tree on {n!r} vertices: n symmetric, connected adjacency lists, n labels or none")
     size = [1] * n
     for v in islice(reversed(order), len(order) - 1):
         size[parent[v]] += size[v]

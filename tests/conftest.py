@@ -105,6 +105,38 @@ def brute_branches(t: Tree, v: int) -> list[set[int]]:
     return branches
 
 
+def is_tree_adjacency(n, adj) -> bool:
+    """Whether ``adj`` is the adjacency of a tree on vertices 0..n-1, found
+    without a walk: n an int (not a bool) of at least 1, n lists of int
+    vertex ids in range, a set of arcs with no self-loop, no repeat and
+    every reverse present, and n - 1 edges that union-find joins without a
+    cycle."""
+    if type(n) is not int or n < 1 or len(adj) != n:
+        return False
+    arcs = [(u, v) for u in range(n) for v in adj[u]]
+    if any(type(v) is not int or not 0 <= v < n or u == v for u, v in arcs):
+        return False
+    arc_set = set(arcs)
+    if len(arc_set) != len(arcs) or any((v, u) not in arc_set for u, v in arcs):
+        return False
+    edges = [(u, v) for u, v in arcs if u < v]
+    if len(edges) != n - 1:
+        return False
+    root = list(range(n))
+
+    def find(a: int) -> int:
+        while root[a] != a:
+            a = root[a]
+        return a
+
+    for u, v in edges:
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            return False
+        root[ru] = rv
+    return True
+
+
 def brute_weight(t: Tree, v: int) -> int:
     """Max branch edge count at v by explicit component enumeration."""
     return max((len(b) for b in brute_branches(t, v)), default=0)

@@ -496,11 +496,11 @@ class TestRerootedLines:
     def test_oracles_do_not_read_the_kept_walk(self):
         # simulate_diffusion and distances_from stay independent of the
         # walk the lines are rerooted from.
-        t = random_tree(15, 6)
-        lines = [gain_row(t, x) for x in range(t.n)]
+        built = random_tree(15, 6)
+        lines = [gain_row(built, x) for x in range(built.n)]
+        t = Tree(built.n, built.adj)  # walked and checked before the patch
         broken = mock.Mock(side_effect=AssertionError("read the kept walk"))
         with mock.patch.object(treegame.tree, "_walk", broken), mock.patch.object(treegame.diffusion, "_walk", broken):
-            t = Tree(t.n, t.adj)  # nothing kept
             assert simulation_matrix(t) == lines
             assert [[pure_gain(t, x, y) for y in range(t.n)] for x in range(t.n)] == lines
             with pytest.raises(AssertionError, match="kept walk"):

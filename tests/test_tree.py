@@ -42,6 +42,7 @@ from conftest import (
     brute_branches,
     brute_orbits,
     brute_weights,
+    is_tree_adjacency,
     path_tree,
     proposing,
     prufer_decode,
@@ -440,11 +441,12 @@ class TestKeptTables:
         orbits = kept[2]
         assert type(orbits) is tuple and all(type(o) is tuple for o in orbits)
 
-    def test_tree_from_adjacency_lists_walks_on_first_use(self):
+    def test_tree_from_adjacency_lists_walks_once_at_construction(self):
+        # The constructor's check is the walk every table and line reads.
         built = random_tree(40, 2)
         with mock.patch.object(treegame.tree, "preorder", wraps=treegame.tree.preorder) as walks:
             t = Tree(built.n, built.adj)
-            assert walks.call_count == 0
+            assert walks.call_count == 1
             _tables(t)
             css_run(t)
             game_matrix(t)
@@ -470,6 +472,122 @@ class TestKeptTables:
         t = random_tree(30, 4)
         _tables(t)
         assert vars(dataclasses.replace(t)) == vars(Tree(t.n, t.adj))
+
+
+class _Fields:
+    """Pickles as a ``Tree`` with these fields would, checked or not."""
+
+    def __init__(self, *fields):
+        self.fields = fields
+
+    def __reduce__(self):
+        return Tree, self.fields
+
+
+_BUILDS = {
+    "constructor": lambda n, adj: Tree(n, adj),
+    "replace": lambda n, adj: dataclasses.replace(Tree.from_edges(2, [(0, 1)]), n=n, adj=adj),
+    "pickle": lambda n, adj: pickle.loads(pickle.dumps(_Fields(n, adj, None))),
+}
+
+
+@st.composite
+def mutated_adjacency(draw):
+    """A relabelled random tree's adjacency, sometimes left as it is, else
+    with one mutation: a dropped arc (its reverse stays), a duplicated arc,
+    a redirected arc, an entry replaced by -1, n, True or 1.0 (or added, on
+    one vertex), or one list too many or too few."""
+    n = draw(st.integers(1, 12))
+    perm = draw(st.permutations(range(n)))
+    lists = [[] for _ in range(n)]
+    for u, v in random_tree(n, draw(st.integers(0, 10_000))).edges():
+        lists[perm[u]].append(perm[v])
+        lists[perm[v]].append(perm[u])
+    arcs = [(u, i) for u in range(n) for i in range(len(lists[u]))]
+    kind = draw(st.sampled_from(["none", "drop", "duplicate", "redirect", "entry", "length"]))
+    if kind == "length" and draw(st.booleans()):
+        lists.append([])
+    elif kind == "length":
+        lists.pop()
+    elif kind == "entry" and not arcs:
+        lists[0].append(draw(st.sampled_from([-1, n, True, 1.0])))
+    elif kind != "none" and arcs:
+        u, i = draw(st.sampled_from(arcs))
+        if kind == "drop":
+            del lists[u][i]
+        elif kind == "duplicate":
+            lists[u].insert(draw(st.integers(0, len(lists[u]))), lists[u][i])
+        elif kind == "redirect":
+            lists[u][i] = draw(st.integers(0, n - 1))
+        else:
+            lists[u][i] = draw(st.sampled_from([-1, n, True, 1.0]))
+    return n, tuple(map(tuple, lists))
+
+
+class TestEveryTreeIsChecked:
+    @settings(max_examples=400, deadline=None)
+    @given(mutated_adjacency())
+    def test_raises_exactly_on_what_the_oracle_rejects(self, n_adj):
+        n, adj = n_adj
+        for build in _BUILDS.values():
+            if is_tree_adjacency(n, adj):
+                assert build(n, adj).adj == adj
+            else:
+                with pytest.raises(ValueError, match="not a tree"):
+                    build(n, adj)
+
+    @pytest.mark.parametrize("build", list(_BUILDS.values()), ids=list(_BUILDS))
+    @pytest.mark.parametrize(
+        "n, adj",
+        [
+            (3, ((1,), (0,), ())),  # disconnected
+            (3, ((1,), (), (1,))),  # asymmetric
+            (3, ((1,), (0, 2), (True,))),  # True would read vertex 1
+            (3, ((1,), (0, 2), (-1,))),  # -1 would read vertex 2
+            (3, ((1,), (0, 2), (3,))),
+            (3, ((1,), (0, 2), (1.0,))),
+            (2, ((1, -1), ())),  # one arc missing, one aliased: the count holds
+            (3, ((1,), (0,), (-1, -1))),  # unreached, "listing" the -1 parent
+            (3, ((-2,), (-1,), (-2, -1))),  # a walk through -2 and -1 would never end
+            (3, ((1,), (0, 2))),
+            (3, ((1,), (0, 2), (1,), ())),
+            (True, ((),)),
+            (0, ()),
+            (2.0, ((1,), (0,))),
+            (3, None),
+            (3, (1, 0, 1)),
+        ],
+    )
+    def test_non_trees_raise_value_error(self, build, n, adj):
+        with pytest.raises(ValueError, match="not a tree"):
+            build(n, adj)
+
+    def test_labels_are_n_or_none(self):
+        adj = ((1,), (0,))
+        assert Tree(2, adj, ("a", "b")).label(1) == "b"
+        for labels in [("a",), ("a", "b", "c"), 7]:
+            with pytest.raises(ValueError, match="not a tree"):
+                Tree(2, adj, labels)
+            with pytest.raises(ValueError, match="not a tree"):
+                Tree.from_edges(2, [(0, 1)], labels)
+
+    @pytest.mark.parametrize(
+        "n, edges", [(True, []), (False, []), (0, []), (-1, []), (2.0, [(0, 1)]), ("2", [(0, 1)]), (None, [])]
+    )
+    def test_from_edges_rejects_a_count_that_is_not_a_positive_int(self, n, edges):
+        with pytest.raises(ValueError) as exc:
+            Tree.from_edges(n, edges)
+        assert str(exc.value) == f"vertex count must be an int >= 1, got {n!r}"
+
+    @pytest.mark.parametrize("at", [0, 1])
+    @pytest.mark.parametrize("edge", [(1,), (1, 2, 0), (), 5, None])
+    def test_from_edges_names_a_malformed_edge_by_its_index(self, edge, at):
+        edges = [(0, 1), (1, 2)]
+        edges[at] = edge
+        with pytest.raises(ValueError) as exc:
+            Tree.from_edges(3, edges)
+        assert exc.value.index == at
+        assert str(exc.value) == f"edge {edge!r} is not a pair of vertices"
 
 
 BRANCH_TREES = st.one_of(
