@@ -185,7 +185,7 @@ def analyze_branches(t: Tree, root: int) -> list[BranchInfo]:
     if root not in centroid(t).vertices:
         raise ValueError(f"vertex {root} is not a centroid vertex")
     order, parent, depth, size, pos = _walk(t)
-    runs = _runs(t, root)
+    runs = _runs(t, root)[0]
     dist = [0] * n  # depth from the root
     for lo, hi, off in runs:
         for v in order[lo:hi]:

@@ -7,13 +7,13 @@ grey, and grey blocks all further spread. If both players start on the same
 vertex, that vertex is immediately grey and nobody gains anything.
 
 All gains are exact: integers for pure strategy pairs, ``Fraction`` for
-mixed strategies, whose probabilities are exact rationals (floats are
-rejected; decimals are produced only when rendering). The mixed-strategy
-sweeps sum integer numerators over the mix's common denominator and build a
-``Fraction`` only for a value they return. A sweep packs each gain line into
-one int, a fixed-width field of whole 64-bit words per vertex, wide enough
-that no field's sum carries into the next, so a weighted sum of lines is a
-few exact big-int multiply-adds (``_sweep``).
+mixed strategies, which are stored as integer weights over one denominator
+(float probabilities are rejected; decimals are produced only when
+rendering). The mixed-strategy sweeps sum integer numerators over that
+denominator and build a ``Fraction`` only for a value they return. A sweep
+packs each gain line into one int, a fixed-width field of whole 64-bit
+words per vertex, wide enough that no field's sum carries into the next, so
+a weighted sum of lines is a few exact big-int multiply-adds (``_sweep``).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from itertools import repeat
 from operator import add, lshift
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .tree import Tree, _runs, _up, _vertex, _walk, distances_from
+from .tree import Tree, _runs, _vertex, _walk, distances_from
 
 
 class Color(IntEnum):
@@ -140,15 +140,15 @@ def _cut_gains(t: Tree, x: int, is_row: bool) -> list[int]:
 
     The tree's kept walk, rerooted at x (``_runs``), gives the depths from
     x and the sizes, which change only on the path from x to the walk's
-    root (``_up``). One forward pass over the runs keeps
+    root (``_runs``'s pairs). One forward pass over the runs keeps
     ``path[k] = v`` for v at depth k from x: in preorder, ``path[:k]`` then
     holds v's ancestors, so ancestor a is read from ``path``.
     """
     n = t.n
-    runs = _runs(t, x)
+    runs, pairs = _runs(t, x)
     order, _, depth, size, _ = _walk(t)
     gain_at, offset = ([n - s for s in size], 1) if is_row else (size[:], 2)
-    for a, c in _up(t, x):  # rooted at x, a's subtree is all but c's
+    for a, c in pairs:  # rooted at x, a's subtree is all but c's
         gain_at[a] = size[c] if is_row else n - size[c]
     out = [0] * n
     path = [x] * (n + 1)  # x's own entry reads path[1]
@@ -187,16 +187,14 @@ def game_matrix(t: Tree) -> GameMatrix:
 
 
 class MixedStrategy:
-    """A probability distribution over starting vertices.
+    """A probability distribution over starting vertices, stored in one exact
+    form: positive int weights by vertex over one denominator, in lowest
+    terms (``weights()``). The constructor takes ``Fraction``, int or "p/q"
+    probabilities summing to exactly 1 and drops zeros; a float (NaN and
+    ±inf included) is rejected, and decimals are produced only when
+    rendering (``strategy_to_pairs`` with ``as_float``)."""
 
-    Vertices are plain ints. Probabilities are exact: ``Fraction``s, ints or
-    "p/q" strings, stored as ``Fraction``s, summing to exactly 1; zero
-    entries are dropped. A float probability (NaN and ±inf included) is
-    rejected; decimals are produced only when rendering (``strategy_to_pairs``
-    with ``as_float``).
-    """
-
-    __slots__ = ("n", "probs")
+    __slots__ = ("n", "_weights", "_den")
 
     def __init__(self, n: int, probs: Mapping[int, Fraction | int | str]):
         if n < 1:
@@ -216,44 +214,59 @@ class MixedStrategy:
                 raise ValueError(f"negative probability at vertex {v}")
             if p != 0:
                 cleaned[v] = p
-        self.n = n
-        self.probs = dict(sorted(cleaned.items()))
-        weights, den = self.weights()
+        den = math.lcm(*(p.denominator for p in cleaned.values()))
+        weights = {v: p.numerator * (den // p.denominator) for v, p in cleaned.items()}
         if sum(weights.values()) != den:
             raise ValueError(f"probabilities sum to {sum(cleaned.values())}, expected 1")
+        self._store(n, weights, den)
+
+    @classmethod
+    def _from_weights(cls, n: int, weights: Mapping[int, int], den: int) -> "MixedStrategy":
+        """Probability ``weights[v] / den`` at each vertex v, from non-negative
+        int weights summing to ``den``: no probability parsed, no ``Fraction``."""
+        if n < 1 or den < 1 or sum(weights.values()) != den or min(weights.values()) < 0:
+            raise ValueError(f"integer weights must be non-negative and sum to den = {den} >= 1")
+        return cls.__new__(cls)._store(n, weights, den)
+
+    def _store(self, n: int, weights: Mapping[int, int], den: int) -> "MixedStrategy":
+        """Keep the weights, reduced by their gcd with ``den``, zeros dropped."""
+        g = math.gcd(den, *weights.values())
+        self.n, self._den = n, den // g
+        self._weights = {v: w // g for v, w in sorted(weights.items()) if w}
+        return self
+
+    @property
+    def probs(self) -> dict[int, Fraction]:
+        return {v: Fraction(w, self._den) for v, w in self._weights.items()}
 
     def support(self) -> tuple[int, ...]:
-        return tuple(self.probs.keys())
+        return tuple(self._weights)
 
     def __getitem__(self, v: int) -> Fraction:
-        return self.probs.get(v, Fraction(0))
+        return Fraction(self._weights.get(v, 0), self._den)
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, MixedStrategy) and self.n == other.n and self.probs == other.probs
-        )
+        return isinstance(other, MixedStrategy) and (self.n, *self.weights()) == (other.n, *other.weights())
 
     def __hash__(self) -> int:
-        return hash((self.n, tuple(self.probs.items())))
+        return hash((self.n, self._den, tuple(self._weights.items())))
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{v}: {p}" for v, p in self.probs.items())
         return f"MixedStrategy(n={self.n}, {{{inner}}})"
 
     def weights(self) -> tuple[dict[int, int], int]:
-        """The probabilities as integer weights over one denominator:
-        ``(weights, den)``, with ``den`` the lcm of the probabilities'
-        denominators and ``probs[v] == weights[v] / den``."""
-        den = math.lcm(*(p.denominator for p in self.probs.values()))
-        return {v: p.numerator * (den // p.denominator) for v, p in self.probs.items()}, den
+        """The stored form ``(weights, den)``, ``probs[v] == weights[v] / den``
+        in lowest terms; not to be mutated."""
+        return self._weights, self._den
 
     @classmethod
     def pure(cls, n: int, v: int) -> "MixedStrategy":
-        return cls(n, {v: Fraction(1)})
+        return cls._from_weights(n, {_vertex(n, v): 1}, 1)
 
     @classmethod
     def uniform(cls, n: int) -> "MixedStrategy":
-        return cls(n, {v: Fraction(1, n) for v in range(n)})
+        return cls._from_weights(n, dict.fromkeys(range(n), 1), n)
 
 
 def format_fraction(value: Fraction | int) -> str:
@@ -263,10 +276,11 @@ def format_fraction(value: Fraction | int) -> str:
 
 def strategy_to_pairs(x: MixedStrategy, as_float: bool = False) -> list[list]:
     """Sparse JSON form: a list of [vertex, probability] pairs, with "p/q"
-    strings, or decimals when rendering ``as_float``."""
+    strings in lowest terms, or decimals when rendering ``as_float``."""
+    weights, den = x.weights()
     if as_float:
-        return [[v, float(p)] for v, p in x.probs.items()]
-    return [[v, format_fraction(p)] for v, p in x.probs.items()]
+        return [[v, w / den] for v, w in weights.items()]
+    return [[v, f"{w // g}/{den // g}"] for v, w in weights.items() for g in [math.gcd(w, den)]]
 
 
 def strategy_from_pairs(n: int, pairs: Iterable[Iterable]) -> MixedStrategy:

@@ -144,14 +144,17 @@ def random_tree(n: int, seed: int) -> Tree:
     return Tree.from_edges(n, edges)
 
 
-def sample_centroidal(n: int, seed: int, max_attempts: int = 10_000) -> Tree:
-    """Rejection-sample random trees until one has a single-vertex centroid;
-    the seed advances deterministically with each rejection."""
-    for attempt in range(max_attempts):
+_MAX_ATTEMPTS = 10_000
+
+
+def sample_centroidal(n: int, seed: int) -> Tree:
+    """Rejection-sample up to ``_MAX_ATTEMPTS`` random trees until one has a
+    single-vertex centroid; the seed advances deterministically with each rejection."""
+    for attempt in range(_MAX_ATTEMPTS):
         t = random_tree(n, trial_seed(seed, attempt))
         if centroid(t).kind == "centroidal":
             return t
-    raise RuntimeError(f"no centroidal tree of size {n} found in {max_attempts} attempts")
+    raise RuntimeError(f"no centroidal tree of size {n} found in {_MAX_ATTEMPTS} attempts")
 
 
 def _build_histogram(ratios: list[Fraction], width: Fraction, top: Fraction) -> Histogram:

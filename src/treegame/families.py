@@ -59,12 +59,8 @@ def spider_safe_strategy(spec: SpiderSpec, k: int) -> MixedStrategy:
     distance at most k from it; k may be 0 (point mass on the body)."""
     if not (0 <= k <= spec.leg_length):
         raise ValueError(f"k must be in 0..{spec.leg_length}, got {k}")
-    p = Fraction(1, spec.legs * k + 1)
-    probs = {0: p}
-    for s in range(1, spec.legs + 1):
-        for d in range(1, k + 1):
-            probs[spec.index(d, s)] = p
-    return MixedStrategy(spec.n, probs)
+    support = [0] + [spec.index(d, s) for s in range(1, spec.legs + 1) for d in range(1, k + 1)]
+    return MixedStrategy._from_weights(spec.n, dict.fromkeys(support, 1), spec.legs * k + 1)
 
 
 def spider_body_reply_gain(spec: SpiderSpec, k: int) -> Fraction:
@@ -160,26 +156,16 @@ def complete_tree_safe_strategy(spec: CompleteTreeSpec) -> MixedStrategy:
     vertex, chosen so that the root reply and any depth-1 reply give equal
     gain."""
     m, h = spec.arity, spec.height
-    den = _denominator(spec)
-    alpha = Fraction(m**h - 1, den)
-    beta = Fraction((m - 1) * m**h, den)
-    probs = {0: alpha}
-    for e in range(m):
-        probs[spec.index(1, e)] = beta
-    return MixedStrategy(spec.n, probs)
+    weights = {0: m**h - 1, **dict.fromkeys(range(1, m + 1), (m - 1) * m**h)}  # depth 1 is 1..m
+    return MixedStrategy._from_weights(spec.n, weights, _denominator(spec))
 
 
 def complete_tree_opposing_strategy(spec: CompleteTreeSpec) -> MixedStrategy:
     """Player 2's optimal opposing mix on the same support, equalizing
     Player 1's gain across her root and depth-1 starts."""
     m, h = spec.arity, spec.height
-    den = _denominator(spec)
-    alpha = Fraction((m - 1) * (m ** (h + 1) - m**h + 1), den)
-    beta = Fraction(m**h - 1, den)
-    probs = {0: alpha}
-    for e in range(m):
-        probs[spec.index(1, e)] = beta
-    return MixedStrategy(spec.n, probs)
+    weights = {0: (m - 1) * (m ** (h + 1) - m**h + 1), **dict.fromkeys(range(1, m + 1), m**h - 1)}
+    return MixedStrategy._from_weights(spec.n, weights, _denominator(spec))
 
 
 def complete_tree_value(spec: CompleteTreeSpec) -> Fraction:

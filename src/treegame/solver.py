@@ -409,7 +409,7 @@ def solve_value(t: Tree) -> ZeroSumSolution:
         b1 = max(g1) * vd
         b2 = min(g2) * vd
         if b1 == v1 and b2 == v2:
-            maxmin, minmax = (MixedStrategy(n, {u: Fraction(a, d) for u, a in w.items()}) for w, d in (x, y))
+            maxmin, minmax = (MixedStrategy._from_weights(n, w, d) for w, d in (x, y))
             lines = row.cache_info().currsize + col.cache_info().currsize
             stats = SolveStats(
                 rounds, lp.primal_pivots, lp.dual_pivots, len(lp.row_keys), len(lp.col_keys), lines, words

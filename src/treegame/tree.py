@@ -38,7 +38,7 @@ class _EdgeError(ValueError):
 
 @dataclass(frozen=True)
 class Tree:
-    """Undirected tree on vertices 0..n-1 with symmetric adjacency lists.
+    """Undirected tree on vertices 0..n-1 with symmetric adjacency tuples.
 
     Every ``Tree``, however it is built, is checked by its kept walk
     (``_walk``), which raises ``ValueError`` on anything but a tree.
@@ -246,20 +246,22 @@ def _walk(t: Tree) -> tuple[list[int], list[int], list[int], list[int], list[int
     depth, size, pos)``, with each vertex's subtree size, summed in one
     reverse pass, and its position in ``order``. The subtree of v is
     ``order[pos[v]:pos[v] + size[v]]``. It is also the one tree check:
-    ``ValueError`` unless the lists hold 2(n - 1) ``int`` entries, the walk
-    reaches all n vertices, all in range, and each but the root lists its
-    walk parent: 2(n - 1) distinct arcs, so no missing reverse, duplicate or
-    cycle is left."""
+    ``ValueError`` unless ``adj`` is a tuple of n tuples (so the tree is
+    hashable and stays as checked), they hold 2(n - 1) ``int`` entries, the
+    walk reaches all n vertices, all in range, and each but the root lists
+    its walk parent: 2(n - 1) distinct arcs, so no missing reverse,
+    duplicate or cycle is left."""
     n, adj, labels = t.n, t.adj, t.labels
     order: list[int] = []
     try:  # no length, an entry that is no index or is n or more, or fewer than n reached: no walk
-        if type(n) is int and len(adj) == n > 0 and (labels is None or len(labels) == n):
+        if type(n) is int and type(adj) is tuple and len(adj) == n > 0 and (labels is None or len(labels) == n):
             order, parent, depth = preorder(t, 0)
     except (TypeError, IndexError):
         pass
     if (
         not order
         or min(order) < 0  # a negative entry read as a vertex from the end
+        or set(map(type, adj)) != {tuple}
         or sum(map(len, adj)) != 2 * n - 2
         or not set(map(type, chain.from_iterable(adj))) <= {int}
         or not all(map(contains, islice(adj, 1, None), parent[1:]))  # each vertex but the root, 0
@@ -274,34 +276,25 @@ def _walk(t: Tree) -> tuple[list[int], list[int], list[int], list[int], list[int
     return order, parent, depth, size, pos
 
 
-def _up(t: Tree, x: int) -> list[tuple[int, int]]:
-    """The pairs (a, c) from x up to the walk's root, c the child of
-    ancestor a on the path. Rooted at x, a's subtree is all but c's,
-    n - size[c] vertices; no other vertex's subtree changes."""
-    parent = _walk(t)[1]
-    path = []
-    a = parent[x]
-    while a >= 0:
-        path.append((a, x))
-        x, a = a, parent[a]
-    return path
-
-
-def _runs(t: Tree, x: int) -> list[tuple[int, int, int]]:
+def _runs(t: Tree, x: int) -> tuple[list[tuple[int, int, int]], list[tuple[int, int]]]:
     """The walk rerooted at x, as runs ``(lo, hi, off)``: the vertices
     ``order[lo:hi]`` of each run in turn are a preorder from x, and v in a
     run lies at depth ``depth[v] + off`` from x. The first run is x's own
-    subtree; then, for each (a, c) of ``_up``, the parts of a's subtree
-    before and after c's, at offset depth[x] - 2 depth[a]. x is checked
-    by ``_vertex``, for every rerooted line."""
+    subtree; then, for each pair (a, c) from x up to the walk's root, c the
+    child of ancestor a, the parts of a's subtree before and after c's, at
+    offset depth[x] - 2 depth[a]. These pairs come second: rooted at x, a's
+    subtree is all but c's and no other subtree changes. x is checked by
+    ``_vertex``, for every rerooted line."""
     x = _vertex(t.n, x)
-    _, _, depth, size, pos = _walk(t)
-    dx = depth[x]
-    runs = [(pos[x], pos[x] + size[x], -dx)]
-    for a, c in _up(t, x):
-        off = dx - 2 * depth[a]
+    _, parent, depth, size, pos = _walk(t)
+    runs, pairs = [(pos[x], pos[x] + size[x], -depth[x])], []
+    c, a = x, parent[x]
+    while a >= 0:
+        off = depth[x] - 2 * depth[a]
         runs += [(pos[a], pos[c], off), (pos[c] + size[c], pos[a] + size[a], off)]
-    return runs
+        pairs.append((a, c))
+        c, a = a, parent[a]
+    return runs, pairs
 
 
 @_kept
@@ -364,9 +357,10 @@ def automorphism_orbits(t: Tree) -> tuple[tuple[int, ...], ...]:
     info = centroid(t)
     root = info.vertices[0]
     walk_order, walk_parent, _, _, _ = _walk(t)
-    order = [v for lo, hi, _ in _runs(t, root) for v in walk_order[lo:hi]]
+    runs, pairs = _runs(t, root)
+    order = [v for lo, hi, _ in runs for v in walk_order[lo:hi]]
     parent = walk_parent[:]
-    for a, c in _up(t, root):
+    for a, c in pairs:
         parent[a] = c
     parent[root] = -1
     if len(info.vertices) == 2:

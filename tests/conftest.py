@@ -107,11 +107,13 @@ def brute_branches(t: Tree, v: int) -> list[set[int]]:
 
 def is_tree_adjacency(n, adj) -> bool:
     """Whether ``adj`` is the adjacency of a tree on vertices 0..n-1, found
-    without a walk: n an int (not a bool) of at least 1, n lists of int
-    vertex ids in range, a set of arcs with no self-loop, no repeat and
-    every reverse present, and n - 1 edges that union-find joins without a
-    cycle."""
-    if type(n) is not int or n < 1 or len(adj) != n:
+    without a walk: n an int (not a bool) of at least 1, a tuple of n
+    tuples of int vertex ids in range, a set of arcs with no self-loop, no
+    repeat and every reverse present, and n - 1 edges that union-find joins
+    without a cycle."""
+    if type(n) is not int or n < 1 or type(adj) is not tuple or len(adj) != n:
+        return False
+    if any(type(ns) is not tuple for ns in adj):
         return False
     arcs = [(u, v) for u in range(n) for v in adj[u]]
     if any(type(v) is not int or not 0 <= v < n or u == v for u, v in arcs):

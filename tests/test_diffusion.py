@@ -1,3 +1,4 @@
+import math
 import re
 from fractions import Fraction
 from unittest import mock
@@ -270,6 +271,36 @@ class TestMixedStrategy:
             strategy_from_pairs(3, [[vertex, "1/2"], [0, "1/2"]])
         with pytest.raises(ValueError, match="not an int"):
             MixedStrategy(3, {vertex: Fraction(1, 2), 0: Fraction(1, 2)})
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_one_stored_form(self, data):
+        # Equal probabilities in any accepted form, or as integer weights
+        # times any k, give one strategy: equal, with equal hashes.
+        n = data.draw(st.integers(1, 12))
+        verts = data.draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
+        raw = data.draw(st.lists(st.integers(0, 60), min_size=len(verts), max_size=len(verts)))
+        den = sum(raw) or 1
+        raw[0] += den - sum(raw)  # all zeros: the first vertex takes all the mass
+        forms = [Fraction, lambda w, d: f"{w}/{d}", lambda w, d: w // d]
+        probs = {
+            v: data.draw(st.sampled_from(forms[: 2 + (w % den == 0)]))(w, den) for v, w in zip(verts, raw)
+        }
+        k = data.draw(st.integers(1, 10**30))
+        x = MixedStrategy(n, probs)
+        y = MixedStrategy._from_weights(n, {v: w * k for v, w in zip(verts, raw)}, den * k)
+        assert x == y and hash(x) == hash(y)
+        assert x.probs == {v: Fraction(w, den) for v, w in zip(verts, raw) if w}
+        weights, lowest = x.weights()
+        assert all(w > 0 for w in weights.values()) and math.gcd(lowest, *weights.values()) == 1
+        assert list(weights) == sorted(weights) == list(x.support())
+
+    @pytest.mark.parametrize(
+        "weights, den", [({0: 2, 1: -1}, 1), ({0: 1, 1: 1}, 3), ({0: 1}, 2), ({}, 0), ({0: -1}, -1)]
+    )
+    def test_integer_entry_rejects_what_is_no_strategy(self, weights, den):
+        with pytest.raises(ValueError, match="integer weights must be non-negative"):
+            MixedStrategy._from_weights(3, weights, den)
 
 
 class TestGainFunctionals:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import treegame.css
+import treegame.experiment
 import treegame.solver
 from treegame import (
     CompleteTreeSpec,
@@ -69,9 +70,10 @@ class TestSampleCentroidal:
     def test_deterministic(self):
         assert sample_centroidal(21, 9).edges() == sample_centroidal(21, 9).edges()
 
-    def test_impossible_size_reports(self):
-        with pytest.raises(RuntimeError, match="no centroidal tree"):
-            sample_centroidal(2, 0, max_attempts=25)
+    def test_impossible_size_reports(self, monkeypatch):
+        monkeypatch.setattr(treegame.experiment, "_MAX_ATTEMPTS", 25)
+        with pytest.raises(RuntimeError, match="no centroidal tree of size 2 found in 25 attempts"):
+            sample_centroidal(2, 0)
 
 
 class TestTrialSeed:

@@ -382,16 +382,46 @@ class TestSolveValue:
     )
     def test_each_mix_is_built_once(self, monkeypatch, t):
         # The loop keeps its mixes as integer weights; only the round that
-        # returns builds the two strategies.
+        # returns builds the two strategies, through the integer entry.
         built = []
+        entry = MixedStrategy._from_weights
 
-        def counting(n, probs):
+        def counting(n, weights, den):
             built.append(n)
-            return MixedStrategy(n, probs)
+            return entry(n, weights, den)
 
-        monkeypatch.setattr(treegame.solver, "MixedStrategy", counting)
+        monkeypatch.setattr(MixedStrategy, "_from_weights", counting)
         sol = solve_value(t)
         assert len(built) == 2
+        assert verify_solution(t, sol)
+
+    @pytest.mark.parametrize(
+        "t",
+        [Tree.from_edges(41, [(7 * u % 41, 7 * v % 41) for u, v in star_tree(40).edges()]), random_tree(100, 5)],
+        ids=["relabelled-star40", "random100"],
+    )
+    def test_builds_only_the_fractions_it_returns(self, monkeypatch, t):
+        # The value and the certificate's two ends are the only Fractions;
+        # the strategies never run the probability constructor.
+        css_run(t)  # the round-two seed, kept on the tree, is built before the count
+        built = []
+        new = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        def parsing(self, n, probs):
+            raise AssertionError("solve_value parsed probabilities")
+
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        monkeypatch.setattr(MixedStrategy, "__init__", parsing)
+        sol = solve_value(t)
+        monkeypatch.undo()
+        assert len(built) == 3
+        assert sol.primal_value == sol.value == sol.dual_value
+        if t.n == 41:
+            assert len(sol.maxmin.support()) == len(sol.minmax.support()) == 41
         assert verify_solution(t, sol)
 
 

@@ -556,6 +556,9 @@ class TestEveryTreeIsChecked:
             (2.0, ((1,), (0,))),
             (3, None),
             (3, (1, 0, 1)),
+            (3, [[1], [0, 2], [1]]),  # lists: unhashable, and mutable under the kept walk
+            (3, ((1,), [0, 2], (1,))),
+            (3, [(1,), (0, 2), (1,)]),
         ],
     )
     def test_non_trees_raise_value_error(self, build, n, adj):
