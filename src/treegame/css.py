@@ -176,46 +176,50 @@ def analyze_branches(t: Tree, root: int) -> list[BranchInfo]:
     branches as runs: the subtree of each child of the root in the walk,
     and every run after the root's own subtree for the branch above it.
     The three lowest-weight vertices of a branch are picked by sorting on
-    (weight, depth from the root, vertex id). The structure the
-    classification relies on is asserted: u adjacent to the root, t
-    adjacent to u, and s adjacent to t for thin branches.
+    (weight, depth from the root, vertex id). Below a centroid root a
+    vertex's weight is n minus its subtree size, so it never falls going
+    down a branch, and those three lie within three edges of the root: only
+    those vertices are ranked. The structure the classification relies on
+    is asserted: u adjacent to the root, t adjacent to u, and s adjacent to
+    t for thin branches.
     """
     n = t.n
+    adj = t.adj
     w = weight_table(t).w
     if root not in centroid(t).vertices:
         raise ValueError(f"vertex {root} is not a centroid vertex")
-    order, parent, depth, size, pos = _walk(t)
-    runs = _runs(t, root)[0]
-    dist = [0] * n  # depth from the root
-    for lo, hi, off in runs:
-        for v in order[lo:hi]:
-            dist[v] = depth[v] + off
-    branches = {u: [(pos[u], pos[u] + size[u])] for u in t.adj[root]}
+    order, parent, _, size, pos = _walk(t)
+    branches = {u: [(pos[u], pos[u] + size[u])] for u in adj[root]}
     if parent[root] >= 0:
-        branches[parent[root]] = [(lo, hi) for lo, hi, _ in runs[1:]]
+        branches[parent[root]] = [(lo, hi) for lo, hi, _ in _runs(t, root)[0][1:]]
     result = []
-    for spans in branches.values():
-        members = list(chain.from_iterable(order[lo:hi] for lo, hi in spans))
-        ranked = heapq.nsmallest(3, members, key=lambda v: (w[v], dist[v], v))
+    for top, spans in branches.items():
+        members = tuple(chain.from_iterable(order[lo:hi] for lo, hi in spans))
+        near = [(w[top], 1, top)]
+        for a in adj[top]:
+            if a != root:
+                near.append((w[a], 2, a))
+                near += [(w[b], 3, b) for b in adj[a] if b != top]
+        ranked = [v for _, _, v in heapq.nsmallest(3, near)]
         u = ranked[0]
         index = min(members)
-        if u not in t.adj[root]:
+        if u not in adj[root]:
             raise CSSError(f"branch {index}: lowest-weight vertex {u} not adjacent to the root")
         tv = ranked[1] if len(ranked) >= 2 else None
         sv = ranked[2] if len(ranked) >= 3 else None
-        if tv is not None and tv not in t.adj[u]:
+        if tv is not None and tv not in adj[u]:
             raise CSSError(f"branch {index}: second-lowest vertex {tv} not adjacent to {u}")
         w1 = w[u]
         w2 = w[tv] if tv is not None else None
         w3 = w[sv] if sv is not None else None
         cls = _classify(n, len(members), w1, w2, w3)
-        if cls is BranchClass.THIN and sv not in t.adj[tv]:
+        if cls is BranchClass.THIN and sv not in adj[tv]:
             raise CSSError(
                 f"branch {index}: thin branch with third vertex {sv} not adjacent to {tv}"
             )
-        info = BranchInfo(index, tuple(members), u, tv, sv, w1, w2, w3, cls, Fraction(0))
+        info = BranchInfo(index, members, u, tv, sv, w1, w2, w3, cls, Fraction(0))
         info = BranchInfo(
-            index, tuple(members), u, tv, sv, w1, w2, w3, cls, branch_criterion(info, n)
+            index, members, u, tv, sv, w1, w2, w3, cls, branch_criterion(info, n)
         )
         result.append(info)
     return result

@@ -23,10 +23,11 @@ import math
 import sys
 from array import array
 from dataclasses import dataclass
+from decimal import Decimal
 from enum import IntEnum
 from fractions import Fraction
 from itertools import repeat
-from operator import add, lshift
+from operator import add, lshift, lt
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .tree import Tree, _runs, _vertex, _walk, distances_from
@@ -103,9 +104,7 @@ def pure_gain(t: Tree, x1: int, x2: int) -> int:
     """
     if _vertex(t.n, x1) == _vertex(t.n, x2):
         return 0
-    d1 = distances_from(t, x1)
-    d2 = distances_from(t, x2)
-    return sum(1 for a, b in zip(d1, d2) if a < b)
+    return sum(map(lt, distances_from(t, x1), distances_from(t, x2)))
 
 
 @dataclass(frozen=True)
@@ -270,8 +269,11 @@ class MixedStrategy:
 
 
 def format_fraction(value: Fraction | int) -> str:
+    """``"p/q"`` in lowest terms at any size: a ``Decimal`` prints an int's
+    digits without the interpreter's int-to-str digit limit (4300 digits by
+    default since Python 3.11), which an experiment's exact mean can pass."""
     f = Fraction(value)
-    return f"{f.numerator}/{f.denominator}"
+    return f"{Decimal(f.numerator)}/{Decimal(f.denominator)}"
 
 
 def strategy_to_pairs(x: MixedStrategy, as_float: bool = False) -> list[list]:

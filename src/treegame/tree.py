@@ -14,11 +14,21 @@ and safe to call from concurrent workers. ``weight_table``, ``centroid``
 and ``automorphism_orbits`` are kept on the tree on first use: a kept
 value never goes stale, and workers that race on a new tree compute an
 equal value twice.
+
+``Tree.from_edges``, and so ``parse_tree``, pauses the cyclic garbage
+collector while it builds the neighbour lists, the adjacency tuples and the
+kept walk, none of which can form a reference cycle, and restores the
+collector's prior state when it returns or raises. The switch is
+process-wide: other threads run without cyclic collection for that time,
+and a thread that switches the collector during a build may see its switch
+undone. ``parse_tree`` gives every vertex id of a tree above 257 vertices
+as the one int object of that vertex (CPython already shares 0..256).
 """
 
 from __future__ import annotations
 
 import functools
+import gc
 from dataclasses import dataclass
 from itertools import chain, islice
 from operator import contains
@@ -68,17 +78,26 @@ class Tree:
             raise ValueError(
                 f"a tree on {n} vertices needs {n - 1} edges, got {len(edges)}; tree is disconnected"
             )
-        # The tree's check accepts or rejects; the ordered check names a bad edge.
-        neighbours: list[list[int]] = [[] for _ in range(n)]
+        # The tree's check accepts or rejects; the ordered check names a bad
+        # edge. No cycle can form among the new lists and tuples, so the
+        # collector is paused while they are built and walked.
+        collecting = gc.isenabled()
+        gc.disable()
         try:
+            neighbours: list[list[int]] = [[] for _ in range(n)]
             for u, v in edges:
                 neighbours[u].append(v)
                 neighbours[v].append(u)
             for ns in neighbours:
                 ns.sort()
-            return cls(n, tuple(map(tuple, neighbours)), labels)
+            adj = tuple(map(tuple, neighbours))
+            del neighbours  # before the walk, which would otherwise peak with them
+            return cls(n, adj, labels)
         except (TypeError, IndexError, ValueError) as exc:
             raise _first_bad_edge(n, edges) or exc from None
+        finally:
+            if collecting:
+                gc.enable()
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -172,22 +191,28 @@ def parse_tree(text: str) -> Tree:
     if n < 1:
         raise TreeFormatError(f"line 1: vertex count must be >= 1, got {n}")
 
-    edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(islice(lines, 1, None), start=2):
-        stripped = raw.strip()
-        if not stripped:
-            continue
-        parts = stripped.split()
-        if len(parts) != 2:
-            raise TreeFormatError(f"line {lineno}: malformed edge line {stripped!r}")
-        try:
-            edges.append((int(parts[0]), int(parts[1])))
-        except ValueError:
-            raise TreeFormatError(f"line {lineno}: malformed edge line {stripped!r}") from None
+    # Each edge line holds two tokens, each an int, or the first line that
+    # does not is named. Every line break is whitespace to ``str.split``, so
+    # the document's tokens after the count are the edge lines' in order.
+    if not set(map(len, map(str.split, islice(lines, 1, None)))) <= {0, 2}:
+        raise _first_malformed_line(lines)
     # The line strings go before the tree's tables are built: at n = 10^5
     # they would be most of the parse's peak memory.
     last = len(lines)
     del lines
+    try:
+        ends = list(map(int, islice(text.split(), 1, None)))
+    except ValueError:
+        raise _first_malformed_line(text.splitlines()) from None
+    ids = iter(ends)
+    if n > 257 and len(ends) == 2 * n - 2 and min(ends) >= 0 and max(ends) < n:
+        # Each vertex id becomes the one int of its vertex (CPython already
+        # shares 0..256), so the tree's walk reads n compact ints rather
+        # than 2(n - 1) scattered ones. A list that is no tree's by its
+        # length or its ids keeps its own, for the edge checks to name.
+        ids = map(list(range(n)).__getitem__, ends)
+    edges = list(zip(ids, ids))
+    del ends, ids
     try:
         return Tree.from_edges(n, edges)
     except _EdgeError as exc:
@@ -195,6 +220,22 @@ def parse_tree(text: str) -> Tree:
         raise TreeFormatError(f"line {next(islice(edge_linenos, exc.index, None))}: {exc}") from None
     except ValueError as exc:
         raise TreeFormatError(f"line {last}: {exc}") from None
+
+
+def _first_malformed_line(lines: list[str]) -> TreeFormatError:
+    """The first edge line that is not blank and not two int tokens."""
+    for lineno, raw in enumerate(islice(lines, 1, None), start=2):
+        parts = raw.split()
+        if len(parts) == 2:
+            try:
+                int(parts[0]), int(parts[1])
+                continue
+            except ValueError:
+                pass
+        elif not parts:
+            continue
+        return TreeFormatError(f"line {lineno}: malformed edge line {raw.strip()!r}")
+    raise AssertionError("every edge line holds two int tokens")
 
 
 def _vertex(n: int, v: int) -> int:
@@ -235,8 +276,18 @@ def preorder(t: Tree, root: int) -> tuple[list[int], list[int], list[int]]:
 
 
 def distances_from(t: Tree, v: int) -> tuple[int, ...]:
-    """Distances from ``v``, the depths of one rooted walk; d(v, v) = 0."""
-    _, _, depth = preorder(t, v)
+    """Distances from ``v``, checked by ``_vertex``; d(v, v) = 0. A
+    breadth-first walk that keeps only the depths, apart from the kept walk."""
+    adj = t.adj
+    depth = [-1] * t.n
+    depth[_vertex(t.n, v)] = 0
+    reached = [v]
+    for u in reached:  # grows as it is read: each vertex joins once
+        k = depth[u] + 1
+        for w in adj[u]:
+            if depth[w] < 0:
+                depth[w] = k
+                reached.append(w)
     return tuple(depth)
 
 

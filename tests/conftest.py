@@ -20,7 +20,7 @@ from pathlib import Path
 from unittest import mock
 
 import treegame.tree
-from treegame import Tree, simulate_diffusion
+from treegame import Tree, TreeFormatError, simulate_diffusion
 from treegame.solver import _Tableau
 
 
@@ -88,6 +88,41 @@ def randrange_random_tree(n: int, seed: int) -> Tree:
     return Tree.from_edges(n, edges)
 
 
+def line_parse_tree(text: str) -> Tree:
+    """The reference for ``parse_tree``: the edge-list document read line by
+    line, one fresh int per token, with the same messages. Blank lines are
+    skipped, and an edge error from ``Tree.from_edges`` is placed on its
+    line (the last line for a count error)."""
+    lines = text.splitlines()
+    if not lines or not lines[0].strip():
+        raise TreeFormatError("line 1: expected vertex count")
+    try:
+        n = int(lines[0].strip())
+    except ValueError:
+        raise TreeFormatError(f"line 1: expected vertex count, got {lines[0].strip()!r}") from None
+    if n < 1:
+        raise TreeFormatError(f"line 1: vertex count must be >= 1, got {n}")
+    edges, linenos = [], []
+    for lineno, raw in enumerate(lines[1:], start=2):
+        stripped = raw.strip()
+        if not stripped:
+            continue
+        parts = stripped.split()
+        if len(parts) != 2:
+            raise TreeFormatError(f"line {lineno}: malformed edge line {stripped!r}")
+        try:
+            edges.append((int(parts[0]), int(parts[1])))
+        except ValueError:
+            raise TreeFormatError(f"line {lineno}: malformed edge line {stripped!r}") from None
+        linenos.append(lineno)
+    try:
+        return Tree.from_edges(n, edges)
+    except treegame.tree._EdgeError as exc:
+        raise TreeFormatError(f"line {linenos[exc.index]}: {exc}") from None
+    except ValueError as exc:
+        raise TreeFormatError(f"line {len(lines)}: {exc}") from None
+
+
 def brute_branches(t: Tree, v: int) -> list[set[int]]:
     """The components left when v is removed, one per neighbour of v in
     adjacency order, each found by its own depth-first search."""
@@ -103,6 +138,24 @@ def brute_branches(t: Tree, v: int) -> list[set[int]]:
                     stack.append(u)
         branches.append(seen - {v})
     return branches
+
+
+def brute_lowest_three(t: Tree, root: int) -> list[tuple]:
+    """For each branch at ``root``, in ``brute_branches`` order, its up to
+    three vertices of lowest (weight, distance from the root, id), ranked
+    over every vertex of the branch and padded with None."""
+    dist = {root: 0}
+    queue = [root]
+    for v in queue:
+        for w in t.adj[v]:
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    out = []
+    for branch in brute_branches(t, root):
+        ranked = sorted(branch, key=lambda v: (brute_weight(t, v), dist[v], v))[:3]
+        out.append(tuple(ranked + [None] * (3 - len(ranked))))
+    return out
 
 
 def is_tree_adjacency(n, adj) -> bool:

@@ -12,10 +12,13 @@ import pytest
 from click.testing import CliRunner
 
 from treegame import (
+    ExperimentConfig,
     SpiderSpec,
     build_spider,
+    format_fraction,
     guaranteed_gain,
     parse_tree,
+    run_experiment,
     solve_value,
     strategy_from_pairs,
 )
@@ -191,6 +194,28 @@ class TestExperimentCommand:
     def test_missing_settings(self, runner):
         result = runner.invoke(cli, ["experiment", "--n", "10"])
         assert result.exit_code != 0
+
+    def test_summary_past_the_int_to_str_digit_limit(self, tmp_path):
+        # 60 trials at n = 100 give an exact mean whose denominator has 688
+        # digits: under a 640-digit limit the summary still prints it, and
+        # the exit code is 0, not the input-error 1.
+        proc = run_python(
+            "-X", "int_max_str_digits=640", "-m", "treegame.cli", "experiment",
+            "--n", "100", "--trials", "60", "--seed", "0", "--out", str(tmp_path),
+        )
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        result = run_experiment(ExperimentConfig(n=100, trials=60, seed=0))
+        assert len(str(result.mean_ratio.denominator)) == 688
+        assert Fraction(doc["mean_ratio"]) == result.mean_ratio
+        assert Fraction(doc["median_ratio"]) == result.median_ratio
+
+
+def test_format_fraction_at_any_size():
+    # 5000 digits, past the default 4300-digit int-to-str limit.
+    assert format_fraction(Fraction(-1, 10**5000 + 1)) == "-1/1" + "0" * 4999 + "1"
+    assert format_fraction(Fraction(10**5000, 3)) == "1" + "0" * 5000 + "/3"
+    assert format_fraction(0) == "0/1"
 
 
 def _decimals(doc):

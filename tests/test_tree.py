@@ -1,7 +1,11 @@
+import contextlib
 import dataclasses
+import gc
 import pickle
+import random
 import tracemalloc
 from fractions import Fraction
+from itertools import chain
 from unittest import mock
 
 import pytest
@@ -40,9 +44,11 @@ from treegame.tree import _is_automorphism, preorder
 from conftest import (
     all_labeled_trees,
     brute_branches,
+    brute_lowest_three,
     brute_orbits,
     brute_weights,
     is_tree_adjacency,
+    line_parse_tree,
     path_tree,
     proposing,
     prufer_decode,
@@ -161,6 +167,138 @@ class TestParseTree:
     def test_bad_count(self):
         with pytest.raises(TreeFormatError, match="line 1"):
             parse_tree("zero\n0 1")
+
+
+# One fault per document, or none: an endpoint below 0 or equal to n, a line
+# with three tokens, a token that is no int, a repeated edge, or an edge that
+# closes a cycle.
+_FAULTS = ("none", "negative", "id_n", "three_tokens", "non_int", "duplicate", "cycle")
+
+
+@st.composite
+def edge_documents(draw):
+    """A random tree's edge list, relabelled, in shuffled lines with their
+    endpoints in either order, spread by blank and whitespace-only lines and
+    uneven spacing, with n on both sides of 257, and at most one fault."""
+    n = draw(st.one_of(st.integers(1, 12), st.integers(250, 265), st.integers(266, 600)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    fault = draw(st.sampled_from(_FAULTS))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    rows = [[str(perm[v]), str(perm[rng.randrange(v)])] for v in range(1, n)]
+    for row in rows:
+        rng.shuffle(row)
+    rng.shuffle(rows)
+    if rows and fault != "none":
+        i = rng.randrange(len(rows))
+        if fault == "negative":
+            rows[i][rng.randrange(2)] = str(-rng.randint(1, n))
+        elif fault == "id_n":
+            rows[i][rng.randrange(2)] = str(n)
+        elif fault == "three_tokens":
+            rows[i].append(rng.choice(["0", "x", str(n)]))
+        elif fault == "non_int":
+            rows[i][rng.randrange(2)] = rng.choice(["x", "1.5", "0x1", "--1", "1e3"])
+        else:
+            extra = rows[i][::-1] if rng.random() < 0.5 else rows[i][:]
+            if fault == "cycle" and n > 2:  # in a tree, any pair that is no edge closes a cycle
+                edges = {frozenset(r) for r in rows}
+                while frozenset(extra) in edges or extra[0] == extra[1]:
+                    extra = [str(rng.randrange(n)), str(rng.randrange(n))]
+            k = rng.randrange(len(rows) + 1)
+            if rng.random() < 0.5:
+                rows.insert(k, extra)  # n edges: a surplus one
+            else:
+                rows[min(k, len(rows) - 1)] = extra  # n - 1 edges, one of them replaced
+    spaces = (" ", "\t", "  ", " \t ")
+    lines = [rng.choice(("", " ")) + str(n) + rng.choice(("", "\t"))]
+    for row in rows:
+        while rng.random() < 0.1:
+            lines.append(rng.choice(("", " ", "\t", "\x0c", "  \t")))
+        lines.append(rng.choice(("", " ")) + rng.choice(spaces).join(row) + rng.choice(("", " ", "\t")))
+    return rng.choice(("\n", "\r\n")).join(lines) + rng.choice(("", "\n", "\n\n \n")), fault
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except TreeFormatError as exc:
+        return str(exc)
+
+
+def _document(n: int, seed: int) -> str:
+    t = random_tree(n, seed)
+    return "\n".join([str(n)] + [f"{u} {v}" for u, v in t.edges()[::-1]]) + "\n"
+
+
+class TestParseOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(edge_documents())
+    def test_equals_the_line_by_line_parser(self, document):
+        # An equal tree, or the reference's exact message and line number.
+        text, fault = document
+        expected = _outcome(line_parse_tree, text)
+        assert _outcome(parse_tree, text) == expected
+        if fault == "none":
+            assert isinstance(expected, Tree)
+
+    @pytest.mark.parametrize("n", [258, 300, 2000])
+    def test_each_vertex_id_is_one_int(self, n):
+        # Above 257 vertices CPython shares no id, so the parse does: every
+        # adjacency entry for v is the same object.
+        t = parse_tree(_document(n, 5))
+        one = {}
+        assert all(one.setdefault(x, x) is x for x in chain.from_iterable(t.adj))
+        assert len(one) == n
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [(0, 1), (1, 2), (1, 3)],
+            [(0, 1), (1, 2), (2, 1)],  # n - 1 edges that are no tree's: rejected by the walk
+            [(0, 1), (1, 2), (2, 0), (1, 3)],  # a surplus edge
+            [(0, 1), (1, 2), (1, 4)],  # an IndexError
+            [(0, 1), (1, 2), (1, "3")],  # a TypeError
+            [(0, 1)],  # too few edges: rejected before the pause
+        ],
+        ids=["tree", "duplicate", "cycle", "out-of-range", "not-an-int", "too-few"],
+    )
+    def test_collector_state_is_restored(self, enabled, edges):
+        was = gc.isenabled()
+        try:
+            gc.enable() if enabled else gc.disable()
+            with contextlib.suppress(ValueError):
+                Tree.from_edges(4, edges)
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable() if was else gc.disable()
+
+    def test_one_walk_per_tree_with_the_collector_paused(self):
+        text = _document(400, 3)
+        built = parse_tree(text)
+        walk = treegame.tree._walk
+        paused = []
+
+        def spy(t):
+            paused.append(not gc.isenabled())
+            return walk(t)
+
+        was = gc.isenabled()
+        gc.enable()
+        try:
+            with mock.patch.object(treegame.tree, "_walk", side_effect=spy) as walks:
+                for build in (lambda: parse_tree(text), lambda: Tree.from_edges(built.n, built.edges())):
+                    walks.reset_mock()
+                    assert build() == built
+                    assert walks.call_count == 1
+                assert gc.isenabled()
+                walks.reset_mock()
+                Tree(built.n, built.adj)
+                assert walks.call_count == 1
+        finally:
+            gc.enable() if was else gc.disable()
+        assert paused == [True, True, False]  # only from_edges pauses it
 
 
 class TestWeights:
@@ -617,8 +755,9 @@ class TestCentroidBranches:
     def test_match_brute_force(self, t):
         # From every centroid vertex, so both ends of a bicentroidal edge.
         for root in centroid(t).vertices:
-            got = [set(b.vertices) for b in analyze_branches(t, root)]
-            assert got == brute_branches(t, root)
+            got = analyze_branches(t, root)
+            assert [set(b.vertices) for b in got] == brute_branches(t, root)
+            assert [(b.u, b.t, b.s) for b in got] == brute_lowest_three(t, root)
 
 
 SYMMETRIC_TREES = st.one_of(
