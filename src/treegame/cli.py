@@ -2,9 +2,10 @@
 
 Data goes to stdout, diagnostics to stderr. Exit codes: 0 success, 1 input
 error, 2 internal verification failure (a failed certificate, any broken
-internal invariant, or an experiment with failed trials). Every result is
-exact and renders as "p/q" strings; --float renders the same results as
-decimals. Identical invocations produce byte-identical output.
+internal invariant, an experiment with failed trials, or any other
+unexpected exception). Every result is exact and renders as "p/q" strings;
+--float renders the same results as decimals. Identical invocations produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -54,16 +55,9 @@ class VerificationFailure(RuntimeError):
     """An internal consistency check failed; maps to exit status 2."""
 
 
-def _num(x, as_float: bool):
-    if as_float:
-        return float(x)
-    if isinstance(x, int):
-        return x
-    return format_fraction(x)
-
-
-def _emit(doc: dict) -> None:
-    click.echo(json.dumps(doc, indent=2), file=sys.stdout)
+def _emit(doc: dict, as_float: bool = False) -> None:
+    """Print ``doc`` as JSON, each ``Fraction`` in it as "p/q" or, ``as_float``, a decimal."""
+    click.echo(json.dumps(doc, indent=2, default=float if as_float else format_fraction), file=sys.stdout)
 
 
 _INPUT_OPTIONS = [
@@ -167,13 +161,14 @@ def value_cmd(tree_file, spider_spec, ctree_spec, as_float) -> None:
         {
             "schema": "treegame.value/1",
             "n": t.n,
-            "value": _num(sol.value, as_float),
+            "value": sol.value,
             "maxmin": strategy_to_pairs(sol.maxmin, as_float),
             "minmax": strategy_to_pairs(sol.minmax, as_float),
-            "primal_value": _num(sol.primal_value, as_float),
-            "dual_value": _num(sol.dual_value, as_float),
+            "primal_value": sol.primal_value,
+            "dual_value": sol.dual_value,
             "verified": ok,
-        }
+        },
+        as_float,
     )
     if not ok:
         raise VerificationFailure("solver certificate failed")
@@ -193,27 +188,27 @@ def css_cmd(tree_file, spider_spec, ctree_spec, strict_centroidal, as_float) -> 
         "n": t.n,
         "root": res.root,
         "strategy": strategy_to_pairs(res.strategy, as_float),
-        "alpha": _num(res.alpha, as_float),
+        "alpha": res.alpha,
         "branches": [
             {
                 "index": ub.info.index,
                 "class": ub.info.cls.value,
-                "criterion": _num(ub.info.criterion, as_float),
-                "beta": _num(ub.beta, as_float),
-                "gamma": _num(ub.gamma, as_float),
-                "delta": _num(ub.delta, as_float),
+                "criterion": ub.info.criterion,
+                "beta": ub.beta,
+                "gamma": ub.gamma,
+                "delta": ub.delta,
                 "u": ub.info.u,
                 "t": ub.info.t,
                 "s": ub.info.s,
             }
             for ub in res.branches_used
         ],
-        "guaranteed_gain": _num(res.guaranteed_gain, as_float),
-        "centroid_gain": _num(res.centroid_gain, as_float),
+        "guaranteed_gain": res.guaranteed_gain,
+        "centroid_gain": res.centroid_gain,
         "theorem4": "pass" if report.passed else "fail",
-        "trace": [_num(g, as_float) for g in res.trace],
+        "trace": list(res.trace),
     }
-    _emit(doc)
+    _emit(doc, as_float)
     if not report.passed:
         raise VerificationFailure("centroid does not minimize the reply gain")
 
@@ -239,13 +234,13 @@ def spider_cmd(legs, leg_length, k, as_float) -> None:
         "spec": {"m": legs, "l": leg_length, "n": spec.n},
         "k": k,
         "strategy": strategy_to_pairs(strat, as_float),
-        "guaranteed_gain": _num(ggain, as_float),
-        "body_reply_gain": _num(body_gain, as_float),
-        "value": _num(value, as_float),
+        "guaranteed_gain": ggain,
+        "body_reply_gain": body_gain,
+        "value": value,
         "upper_bound": leg_length,
         "sandwich_ok": sandwich_ok,
     }
-    _emit(doc)
+    _emit(doc, as_float)
     if not sandwich_ok:
         raise VerificationFailure("bound sandwich failed")
 
@@ -268,13 +263,14 @@ def ctree_cmd(arity, height, as_float) -> None:
         {
             "schema": "treegame.complete-tree/1",
             "spec": {"m": arity, "h": height, "n": spec.n},
-            "value": _num(value, as_float),
+            "value": value,
             "safe_strategy": strategy_to_pairs(safe, as_float),
             "opposing_strategy": strategy_to_pairs(oppose, as_float),
-            "guaranteed_gain": _num(ggain, as_float),
-            "maximal_gain": _num(mgain, as_float),
+            "guaranteed_gain": ggain,
+            "maximal_gain": mgain,
             "verified": ok,
-        }
+        },
+        as_float,
     )
     if not ok:
         raise VerificationFailure("closed-form gains do not match the safety value")
@@ -306,11 +302,10 @@ def experiment_cmd(n, trials, seed, config_file, out_dir) -> None:
         if lineno is None:
             raise
         raise ValueError(f"{config_file}:{lineno}: {exc}") from None
-    result = run_experiment(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    result = run_experiment(cfg)
     write_records_csv(result.records, str(out / "records.csv"))
-    assert result.histogram is not None
     write_histogram_csv(result.histogram, str(out / "histogram.csv"))
     _emit(
         {
@@ -320,8 +315,8 @@ def experiment_cmd(n, trials, seed, config_file, out_dir) -> None:
             "seed": cfg.seed,
             "completed": len(result.records),
             "failed": len(result.failures),
-            "mean_ratio": format_fraction(result.mean_ratio) if result.mean_ratio is not None else None,
-            "median_ratio": format_fraction(result.median_ratio) if result.median_ratio is not None else None,
+            "mean_ratio": result.mean_ratio,
+            "median_ratio": result.median_ratio,
             "overflow": result.histogram.overflow,
             "records_csv": str(out / "records.csv"),
             "histogram_csv": str(out / "histogram.csv"),
@@ -352,6 +347,9 @@ def main() -> None:
     except (ValueError, OSError) as exc:
         click.echo(f"error: {exc}", file=sys.stderr)
         sys.exit(1)
+    except Exception as exc:  # noqa: BLE001 - any other exception is a bug, not bad input
+        click.echo(f"internal error: {exc!r}", file=sys.stderr)
+        sys.exit(2)
 
 
 if __name__ == "__main__":

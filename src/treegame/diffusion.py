@@ -207,7 +207,7 @@ class MixedStrategy:
                 raise ValueError(f"float probability {p!r} at vertex {v}; probabilities must be exact")
             try:
                 p = Fraction(p)
-            except (TypeError, ValueError, ZeroDivisionError) as exc:
+            except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
                 raise ValueError(f"bad probability {p!r} at vertex {v}: {exc}") from None
             if p < 0:
                 raise ValueError(f"negative probability at vertex {v}")

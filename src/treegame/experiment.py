@@ -14,7 +14,7 @@ import math
 import random
 import statistics
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -91,14 +91,14 @@ class Histogram:
         return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentResult:
     config: ExperimentConfig
-    records: list[TrialRecord] = field(default_factory=list)
-    failures: list[TrialFailure] = field(default_factory=list)
-    histogram: Histogram | None = None
-    mean_ratio: Fraction | None = None
-    median_ratio: Fraction | None = None
+    records: list[TrialRecord]
+    failures: list[TrialFailure]
+    histogram: Histogram
+    mean_ratio: Fraction | None  # None when no trial completed
+    median_ratio: Fraction | None
 
 
 def trial_seed(master: int, i: int) -> int:
@@ -180,8 +180,8 @@ def run_experiment(
     """Run all trials and aggregate. ``tree_source(i, seed)`` may be injected
     to pin specific trees; by default centroidal trees of size cfg.n are
     sampled. Individual trial failures are recorded, not fatal."""
-    result = ExperimentResult(cfg)
-    ratios: list[Fraction] = []
+    records: list[TrialRecord] = []
+    failures: list[TrialFailure] = []
     for i in range(cfg.trials):
         seed_i = trial_seed(cfg.seed, i)
         try:
@@ -192,17 +192,18 @@ def run_experiment(
             ratio = (bound - res.guaranteed_gain) / cw
             if ratio < 0:
                 raise RuntimeError(f"negative gap {ratio}; bound below guaranteed gain")
-            result.records.append(
-                TrialRecord(i, seed_i, t.n, res.root, cw, res.guaranteed_gain, bound, ratio)
-            )
-            ratios.append(ratio)
+            records.append(TrialRecord(i, seed_i, t.n, res.root, cw, res.guaranteed_gain, bound, ratio))
         except Exception as exc:  # noqa: BLE001 - per-trial isolation is the contract
-            result.failures.append(TrialFailure(i, seed_i, repr(exc)))
-    result.histogram = _build_histogram(ratios, cfg.bin_width, cfg.bin_max)
-    if ratios:
-        result.mean_ratio = sum(ratios) / len(ratios)
-        result.median_ratio = statistics.median(ratios)
-    return result
+            failures.append(TrialFailure(i, seed_i, repr(exc)))
+    ratios = [r.diff_ratio for r in records]
+    return ExperimentResult(
+        cfg,
+        records,
+        failures,
+        _build_histogram(ratios, cfg.bin_width, cfg.bin_max),
+        sum(ratios) / len(ratios) if ratios else None,
+        statistics.median(ratios) if ratios else None,
+    )
 
 
 def _dec(x: Fraction) -> str:

@@ -1,11 +1,11 @@
 """Tree structure, the one rooted walk, branch weights, the centroid and
 the automorphism orbits.
 
-Each tree keeps one walk (``_walk``): ``preorder`` from vertex 0, with the
-subtree sizes and each vertex's position in the walk, taken when the tree
-is built and its one check that it is a tree. Every other rooting is read
-from it as runs (``_runs``): the weights, the branches and orbits at the
-centroid, and each gain-matrix line. The orbits come from the centroid's
+Each tree keeps one walk (``_walk``): a depth-first walk from vertex 0, with
+the subtree sizes and each vertex's position in the walk, taken when the
+tree is built and its one check that it is a tree. Every other rooting is
+read from it as runs (``_runs``): the weights, the branches and orbits at
+the centroid, and each gain-matrix line. The orbits come from the centroid's
 rooting: subtree codes propose sibling swaps, and each swap is checked
 against the tree before it merges vertices.
 
@@ -248,33 +248,6 @@ def _vertex(n: int, v: int) -> int:
     return v
 
 
-def preorder(t: Tree, root: int) -> tuple[list[int], list[int], list[int]]:
-    """Iterative depth-first walk from ``root``, checked by ``_vertex``:
-    (order, parent, depth), with ``parent[root] = -1``. Each vertex comes
-    after its parent and before the rest of its own subtree, so every
-    subtree is a contiguous run of ``order`` and ``order[0]`` is the root.
-    It pops n vertices, so it ends even on lists that are no tree's."""
-    n = t.n
-    root = _vertex(n, root)
-    adj = t.adj
-    parent = [-1] * n
-    depth = [0] * n
-    parent[root] = root
-    order = []
-    stack = [root]
-    for _ in range(n):
-        v = stack.pop()
-        order.append(v)
-        k = depth[v] + 1
-        for w in adj[v]:
-            if parent[w] < 0:
-                parent[w] = v
-                depth[w] = k
-                stack.append(w)
-    parent[root] = -1
-    return order, parent, depth
-
-
 def distances_from(t: Tree, v: int) -> tuple[int, ...]:
     """Distances from ``v``, checked by ``_vertex``; d(v, v) = 0. A
     breadth-first walk that keeps only the depths, apart from the kept walk."""
@@ -293,22 +266,37 @@ def distances_from(t: Tree, v: int) -> tuple[int, ...]:
 
 @_kept
 def _walk(t: Tree) -> tuple[list[int], list[int], list[int], list[int], list[int]]:
-    """The tree's one walk: ``preorder`` from vertex 0 as ``(order, parent,
-    depth, size, pos)``, with each vertex's subtree size, summed in one
-    reverse pass, and its position in ``order``. The subtree of v is
-    ``order[pos[v]:pos[v] + size[v]]``. It is also the one tree check:
-    ``ValueError`` unless ``adj`` is a tuple of n tuples (so the tree is
-    hashable and stays as checked), they hold 2(n - 1) ``int`` entries, the
-    walk reaches all n vertices, all in range, and each but the root lists
-    its walk parent: 2(n - 1) distinct arcs, so no missing reverse,
-    duplicate or cycle is left."""
+    """The tree's one walk: an iterative depth-first walk from vertex 0 as
+    ``(order, parent, depth, size, pos)``, with ``parent[0] = -1``, each
+    vertex's subtree size, summed in one reverse pass, and its position in
+    ``order``. Each vertex comes after its parent and before the rest of its
+    own subtree, so the subtree of v is ``order[pos[v]:pos[v] + size[v]]``.
+    It pops n vertices, so it ends even on lists that are no tree's. It is
+    also the one tree check: ``ValueError`` unless ``adj`` is a tuple of n
+    tuples (so the tree is hashable and stays as checked), they hold
+    2(n - 1) ``int`` entries, the walk reaches all n vertices, all in range,
+    and each but the root lists its walk parent: 2(n - 1) distinct arcs, so
+    no missing reverse, duplicate or cycle is left."""
     n, adj, labels = t.n, t.adj, t.labels
     order: list[int] = []
     try:  # no length, an entry that is no index or is n or more, or fewer than n reached: no walk
         if type(n) is int and type(adj) is tuple and len(adj) == n > 0 and (labels is None or len(labels) == n):
-            order, parent, depth = preorder(t, 0)
+            parent = [-1] * n
+            depth = [0] * n
+            parent[0] = 0
+            stack = [0]
+            for _ in range(n):
+                v = stack.pop()
+                order.append(v)
+                k = depth[v] + 1
+                for w in adj[v]:
+                    if parent[w] < 0:
+                        parent[w] = v
+                        depth[w] = k
+                        stack.append(w)
+            parent[0] = -1
     except (TypeError, IndexError):
-        pass
+        order = []
     if (
         not order
         or min(order) < 0  # a negative entry read as a vertex from the end

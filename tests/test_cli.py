@@ -1,5 +1,6 @@
 import csv
 import gc
+import hashlib
 import io
 import json
 import re
@@ -249,6 +250,50 @@ def test_float_flag_only_renders(runner, args):
     assert rendered.output == json.dumps(_decimals(exact), indent=2) + "\n"
 
 
+# SHA-256 of each command's stdout, pinned so that no change to rendering
+# passes unseen.
+GOLDEN_STDOUT = {
+    "value --spider 5 2": "4987f997bfd0f16f686bfdc274ca215656a7bd1e6a0d3a71091604bbbcc88207",
+    "value --spider 5 2 --float": "aee3a7068fc1aa678435f3b6ff0d6ecb6277ee32b7046d185d4a00b1cd6957f0",
+    "css --ctree 2 4": "3b517a82a8f7471bc3e25fbccabe74d7187b36235b8eb83043e3ceb93ce50011",
+    "css --ctree 2 4 --float": "ee46333549f379c011f79f6443a51e5215ace44c701bbd5c7c19c22428dd5639",
+    "spider --m 4 --l 5 --k 2": "14c1920b890fddb728f584f9dca55aa336a55e51c0bf082aa20dfa7a118f7bbc",
+    "spider --m 4 --l 5 --k 2 --float": "bb36be5b291a543c32fafc19583fde21ff48e357bada0996f78dd8ddd0f7c337",
+    "ctree --m 3 --h 2": "afa7f3beab8e0e1fd6bc724e0f86129561849eb198a2674d616f8f3eb6f233bf",
+    "ctree --m 3 --h 2 --float": "7dee23d34c53bd6c994c6a0ddc0277d1e6d9f1728edc36b5d6a002d66fed30b1",
+    "centroid --spider 3 2": "92770b7b63f899e6187bfb8ef2ecd5c775bc5a69d7e6cbc5d06f553b5a711236",
+    "matrix --spider 3 2 --format json": "1f062f05d9e640c4031a0c5ea842bf0c1e8563ea552e8cab204b892e222d5dc4",
+    "simulate --spider 3 2 --x 1 --y 4": "ca2143adfd1dab8611643306fe22d0340097f92ece4c342706dc1e8c2c567e2f",
+}
+
+
+@pytest.mark.parametrize("args", GOLDEN_STDOUT)
+def test_golden_stdout(runner, args):
+    result = runner.invoke(cli, args.split(), catch_exceptions=False)
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == GOLDEN_STDOUT[args], result.stdout
+
+
+def test_golden_experiment(runner, monkeypatch, tmp_path):
+    # Run from its own directory, so the summary's relative CSV paths are fixed.
+    monkeypatch.chdir(tmp_path)
+    result = runner.invoke(
+        cli, ["experiment", "--n", "40", "--trials", "20", "--seed", "0", "--out", "out"], catch_exceptions=False
+    )
+    assert result.exit_code == 0, result.output
+    outputs = {
+        "stdout": result.stdout_bytes,
+        "records.csv": (tmp_path / "out" / "records.csv").read_bytes(),
+        "histogram.csv": (tmp_path / "out" / "histogram.csv").read_bytes(),
+    }
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
+    assert digests == {
+        "stdout": "8c28cf20613c7579ff4e971b2ce53cbc20360f4ebca30b32b0fabb0d41e2951f",
+        "records.csv": "1f82350f06256ff94489856aaf9a781acb45a64e4c588516b47123e0083bcc9e",
+        "histogram.csv": "ebc929db9b38f91e987e16b92ece0ffa3214e53779daee28e4b20c85ed979c03",
+    }, {name: data.decode() for name, data in outputs.items()}
+
+
 ONE_VERTEX_DOCUMENTS = {
     "centroid": {
         "schema": "treegame.centroid/1",
@@ -323,11 +368,15 @@ class TestDeterminismAndExitCodes:
             ("solve_value", "SolverError", "value"),
             ("css_run", "CSSError", "css"),
             ("complete_tree_value", "RuntimeError", "ctree"),
+            ("solve_value", "IndexError", "value"),
+            ("css_run", "AssertionError", "css"),
         ],
     )
     def test_internal_error_exit_code(self, target, error, command):
         # A broken solver, CSS, tree, diffusion or closed-form invariant is an
-        # internal error, not bad input.
+        # internal error, not bad input, and so is any other exception: a
+        # bug, or one of the code's own asserts. One line on stderr, no
+        # traceback.
         tree_args = "'--m', '2', '--h', '2'" if command == "ctree" else "'--ctree', '2', '2'"
         script = (
             "import sys, treegame.cli\n"
@@ -340,6 +389,25 @@ class TestDeterminismAndExitCodes:
         proc = run_python("-c", script)
         assert proc.returncode == 2, proc.stderr
         assert "forced failure" in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        if error in ("IndexError", "AssertionError"):
+            assert error in proc.stderr
+
+    def test_experiment_out_is_made_before_the_first_trial(self, monkeypatch, capsys, tmp_path):
+        # An --out that cannot be a directory is an input error before any
+        # trial runs, not after all of them.
+        import treegame.cli
+
+        monkeypatch.setattr(treegame.cli, "run_experiment", lambda cfg: pytest.fail("trials ran"))
+        (tmp_path / "afile").write_text("")
+        out = tmp_path / "afile" / "sub"
+        argv = ["treegame", "experiment", "--n", "9", "--trials", "2", "--seed", "0", "--out", str(out)]
+        monkeypatch.setattr(sys, "argv", argv)
+        with pytest.raises(SystemExit) as exit_info:
+            main()
+        assert exit_info.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno") and "Not a directory" in err, err
 
     def test_experiment_two_vertices_is_input_error(self, tmp_path):
         proc = run_python(

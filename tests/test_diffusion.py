@@ -1,5 +1,6 @@
 import math
 import re
+from decimal import Decimal
 from fractions import Fraction
 from unittest import mock
 
@@ -248,10 +249,11 @@ class TestMixedStrategy:
         with pytest.raises(ValueError, match="is a bool"):
             MixedStrategy(2, dict(pairs))
 
-    @pytest.mark.parametrize("bad", ["1/0", "abc", "1/", None, [1]])
+    @pytest.mark.parametrize("bad", ["1/0", "abc", "1/", None, [1], Decimal("Infinity"), Decimal("-Infinity")])
     def test_rejects_unparsable_probability(self, bad):
-        # A ValueError that names the vertex, never a bare ZeroDivisionError
-        # or TypeError (a JSON null or list in a strategy file).
+        # A ValueError that names the vertex, never a bare ZeroDivisionError,
+        # TypeError (a JSON null or list in a strategy file) or OverflowError
+        # (an infinite Decimal).
         message = re.escape(f"bad probability {bad!r} at vertex 1: ")
         with pytest.raises(ValueError, match=message):
             MixedStrategy(2, {0: "1/2", 1: bad})

@@ -150,6 +150,15 @@ class TestRunExperiment:
         assert len(res.records) == 2 and len(res.failures) == 1
         assert "boom" in res.failures[0].error
 
+    def test_every_trial_failed_still_gives_a_histogram(self):
+        def broken(i, seed):
+            raise RuntimeError("boom")
+
+        res = run_experiment(ExperimentConfig(n=7, trials=2, seed=1), tree_source=broken)
+        assert not res.records and len(res.failures) == 2
+        assert res.histogram.counts == (0,) * 31 and res.histogram.overflow == 0
+        assert res.mean_ratio is None and res.median_ratio is None
+
     def test_mean_and_median(self):
         cfg = ExperimentConfig(n=12, trials=5, seed=2)
         res = run_experiment(cfg)

@@ -39,7 +39,7 @@ from treegame import (
 )
 from treegame.cli import cli
 from treegame.diffusion import _sweep, gain_column, gain_row
-from treegame.tree import _is_automorphism, preorder
+from treegame.tree import _is_automorphism
 
 from conftest import (
     all_labeled_trees,
@@ -403,7 +403,6 @@ class TestCentroid:
 # Every public function that takes a vertex id, with the bad id in each
 # vertex argument; all of them check it in ``tree._vertex``.
 _VERTEX_ENTRY_POINTS = [
-    pytest.param(preorder, id="preorder"),
     pytest.param(distances_from, id="distances_from"),
     pytest.param(gain_row, id="gain_row"),
     pytest.param(gain_column, id="gain_column"),
@@ -559,6 +558,19 @@ def _tables(t):
     return weight_table(t), centroid(t), automorphism_orbits(t)
 
 
+@contextlib.contextmanager
+def _walk_computations():
+    """A mock that counts the kept walk's computations, not its reads: it
+    stands in for the function ``_kept`` wraps, in the wrapper's closure."""
+    kept = treegame.tree._walk
+    cell = next(c for c in kept.__closure__ if c.cell_contents is kept.__wrapped__)
+    cell.cell_contents = walks = mock.Mock(wraps=kept.__wrapped__)
+    try:
+        yield walks
+    finally:
+        cell.cell_contents = kept.__wrapped__
+
+
 class TestKeptTables:
     @pytest.mark.parametrize(
         "make",
@@ -568,27 +580,32 @@ class TestKeptTables:
     def test_computed_once_per_tree(self, make):
         # The tree module walks the tree once, while checking its edges,
         # however many callers read its tables and lines.
-        with mock.patch.object(treegame.tree, "preorder", wraps=treegame.tree.preorder) as walks:
+        with _walk_computations() as walks:
             t = make()
+            walk = vars(t)["_kept__walk"]
             kept = _tables(t)
             css_run(t)
             assert verify_solution(t, solve_value(t))
             game_matrix(t)
         assert all(a is b for a, b in zip(kept, _tables(t)))
         assert walks.call_count == 1
+        assert vars(t)["_kept__walk"] is walk
         orbits = kept[2]
         assert type(orbits) is tuple and all(type(o) is tuple for o in orbits)
 
     def test_tree_from_adjacency_lists_walks_once_at_construction(self):
         # The constructor's check is the walk every table and line reads.
         built = random_tree(40, 2)
-        with mock.patch.object(treegame.tree, "preorder", wraps=treegame.tree.preorder) as walks:
+        with _walk_computations() as walks:
             t = Tree(built.n, built.adj)
             assert walks.call_count == 1
+            walk = vars(t)["_kept__walk"]
+            assert walk == vars(built)["_kept__walk"]
             _tables(t)
             css_run(t)
             game_matrix(t)
         assert walks.call_count == 1
+        assert vars(t)["_kept__walk"] is walk
 
     def test_value_command_builds_the_orbits_once(self):
         with mock.patch.object(treegame.tree, "_swap_orbits", wraps=treegame.tree._swap_orbits) as spy:
