@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import chain
 
 from .diffusion import MixedStrategy, _check_dims, _sweep, gain_row
-from .tree import Tree, _kept, _runs, _walk, centroid, weight_table
+from .tree import Tree, _kept, _runs, _walk, centroid
 
 
 class CSSError(RuntimeError):
@@ -179,39 +179,37 @@ def analyze_branches(t: Tree, root: int) -> list[BranchInfo]:
     (weight, depth from the root, vertex id). Below a centroid root a
     vertex's weight is n minus its subtree size, so it never falls going
     down a branch, and those three lie within three edges of the root: only
-    those vertices are ranked. The structure the classification relies on
+    those vertices are ranked, each weight read from the walk's sizes. The structure the classification relies on
     is asserted: u adjacent to the root, t adjacent to u, and s adjacent to
     t for thin branches.
     """
     n = t.n
     adj = t.adj
-    w = weight_table(t).w
     if root not in centroid(t).vertices:
         raise ValueError(f"vertex {root} is not a centroid vertex")
     order, parent, _, size, pos = _walk(t)
+    runs, pairs = _runs(t, root)
+    above = {a: size[c] for a, c in pairs}  # rooted at the root, a's subtree is all but c's
     branches = {u: [(pos[u], pos[u] + size[u])] for u in adj[root]}
     if parent[root] >= 0:
-        branches[parent[root]] = [(lo, hi) for lo, hi, _ in _runs(t, root)[0][1:]]
+        branches[parent[root]] = [(lo, hi) for lo, hi, _ in runs[1:]]
     result = []
     for top, spans in branches.items():
         members = tuple(chain.from_iterable(order[lo:hi] for lo, hi in spans))
-        near = [(w[top], 1, top)]
+        near = [(above.get(top, n - size[top]), 1, top)]
         for a in adj[top]:
             if a != root:
-                near.append((w[a], 2, a))
-                near += [(w[b], 3, b) for b in adj[a] if b != top]
-        ranked = [v for _, _, v in heapq.nsmallest(3, near)]
-        u = ranked[0]
+                near.append((above.get(a, n - size[a]), 2, a))
+                near += [(above.get(b, n - size[b]), 3, b) for b in adj[a] if b != top]
+        ranked = heapq.nsmallest(3, near)
+        w1, _, u = ranked[0]
         index = min(members)
         if u not in adj[root]:
             raise CSSError(f"branch {index}: lowest-weight vertex {u} not adjacent to the root")
-        tv = ranked[1] if len(ranked) >= 2 else None
-        sv = ranked[2] if len(ranked) >= 3 else None
+        w2, _, tv = ranked[1] if len(ranked) >= 2 else (None, None, None)
+        w3, _, sv = ranked[2] if len(ranked) >= 3 else (None, None, None)
         if tv is not None and tv not in adj[u]:
             raise CSSError(f"branch {index}: second-lowest vertex {tv} not adjacent to {u}")
-        w1 = w[u]
-        w2 = w[tv] if tv is not None else None
-        w3 = w[sv] if sv is not None else None
         cls = _classify(n, len(members), w1, w2, w3)
         if cls is BranchClass.THIN and sv not in adj[tv]:
             raise CSSError(
@@ -326,7 +324,9 @@ def verify_centroid_reply(t: Tree, result: CSSResult) -> CentroidReplyReport:
     if len(acc) != t.n:
         raise ValueError(f"dimension mismatch: reply sweep over {len(acc)} vertices, tree has {t.n}")
     root_num = acc[result.root]
-    violations = tuple((v, Fraction(a, den)) for v, a in enumerate(acc) if a < root_num)
+    violations = ()
+    if min(acc) < root_num:
+        violations = tuple((v, Fraction(a, den)) for v, a in enumerate(acc) if a < root_num)
     return CentroidReplyReport(
         passed=not violations,
         root=result.root,

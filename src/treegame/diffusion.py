@@ -48,7 +48,7 @@ class Coloring:
     rounds: int
 
     def count(self, color: Color) -> int:
-        return sum(1 for s in self.states if s == color)
+        return self.states.count(color)
 
     @property
     def player1_gain(self) -> int:
@@ -62,38 +62,40 @@ class Coloring:
         return [s.name.lower() for s in self.states]
 
 
+_COLORS = tuple(Color)  # each color at its int value
+
+
 def simulate_diffusion(t: Tree, x1: int, x2: int) -> Coloring:
-    """Run the round-based diffusion until no vertex changes."""
+    """Run the round-based diffusion until no vertex changes. Each state is
+    its color's int value while it runs: a vertex claimed by both players
+    in one round gets 1 | 2, grey."""
     n = t.n
     x1, x2 = _vertex(n, x1), _vertex(n, x2)
-    states = [Color.WHITE] * n
+    adj = t.adj
+    states = [0] * n  # white; then 1 and 2 for the players, and 3 = 1 | 2 for grey
     if x1 == x2:
-        states[x1] = Color.GREY
-        return Coloring(tuple(states), 0)
-    states[x1] = Color.PLAYER1
-    states[x2] = Color.PLAYER2
+        states[x1] = 3
+        return Coloring(tuple(map(_COLORS.__getitem__, states)), 0)
+    states[x1] = 1
+    states[x2] = 2
     frontier = [x1, x2]
     rounds = 0
     while frontier:
         rounds += 1
         if rounds > n:
             raise RuntimeError("diffusion failed to terminate within n rounds")
-        claims: dict[int, Color] = {}
+        claims: dict[int, int] = {}
         for v in frontier:
             col = states[v]
-            for w in t.adj[v]:
-                if states[w] is Color.WHITE:
-                    prev = claims.get(w)
-                    if prev is None or prev is col:
-                        claims[w] = col
-                    else:
-                        claims[w] = Color.GREY
+            for w in adj[v]:
+                if not states[w]:
+                    claims[w] = claims.get(w, 0) | col
         frontier = []
         for w, col in claims.items():
             states[w] = col
-            if col is not Color.GREY:
+            if col != 3:
                 frontier.append(w)
-    return Coloring(tuple(states), rounds)
+    return Coloring(tuple(map(_COLORS.__getitem__, states)), rounds)
 
 
 def pure_gain(t: Tree, x1: int, x2: int) -> int:

@@ -21,7 +21,7 @@ from typing import Callable
 from .css import css_run
 from .diffusion import format_fraction
 from .solver import solve_value
-from .tree import Tree, centroid, weight_table
+from .tree import Tree, _walk, centroid
 
 
 class _RangeError(ValueError):
@@ -187,7 +187,8 @@ def run_experiment(
         try:
             t = tree_source(i, seed_i) if tree_source else sample_centroidal(cfg.n, seed_i)
             res = css_run(t)
-            cw = weight_table(t).w[res.root]
+            _, parent, _, size, _ = _walk(t)  # the centroid's largest branch, from the kept walk
+            cw = max((size[w] if parent[w] == res.root else t.n - size[res.root] for w in t.adj[res.root]), default=0)
             bound = solve_value(t).value
             ratio = (bound - res.guaranteed_gain) / cw
             if ratio < 0:

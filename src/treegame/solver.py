@@ -29,7 +29,7 @@ improve. It reads only the matrix rows and columns it needs, each computed
 in O(n) from the tree and cached for the call.
 
 The loop runs over one partition, the tree's automorphism orbits
-(``automorphism_orbits``): the orbits of a group of sibling-subtree swaps,
+(``automorphism_orbits``): the orbits of a group of sibling-subtree cycles,
 each checked against the tree's adjacency. A zero-sum game invariant under
 a permutation group has optimal mixes that are constant on its orbits, so a
 candidate support is a set of orbits and the subgame has one row and one
@@ -53,7 +53,7 @@ against Y equals the subgame value) holds at all n pure replies and starts,
 so it proves optimality on the full game. A sweep reads the row or column
 of one vertex per orbit of several vertices that the mix meets: the group
 maps the members of such an orbit onto one another and fixes the mix, so
-the gain at every other member follows from the one read. Since every swap
+the gain at every other member follows from the one read. Since every cycle
 is checked, a wrong subtree code gives smaller orbits and more lines, never
 a wrong entry; a mix not constant on the orbits gets one line per support
 vertex. Each round's sweeps are integer numerators over the mix's common
@@ -445,7 +445,7 @@ def verify_solution(t: Tree, sol: ZeroSumSolution) -> bool:
     reply against the maxmin mix and the best start against the minmax mix
     both equal the claimed value, ``primal_value`` and ``dual_value``
     exactly. The sweeps' orbits come from the tree, never from ``sol``: the
-    partition the tree keeps is a pure function of it with every swap
+    partition the tree keeps is a pure function of it with every cycle
     checked, so the certificate proves what a rebuilt one would."""
     if sol.maxmin.n != t.n or sol.minmax.n != t.n:
         return False

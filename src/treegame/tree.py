@@ -6,8 +6,8 @@ the subtree sizes and each vertex's position in the walk, taken when the
 tree is built and its one check that it is a tree. Every other rooting is
 read from it as runs (``_runs``): the weights, the branches and orbits at
 the centroid, and each gain-matrix line. The orbits come from the centroid's
-rooting: subtree codes propose sibling swaps, and each swap is checked
-against the tree before it merges vertices.
+rooting: subtree codes propose one cycle per run of equal sibling subtrees,
+and each cycle is checked against the tree before it merges vertices.
 
 A ``Tree`` is immutable after construction, so every function here is pure
 and safe to call from concurrent workers. ``weight_table``, ``centroid``
@@ -30,7 +30,7 @@ from __future__ import annotations
 import functools
 import gc
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, groupby, islice, repeat
 from operator import contains
 
 
@@ -343,6 +343,8 @@ def weight_table(t: Tree) -> WeightTable:
 
     Computed in O(n) from the kept walk's subtree sizes: the largest child
     subtree of each vertex, against the parent-side branch, n - size(v).
+    The centroid and its branches read the few weights they need from the
+    walk instead.
     """
     n = t.n
     _, parent, _, size, _ = _walk(t)
@@ -358,19 +360,21 @@ def weight_table(t: Tree) -> WeightTable:
 def centroid(t: Tree) -> CentroidInfo:
     """Weight-minimizing vertices: a single vertex or two adjacent ones.
 
-    For a bicentroidal tree the reported root is the smaller vertex id, which
-    keeps downstream algorithms deterministic.
+    Read from the kept walk in O(height): from vertex 0, step into the
+    child whose subtree holds more than n/2 vertices until no child does; a
+    child of exactly n/2 there is the second centroid. For a bicentroidal
+    tree the reported root is the smaller vertex id, which keeps downstream
+    algorithms deterministic.
     """
-    wt = weight_table(t)
-    mn = min(wt.w)
-    verts = tuple(v for v in range(t.n) if wt.w[v] == mn)
-    if len(verts) not in (1, 2):
-        raise RuntimeError(f"centroid has {len(verts)} vertices; tree invariant broken")
-    if len(verts) == 2 and verts[1] not in t.adj[verts[0]]:
-        raise RuntimeError("bicentroidal vertices are not adjacent; tree invariant broken")
+    n, adj = t.n, t.adj
+    _, parent, _, size, _ = _walk(t)
+    c = 0
+    while heavy := [w for w in adj[c] if parent[w] == c and 2 * size[w] > n]:
+        c = heavy[0]
+    verts = tuple(sorted([c, *(w for w in adj[c] if parent[w] == c and 2 * size[w] == n)]))
     # Cross-check: a centroid vertex has no branch with more than n/2 edges.
     for v in verts:
-        if 2 * wt.w[v] > t.n:
+        if any(2 * (size[w] if parent[w] == v else n - size[v]) > n for w in adj[v]):
             raise RuntimeError(f"vertex {v} minimizes weight but has a branch above n/2")
     kind = "centroidal" if len(verts) == 1 else "bicentroidal"
     return CentroidInfo(verts, kind, verts[0])
@@ -389,80 +393,86 @@ def automorphism_orbits(t: Tree) -> tuple[tuple[int, ...], ...]:
     rerooted at the centroid, or at a virtual root above the centroid edge
     when there are two centroids. Each rooted subtree gets an
     Aho-Hopcroft-Ullman code, the sorted tuple of its children's codes
-    interned to an int. The codes only propose swaps of sibling subtrees
-    (``_swap_orbits``), and the orbits are the components of the swaps that
-    pass the check. O(n log n).
+    interned to an int. The codes only propose cycles of equal sibling
+    subtrees (``_cycle_orbits``), and the orbits are the components of the
+    cycles that pass the check. O(n log n).
     """
     info = centroid(t)
     root = info.vertices[0]
     walk_order, walk_parent, _, _, _ = _walk(t)
     runs, pairs = _runs(t, root)
-    order = [v for lo, hi, _ in runs for v in walk_order[lo:hi]]
+    order = list(chain.from_iterable(walk_order[lo:hi] for lo, hi, _ in runs))
     parent = walk_parent[:]
     for a, c in pairs:
         parent[a] = c
-    parent[root] = -1
-    if len(info.vertices) == 2:
-        parent[info.vertices[1]] = -1  # both centroids hang from the virtual root
-    child_codes: list[list[int]] = [[] for _ in range(t.n)]
+    for v in info.vertices:
+        parent[v] = t.n  # the centroids hang from a virtual root, n
+    child_codes: list[list[int]] = [[] for _ in range(t.n + 1)]
     code = [0] * t.n
     codes: dict[tuple[int, ...], int] = {}
     for v in reversed(order):
         code[v] = codes.setdefault(tuple(sorted(child_codes[v])), len(codes))
-        if parent[v] >= 0:
-            child_codes[parent[v]].append(code[v])
-    return _swap_orbits(t, info.vertices, parent, code)
+        child_codes[parent[v]].append(code[v])
+    return _cycle_orbits(t, order, parent, code)
 
 
-def _swap_orbits(t: Tree, roots: tuple[int, ...], parent: list[int], cls: list[int]) -> tuple[tuple[int, ...], ...]:
-    """The components of the sibling-subtree swaps that the classes ``cls``
+def _cycle_orbits(t: Tree, order: list[int], parent: list[int], cls: list[int]) -> tuple[tuple[int, ...], ...]:
+    """The components of the sibling-subtree cycles that the classes ``cls``
     propose and ``_is_automorphism`` accepts, every other vertex alone;
-    sorted and listed by smallest vertex. Wrong classes give swaps that
-    fail the check, so finer components, never a wrong one.
+    sorted and listed by smallest vertex. Wrong classes give cycles that
+    fail the check, so finer components, never a wrong one. ``order`` lists
+    every vertex after its ``parent``, which is n for the virtual root.
 
-    Two children of one vertex (or two ``roots``, the children of the
-    virtual root) that are consecutive in one class give a swap of their
-    subtrees, children paired in (class, id) order. The walk enters only
-    the first child of each run of swapped siblings, so the swapped sizes
-    add up to O(n).
+    A run of k >= 2 children of one vertex in one class gives one cycle:
+    subtree s_i onto s_(i+1) and s_k onto s_1, children paired in (class,
+    id) order level by level. If it passes, each moved vertex joins its
+    counterpart in s_1, and the walk enters only s_1; if not, it enters
+    every member. So the checked sizes add up to O(n).
     """
-    kids: list[list[int]] = [[] for _ in range(t.n)]
-    for v in sorted(range(t.n), key=cls.__getitem__):
-        if parent[v] >= 0:
-            kids[parent[v]].append(v)
-    up: dict[int, int] = {}  # a swapped vertex points to its image's component
+    n = t.n
+    kids: list[list[int]] = [[] for _ in range(n + 1)]
+    for v in sorted(range(n), key=cls.__getitem__):
+        kids[parent[v]].append(v)
+    up: dict[int, int] = {}  # a moved vertex points to its counterpart in s_1
+    # Top down; the children of a moved vertex are moved, so a list whose
+    # first child is moved lies in some s_i with i > 1 and is not entered.
+    for vs in map(kids.__getitem__, chain((n,), order)):
+        if len(vs) > 1 and vs[0] not in up and len(set(map(cls.__getitem__, vs))) < len(vs):
+            for _, run in groupby(vs, cls.__getitem__):
+                run = tuple(run)
+                if len(run) > 1:
+                    level = [run]
+                    for ws in level:  # grows as it is read: counterparts, level by level
+                        level.extend(zip(*map(kids.__getitem__, ws)))
+                    sigma: dict[int, int] = {}
+                    for ws in level:
+                        sigma.update(zip(ws, ws[1:] + ws[:1]))
+                    if _is_automorphism(t, sigma):
+                        for ws in level:
+                            up.update(zip(ws[1:], repeat(ws[0])))
+    orbits: dict[int, list[int]] = {}
+    for v in reversed(up):  # later moves first: a counterpart's own target is final
+        r = up[v] = up.get(up[v], up[v])
+        orbits.setdefault(r, [r]).append(v)
+    out = list(zip(range(n)))
+    for members in orbits.values():
+        members.sort()
+        out[members[0]] = tuple(members)
+        for v in members[1:]:
+            out[v] = ()
+    return tuple(filter(None, out))
 
-    def find(v: int) -> int:
-        while v in up:
-            v = up[v]
-        return v
 
-    todo = [sorted(roots, key=cls.__getitem__)]
-    while todo:
-        prev = -1
-        for v in todo.pop():
-            pairs, stack = [], [(prev, v)] if prev >= 0 and cls[prev] == cls[v] else []
-            while stack:
-                a, b = stack.pop()
-                pairs.append((a, b))
-                stack.extend(zip(kids[a], kids[b]))
-            if pairs and _is_automorphism(t, pairs):
-                up.update((w, find(u)) for u, w in pairs)
-            else:
-                todo.append(kids[v])
-            prev = v
-    comps: dict[int, list[int]] = {}
-    for v in range(t.n):
-        comps.setdefault(find(v), []).append(v)
-    return tuple(tuple(vs) for vs in comps.values())
-
-
-def _is_automorphism(t: Tree, pairs: list[tuple[int, int]]) -> bool:
-    """Whether swapping each pair (u, w), and fixing every other vertex, is
-    an automorphism of ``t``: the pairs are disjoint and sigma(adj[v]) ==
-    adj[sigma(v)] for every moved v. O(swapped size)."""
-    sigma = dict(pairs)
-    sigma.update((w, u) for u, w in pairs)
-    if len(sigma) != 2 * len(pairs):
+def _is_automorphism(t: Tree, sigma: dict[int, int]) -> bool:
+    """Whether ``sigma``, which maps each moved vertex to its image and fixes
+    every other vertex, is an automorphism of ``t``: it permutes its moved
+    vertices and sigma(adj[v]) == adj[sigma(v)] for every moved v.
+    O(moved size)."""
+    if sigma.keys() != set(sigma.values()):
         return False
-    return all({sigma.get(x, x) for x in t.adj[v]} == set(t.adj[w]) for v, w in sigma.items())
+    adj, get = t.adj, sigma.get
+    for v, w in sigma.items():
+        a = adj[v]
+        if set(map(get, a, a)) != set(adj[w]):
+            return False
+    return True

@@ -216,20 +216,20 @@ def brute_orbits(t: Tree) -> list[tuple[int, ...]]:
 
 @contextlib.contextmanager
 def proposing(classes):
-    """Within the block, ``automorphism_orbits`` proposes its sibling swaps
-    from the partition ``classes`` instead of the subtree codes. Every
-    proposed swap still goes through the automorphism check."""
+    """Within the block, ``automorphism_orbits`` proposes its sibling-subtree
+    cycles from the partition ``classes`` instead of the subtree codes.
+    Every proposed cycle still goes through the automorphism check."""
     label = {v: k for k, members in enumerate(classes) for v in members}
-    swap_orbits = treegame.tree._swap_orbits
+    cycle_orbits = treegame.tree._cycle_orbits
     calls = []
 
-    def seam(t, roots, parent, cls):
+    def seam(t, order, parent, cls):
         calls.append(t)
-        return swap_orbits(t, roots, parent, [label[v] for v in range(t.n)])
+        return cycle_orbits(t, order, parent, [label[v] for v in range(t.n)])
 
-    with mock.patch.object(treegame.tree, "_swap_orbits", seam):
+    with mock.patch.object(treegame.tree, "_cycle_orbits", seam):
         yield
-    assert calls, "automorphism_orbits never proposed swaps through the seam"
+    assert calls, "automorphism_orbits never proposed cycles through the seam"
 
 
 def simulation_matrix(t: Tree) -> list[list[int]]:

@@ -523,6 +523,43 @@ SMALL_TREES = st.one_of(
 )
 
 
+def _relabelled(tree_perm):
+    t, perm = tree_perm
+    return Tree.from_edges(t.n, [(perm[u], perm[v]) for u, v in t.edges()])
+
+
+# Paths, stars, Pruefer-coded trees and bicentroidal trees under every
+# relabelling, so vertex 0, where the walk starts, may be a leaf, an end of
+# the centroid edge or anything between.
+CENTROID_TREES = st.one_of(
+    st.integers(1, 12).map(path_tree),
+    st.integers(1, 10).map(star_tree),
+    st.integers(3, 14).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2))
+    ).map(_prufer_tree),
+    st.integers(1, 7).flatmap(
+        lambda k: st.tuples(
+            st.just(k),
+            st.lists(st.integers(0, k - 1), min_size=max(k - 2, 0), max_size=max(k - 2, 0)),
+            st.lists(st.integers(0, k - 1), min_size=max(k - 2, 0), max_size=max(k - 2, 0)),
+            st.integers(0, 20),
+            st.integers(0, 20),
+        )
+    ).map(_bicentroidal),
+).flatmap(lambda t: st.tuples(st.just(t), st.permutations(range(t.n)))).map(_relabelled)
+
+
+@settings(max_examples=200, deadline=None)
+@given(CENTROID_TREES)
+def test_centroid_walk_matches_brute_force(t):
+    # The walk down from vertex 0 finds exactly the weight minimizers.
+    bw = brute_weights(t)
+    info = centroid(t)
+    assert info.vertices == tuple(v for v in range(t.n) if bw[v] == min(bw))
+    assert info.root == info.vertices[0]
+    assert info.kind == ("centroidal" if len(info.vertices) == 1 else "bicentroidal")
+
+
 class TestAutomorphismOrbits:
     @settings(max_examples=150, deadline=None)
     @given(SMALL_TREES)
@@ -536,6 +573,7 @@ class TestAutomorphismOrbits:
 
     def test_families(self):
         assert list(automorphism_orbits(star_tree(4))) == [(0,), (1, 2, 3, 4)]
+        assert list(automorphism_orbits(star_tree(6))) == brute_orbits(star_tree(6))  # one run of 6
         assert list(automorphism_orbits(path_tree(4))) == [(0, 3), (1, 2)]
         assert list(automorphism_orbits(build_spider(SpiderSpec(3, 2)))) == [(0,), (1, 3, 5), (2, 4, 6)]
         ctree = build_complete_tree(CompleteTreeSpec(2, 3))
@@ -608,7 +646,7 @@ class TestKeptTables:
         assert vars(t)["_kept__walk"] is walk
 
     def test_value_command_builds_the_orbits_once(self):
-        with mock.patch.object(treegame.tree, "_swap_orbits", wraps=treegame.tree._swap_orbits) as spy:
+        with mock.patch.object(treegame.tree, "_cycle_orbits", wraps=treegame.tree._cycle_orbits) as spy:
             result = CliRunner().invoke(cli, ["value", "--spider", "40", "2"])
         assert result.exit_code == 0, result.output
         assert spy.call_count == 1
@@ -819,18 +857,48 @@ class TestCheckedOrbits:
             assert _refines(_checked_orbits(t, wrong), orbits)
 
     def test_injected_non_automorphisms_fail_the_check(self):
-        assert _is_automorphism(_BROOM, [(2, 4), (3, 5)])
-        assert not _is_automorphism(_BROOM, [(1, 2)])  # a leaf and an inner vertex
-        assert not _is_automorphism(_BROOM, [(4, 6), (5, 7)])  # non-isomorphic siblings
-        assert not _is_automorphism(_BROOM, [(2, 4), (4, 6)])  # not a disjoint pairing
-        assert not _is_automorphism(_BROOM, [(3, 3)])
+        assert _is_automorphism(_BROOM, {2: 4, 4: 2, 3: 5, 5: 3})
+        legs = build_spider(SpiderSpec(3, 2))  # legs 1-2, 3-4 and 5-6 on the body 0
+        assert _is_automorphism(legs, {1: 3, 3: 5, 5: 1, 2: 4, 4: 6, 6: 2})
+        assert not _is_automorphism(_BROOM, {1: 2, 2: 1})  # a leaf and an inner vertex
+        assert not _is_automorphism(_BROOM, {4: 6, 6: 4, 5: 7, 7: 5})  # non-isomorphic siblings
+        # 1 and 3 both onto 2: every image keeps its neighbours, but 1 is missed.
+        assert not _is_automorphism(star_tree(3), {1: 2, 2: 3, 3: 2})
 
     def test_wrong_classes_give_no_wrong_swap(self):
         # Each depth as one class puts the leaf 1 beside the inner vertex 2
-        # and the subtree at 4 beside the larger one at 6.
+        # and the subtree at 4 beside the larger one at 6, so the root's
+        # run (1, 2, 4, 6) fails as one cycle; only (7, 8) is left.
         by_depth = [(0,), (1, 2, 4, 6), (3, 5, 7, 8)]
-        assert _checked_orbits(_BROOM, by_depth) == [(2, 4), (3, 5), (7, 8)]
+        assert _checked_orbits(_BROOM, by_depth) == [(7, 8)]
         assert list(automorphism_orbits(_BROOM)) == [(0,), (1,), (2, 4), (3, 5), (6,), (7, 8)]
+
+    @pytest.mark.parametrize(
+        "make, checks",
+        [
+            (lambda: star_tree(40), 1),
+            (lambda: build_spider(SpiderSpec(40, 2)), 1),
+            (lambda: build_complete_tree(CompleteTreeSpec(3, 4)), 4),
+            (lambda: build_complete_tree(CompleteTreeSpec(2, 12)), 12),
+        ],
+        ids=["star40", "spider40x2", "ctree3-4", "ctree2-12"],
+    )
+    def test_one_check_per_run(self, make, checks):
+        # One cycle per run of equal siblings, and only the first member of
+        # a run that passes is entered.
+        t = make()
+        with mock.patch.object(treegame.tree, "_is_automorphism", wraps=_is_automorphism) as spy:
+            automorphism_orbits(t)
+        assert spy.call_count == checks
+
+    @settings(max_examples=150, deadline=None)
+    @given(SYMMETRIC_TREES)
+    def test_subtree_codes_propose_no_failing_cycle(self, t):
+        # A failing check would only make the orbits finer and the solves
+        # slower, without any error.
+        with mock.patch.object(treegame.tree, "_is_automorphism", wraps=_is_automorphism) as spy:
+            automorphism_orbits(dataclasses.replace(t))
+        assert all(_is_automorphism(*c.args) for c in spy.call_args_list)
 
     @settings(max_examples=150, deadline=None)
     @given(SYMMETRIC_TREES, st.data())
