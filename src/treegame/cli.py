@@ -181,7 +181,9 @@ def value_cmd(tree_file, spider_spec, ctree_spec, as_float) -> None:
 def css_cmd(tree_file, spider_spec, ctree_spec, strict_centroidal, as_float) -> None:
     """Centroidal safe strategy with its verification report."""
     t = _load_tree(tree_file, spider_spec, ctree_spec)
-    res = css_run(t, strict_centroidal=strict_centroidal)
+    if strict_centroidal and centroid(t).kind != "centroidal":
+        raise ValueError("tree is bicentroidal; a single-centroid tree is required")
+    res = css_run(t)
     report = verify_centroid_reply(t, res)
     doc = {
         "schema": "treegame.css/1",

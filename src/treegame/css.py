@@ -223,7 +223,8 @@ def analyze_branches(t: Tree, root: int) -> list[BranchInfo]:
     return result
 
 
-def css_run(t: Tree, strict_centroidal: bool = False) -> CSSResult:
+@_kept
+def css_run(t: Tree) -> CSSResult:
     """Build the centroidal safe strategy, once per tree: the result is kept
     on the tree like its centroid, and every later call reads it.
 
@@ -237,17 +238,8 @@ def css_run(t: Tree, strict_centroidal: bool = False) -> CSSResult:
     every pure reply, from one exact sweep of the support's matrix rows; the
     result keeps that sweep, and ``verify_centroid_reply`` reads it.
 
-    Bicentroidal input is rooted at the smaller-id centroid vertex unless
-    ``strict_centroidal`` is set, in which case it is rejected before the
-    kept result is read.
+    A bicentroidal tree is rooted at its smaller-id centroid vertex.
     """
-    if strict_centroidal and centroid(t).kind != "centroidal":
-        raise ValueError("tree is bicentroidal; a single-centroid tree is required")
-    return _css(t)
-
-
-@_kept
-def _css(t: Tree) -> CSSResult:
     n = t.n
     root = centroid(t).root
 

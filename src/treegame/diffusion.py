@@ -30,7 +30,7 @@ from itertools import repeat
 from operator import add, lshift, lt
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .tree import Tree, _runs, _vertex, _walk, distances_from
+from .tree import Tree, _count, _runs, _vertex, _walk, distances_from
 
 
 class Color(IntEnum):
@@ -198,7 +198,7 @@ class MixedStrategy:
     __slots__ = ("n", "_weights", "_den")
 
     def __init__(self, n: int, probs: Mapping[int, Fraction | int | str]):
-        if n < 1:
+        if _count(n, "n") < 1:
             raise ValueError("strategy needs at least one vertex")
         cleaned: dict[int, Fraction] = {}
         for v, p in probs.items():
@@ -225,7 +225,7 @@ class MixedStrategy:
     def _from_weights(cls, n: int, weights: Mapping[int, int], den: int) -> "MixedStrategy":
         """Probability ``weights[v] / den`` at each vertex v, from non-negative
         int weights summing to ``den``: no probability parsed, no ``Fraction``."""
-        if n < 1 or den < 1 or sum(weights.values()) != den or min(weights.values()) < 0:
+        if _count(n, "n") < 1 or den < 1 or sum(weights.values()) != den or min(weights.values()) < 0:
             raise ValueError(f"integer weights must be non-negative and sum to den = {den} >= 1")
         return cls.__new__(cls)._store(n, weights, den)
 

@@ -13,6 +13,7 @@ import hashlib
 import math
 import random
 import statistics
+import typing
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,8 +33,14 @@ class _RangeError(ValueError):
         self.keys = keys
 
 
+_CONFIG_KEYS = {"n": int, "trials": int, "seed": int, "bin_width": Fraction, "bin_max": Fraction}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """The experiment's settings, each exact: ``n``, ``trials`` and ``seed``
+    an ``int``, not a ``bool``; each bin a ``Fraction`` or an ``int``."""
+
     n: int
     trials: int
     seed: int
@@ -41,6 +48,11 @@ class ExperimentConfig:
     bin_max: Fraction = Fraction(30, 100)
 
     def __post_init__(self) -> None:
+        for key, kind in _CONFIG_KEYS.items():
+            value = getattr(self, key)
+            if type(value) not in (kind, int):
+                exact = "an int" if kind is int else "a Fraction or an int"
+                raise _RangeError(f"{key} must be {exact}, got {value!r}", key)
         if self.n < 1:
             raise _RangeError("tree size must be >= 3", "n")
         if self.n == 1:
@@ -207,44 +219,23 @@ def run_experiment(
     )
 
 
-def _dec(x: Fraction) -> str:
-    return f"{float(x):.12f}"
-
-
 def write_records_csv(records: list[TrialRecord], path: str) -> None:
+    """One column per ``TrialRecord`` field, read in order from its type
+    hints, ``index`` as ``trial``; a ``Fraction`` field gives two, its
+    12-place decimal under its name and its exact "p/q" under ``<name>_exact``."""
+    exact = {name: kind is Fraction for name, kind in typing.get_type_hints(TrialRecord).items()}
+    header = []
+    for name, ex in exact.items():
+        header += [name, f"{name}_exact"] if ex else ["trial" if name == "index" else name]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(
-            [
-                "trial",
-                "tree_seed",
-                "n",
-                "centroid",
-                "centroid_weight",
-                "css_gain",
-                "css_gain_exact",
-                "upper_bound",
-                "upper_bound_exact",
-                "diff_ratio",
-                "diff_ratio_exact",
-            ]
-        )
+        w.writerow(header)
         for r in records:
-            w.writerow(
-                [
-                    r.index,
-                    r.tree_seed,
-                    r.n,
-                    r.centroid,
-                    r.centroid_weight,
-                    _dec(r.css_gain),
-                    format_fraction(r.css_gain),
-                    _dec(r.upper_bound),
-                    format_fraction(r.upper_bound),
-                    _dec(r.diff_ratio),
-                    format_fraction(r.diff_ratio),
-                ]
-            )
+            row = []
+            for name, ex in exact.items():
+                x = getattr(r, name)
+                row += [f"{float(x):.12f}", format_fraction(x)] if ex else [x]
+            w.writerow(row)
 
 
 def write_histogram_csv(histogram: Histogram, path: str) -> None:
@@ -254,9 +245,6 @@ def write_histogram_csv(histogram: Histogram, path: str) -> None:
         for low, high, count in histogram.rows():
             w.writerow([f"{float(low):.6g}", f"{float(high):.6g}", count])
         w.writerow([f"{float(histogram.bin_max):.6g}", "inf", histogram.overflow])
-
-
-_CONFIG_KEYS = {"n": int, "trials": int, "seed": int, "bin_width": Fraction, "bin_max": Fraction}
 
 
 def parse_config_file(path: str) -> dict:

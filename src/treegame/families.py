@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .diffusion import MixedStrategy, gain_column
-from .tree import Tree
+from .tree import Tree, _count
 
 
 @dataclass(frozen=True)
@@ -24,9 +24,9 @@ class SpiderSpec:
     leg_length: int
 
     def __post_init__(self) -> None:
-        if self.legs < 3:
+        if _count(self.legs, "legs") < 3:
             raise ValueError(f"a spider needs at least 3 legs, got {self.legs}")
-        if self.leg_length < 1:
+        if _count(self.leg_length, "leg_length") < 1:
             raise ValueError(f"leg length must be >= 1, got {self.leg_length}")
 
     @property
@@ -54,11 +54,15 @@ def build_spider(spec: SpiderSpec) -> Tree:
     return Tree.from_edges(spec.n, edges, tuple(labels))
 
 
+def _check_depth(spec: SpiderSpec, k: int) -> None:
+    if not 0 <= _count(k, "k") <= spec.leg_length:
+        raise ValueError(f"k must be in 0..{spec.leg_length}, got {k}")
+
+
 def spider_safe_strategy(spec: SpiderSpec, k: int) -> MixedStrategy:
     """Uniform probability 1/(legs*k + 1) on the body and on every vertex at
     distance at most k from it; k may be 0 (point mass on the body)."""
-    if not (0 <= k <= spec.leg_length):
-        raise ValueError(f"k must be in 0..{spec.leg_length}, got {k}")
+    _check_depth(spec, k)
     support = [0] + [spec.index(d, s) for s in range(1, spec.legs + 1) for d in range(1, k + 1)]
     return MixedStrategy._from_weights(spec.n, dict.fromkeys(support, 1), spec.legs * k + 1)
 
@@ -66,8 +70,7 @@ def spider_safe_strategy(spec: SpiderSpec, k: int) -> MixedStrategy:
 def spider_body_reply_gain(spec: SpiderSpec, k: int) -> Fraction:
     """Expected gain of the depth-k spider strategy when the opponent starts
     on the body; closed form with separate even/odd cases."""
-    if not (0 <= k <= spec.leg_length):
-        raise ValueError(f"k must be in 0..{spec.leg_length}, got {k}")
+    _check_depth(spec, k)
     m, l = spec.legs, spec.leg_length
     base = Fraction(k * l) - Fraction(k * k, 4)
     if k % 2 == 1:
@@ -116,9 +119,9 @@ class CompleteTreeSpec:
     height: int
 
     def __post_init__(self) -> None:
-        if self.arity < 2:
+        if _count(self.arity, "arity") < 2:
             raise ValueError(f"arity must be >= 2, got {self.arity}")
-        if self.height < 1:
+        if _count(self.height, "height") < 1:
             raise ValueError(f"height must be >= 1, got {self.height}")
 
     @property

@@ -52,8 +52,8 @@ class Tree:
 
     Every ``Tree``, however it is built, is checked by its kept walk
     (``_walk``), which raises ``ValueError`` on anything but a tree.
-    ``labels`` is an optional side table used only for reporting; vertex ids
-    stay dense 0-based integers everywhere.
+    ``labels``, None or a tuple of n ``str``, is a side table used only for
+    reporting; vertex ids stay dense 0-based integers everywhere.
     """
 
     n: int
@@ -248,6 +248,14 @@ def _vertex(n: int, v: int) -> int:
     return v
 
 
+def _count(x: int, name: str) -> int:
+    """The one count check: ``x`` if it is an ``int``, not a ``bool``, else
+    ``ValueError`` naming it; each caller checks its own least value."""
+    if type(x) is not int:
+        raise ValueError(f"{name} must be an int, got {x!r}")
+    return x
+
+
 def distances_from(t: Tree, v: int) -> tuple[int, ...]:
     """Distances from ``v``, checked by ``_vertex``; d(v, v) = 0. A
     breadth-first walk that keeps only the depths, apart from the kept walk."""
@@ -273,14 +281,16 @@ def _walk(t: Tree) -> tuple[list[int], list[int], list[int], list[int], list[int
     own subtree, so the subtree of v is ``order[pos[v]:pos[v] + size[v]]``.
     It pops n vertices, so it ends even on lists that are no tree's. It is
     also the one tree check: ``ValueError`` unless ``adj`` is a tuple of n
-    tuples (so the tree is hashable and stays as checked), they hold
-    2(n - 1) ``int`` entries, the walk reaches all n vertices, all in range,
-    and each but the root lists its walk parent: 2(n - 1) distinct arcs, so
-    no missing reverse, duplicate or cycle is left."""
+    tuples and ``labels`` None or a tuple of n ``str`` (so the tree is
+    hashable and stays as checked), the tuples hold 2(n - 1) ``int``
+    entries, the walk reaches all n vertices, all in range, and each but the
+    root lists its walk parent: 2(n - 1) distinct arcs, so no missing
+    reverse, duplicate or cycle is left."""
     n, adj, labels = t.n, t.adj, t.labels
     order: list[int] = []
     try:  # no length, an entry that is no index or is n or more, or fewer than n reached: no walk
-        if type(n) is int and type(adj) is tuple and len(adj) == n > 0 and (labels is None or len(labels) == n):
+        labels_ok = labels is None or (type(labels) is tuple and len(labels) == n and set(map(type, labels)) <= {str})
+        if type(n) is int and type(adj) is tuple and len(adj) == n > 0 and labels_ok:
             parent = [-1] * n
             depth = [0] * n
             parent[0] = 0

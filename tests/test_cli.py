@@ -114,9 +114,20 @@ class TestCssCommand:
         assert doc["guaranteed_gain"] == "1/2"
         assert doc["theorem4"] == "pass"
 
-    def test_strict_rejects_bicentroidal(self, runner, p2_file):
-        result = runner.invoke(cli, ["css", "--tree", p2_file, "--strict-centroidal"])
-        assert result.exit_code != 0
+    def test_strict_rejects_bicentroidal(self, monkeypatch, capsys, p2_file):
+        # An input error: exit code 1, one line on stderr, nothing on stdout.
+        # Without the flag the same tree is rooted at its smaller centroid.
+        monkeypatch.setattr(sys, "argv", ["treegame", "css", "--tree", p2_file, "--strict-centroidal"])
+        with pytest.raises(SystemExit) as exit_info:
+            main()
+        assert exit_info.value.code == 1
+        out, err = capsys.readouterr()
+        assert err == "error: tree is bicentroidal; a single-centroid tree is required\n"
+        assert out == ""
+        monkeypatch.setattr(sys, "argv", ["treegame", "css", "--tree", p2_file])
+        main()
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["root"] == 0 and doc["strategy"] == [[0, "1/2"], [1, "1/2"]]
 
     def test_branches_report(self, runner):
         doc = run_json(runner, ["css", "--ctree", "2", "2"])

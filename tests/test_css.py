@@ -168,18 +168,11 @@ class TestCssRun:
         assert res.guaranteed_gain == Fraction(1, 2)
         assert res.branches_used[0].info.cls is BranchClass.SMALL1
 
-    def test_strict_rejects_bicentroidal(self):
-        with pytest.raises(ValueError, match="bicentroidal"):
-            css_run(path_tree(4), strict_centroidal=True)
-
     def test_kept_on_the_tree(self):
-        # One computation per tree; the strict check still runs on a tree
-        # whose strategy is already kept.
+        # One computation per tree; an equal tree computes an equal one.
         t = path_tree(4)
         res = css_run(t)
         assert css_run(t) is res
-        with pytest.raises(ValueError, match="bicentroidal"):
-            css_run(t, strict_centroidal=True)
         assert css_run(Tree.from_edges(4, t.edges())) == res
 
     def test_single_vertex_degenerate(self):

@@ -297,6 +297,16 @@ class TestMixedStrategy:
         assert all(w > 0 for w in weights.values()) and math.gcd(lowest, *weights.values()) == 1
         assert list(weights) == sorted(weights) == list(x.support())
 
+    @pytest.mark.parametrize("n", [2.5, 2.0, True], ids=["half", "float", "bool"])
+    @pytest.mark.parametrize(
+        "build",
+        [lambda n: MixedStrategy(n, {0: 1}), lambda n: MixedStrategy._from_weights(n, {0: 1}, 1)],
+        ids=["constructor", "weights"],
+    )
+    def test_rejects_a_size_that_is_not_an_int(self, build, n):
+        with pytest.raises(ValueError, match=f"^n must be an int, got {re.escape(repr(n))}$"):
+            build(n)
+
     @pytest.mark.parametrize(
         "weights, den", [({0: 2, 1: -1}, 1), ({0: 1, 1: 1}, 3), ({0: 1}, 2), ({}, 0), ({0: -1}, -1)]
     )

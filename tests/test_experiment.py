@@ -27,6 +27,7 @@ from treegame import (
     write_histogram_csv,
     write_records_csv,
 )
+from treegame.experiment import _RangeError
 
 from conftest import randrange_random_tree
 
@@ -212,9 +213,9 @@ class TestRunExperiment:
             built.append(t)
             return analyze(t, root)
 
-        def counting_read(t, strict_centroidal=False):
+        def counting_read(t):
             read.append(t)
-            return seed_read(t, strict_centroidal)
+            return seed_read(t)
 
         monkeypatch.setattr(treegame.css, "analyze_branches", counting_analyze)
         monkeypatch.setattr(treegame.solver, "css_run", counting_read)
@@ -248,6 +249,27 @@ class TestConfigValidation:
         cfg = ExperimentConfig(n=5, trials=1, seed=1, bin_width=Fraction(1, 40), bin_max=Fraction(3, 20))
         res = run_experiment(cfg, tree_source=lambda i, s: star_tree(4))
         assert res.histogram.counts == (0, 0, 0, 0, 0, 0, 1)
+
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            ({"n": 20.0}, "n must be an int, got 20.0"),
+            ({"n": True}, "n must be an int, got True"),
+            ({"trials": 3.0}, "trials must be an int, got 3.0"),
+            ({"seed": 0.5}, "seed must be an int, got 0.5"),
+            ({"bin_width": 0.05, "bin_max": 0.25}, "bin_width must be a Fraction or an int, got 0.05"),
+            ({"bin_max": 0.25}, "bin_max must be a Fraction or an int, got 0.25"),
+        ],
+        ids=["float-n", "bool-n", "float-trials", "float-seed", "float-bins", "float-bin-max"],
+    )
+    def test_rejects_inexact_settings(self, settings, message):
+        # Rejected before any trial runs, naming the setting: a float n made
+        # every trial fail, a bool was read as 1, and float bins were "no
+        # whole multiple" of one another.
+        with pytest.raises(_RangeError) as exc:
+            ExperimentConfig(**{"n": 20, "trials": 3, "seed": 0, **settings})
+        assert str(exc.value) == message
+        assert exc.value.keys == (next(iter(settings)),)
 
     def test_rejects_two_vertices(self):
         # Every 2-vertex tree is bicentroidal, so sampling could never succeed.

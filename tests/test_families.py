@@ -51,6 +51,44 @@ class TestSpiderBuild:
         assert t.label(spec.index(2, 3)) == "(2,3)"
 
 
+class TestCountsAreInts:
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: SpiderSpec(3.5, 2), "legs must be an int, got 3.5"),
+            (lambda: SpiderSpec(3, 2.0), "leg_length must be an int, got 2.0"),
+            (lambda: SpiderSpec(True + 2, True), "leg_length must be an int, got True"),
+            (lambda: CompleteTreeSpec(2.0, 2), "arity must be an int, got 2.0"),
+            (lambda: CompleteTreeSpec(2, True), "height must be an int, got True"),
+            (lambda: spider_safe_strategy(SpiderSpec(3, 4), True), "k must be an int, got True"),
+            (lambda: spider_safe_strategy(SpiderSpec(3, 4), 1.0), "k must be an int, got 1.0"),
+            (lambda: spider_body_reply_gain(SpiderSpec(3, 4), True), "k must be an int, got True"),
+            (lambda: spider_body_reply_gain(SpiderSpec(3, 4), 2.0), "k must be an int, got 2.0"),
+        ],
+        ids=[
+            "spider-legs", "spider-leg-length", "spider-bool-legs", "ctree-arity", "ctree-height",
+            "strategy-bool-k", "strategy-float-k", "body-gain-bool-k", "body-gain-float-k",
+        ],
+    )
+    def test_rejects_a_count_that_is_not_an_int(self, make, message):
+        with pytest.raises(ValueError) as exc:
+            make()
+        assert str(exc.value) == message
+
+    def test_keeps_the_range_messages(self):
+        for make, message in [
+            (lambda: SpiderSpec(2, 2), "a spider needs at least 3 legs, got 2"),
+            (lambda: SpiderSpec(3, 0), "leg length must be >= 1, got 0"),
+            (lambda: CompleteTreeSpec(1, 2), "arity must be >= 2, got 1"),
+            (lambda: CompleteTreeSpec(2, 0), "height must be >= 1, got 0"),
+            (lambda: spider_safe_strategy(SpiderSpec(3, 4), 5), "k must be in 0..4, got 5"),
+            (lambda: spider_body_reply_gain(SpiderSpec(3, 4), -1), "k must be in 0..4, got -1"),
+        ]:
+            with pytest.raises(ValueError) as exc:
+                make()
+            assert str(exc.value) == message
+
+
 class TestSpiderStrategy:
     def test_depth_zero_is_body_point_mass(self):
         spec = SpiderSpec(3, 4)

@@ -460,7 +460,7 @@ class TestCSSSeed:
         want = solve_value(Tree.from_edges(t.n, t.edges()))
         calls = []
 
-        def boom(tree, strict_centroidal=False):
+        def boom(tree):
             calls.append(tree)
             raise CSSError("forced failure")
 

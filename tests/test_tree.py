@@ -683,6 +683,13 @@ _BUILDS = {
     "pickle": lambda n, adj: pickle.loads(pickle.dumps(_Fields(n, adj, None))),
 }
 
+_LABEL_BUILDS = {
+    "constructor": lambda labels: Tree(2, ((1,), (0,)), labels),
+    "from_edges": lambda labels: Tree.from_edges(2, [(0, 1)], labels),
+    "replace": lambda labels: dataclasses.replace(Tree.from_edges(2, [(0, 1)]), labels=labels),
+    "pickle": lambda labels: pickle.loads(pickle.dumps(_Fields(2, ((1,), (0,)), labels))),
+}
+
 
 @st.composite
 def mutated_adjacency(draw):
@@ -759,13 +766,14 @@ class TestEveryTreeIsChecked:
             build(n, adj)
 
     def test_labels_are_n_or_none(self):
-        adj = ((1,), (0,))
-        assert Tree(2, adj, ("a", "b")).label(1) == "b"
-        for labels in [("a",), ("a", "b", "c"), 7]:
-            with pytest.raises(ValueError, match="not a tree"):
-                Tree(2, adj, labels)
-            with pytest.raises(ValueError, match="not a tree"):
-                Tree.from_edges(2, [(0, 1)], labels)
+        # Labels are None or a tuple of n str, however the tree is built: a
+        # list would leave the tree unhashable and unequal to its tuple twin.
+        for build in _LABEL_BUILDS.values():
+            t = build(("a", "b"))
+            assert t.label(1) == "b" and hash(t) == hash(Tree(2, ((1,), (0,)), ("a", "b")))
+            for labels in [("a",), ("a", "b", "c"), 7, ["a", "b"], "ab", (1, None), ("a", b"b")]:
+                with pytest.raises(ValueError, match="not a tree"):
+                    build(labels)
 
     @pytest.mark.parametrize(
         "n, edges", [(True, []), (False, []), (0, []), (-1, []), (2.0, [(0, 1)]), ("2", [(0, 1)]), (None, [])]
