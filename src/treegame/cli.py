@@ -10,6 +10,7 @@ byte-identical output.
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 from pathlib import Path
@@ -48,7 +49,7 @@ from .families import (
     spider_safe_strategy,
 )
 from .solver import solve_value, verify_solution
-from .tree import Tree, centroid, parse_tree, weight_table
+from .tree import centroid, parse_tree, weight_table
 
 
 class VerificationFailure(RuntimeError):
@@ -60,28 +61,26 @@ def _emit(doc: dict, as_float: bool = False) -> None:
     click.echo(json.dumps(doc, indent=2, default=float if as_float else format_fraction), file=sys.stdout)
 
 
-_INPUT_OPTIONS = [
-    click.option("--tree", "tree_file", type=click.Path(exists=True, dir_okay=False), help="Edge-list tree file."),
-    click.option("--spider", "spider_spec", nargs=2, type=int, metavar="M L", help="Spider with M legs of L vertices."),
-    click.option("--ctree", "ctree_spec", nargs=2, type=int, metavar="M H", help="Complete M-ary tree of height H."),
-]
+def _tree_input(fn):
+    """Give a command the options --tree, --spider and --ctree, ahead of its
+    own, and call it as ``fn(t, **options)`` with the one tree they name."""
 
+    @click.option("--tree", "tree_file", type=click.Path(exists=True, dir_okay=False), help="Edge-list tree file.")
+    @click.option("--spider", "spider_spec", nargs=2, type=int, metavar="M L", help="Spider with M legs of L vertices.")
+    @click.option("--ctree", "ctree_spec", nargs=2, type=int, metavar="M H", help="Complete M-ary tree of height H.")
+    @functools.wraps(fn)
+    def run(tree_file, spider_spec, ctree_spec, **options):
+        if len([x for x in (tree_file, spider_spec, ctree_spec) if x]) != 1:
+            raise click.UsageError("exactly one of --tree, --spider, --ctree is required")
+        if tree_file:
+            t = parse_tree(Path(tree_file).read_text())
+        elif spider_spec:
+            t = build_spider(SpiderSpec(*spider_spec))
+        else:
+            t = build_complete_tree(CompleteTreeSpec(*ctree_spec))
+        return fn(t, **options)
 
-def _with_input_options(fn):
-    for opt in reversed(_INPUT_OPTIONS):
-        fn = opt(fn)
-    return fn
-
-
-def _load_tree(tree_file, spider_spec, ctree_spec) -> Tree:
-    given = [x for x in (tree_file, spider_spec or None, ctree_spec or None) if x]
-    if len(given) != 1:
-        raise click.UsageError("exactly one of --tree, --spider, --ctree is required")
-    if tree_file:
-        return parse_tree(Path(tree_file).read_text())
-    if spider_spec:
-        return build_spider(SpiderSpec(*spider_spec))
-    return build_complete_tree(CompleteTreeSpec(*ctree_spec))
+    return run
 
 
 @click.group()
@@ -91,10 +90,9 @@ def cli() -> None:
 
 
 @cli.command("centroid")
-@_with_input_options
-def centroid_cmd(tree_file, spider_spec, ctree_spec) -> None:
+@_tree_input
+def centroid_cmd(t) -> None:
     """Vertex weights, co-weights and the centroid."""
-    t = _load_tree(tree_file, spider_spec, ctree_spec)
     wt = weight_table(t)
     info = centroid(t)
     doc = {
@@ -110,11 +108,10 @@ def centroid_cmd(tree_file, spider_spec, ctree_spec) -> None:
 
 
 @cli.command("matrix")
-@_with_input_options
+@_tree_input
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
-def matrix_cmd(tree_file, spider_spec, ctree_spec, fmt) -> None:
+def matrix_cmd(t, fmt) -> None:
     """Gain matrix for all pure pairs, one row per own starting vertex."""
-    t = _load_tree(tree_file, spider_spec, ctree_spec)
     a = game_matrix(t)
     if fmt == "csv":
         click.echo(a.to_csv(), nl=False, file=sys.stdout)
@@ -123,12 +120,11 @@ def matrix_cmd(tree_file, spider_spec, ctree_spec, fmt) -> None:
 
 
 @cli.command("simulate")
-@_with_input_options
+@_tree_input
 @click.option("--x", "x1", type=int, required=True, help="Player 1 start vertex.")
 @click.option("--y", "x2", type=int, required=True, help="Player 2 start vertex.")
-def simulate_cmd(tree_file, spider_spec, ctree_spec, x1, x2) -> None:
+def simulate_cmd(t, x1, x2) -> None:
     """Run one diffusion and print the final per-vertex colors."""
-    t = _load_tree(tree_file, spider_spec, ctree_spec)
     col = simulate_diffusion(t, x1, x2)
     _emit(
         {
@@ -150,11 +146,10 @@ def simulate_cmd(tree_file, spider_spec, ctree_spec, x1, x2) -> None:
 
 
 @cli.command("value")
-@_with_input_options
+@_tree_input
 @click.option("--float", "as_float", is_flag=True, help="Render numbers as decimals.")
-def value_cmd(tree_file, spider_spec, ctree_spec, as_float) -> None:
+def value_cmd(t, as_float) -> None:
     """Exact safety value with maxmin and minmax strategies."""
-    t = _load_tree(tree_file, spider_spec, ctree_spec)
     sol = solve_value(t)
     ok = verify_solution(t, sol)
     _emit(
@@ -175,12 +170,11 @@ def value_cmd(tree_file, spider_spec, ctree_spec, as_float) -> None:
 
 
 @cli.command("css")
-@_with_input_options
+@_tree_input
 @click.option("--strict-centroidal", is_flag=True, help="Reject bicentroidal trees.")
 @click.option("--float", "as_float", is_flag=True, help="Render numbers as decimals.")
-def css_cmd(tree_file, spider_spec, ctree_spec, strict_centroidal, as_float) -> None:
+def css_cmd(t, strict_centroidal, as_float) -> None:
     """Centroidal safe strategy with its verification report."""
-    t = _load_tree(tree_file, spider_spec, ctree_spec)
     if strict_centroidal and centroid(t).kind != "centroidal":
         raise ValueError("tree is bicentroidal; a single-centroid tree is required")
     res = css_run(t)
@@ -324,6 +318,9 @@ def experiment_cmd(n, trials, seed, config_file, out_dir) -> None:
             "histogram_csv": str(out / "histogram.csv"),
         }
     )
+    overflow = result.histogram.overflow
+    if overflow:
+        click.echo(f"{overflow} ratio(s) above {float(cfg.bin_max)} landed in the overflow bin", file=sys.stderr)
     if result.failures:
         for f in result.failures:
             click.echo(f"trial {f.index} failed: {f.error}", file=sys.stderr)

@@ -224,8 +224,11 @@ class MixedStrategy:
     @classmethod
     def _from_weights(cls, n: int, weights: Mapping[int, int], den: int) -> "MixedStrategy":
         """Probability ``weights[v] / den`` at each vertex v, from non-negative
-        int weights summing to ``den``: no probability parsed, no ``Fraction``."""
-        if _count(n, "n") < 1 or den < 1 or sum(weights.values()) != den or min(weights.values()) < 0:
+        int weights summing to ``den``: no probability parsed, no ``Fraction``.
+        ``den`` and every weight must be an ``int``, not a ``bool``."""
+        w = weights.values()
+        ints = type(den) is int and {*map(type, w)} <= {int}
+        if _count(n, "n") < 1 or not ints or den < 1 or sum(w) != den or min(w) < 0:
             raise ValueError(f"integer weights must be non-negative and sum to den = {den} >= 1")
         return cls.__new__(cls)._store(n, weights, den)
 
@@ -267,7 +270,7 @@ class MixedStrategy:
 
     @classmethod
     def uniform(cls, n: int) -> "MixedStrategy":
-        return cls._from_weights(n, dict.fromkeys(range(n), 1), n)
+        return cls._from_weights(n, dict.fromkeys(range(_count(n, "n")), 1), n)
 
 
 def format_fraction(value: Fraction | int) -> str:

@@ -14,10 +14,8 @@ import math
 import random
 import statistics
 import typing
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from .css import css_run
 from .diffusion import format_fraction
@@ -31,9 +29,6 @@ class _RangeError(ValueError):
     def __init__(self, message: str, *keys: str) -> None:
         super().__init__(message)
         self.keys = keys
-
-
-_CONFIG_KEYS = {"n": int, "trials": int, "seed": int, "bin_width": Fraction, "bin_max": Fraction}
 
 
 @dataclass(frozen=True)
@@ -65,6 +60,9 @@ class ExperimentConfig:
             raise _RangeError("need 0 < bin_width <= bin_max", "bin_width", "bin_max")
         if self.bin_max % self.bin_width:
             raise _RangeError("bin_max must be a whole multiple of bin_width", "bin_max", "bin_width")
+
+
+_CONFIG_KEYS = typing.get_type_hints(ExperimentConfig)
 
 
 @dataclass(frozen=True)
@@ -105,7 +103,6 @@ class Histogram:
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    config: ExperimentConfig
     records: list[TrialRecord]
     failures: list[TrialFailure]
     histogram: Histogram
@@ -180,24 +177,18 @@ def _build_histogram(ratios: list[Fraction], width: Fraction, top: Fraction) -> 
             counts[math.ceil(r / width)] += 1
         else:
             overflow += 1
-    if overflow:
-        warnings.warn(f"{overflow} ratio(s) above {float(top)} landed in the overflow bin")
     return Histogram(width, top, tuple(counts), overflow)
 
 
-def run_experiment(
-    cfg: ExperimentConfig,
-    tree_source: Callable[[int, int], Tree] | None = None,
-) -> ExperimentResult:
-    """Run all trials and aggregate. ``tree_source(i, seed)`` may be injected
-    to pin specific trees; by default centroidal trees of size cfg.n are
-    sampled. Individual trial failures are recorded, not fatal."""
+def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
+    """Run all trials on centroidal trees of size cfg.n and aggregate.
+    Individual trial failures are recorded, not fatal."""
     records: list[TrialRecord] = []
     failures: list[TrialFailure] = []
     for i in range(cfg.trials):
         seed_i = trial_seed(cfg.seed, i)
         try:
-            t = tree_source(i, seed_i) if tree_source else sample_centroidal(cfg.n, seed_i)
+            t = sample_centroidal(cfg.n, seed_i)
             res = css_run(t)
             _, parent, _, size, _ = _walk(t)  # the centroid's largest branch, from the kept walk
             cw = max((size[w] if parent[w] == res.root else t.n - size[res.root] for w in t.adj[res.root]), default=0)
@@ -210,7 +201,6 @@ def run_experiment(
             failures.append(TrialFailure(i, seed_i, repr(exc)))
     ratios = [r.diff_ratio for r in records]
     return ExperimentResult(
-        cfg,
         records,
         failures,
         _build_histogram(ratios, cfg.bin_width, cfg.bin_max),
@@ -247,15 +237,10 @@ def write_histogram_csv(histogram: Histogram, path: str) -> None:
         w.writerow([f"{float(histogram.bin_max):.6g}", "inf", histogram.overflow])
 
 
-def parse_config_file(path: str) -> dict:
-    """Plain key=value config: n, trials, seed, bin_width, bin_max, each set
-    at most once. Blank lines and #-comments are skipped. Every error names
-    ``path:lineno``."""
-    return {key: value for key, (value, _) in _read_config(path).items()}
-
-
 def _read_config(path: str) -> dict:
-    """``parse_config_file``'s settings with their lines: key -> (value, lineno)."""
+    """Plain key=value config, each key an ``ExperimentConfig`` field set at
+    most once, as key -> (value, lineno). Blank lines and #-comments are
+    skipped. Every error names ``path:lineno``."""
     out: dict = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):

@@ -34,6 +34,7 @@ class SpiderSpec:
         return self.legs * self.leg_length + 1
 
     def index(self, d: int, s: int) -> int:
+        d, s = _count(d, "d"), _count(s, "s")
         if d == 0:
             return 0
         if not (1 <= d <= self.leg_length and 1 <= s <= self.legs):
@@ -129,6 +130,7 @@ class CompleteTreeSpec:
         return (self.arity ** (self.height + 1) - 1) // (self.arity - 1)
 
     def index(self, d: int, e: int) -> int:
+        d, e = _count(d, "d"), _count(e, "e")
         if not (0 <= d <= self.height and 0 <= e < self.arity**d):
             raise ValueError(f"no vertex at depth {d}, position {e}")
         return (self.arity**d - 1) // (self.arity - 1) + e

@@ -144,9 +144,8 @@ class _Tableau:
         self.var = [-1]  # per tableau column: its column's position, or -1 (slack, right-hand side)
         self.row_keys: list[int] = []
         self.col_keys: list[int] = []
-        self.cols: list[list[int]] = []  # per column position: S down the rows so far
         self.c: list[int] = []
-        self.parked: list[int] = []  # positions of the columns that are zero in every row so far
+        self.parked: dict[int, list[int]] = {}  # waiting column's position -> S down the rows so far
         self.primal_pivots = self.dual_pivots = 0
 
     def grow(self, rows: Iterable[int], cols: Iterable[int]) -> None:
@@ -154,10 +153,9 @@ class _Tableau:
         the new columns and primal pivots first, then the new rows and dual
         pivots, then the waiting columns that a new row made non-zero."""
         for key in cols:
+            self.parked[len(self.col_keys)] = [self.entry(i, key) for i in self.row_keys]
             self.col_keys.append(key)
-            self.cols.append([self.entry(i, key) for i in self.row_keys])
             self.c.append(self.weight(key))
-            self.parked.append(len(self.cols) - 1)
         self._enter_columns()
         self._primal()
         for key in rows:
@@ -167,13 +165,12 @@ class _Tableau:
         self._primal()
 
     def _enter_columns(self) -> None:
-        parked = self.parked
-        self.parked = []
+        parked, self.parked = self.parked, {}
         d, z = self.d, self.z
-        for j in parked:
-            a = [(s, x) for s, x in zip(self.slack, self.cols[j]) if x]
+        for j, col in parked.items():
+            a = [(s, x) for s, x in zip(self.slack, col) if x]
             if not a:
-                self.parked.append(j)
+                self.parked[j] = col
                 continue
             for row in self.rows:
                 row.append(sum(x * row[s] for s, x in a))
@@ -183,8 +180,8 @@ class _Tableau:
     def _add_row(self, key: int) -> None:
         d, var = self.d, self.var
         r = [self.entry(key, j) for j in self.col_keys]
-        for col, x in zip(self.cols, r):
-            col.append(x)
+        for j, col in self.parked.items():
+            col.append(r[j])
         new = [d] + [d * r[j] if j >= 0 else 0 for j in var[1:]]
         for row, b in zip(self.rows, self.basis):
             f = r[var[b]] if var[b] >= 0 else 0
@@ -281,9 +278,9 @@ class _Tableau:
         a waiting zero column gives value 0 with both mixes pure. Checks
         that the primal and dual objectives agree exactly."""
         if self.parked:
-            j = self.parked[0]
-            return 0, 1, [1] + [0] * (len(self.row_keys) - 1), [int(i == j) for i in range(len(self.cols))]
-        u = [0] * len(self.cols)
+            j = next(iter(self.parked))
+            return 0, 1, [1] + [0] * (len(self.row_keys) - 1), [int(i == j) for i in range(len(self.col_keys))]
+        u = [0] * len(self.col_keys)
         for row, b in zip(self.rows, self.basis):
             if self.var[b] >= 0:
                 u[self.var[b]] = row[0]

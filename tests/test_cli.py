@@ -69,6 +69,31 @@ class TestCentroidCommand:
         assert doc["labels"][0] == "(0,0)"
 
 
+_TREE_COMMANDS = [["centroid"], ["matrix"], ["simulate", "--x", "0", "--y", "1"], ["value"], ["css"]]
+
+
+class TestTreeInput:
+    @pytest.mark.parametrize("command", _TREE_COMMANDS, ids=lambda c: c[0])
+    @pytest.mark.parametrize("given", [[], ["--spider", "3", "2", "--ctree", "2", "2"]], ids=["none", "two"])
+    def test_exactly_one_tree_input(self, monkeypatch, capsys, command, given):
+        # A usage error: exit code 1, the rule on stderr, nothing on stdout.
+        monkeypatch.setattr(sys, "argv", ["treegame", *command, *given])
+        with pytest.raises(SystemExit) as exit_info:
+            main()
+        assert exit_info.value.code == 1
+        out, err = capsys.readouterr()
+        assert "Error: exactly one of --tree, --spider, --ctree is required\n" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("command", _TREE_COMMANDS, ids=lambda c: c[0])
+    def test_help_lists_the_tree_options_first(self, runner, command):
+        result = runner.invoke(cli, [command[0], "--help"], catch_exceptions=False)
+        assert result.exit_code == 0
+        options = re.findall(r"^  (--[\w-]+)", result.output, re.M)
+        assert options[:3] == ["--tree", "--spider", "--ctree"]
+        assert options[-1] == "--help" and not {"--tree", "--spider", "--ctree"} & set(options[3:])
+
+
 class TestMatrixCommand:
     def test_csv_default(self, runner, p2_file):
         result = runner.invoke(cli, ["matrix", "--tree", p2_file], catch_exceptions=False)
@@ -206,6 +231,24 @@ class TestExperimentCommand:
     def test_missing_settings(self, runner):
         result = runner.invoke(cli, ["experiment", "--n", "10"])
         assert result.exit_code != 0
+
+    def test_overflow_is_one_stderr_line_under_warnings_as_errors(self, tmp_path):
+        # Every ratio of these 40 trials lies above 1/100. The overflow is
+        # reported as one plain stderr line, so warnings as errors neither
+        # stop the command nor change its exit code, and both files and the
+        # summary are written.
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("n=5\ntrials=40\nseed=0\nbin_width=1/100\nbin_max=1/100\n")
+        out = tmp_path / "out"
+        proc = run_python("-W", "error", "-m", "treegame.cli", "experiment", "--config", str(cfg), "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "40 ratio(s) above 0.01 landed in the overflow bin\n"
+        doc = json.loads(proc.stdout)
+        assert (doc["completed"], doc["failed"], doc["overflow"]) == (40, 0, 40)
+        with open(out / "records.csv") as fh:
+            assert len(list(csv.DictReader(fh))) == 40
+        with open(out / "histogram.csv") as fh:
+            assert list(csv.reader(fh))[-1] == ["0.01", "inf", "40"]
 
     def test_summary_past_the_int_to_str_digit_limit(self, tmp_path):
         # 60 trials at n = 100 give an exact mean whose denominator has 688

@@ -314,6 +314,21 @@ class TestMixedStrategy:
         with pytest.raises(ValueError, match="integer weights must be non-negative"):
             MixedStrategy._from_weights(3, weights, den)
 
+    def test_uniform_rejects_a_size_that_is_not_an_int(self):
+        # Checked before range(n) raises a bare TypeError.
+        with pytest.raises(ValueError, match=r"^n must be an int, got 2\.5$"):
+            MixedStrategy.uniform(2.5)
+
+    @pytest.mark.parametrize(
+        "weights, den",
+        [({0: 1.5, 1: 0.5}, 2), ({0: 1, 1: 1}, 2.0), ({0: True, 1: 1}, 2), ({0: 1}, True)],
+        ids=["float-weights", "float-den", "bool-weight", "bool-den"],
+    )
+    def test_integer_entry_rejects_what_is_not_an_int(self, weights, den):
+        # Floats once reached math.gcd and raised a bare TypeError.
+        with pytest.raises(ValueError, match="integer weights must be non-negative"):
+            MixedStrategy._from_weights(2, weights, den)
+
 
 class TestGainFunctionals:
     def test_pure_pair_picks_entry(self):

@@ -1,4 +1,5 @@
 import csv
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,6 @@ from treegame import (
     css_run,
     maximal_gain,
     MixedStrategy,
-    parse_config_file,
     random_tree,
     run_experiment,
     sample_centroidal,
@@ -27,7 +27,7 @@ from treegame import (
     write_histogram_csv,
     write_records_csv,
 )
-from treegame.experiment import _RangeError
+from treegame.experiment import _RangeError, _read_config
 
 from conftest import randrange_random_tree
 
@@ -109,10 +109,11 @@ class TestUpperBound:
 
 
 class TestRunExperiment:
-    def test_injected_optimal_tree_gives_zero_ratio(self):
+    def test_injected_optimal_tree_gives_zero_ratio(self, monkeypatch):
         t = build_complete_tree(CompleteTreeSpec(2, 2))
+        monkeypatch.setattr(treegame.experiment, "sample_centroidal", lambda n, seed: t)
         cfg = ExperimentConfig(n=7, trials=1, seed=3)
-        res = run_experiment(cfg, tree_source=lambda i, s: t)
+        res = run_experiment(cfg)
         rec = res.records[0]
         assert rec.diff_ratio == 0
         assert rec.css_gain == rec.upper_bound == complete_tree_value(CompleteTreeSpec(2, 2))
@@ -133,29 +134,32 @@ class TestRunExperiment:
         assert a.histogram == b.histogram
         assert a.mean_ratio == b.mean_ratio and a.median_ratio == b.median_ratio
 
-    def test_zero_ratio_lands_in_zero_bin(self):
+    def test_zero_ratio_lands_in_zero_bin(self, monkeypatch):
         t = build_complete_tree(CompleteTreeSpec(2, 2))
+        monkeypatch.setattr(treegame.experiment, "sample_centroidal", lambda n, seed: t)
         cfg = ExperimentConfig(n=7, trials=3, seed=5)
-        res = run_experiment(cfg, tree_source=lambda i, s: t)
+        res = run_experiment(cfg)
         assert res.histogram.counts[0] == 3
         assert sum(res.histogram.counts[1:]) == 0
 
-    def test_failures_recorded_not_fatal(self):
-        def flaky(i, seed):
-            if i == 1:
+    def test_failures_recorded_not_fatal(self, monkeypatch):
+        def flaky(n, seed):
+            if seed == trial_seed(1, 1):
                 raise RuntimeError("boom")
             return build_complete_tree(CompleteTreeSpec(2, 2))
 
+        monkeypatch.setattr(treegame.experiment, "sample_centroidal", flaky)
         cfg = ExperimentConfig(n=7, trials=3, seed=1)
-        res = run_experiment(cfg, tree_source=flaky)
+        res = run_experiment(cfg)
         assert len(res.records) == 2 and len(res.failures) == 1
-        assert "boom" in res.failures[0].error
+        assert res.failures[0].index == 1 and "boom" in res.failures[0].error
 
-    def test_every_trial_failed_still_gives_a_histogram(self):
-        def broken(i, seed):
+    def test_every_trial_failed_still_gives_a_histogram(self, monkeypatch):
+        def broken(n, seed):
             raise RuntimeError("boom")
 
-        res = run_experiment(ExperimentConfig(n=7, trials=2, seed=1), tree_source=broken)
+        monkeypatch.setattr(treegame.experiment, "sample_centroidal", broken)
+        res = run_experiment(ExperimentConfig(n=7, trials=2, seed=1))
         assert not res.records and len(res.failures) == 2
         assert res.histogram.counts == (0,) * 31 and res.histogram.overflow == 0
         assert res.mean_ratio is None and res.median_ratio is None
@@ -173,31 +177,35 @@ class TestRunExperiment:
         assert type(res.median_ratio) is Fraction
         assert res.median_ratio == (ratios[2] + ratios[3]) / 2
 
-    def test_root_weight_is_the_centroid_weight(self):
+    def test_root_weight_is_the_centroid_weight(self, monkeypatch):
         from conftest import brute_weights
 
         trees = {}
 
-        def source(i, seed):
-            trees[i] = sample_centroidal(40, seed)
-            return trees[i]
+        def source(n, seed):
+            trees[seed] = sample_centroidal(n, seed)
+            return trees[seed]
 
-        res = run_experiment(ExperimentConfig(n=40, trials=6, seed=1), tree_source=source)
+        monkeypatch.setattr(treegame.experiment, "sample_centroidal", source)
+        res = run_experiment(ExperimentConfig(n=40, trials=6, seed=1))
         assert len(res.records) == 6
         for r in res.records:
-            t = trees[r.index]
+            t = trees[r.tree_seed]
             assert r.centroid == centroid(t).root
             assert r.centroid_weight == weight_table(t).w[r.centroid] == brute_weights(t)[r.centroid]
 
-    def test_overflow_bin_warns(self):
+    def test_overflow_bin_counts_without_a_warning(self, monkeypatch):
         # On the 4-leaf star the centroidal strategy guarantees 4/5 while the
         # safety value is 16/17, a gap of 12/85 of the centroid weight, which
-        # overflows a 0.01-wide histogram.
+        # overflows a 0.01-wide histogram. The overflow is counted, and only
+        # the command line reports it, as one stderr line.
         from conftest import star_tree
 
+        monkeypatch.setattr(treegame.experiment, "sample_centroidal", lambda n, seed: star_tree(4))
         cfg = ExperimentConfig(n=5, trials=1, seed=2, bin_width=Fraction(1, 100), bin_max=Fraction(1, 100))
-        with pytest.warns(UserWarning, match="overflow"):
-            res = run_experiment(cfg, tree_source=lambda i, s: star_tree(4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = run_experiment(cfg)
         assert res.histogram.overflow == 1
         assert res.records[0].diff_ratio == Fraction(12, 85)
 
@@ -237,7 +245,7 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ExperimentConfig(n=5, trials=1, seed=1, bin_width=Fraction(0))
 
-    def test_rejects_bin_max_not_a_multiple_of_bin_width(self):
+    def test_rejects_bin_max_not_a_multiple_of_bin_width(self, monkeypatch):
         # 1/10 over 3/100 leaves a partial last bin, where a ratio in
         # (9/100, 1/10] would index past the end of the counts.
         with pytest.raises(ValueError, match="whole multiple"):
@@ -246,8 +254,9 @@ class TestConfigValidation:
         # the 4-leaf star's gap of 12/85 lies in (5/40, 6/40].
         from conftest import star_tree
 
+        monkeypatch.setattr(treegame.experiment, "sample_centroidal", lambda n, seed: star_tree(4))
         cfg = ExperimentConfig(n=5, trials=1, seed=1, bin_width=Fraction(1, 40), bin_max=Fraction(3, 20))
-        res = run_experiment(cfg, tree_source=lambda i, s: star_tree(4))
+        res = run_experiment(cfg)
         assert res.histogram.counts == (0, 0, 0, 0, 0, 0, 1)
 
     @pytest.mark.parametrize(
@@ -320,18 +329,19 @@ class TestCsvAndConfigFiles:
     def test_config_file(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text("# comment\nn=25\ntrials = 4\nseed=9\nbin_width=0.02\n")
-        cfg = parse_config_file(str(path))
-        assert cfg == {"n": 25, "trials": 4, "seed": 9, "bin_width": Fraction(1, 50)}
+        cfg = _read_config(str(path))
+        assert cfg == {"n": (25, 2), "trials": (4, 3), "seed": (9, 4), "bin_width": (Fraction(1, 50), 5)}
+        assert [type(value) for value, _ in cfg.values()] == [int, int, int, Fraction]
 
     def test_config_file_bad_key(self, tmp_path):
         path = tmp_path / "exp.cfg"
-        path.write_text("bogus=1\n")
-        with pytest.raises(ValueError, match="unknown config key"):
-            parse_config_file(str(path))
+        path.write_text("n=5\nbogus=1\n")
+        with pytest.raises(ValueError, match="exp.cfg:2: unknown config key 'bogus'"):
+            _read_config(str(path))
 
     @pytest.mark.parametrize("line", ["n=abc", "bin_width=1/0", "trials=2.5", "bin_max=x"])
     def test_config_file_bad_value_names_the_line(self, tmp_path, line):
         path = tmp_path / "exp.cfg"
         path.write_text(f"seed=1\n{line}\n")
         with pytest.raises(ValueError, match="exp.cfg:2: bad value"):
-            parse_config_file(str(path))
+            _read_config(str(path))

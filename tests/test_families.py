@@ -75,6 +75,22 @@ class TestCountsAreInts:
             make()
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: SpiderSpec(3, 2).index(1.0, 1), "d must be an int, got 1.0"),
+            (lambda: SpiderSpec(3, 2).index(True, True), "d must be an int, got True"),
+            (lambda: CompleteTreeSpec(2, 2).index(True, 0), "d must be an int, got True"),
+            (lambda: CompleteTreeSpec(2, 2).index(1, 0.5), "e must be an int, got 0.5"),
+        ],
+        ids=["spider-float-depth", "spider-bool-positions", "ctree-bool-depth", "ctree-float-position"],
+    )
+    def test_rejects_a_position_that_is_not_an_int(self, make, message):
+        # Each was once read as a number: 1.0, 1, 1 and the vertex id 1.5.
+        with pytest.raises(ValueError) as exc:
+            make()
+        assert str(exc.value) == message
+
     def test_keeps_the_range_messages(self):
         for make, message in [
             (lambda: SpiderSpec(2, 2), "a spider needs at least 3 legs, got 2"),
@@ -83,6 +99,10 @@ class TestCountsAreInts:
             (lambda: CompleteTreeSpec(2, 0), "height must be >= 1, got 0"),
             (lambda: spider_safe_strategy(SpiderSpec(3, 4), 5), "k must be in 0..4, got 5"),
             (lambda: spider_body_reply_gain(SpiderSpec(3, 4), -1), "k must be in 0..4, got -1"),
+            (lambda: SpiderSpec(3, 2).index(3, 1), "no vertex at depth 3 on leg 1"),
+            (lambda: SpiderSpec(3, 2).index(1, 4), "no vertex at depth 1 on leg 4"),
+            (lambda: CompleteTreeSpec(2, 2).index(3, 0), "no vertex at depth 3, position 0"),
+            (lambda: CompleteTreeSpec(2, 2).index(1, 2), "no vertex at depth 1, position 2"),
         ]:
             with pytest.raises(ValueError) as exc:
                 make()

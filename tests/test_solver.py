@@ -157,11 +157,39 @@ class TestWarmTableau:
         a = [[0, 3], [2, 1]]
         lp = _Tableau(lambda i, j: a[i][j], lambda j: 1)
         lp.grow([0], [0, 1])
+        assert list(lp.parked) == [0]
         assert lp.solution() == (0, 1, [1], [1, 0])
         _check_tableau(lp, a, [1, 1])
         lp.grow([1], [])
         assert not lp.parked
         _check_tableau(lp, a, [1, 1])
+
+    def test_each_entry_is_asked_for_once(self, monkeypatch):
+        # The tableau keeps a column's entries only while it waits, yet never
+        # asks for one (row, column) entry twice: every pair of the final
+        # subgame's keys exactly once, over many rounds and in one.
+        tableaus, asked = [], []
+        init = _Tableau.__init__
+
+        def spying_init(lp, entry, weight):
+            def spy(i, j):
+                asked.append((i, j))
+                return entry(i, j)
+
+            tableaus.append(lp)
+            init(lp, spy, weight)
+
+        monkeypatch.setattr(_Tableau, "__init__", spying_init)
+        rounds = []
+        for t in [sample_centroidal(1000, 4), *(sample_centroidal(100, s) for s in range(4))]:
+            tableaus.clear()
+            asked.clear()
+            rounds.append(solve_value(t).stats.rounds)
+            [lp] = tableaus
+            assert len(asked) == len(set(asked))
+            assert set(asked) == {(i, j) for i in lp.row_keys for j in lp.col_keys}
+            assert not lp.parked
+        assert rounds[0] == 11
 
     def test_dual_pivots_on_a_tree(self):
         # Rounds on this tree add rows that cut off the last optimum.
