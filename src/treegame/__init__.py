@@ -1,139 +1,50 @@
-"""Safe (maxmin) strategies for two-player competitive diffusion on trees."""
+"""Safe (maxmin) strategies for two-player competitive diffusion on trees.
 
-from .css import (
-    BranchClass,
-    BranchInfo,
-    CentroidReplyReport,
-    CSSError,
-    CSSResult,
-    UsedBranch,
-    analyze_branches,
-    branch_criterion,
-    branch_probabilities,
-    css_run,
-    verify_centroid_reply,
-)
-from .diffusion import (
-    Color,
-    Coloring,
-    GameMatrix,
-    MixedStrategy,
-    format_fraction,
-    gain,
-    gain_column,
-    gain_row,
-    game_matrix,
-    guaranteed_gain,
-    maximal_gain,
-    pure_gain,
-    simulate_diffusion,
-    strategy_from_pairs,
-    strategy_to_pairs,
-)
-from .experiment import (
-    ExperimentConfig,
-    ExperimentResult,
-    Histogram,
-    TrialFailure,
-    TrialRecord,
-    random_tree,
-    run_experiment,
-    sample_centroidal,
-    trial_seed,
-    write_histogram_csv,
-    write_records_csv,
-)
-from .families import (
-    CompleteTreeSpec,
-    SpiderSpec,
-    build_complete_tree,
-    build_spider,
-    complete_tree_opposing_strategy,
-    complete_tree_safe_strategy,
-    complete_tree_value,
-    spider_body_reply_gain,
-    spider_optimal_depth,
-    spider_safe_strategy,
-)
-from .solver import (
-    SolverError,
-    ZeroSumSolution,
-    solve_value,
-    verify_solution,
-)
-from .tree import (
-    CentroidInfo,
-    Tree,
-    TreeFormatError,
-    WeightTable,
-    automorphism_orbits,
-    centroid,
-    distances_from,
-    parse_tree,
-    weight_table,
-)
+Each public name loads its submodule on first use (PEP 562), so importing
+the package, or one submodule, does not import the others.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BranchClass",
-    "BranchInfo",
-    "CentroidInfo",
-    "CentroidReplyReport",
-    "Color",
-    "Coloring",
-    "CompleteTreeSpec",
-    "CSSError",
-    "CSSResult",
-    "ExperimentConfig",
-    "ExperimentResult",
-    "GameMatrix",
-    "Histogram",
-    "MixedStrategy",
-    "SolverError",
-    "SpiderSpec",
-    "TreeFormatError",
-    "Tree",
-    "TrialFailure",
-    "TrialRecord",
-    "UsedBranch",
-    "WeightTable",
-    "ZeroSumSolution",
-    "analyze_branches",
-    "automorphism_orbits",
-    "branch_criterion",
-    "branch_probabilities",
-    "build_complete_tree",
-    "build_spider",
-    "centroid",
-    "complete_tree_opposing_strategy",
-    "complete_tree_safe_strategy",
-    "complete_tree_value",
-    "css_run",
-    "distances_from",
-    "format_fraction",
-    "gain",
-    "gain_column",
-    "gain_row",
-    "game_matrix",
-    "guaranteed_gain",
-    "maximal_gain",
-    "parse_tree",
-    "pure_gain",
-    "random_tree",
-    "run_experiment",
-    "sample_centroidal",
-    "simulate_diffusion",
-    "solve_value",
-    "spider_body_reply_gain",
-    "spider_optimal_depth",
-    "spider_safe_strategy",
-    "strategy_from_pairs",
-    "strategy_to_pairs",
-    "trial_seed",
-    "verify_centroid_reply",
-    "verify_solution",
-    "weight_table",
-    "write_histogram_csv",
-    "write_records_csv",
-]
+# Each submodule with the public names it exports.
+_EXPORTS = {
+    "css": (
+        "BranchClass", "BranchInfo", "CentroidReplyReport", "CSSError", "CSSResult", "UsedBranch",
+        "analyze_branches", "branch_criterion", "branch_probabilities", "css_run", "verify_centroid_reply",
+    ),
+    "diffusion": (
+        "Color", "Coloring", "GameMatrix", "MixedStrategy", "format_fraction", "gain_column", "gain_row",
+        "game_matrix", "guaranteed_gain", "maximal_gain", "pure_gain", "simulate_diffusion", "strategy_to_pairs",
+    ),
+    "experiment": (
+        "ExperimentConfig", "ExperimentResult", "Histogram", "TrialFailure", "TrialRecord", "random_tree",
+        "run_experiment", "sample_centroidal", "trial_seed", "write_histogram_csv", "write_records_csv",
+    ),
+    "families": (
+        "CompleteTreeSpec", "SpiderSpec", "build_complete_tree", "build_spider", "complete_tree_opposing_strategy",
+        "complete_tree_safe_strategy", "complete_tree_value", "spider_body_reply_gain", "spider_optimal_depth",
+        "spider_safe_strategy",
+    ),
+    "solver": ("SolverError", "ZeroSumSolution", "solve_value", "verify_solution"),
+    "tree": (
+        "CentroidInfo", "Tree", "TreeFormatError", "WeightTable", "automorphism_orbits", "centroid",
+        "distances_from", "parse_tree", "weight_table",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

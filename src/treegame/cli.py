@@ -6,6 +6,10 @@ internal invariant, an experiment with failed trials, or any other
 unexpected exception). Every result is exact and renders as "p/q" strings;
 --float renders the same results as decimals. Identical invocations produce
 byte-identical output.
+
+Each command imports only the modules it runs: ``experiment`` and
+``families`` are imported by the commands that use them, so a ``value`` or
+``css`` run loads neither.
 """
 
 from __future__ import annotations
@@ -27,26 +31,6 @@ from .diffusion import (
     maximal_gain,
     simulate_diffusion,
     strategy_to_pairs,
-)
-from .experiment import (
-    ExperimentConfig,
-    _RangeError,
-    _read_config,
-    run_experiment,
-    write_histogram_csv,
-    write_records_csv,
-)
-from .families import (
-    CompleteTreeSpec,
-    SpiderSpec,
-    build_complete_tree,
-    build_spider,
-    complete_tree_opposing_strategy,
-    complete_tree_safe_strategy,
-    complete_tree_value,
-    spider_body_reply_gain,
-    spider_optimal_depth,
-    spider_safe_strategy,
 )
 from .solver import solve_value, verify_solution
 from .tree import centroid, parse_tree, weight_table
@@ -75,8 +59,12 @@ def _tree_input(fn):
         if tree_file:
             t = parse_tree(Path(tree_file).read_text())
         elif spider_spec:
+            from .families import SpiderSpec, build_spider
+
             t = build_spider(SpiderSpec(*spider_spec))
         else:
+            from .families import CompleteTreeSpec, build_complete_tree
+
             t = build_complete_tree(CompleteTreeSpec(*ctree_spec))
         return fn(t, **options)
 
@@ -216,6 +204,8 @@ def css_cmd(t, strict_centroidal, as_float) -> None:
 @click.option("--float", "as_float", is_flag=True, help="Render numbers as decimals.")
 def spider_cmd(legs, leg_length, k, as_float) -> None:
     """Spider safe strategy with its exact safety value and bound sandwich."""
+    from .families import SpiderSpec, build_spider, spider_body_reply_gain, spider_optimal_depth, spider_safe_strategy
+
     spec = SpiderSpec(legs, leg_length)
     t = build_spider(spec)
     k, ggain = spider_optimal_depth(spec) if k is None else (k, None)
@@ -247,6 +237,14 @@ def spider_cmd(legs, leg_length, k, as_float) -> None:
 @click.option("--float", "as_float", is_flag=True, help="Render numbers as decimals.")
 def ctree_cmd(arity, height, as_float) -> None:
     """Closed-form strategies and safety value on a complete m-ary tree."""
+    from .families import (
+        CompleteTreeSpec,
+        build_complete_tree,
+        complete_tree_opposing_strategy,
+        complete_tree_safe_strategy,
+        complete_tree_value,
+    )
+
     spec = CompleteTreeSpec(arity, height)
     t = build_complete_tree(spec)
     safe = complete_tree_safe_strategy(spec)
@@ -282,6 +280,15 @@ def experiment_cmd(n, trials, seed, config_file, out_dir) -> None:
     """Run the random-tree evaluation; writes records.csv and histogram.csv.
 
     Exits 2, after writing both files and the summary, if any trial failed."""
+    from .experiment import (
+        ExperimentConfig,
+        _RangeError,
+        _read_config,
+        run_experiment,
+        write_histogram_csv,
+        write_records_csv,
+    )
+
     from_file = _read_config(config_file) if config_file else {}
     settings = {key: value for key, (value, _) in from_file.items()}
     for key, val in (("n", n), ("trials", trials), ("seed", seed)):

@@ -28,7 +28,7 @@ from enum import IntEnum
 from fractions import Fraction
 from itertools import repeat
 from operator import add, lshift, lt
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .tree import Tree, _count, _runs, _vertex, _walk, distances_from
 
@@ -290,30 +290,9 @@ def strategy_to_pairs(x: MixedStrategy, as_float: bool = False) -> list[list]:
     return [[v, f"{w // g}/{den // g}"] for v, w in weights.items() for g in [math.gcd(w, den)]]
 
 
-def strategy_from_pairs(n: int, pairs: Iterable[Iterable]) -> MixedStrategy:
-    """Inverse of ``strategy_to_pairs`` without ``as_float``: each
-    probability, a "p/q" string or an int, goes to ``MixedStrategy`` as is."""
-    probs: dict[int, Fraction | int | str] = {}
-    for item in pairs:
-        v, p = list(item)
-        if v in probs:
-            raise ValueError(f"duplicate vertex {v} in strategy")
-        probs[v] = p
-    return MixedStrategy(n, probs)
-
-
-def _check_dims(t: Tree, *strategies: MixedStrategy) -> None:
-    for s in strategies:
-        if s.n != t.n:
-            raise ValueError(f"dimension mismatch: strategy over {s.n} vertices, tree has {t.n}")
-
-
-def gain(t: Tree, x: MixedStrategy, y: MixedStrategy):
-    """Expected Player-1 gain of mixed strategies: the bilinear form X A Y^T."""
-    _check_dims(t, x, y)
-    acc, den = _sweep(t.n, x.weights(), functools.partial(gain_row, t))
-    weights, yden = y.weights()
-    return Fraction(sum(w * acc[v] for v, w in weights.items()), den * yden)
+def _check_dims(t: Tree, s: MixedStrategy) -> None:
+    if s.n != t.n:
+        raise ValueError(f"dimension mismatch: strategy over {s.n} vertices, tree has {t.n}")
 
 
 def _field_words(n: int, den: int) -> int:

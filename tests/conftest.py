@@ -20,7 +20,7 @@ from pathlib import Path
 from unittest import mock
 
 import treegame.tree
-from treegame import Tree, TreeFormatError, simulate_diffusion
+from treegame import MixedStrategy, Tree, TreeFormatError, gain_row, simulate_diffusion
 from treegame.solver import _Tableau
 
 
@@ -248,6 +248,28 @@ def brute_guaranteed_gain(t: Tree, strategy) -> Fraction:
         if best is None or g < best:
             best = g
     return best
+
+
+def gain(t: Tree, x: MixedStrategy, y: MixedStrategy) -> Fraction:
+    """Expected Player-1 gain of mixed strategies, the bilinear form X A Y^T,
+    summed pair by pair over the two supports."""
+    for s in (x, y):
+        if s.n != t.n:
+            raise ValueError(f"dimension mismatch: strategy over {s.n} vertices, tree has {t.n}")
+    rows = {i: gain_row(t, i) for i in x.support()}
+    return sum((p * q * rows[i][j] for i, p in x.probs.items() for j, q in y.probs.items()), Fraction(0))
+
+
+def strategy_from_pairs(n: int, pairs) -> MixedStrategy:
+    """Inverse of ``strategy_to_pairs`` without ``as_float``: each
+    probability, a "p/q" string or an int, goes to ``MixedStrategy`` as is."""
+    probs = {}
+    for item in pairs:
+        v, p = list(item)
+        if v in probs:
+            raise ValueError(f"duplicate vertex {v} in strategy")
+        probs[v] = p
+    return MixedStrategy(n, probs)
 
 
 def solve_matrix_game(matrix):

@@ -21,11 +21,10 @@ from treegame import (
     parse_tree,
     run_experiment,
     solve_value,
-    strategy_from_pairs,
 )
 from treegame.cli import cli, main
 
-from conftest import run_python
+from conftest import run_python, strategy_from_pairs
 
 
 @pytest.fixture
@@ -432,11 +431,14 @@ class TestDeterminismAndExitCodes:
         # bug, or one of the code's own asserts. One line on stderr, no
         # traceback.
         tree_args = "'--m', '2', '--h', '2'" if command == "ctree" else "'--ctree', '2', '2'"
+        # The ctree command imports the families module when it runs, so the
+        # closed form is replaced where it is defined.
+        module = "families" if target == "complete_tree_value" else "cli"
         script = (
-            "import sys, treegame.cli\n"
+            f"import sys, treegame.cli, treegame.{module}\n"
             "from treegame import *\n"
             f"def boom(*args, **kwargs):\n    raise {error}('forced failure')\n"
-            f"treegame.cli.{target} = boom\n"
+            f"treegame.{module}.{target} = boom\n"
             f"sys.argv = ['treegame', '{command}', {tree_args}]\n"
             "treegame.cli.main()\n"
         )
@@ -450,9 +452,9 @@ class TestDeterminismAndExitCodes:
     def test_experiment_out_is_made_before_the_first_trial(self, monkeypatch, capsys, tmp_path):
         # An --out that cannot be a directory is an input error before any
         # trial runs, not after all of them.
-        import treegame.cli
+        import treegame.experiment
 
-        monkeypatch.setattr(treegame.cli, "run_experiment", lambda cfg: pytest.fail("trials ran"))
+        monkeypatch.setattr(treegame.experiment, "run_experiment", lambda cfg: pytest.fail("trials ran"))
         (tmp_path / "afile").write_text("")
         out = tmp_path / "afile" / "sub"
         argv = ["treegame", "experiment", "--n", "9", "--trials", "2", "--seed", "0", "--out", str(out)]
@@ -581,3 +583,22 @@ def test_redirected_streams_are_released(monkeypatch, tmp_path):
     gc.collect()
     assert len(refs) == 40
     assert [r for r in refs if r() is not None] == []
+
+
+def test_value_and_css_import_only_what_they_run(p5_file):
+    # Importing the CLI, and a value or a css run, load neither the
+    # experiment nor the families module, nor what only they import.
+    script = (
+        "import sys, treegame.cli\n"
+        "deferred = ('treegame.experiment', 'treegame.families', 'hashlib', 'csv')\n"
+        "loaded = [[m for m in deferred if m in sys.modules]]\n"
+        "for command in ('value', 'css'):\n"
+        f"    sys.argv = ['treegame', command, '--tree', {p5_file!r}]\n"
+        "    treegame.cli.main()\n"
+        "    loaded.append([m for m in deferred if m in sys.modules])\n"
+        "print(loaded, file=sys.stderr)\n"
+    )
+    proc = run_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "[[], [], []]\n"
+    assert re.findall(r'^  "schema": "(.*)",$', proc.stdout, re.M) == ["treegame.value/1", "treegame.css/1"]

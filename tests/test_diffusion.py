@@ -22,7 +22,6 @@ from treegame import (
     SpiderSpec,
     automorphism_orbits,
     Tree,
-    gain,
     gain_column,
     gain_row,
     game_matrix,
@@ -31,12 +30,11 @@ from treegame import (
     pure_gain,
     random_tree,
     simulate_diffusion,
-    strategy_from_pairs,
     strategy_to_pairs,
 )
 from treegame.diffusion import _field_words, _pack, _sweep, _unpack
 
-from conftest import list_sweep, path_tree, prufer_decode, simulation_matrix, star_tree
+from conftest import gain, list_sweep, path_tree, prufer_decode, simulation_matrix, star_tree, strategy_from_pairs
 
 
 @st.composite

@@ -12,7 +12,6 @@ from treegame import (
     complete_tree_opposing_strategy,
     complete_tree_safe_strategy,
     complete_tree_value,
-    gain,
     guaranteed_gain,
     maximal_gain,
     solve_value,
@@ -21,7 +20,7 @@ from treegame import (
     spider_safe_strategy,
 )
 
-from conftest import brute_guaranteed_gain
+from conftest import brute_guaranteed_gain, gain
 
 
 def body_reply(spec):

@@ -33,7 +33,6 @@ from treegame import (
     random_tree,
     simulate_diffusion,
     solve_value,
-    strategy_from_pairs,
     verify_solution,
     weight_table,
 )
@@ -54,6 +53,7 @@ from conftest import (
     prufer_decode,
     simulation_matrix,
     star_tree,
+    strategy_from_pairs,
 )
 
 
