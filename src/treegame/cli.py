@@ -3,9 +3,10 @@
 Data goes to stdout, diagnostics to stderr. Exit codes: 0 success, 1 input
 error, 2 internal verification failure (a failed certificate, any broken
 internal invariant, an experiment with failed trials, or any other
-unexpected exception). Every result is exact and renders as "p/q" strings;
---float renders the same results as decimals. Identical invocations produce
-byte-identical output.
+unexpected exception). A command whose check fails prints its document,
+the check marked failed, before it exits 2. Every result is exact and
+renders as "p/q" strings; --float renders the same results as decimals.
+Identical invocations produce byte-identical output.
 
 Each command imports only the modules it runs: ``experiment`` and
 ``families`` are imported by the commands that use them, so a ``value`` or
@@ -40,9 +41,12 @@ class VerificationFailure(RuntimeError):
     """An internal consistency check failed; maps to exit status 2."""
 
 
-def _emit(doc: dict, as_float: bool = False) -> None:
-    """Print ``doc`` as JSON, each ``Fraction`` in it as "p/q" or, ``as_float``, a decimal."""
+def _emit(doc: dict, as_float: bool = False, failure: str | None = None) -> None:
+    """Print ``doc`` as JSON, each ``Fraction`` in it as "p/q" or, ``as_float``,
+    a decimal; then, if the command's check failed, raise ``VerificationFailure(failure)``."""
     click.echo(json.dumps(doc, indent=2, default=float if as_float else format_fraction), file=sys.stdout)
+    if failure is not None:
+        raise VerificationFailure(failure)
 
 
 def _tree_input(fn):
@@ -152,9 +156,8 @@ def value_cmd(t, as_float) -> None:
             "verified": ok,
         },
         as_float,
+        failure=None if ok else "solver certificate failed",
     )
-    if not ok:
-        raise VerificationFailure("solver certificate failed")
 
 
 @cli.command("css")
@@ -192,9 +195,7 @@ def css_cmd(t, strict_centroidal, as_float) -> None:
         "theorem4": "pass" if report.passed else "fail",
         "trace": list(res.trace),
     }
-    _emit(doc, as_float)
-    if not report.passed:
-        raise VerificationFailure("centroid does not minimize the reply gain")
+    _emit(doc, as_float, failure=None if report.passed else "centroid does not minimize the reply gain")
 
 
 @cli.command("spider")
@@ -226,9 +227,7 @@ def spider_cmd(legs, leg_length, k, as_float) -> None:
         "upper_bound": leg_length,
         "sandwich_ok": sandwich_ok,
     }
-    _emit(doc, as_float)
-    if not sandwich_ok:
-        raise VerificationFailure("bound sandwich failed")
+    _emit(doc, as_float, failure=None if sandwich_ok else "bound sandwich failed")
 
 
 @cli.command("ctree")
@@ -265,9 +264,8 @@ def ctree_cmd(arity, height, as_float) -> None:
             "verified": ok,
         },
         as_float,
+        failure=None if ok else "closed-form gains do not match the safety value",
     )
-    if not ok:
-        raise VerificationFailure("closed-form gains do not match the safety value")
 
 
 @cli.command("experiment")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from itertools import chain
@@ -216,10 +216,7 @@ def analyze_branches(t: Tree, root: int) -> list[BranchInfo]:
                 f"branch {index}: thin branch with third vertex {sv} not adjacent to {tv}"
             )
         info = BranchInfo(index, members, u, tv, sv, w1, w2, w3, cls, Fraction(0))
-        info = BranchInfo(
-            index, members, u, tv, sv, w1, w2, w3, cls, branch_criterion(info, n)
-        )
-        result.append(info)
+        result.append(replace(info, criterion=branch_criterion(info, n)))
     return result
 
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from .css import css_run
 from .diffusion import format_fraction
 from .solver import solve_value
-from .tree import Tree, _walk, centroid
+from .tree import Tree, _count, centroid
 
 
 class _RangeError(ValueError):
@@ -123,7 +123,7 @@ def random_tree(n: int, seed: int) -> Tree:
     CPython 3.10-3.13, the versions CI tests: ``getrandbits(n.bit_length())``,
     redrawn while it is n or more. Calling ``getrandbits`` directly skips
     ``randrange``'s argument handling and gives the same stream."""
-    if n < 1:
+    if _count(n, "tree size") < 1:
         raise ValueError("tree size must be >= 1")
     bits = random.Random(seed).getrandbits
     k = n.bit_length()
@@ -159,6 +159,8 @@ _MAX_ATTEMPTS = 10_000
 def sample_centroidal(n: int, seed: int) -> Tree:
     """Rejection-sample up to ``_MAX_ATTEMPTS`` random trees until one has a
     single-vertex centroid; the seed advances deterministically with each rejection."""
+    if _count(n, "tree size") == 2:
+        raise ValueError("no 2-vertex tree has a single centroid")
     for attempt in range(_MAX_ATTEMPTS):
         t = random_tree(n, trial_seed(seed, attempt))
         if centroid(t).kind == "centroidal":
@@ -190,8 +192,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         try:
             t = sample_centroidal(cfg.n, seed_i)
             res = css_run(t)
-            _, parent, _, size, _ = _walk(t)  # the centroid's largest branch, from the kept walk
-            cw = max((size[w] if parent[w] == res.root else t.n - size[res.root] for w in t.adj[res.root]), default=0)
+            cw = centroid(t).weight
             bound = solve_value(t).value
             ratio = (bound - res.guaranteed_gain) / cw
             if ratio < 0:

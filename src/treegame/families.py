@@ -35,11 +35,9 @@ class SpiderSpec:
 
     def index(self, d: int, s: int) -> int:
         d, s = _count(d, "d"), _count(s, "s")
-        if d == 0:
-            return 0
-        if not (1 <= d <= self.leg_length and 1 <= s <= self.legs):
+        if not (0 <= d <= self.leg_length and 1 <= s <= self.legs):
             raise ValueError(f"no vertex at depth {d} on leg {s}")
-        return d + (s - 1) * self.leg_length
+        return d + (s - 1) * self.leg_length if d else 0
 
 
 def build_spider(spec: SpiderSpec) -> Tree:

@@ -174,6 +174,7 @@ class CentroidInfo:
     vertices: tuple[int, ...]
     kind: str  # "centroidal" | "bicentroidal"
     root: int
+    weight: int  # the root's largest branch, 0 for a lone vertex
 
 
 def parse_tree(text: str) -> Tree:
@@ -374,7 +375,7 @@ def centroid(t: Tree) -> CentroidInfo:
     child whose subtree holds more than n/2 vertices until no child does; a
     child of exactly n/2 there is the second centroid. For a bicentroidal
     tree the reported root is the smaller vertex id, which keeps downstream
-    algorithms deterministic.
+    algorithms deterministic. The root's weight is its largest branch.
     """
     n, adj = t.n, t.adj
     _, parent, _, size, _ = _walk(t)
@@ -383,11 +384,12 @@ def centroid(t: Tree) -> CentroidInfo:
         c = heavy[0]
     verts = tuple(sorted([c, *(w for w in adj[c] if parent[w] == c and 2 * size[w] == n)]))
     # Cross-check: a centroid vertex has no branch with more than n/2 edges.
-    for v in verts:
-        if any(2 * (size[w] if parent[w] == v else n - size[v]) > n for w in adj[v]):
+    weights = [max((size[w] if parent[w] == v else n - size[v] for w in adj[v]), default=0) for v in verts]
+    for v, weight in zip(verts, weights):
+        if 2 * weight > n:
             raise RuntimeError(f"vertex {v} minimizes weight but has a branch above n/2")
     kind = "centroidal" if len(verts) == 1 else "bicentroidal"
-    return CentroidInfo(verts, kind, verts[0])
+    return CentroidInfo(verts, kind, verts[0], weights[0])
 
 
 @_kept

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import gc
 import hashlib
 import io
@@ -448,6 +449,58 @@ class TestDeterminismAndExitCodes:
         assert len(proc.stderr.splitlines()) == 1, proc.stderr
         if error in ("IndexError", "AssertionError"):
             assert error in proc.stderr
+
+    @pytest.mark.parametrize("as_float", [[], ["--float"]], ids=["exact", "float"])
+    @pytest.mark.parametrize(
+        "args, target, stand_in, changed, message",
+        [
+            (
+                ["value", "--ctree", "2", "2"],
+                "verify_solution",
+                lambda real: lambda t, sol: False,
+                {"verified": False},
+                "solver certificate failed",
+            ),
+            (
+                ["css", "--ctree", "2", "2"],
+                "verify_centroid_reply",
+                lambda real: lambda t, res: dataclasses.replace(real(t, res), passed=False),
+                {"theorem4": "fail"},
+                "centroid does not minimize the reply gain",
+            ),
+            (
+                ["spider", "--m", "3", "--l", "4"],
+                "solve_value",  # a value above the leg length, 4
+                lambda real: lambda t: dataclasses.replace(real(t), value=Fraction(5)),
+                {"value": "5/1", "sandwich_ok": False},
+                "bound sandwich failed",
+            ),
+            (
+                ["ctree", "--m", "2", "--h", "2"],
+                "maximal_gain",
+                lambda real: lambda t, y: (Fraction(0), ()),
+                {"maximal_gain": "0/1", "verified": False},
+                "closed-form gains do not match the safety value",
+            ),
+        ],
+        ids=["value", "css", "spider", "ctree"],
+    )
+    def test_failed_check_prints_its_document_then_exits_2(
+        self, runner, monkeypatch, capsys, args, target, stand_in, changed, message, as_float
+    ):
+        # The whole document still goes to stdout, its check marked failed,
+        # then one stderr line names the check; exit code 2.
+        import treegame.cli
+
+        expected = {**run_json(runner, args + as_float), **(_decimals(changed) if as_float else changed)}
+        monkeypatch.setattr(treegame.cli, target, stand_in(getattr(treegame.cli, target)))
+        monkeypatch.setattr(sys, "argv", ["treegame", *args, *as_float])
+        with pytest.raises(SystemExit) as exit_info:
+            main()
+        assert exit_info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == json.dumps(expected, indent=2) + "\n"
+        assert err == f"verification failure: {message}\n"
 
     def test_experiment_out_is_made_before_the_first_trial(self, monkeypatch, capsys, tmp_path):
         # An --out that cannot be a directory is an input error before any

@@ -55,6 +55,13 @@ class TestRandomTree:
     def test_seeds_differ(self):
         assert random_tree(50, 1).edges() != random_tree(50, 2).edges()
 
+    @pytest.mark.parametrize("draw", [random_tree, sample_centroidal])
+    @pytest.mark.parametrize("n", [2.5, 3.0])
+    def test_rejects_a_size_that_is_not_an_int(self, draw, n):
+        with pytest.raises(ValueError) as exc:
+            draw(n, 0)
+        assert str(exc.value) == f"tree size must be an int, got {n!r}"
+
 
 class TestSampleCentroidal:
     def test_always_single_centroid(self):
@@ -71,10 +78,20 @@ class TestSampleCentroidal:
     def test_deterministic(self):
         assert sample_centroidal(21, 9).edges() == sample_centroidal(21, 9).edges()
 
-    def test_impossible_size_reports(self, monkeypatch):
+    def test_exhausted_attempts_report(self, monkeypatch):
+        from conftest import path_tree
+
         monkeypatch.setattr(treegame.experiment, "_MAX_ATTEMPTS", 25)
-        with pytest.raises(RuntimeError, match="no centroidal tree of size 2 found in 25 attempts"):
-            sample_centroidal(2, 0)
+        monkeypatch.setattr(treegame.experiment, "random_tree", lambda n, seed: path_tree(4))
+        with pytest.raises(RuntimeError, match="no centroidal tree of size 4 found in 25 attempts"):
+            sample_centroidal(4, 0)
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_two_vertices_fail_before_the_first_draw(self, monkeypatch, seed):
+        # Both 2-vertex trees are the one edge, with two centroids.
+        monkeypatch.setattr(treegame.experiment, "random_tree", lambda n, s: pytest.fail("drew a tree"))
+        with pytest.raises(ValueError, match="^no 2-vertex tree has a single centroid$"):
+            sample_centroidal(2, seed)
 
 
 class TestTrialSeed:

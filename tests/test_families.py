@@ -48,6 +48,7 @@ class TestSpiderBuild:
         t = build_spider(spec)
         assert t.label(0) == "(0,0)"
         assert t.label(spec.index(2, 3)) == "(2,3)"
+        assert [spec.index(0, s) for s in range(1, 5)] == [0] * 4
 
 
 class TestCountsAreInts:
@@ -100,6 +101,9 @@ class TestCountsAreInts:
             (lambda: spider_body_reply_gain(SpiderSpec(3, 4), -1), "k must be in 0..4, got -1"),
             (lambda: SpiderSpec(3, 2).index(3, 1), "no vertex at depth 3 on leg 1"),
             (lambda: SpiderSpec(3, 2).index(1, 4), "no vertex at depth 1 on leg 4"),
+            (lambda: SpiderSpec(3, 2).index(0, 99), "no vertex at depth 0 on leg 99"),
+            (lambda: SpiderSpec(3, 2).index(0, -5), "no vertex at depth 0 on leg -5"),
+            (lambda: SpiderSpec(3, 2).index(0, 0), "no vertex at depth 0 on leg 0"),
             (lambda: CompleteTreeSpec(2, 2).index(3, 0), "no vertex at depth 3, position 0"),
             (lambda: CompleteTreeSpec(2, 2).index(1, 2), "no vertex at depth 1, position 2"),
         ]:

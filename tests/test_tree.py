@@ -355,7 +355,7 @@ class TestCentroid:
 
     def test_single_vertex(self):
         info = centroid(Tree.from_edges(1, []))
-        assert info.vertices == (0,) and info.root == 0
+        assert info.vertices == (0,) and info.root == 0 and info.weight == 0
 
     def test_brute_force_argmin(self):
         for seed in range(8):
@@ -372,6 +372,7 @@ class TestCentroid:
             for v in range(n):
                 condition = all(2 * len(b) <= n for b in brute_branches(t, v))
                 assert condition == (v in info.vertices)
+            assert info.weight == brute_weights(t)[info.root]
 
     @given(st.integers(2, 150), st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
