@@ -1,26 +1,27 @@
-"""Command-line front end.
+"""Command-line front end, on the standard library's ``argparse``.
 
 Data goes to stdout, diagnostics to stderr. Exit codes: 0 success, 1 input
 error, 2 internal verification failure (a failed certificate, any broken
 internal invariant, an experiment with failed trials, or any other
-unexpected exception). A command whose check fails prints its document,
-the check marked failed, before it exits 2. Every result is exact and
-renders as "p/q" strings; --float renders the same results as decimals.
-Identical invocations produce byte-identical output.
+unexpected exception). A usage error, such as an unknown or missing option,
+is one stderr line ``Error: <message>``; any other input error is one line
+``error: <message>``. A command whose check fails prints its document, the
+check marked failed, before it exits 2. Every result is exact and renders
+as "p/q" strings; --float renders the same results as decimals. Identical
+invocations produce byte-identical output.
 
-Each command imports only the modules it runs: ``experiment`` and
-``families`` are imported by the commands that use them, so a ``value`` or
-``css`` run loads neither.
+The parser is built once, when the module is imported. Each command imports
+only the modules it runs: ``experiment`` and ``families`` are imported by
+the commands that use them, so a ``value`` or ``css`` run loads neither, and
+the command line itself needs nothing outside the standard library.
 """
 
 from __future__ import annotations
 
-import functools
+import argparse
 import json
 import sys
 from pathlib import Path
-
-import click
 
 from . import __version__
 from .css import css_run, verify_centroid_reply
@@ -44,25 +45,63 @@ class VerificationFailure(RuntimeError):
 def _emit(doc: dict, as_float: bool = False, failure: str | None = None) -> None:
     """Print ``doc`` as JSON, each ``Fraction`` in it as "p/q" or, ``as_float``,
     a decimal; then, if the command's check failed, raise ``VerificationFailure(failure)``."""
-    click.echo(json.dumps(doc, indent=2, default=float if as_float else format_fraction), file=sys.stdout)
+    print(json.dumps(doc, indent=2, default=float if as_float else format_fraction))
     if failure is not None:
         raise VerificationFailure(failure)
 
 
-def _tree_input(fn):
-    """Give a command the options --tree, --spider and --ctree, ahead of its
-    own, and call it as ``fn(t, **options)`` with the one tree they name."""
+class _UsageError(Exception):
+    """A command line that names no valid call; maps to exit status 1."""
 
-    @click.option("--tree", "tree_file", type=click.Path(exists=True, dir_okay=False), help="Edge-list tree file.")
-    @click.option("--spider", "spider_spec", nargs=2, type=int, metavar="M L", help="Spider with M legs of L vertices.")
-    @click.option("--ctree", "ctree_spec", nargs=2, type=int, metavar="M H", help="Complete M-ary tree of height H.")
-    @functools.wraps(fn)
+
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors raise ``_UsageError``, where argparse
+    would print the usage and exit 2. Long options are never abbreviated,
+    and --help is added by ``_add``, after the parser's own options."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(add_help=False, allow_abbrev=False, **kwargs)
+
+    def error(self, message: str):
+        raise _UsageError(message)
+
+
+def _option(*flags: str, **kwargs) -> tuple:
+    """One option, as the arguments of ``add_argument``."""
+    return flags, kwargs
+
+
+_HELP = _option("--help", action="help", help="Show this message and exit.")
+_VERSION = _option("--version", action="version", version=f"%(prog)s, version {__version__}", help="Show the version and exit.")
+_FLOAT = _option("--float", dest="as_float", action="store_true", help="Render numbers as decimals.")
+_TREE_INPUT = (
+    _option("--tree", dest="tree_file", metavar="FILE", help="Edge-list tree file."),
+    _option("--spider", dest="spider_spec", nargs=2, type=int, metavar=("M", "L"), help="Spider with M legs of L vertices."),
+    _option("--ctree", dest="ctree_spec", nargs=2, type=int, metavar=("M", "H"), help="Complete M-ary tree of height H."),
+)
+
+
+def _add(parser: _Parser, options) -> None:
+    """Add ``options``, each an ``_option``, and then --help to ``parser``."""
+    for flags, kwargs in (*options, _HELP):
+        parser.add_argument(*flags, **kwargs)
+
+
+_parser = _Parser(prog="treegame", description="Safe strategies for two-player competitive diffusion on trees.")
+_add(_parser, [_VERSION])
+_commands = _parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
+
+
+def _tree_input(fn):
+    """``fn(t, **options)`` as a command that takes the one tree named by
+    --tree, --spider or --ctree."""
+
     def run(tree_file, spider_spec, ctree_spec, **options):
-        if len([x for x in (tree_file, spider_spec, ctree_spec) if x]) != 1:
-            raise click.UsageError("exactly one of --tree, --spider, --ctree is required")
-        if tree_file:
+        if sum(x is not None for x in (tree_file, spider_spec, ctree_spec)) != 1:
+            raise _UsageError("exactly one of --tree, --spider, --ctree is required")
+        if tree_file is not None:
             t = parse_tree(Path(tree_file).read_text())
-        elif spider_spec:
+        elif spider_spec is not None:
             from .families import SpiderSpec, build_spider
 
             t = build_spider(SpiderSpec(*spider_spec))
@@ -75,14 +114,21 @@ def _tree_input(fn):
     return run
 
 
-@click.group()
-@click.version_option(__version__)
-def cli() -> None:
-    """Safe strategies for two-player competitive diffusion on trees."""
+def _command(name: str, *options: tuple, tree: bool = False):
+    """Add the decorated function as the command ``name``, described by its
+    docstring: the tree options first when ``tree`` (see ``_tree_input``),
+    then ``options``, then --help."""
+
+    def add(fn):
+        parser = _commands.add_parser(name, help=fn.__doc__.split("\n")[0], description=fn.__doc__)
+        _add(parser, (_TREE_INPUT if tree else ()) + options)
+        parser.set_defaults(run=_tree_input(fn) if tree else fn)
+        return fn
+
+    return add
 
 
-@cli.command("centroid")
-@_tree_input
+@_command("centroid", tree=True)
 def centroid_cmd(t) -> None:
     """Vertex weights, co-weights and the centroid."""
     wt = weight_table(t)
@@ -99,22 +145,26 @@ def centroid_cmd(t) -> None:
     _emit(doc)
 
 
-@cli.command("matrix")
-@_tree_input
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
+@_command(
+    "matrix",
+    _option("--format", dest="fmt", choices=("csv", "json"), default="csv", help="Output format (default: csv)."),
+    tree=True,
+)
 def matrix_cmd(t, fmt) -> None:
     """Gain matrix for all pure pairs, one row per own starting vertex."""
     a = game_matrix(t)
     if fmt == "csv":
-        click.echo(a.to_csv(), nl=False, file=sys.stdout)
+        print(a.to_csv(), end="")
     else:
         _emit({"schema": "treegame.matrix/1", "n": a.n, "entries": [list(r) for r in a.entries]})
 
 
-@cli.command("simulate")
-@_tree_input
-@click.option("--x", "x1", type=int, required=True, help="Player 1 start vertex.")
-@click.option("--y", "x2", type=int, required=True, help="Player 2 start vertex.")
+@_command(
+    "simulate",
+    _option("--x", dest="x1", type=int, required=True, metavar="X", help="Player 1 start vertex."),
+    _option("--y", dest="x2", type=int, required=True, metavar="Y", help="Player 2 start vertex."),
+    tree=True,
+)
 def simulate_cmd(t, x1, x2) -> None:
     """Run one diffusion and print the final per-vertex colors."""
     col = simulate_diffusion(t, x1, x2)
@@ -137,9 +187,7 @@ def simulate_cmd(t, x1, x2) -> None:
     )
 
 
-@cli.command("value")
-@_tree_input
-@click.option("--float", "as_float", is_flag=True, help="Render numbers as decimals.")
+@_command("value", _FLOAT, tree=True)
 def value_cmd(t, as_float) -> None:
     """Exact safety value with maxmin and minmax strategies."""
     sol = solve_value(t)
@@ -160,10 +208,7 @@ def value_cmd(t, as_float) -> None:
     )
 
 
-@cli.command("css")
-@_tree_input
-@click.option("--strict-centroidal", is_flag=True, help="Reject bicentroidal trees.")
-@click.option("--float", "as_float", is_flag=True, help="Render numbers as decimals.")
+@_command("css", _option("--strict-centroidal", action="store_true", help="Reject bicentroidal trees."), _FLOAT, tree=True)
 def css_cmd(t, strict_centroidal, as_float) -> None:
     """Centroidal safe strategy with its verification report."""
     if strict_centroidal and centroid(t).kind != "centroidal":
@@ -198,11 +243,13 @@ def css_cmd(t, strict_centroidal, as_float) -> None:
     _emit(doc, as_float, failure=None if report.passed else "centroid does not minimize the reply gain")
 
 
-@cli.command("spider")
-@click.option("--m", "legs", type=int, required=True, help="Number of legs (>= 3).")
-@click.option("--l", "leg_length", type=int, required=True, help="Vertices per leg.")
-@click.option("--k", type=int, default=None, help="Covered depth; defaults to the optimal one.")
-@click.option("--float", "as_float", is_flag=True, help="Render numbers as decimals.")
+@_command(
+    "spider",
+    _option("--m", dest="legs", type=int, required=True, metavar="M", help="Number of legs (>= 3)."),
+    _option("--l", dest="leg_length", type=int, required=True, metavar="L", help="Vertices per leg."),
+    _option("--k", type=int, metavar="K", help="Covered depth; defaults to the optimal one."),
+    _FLOAT,
+)
 def spider_cmd(legs, leg_length, k, as_float) -> None:
     """Spider safe strategy with its exact safety value and bound sandwich."""
     from .families import SpiderSpec, build_spider, spider_body_reply_gain, spider_optimal_depth, spider_safe_strategy
@@ -230,10 +277,12 @@ def spider_cmd(legs, leg_length, k, as_float) -> None:
     _emit(doc, as_float, failure=None if sandwich_ok else "bound sandwich failed")
 
 
-@cli.command("ctree")
-@click.option("--m", "arity", type=int, required=True, help="Arity (>= 2).")
-@click.option("--h", "height", type=int, required=True, help="Height (>= 1).")
-@click.option("--float", "as_float", is_flag=True, help="Render numbers as decimals.")
+@_command(
+    "ctree",
+    _option("--m", dest="arity", type=int, required=True, metavar="M", help="Arity (>= 2)."),
+    _option("--h", dest="height", type=int, required=True, metavar="H", help="Height (>= 1)."),
+    _FLOAT,
+)
 def ctree_cmd(arity, height, as_float) -> None:
     """Closed-form strategies and safety value on a complete m-ary tree."""
     from .families import (
@@ -268,12 +317,14 @@ def ctree_cmd(arity, height, as_float) -> None:
     )
 
 
-@cli.command("experiment")
-@click.option("--n", type=int, default=None, help="Tree size per trial.")
-@click.option("--trials", type=int, default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--config", "config_file", type=click.Path(exists=True, dir_okay=False), help="key=value config file.")
-@click.option("--out", "out_dir", type=click.Path(file_okay=False), default=".", show_default=True)
+@_command(
+    "experiment",
+    _option("--n", type=int, metavar="N", help="Tree size per trial."),
+    _option("--trials", type=int, metavar="TRIALS", help="Number of trials."),
+    _option("--seed", type=int, metavar="SEED", help="Experiment seed."),
+    _option("--config", dest="config_file", metavar="FILE", help="key=value config file."),
+    _option("--out", dest="out_dir", default=".", metavar="DIR", help="Output directory (default: .)."),
+)
 def experiment_cmd(n, trials, seed, config_file, out_dir) -> None:
     """Run the random-tree evaluation; writes records.csv and histogram.csv.
 
@@ -295,7 +346,7 @@ def experiment_cmd(n, trials, seed, config_file, out_dir) -> None:
             from_file.pop(key, None)
     missing = [k for k in ("n", "trials", "seed") if k not in settings]
     if missing:
-        raise click.UsageError(f"missing required settings: {', '.join(missing)}")
+        raise _UsageError(f"missing required settings: {', '.join(missing)}")
     try:
         cfg = ExperimentConfig(**settings)
     except _RangeError as exc:
@@ -325,34 +376,33 @@ def experiment_cmd(n, trials, seed, config_file, out_dir) -> None:
     )
     overflow = result.histogram.overflow
     if overflow:
-        click.echo(f"{overflow} ratio(s) above {float(cfg.bin_max)} landed in the overflow bin", file=sys.stderr)
+        print(f"{overflow} ratio(s) above {float(cfg.bin_max)} landed in the overflow bin", file=sys.stderr)
     if result.failures:
         for f in result.failures:
-            click.echo(f"trial {f.index} failed: {f.error}", file=sys.stderr)
+            print(f"trial {f.index} failed: {f.error}", file=sys.stderr)
         raise VerificationFailure(f"{len(result.failures)} of {cfg.trials} trials failed")
 
 
 def main() -> None:
     try:
-        cli.main(standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        sys.exit(exc.exit_code)
-    except click.Abort:
+        options = vars(_parser.parse_args())
+        options.pop("run")(**options)
+    except _UsageError as exc:
+        print(f"Error: {exc}", file=sys.stderr)
         sys.exit(1)
-    except click.ClickException as exc:
-        exc.show()
+    except KeyboardInterrupt:
+        print(file=sys.stderr)  # end the line that ^C left
         sys.exit(1)
     except RuntimeError as exc:
-        # After click's own Exit and Abort, which subclass RuntimeError. Every
-        # other one is a broken internal invariant: VerificationFailure,
-        # SolverError, CSSError, or a tree, diffusion or closed-form check.
-        click.echo(f"verification failure: {exc}", file=sys.stderr)
+        # A broken internal invariant: VerificationFailure, SolverError,
+        # CSSError, or a tree, diffusion or closed-form check.
+        print(f"verification failure: {exc}", file=sys.stderr)
         sys.exit(2)
     except (ValueError, OSError) as exc:
-        click.echo(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         sys.exit(1)
     except Exception as exc:  # noqa: BLE001 - any other exception is a bug, not bad input
-        click.echo(f"internal error: {exc!r}", file=sys.stderr)
+        print(f"internal error: {exc!r}", file=sys.stderr)
         sys.exit(2)
 
 

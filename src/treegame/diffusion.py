@@ -68,7 +68,9 @@ _COLORS = tuple(Color)  # each color at its int value
 def simulate_diffusion(t: Tree, x1: int, x2: int) -> Coloring:
     """Run the round-based diffusion until no vertex changes. Each state is
     its color's int value while it runs: a vertex claimed by both players
-    in one round gets 1 | 2, grey."""
+    in one round gets 1 | 2, grey. A vertex claimed in the current round
+    holds its claims plus 4 until the round ends, so the round's claims
+    live in the state list itself."""
     n = t.n
     x1, x2 = _vertex(n, x1), _vertex(n, x2)
     adj = t.adj
@@ -84,18 +86,29 @@ def simulate_diffusion(t: Tree, x1: int, x2: int) -> Coloring:
         rounds += 1
         if rounds > n:
             raise RuntimeError("diffusion failed to terminate within n rounds")
-        claims: dict[int, int] = {}
+        claimed = []
         for v in frontier:
-            col = states[v]
+            col = states[v] | 4
             for w in adj[v]:
-                if not states[w]:
-                    claims[w] = claims.get(w, 0) | col
+                s = states[w]
+                if not s:
+                    states[w] = col
+                    claimed.append(w)
+                elif s > 4:
+                    states[w] = s | col
         frontier = []
-        for w, col in claims.items():
-            states[w] = col
+        for w in claimed:
+            col = states[w] = states[w] & 3
             if col != 3:
                 frontier.append(w)
     return Coloring(tuple(map(_COLORS.__getitem__, states)), rounds)
+
+
+# ``pure_gain`` keeps the distance tuples it reads on the tree, in one dict
+# that is replaced whole and never changed in place: the last pair read,
+# then the latest earlier tuples while all of them hold at most this many
+# distances.
+_DISTANCE_CELLS = 1 << 12
 
 
 def pure_gain(t: Tree, x1: int, x2: int) -> int:
@@ -106,7 +119,15 @@ def pure_gain(t: Tree, x1: int, x2: int) -> int:
     """
     if _vertex(t.n, x1) == _vertex(t.n, x2):
         return 0
-    return sum(map(lt, distances_from(t, x1), distances_from(t, x2)))
+    kept = t.__dict__.get("_kept_distances", {})
+    d1, d2 = kept.get(x1), kept.get(x2)
+    if d1 is None or d2 is None:
+        d1 = distances_from(t, x1) if d1 is None else d1
+        d2 = distances_from(t, x2) if d2 is None else d2
+        room = max(0, _DISTANCE_CELLS // t.n - 2)
+        earlier = [(v, d) for v, d in kept.items() if v != x1 and v != x2][:room]
+        t.__dict__["_kept_distances"] = dict([(x1, d1), (x2, d2), *earlier])
+    return sum(map(lt, d1, d2))
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import heapq
+import io
 import os
 import random
 import subprocess
@@ -19,6 +20,7 @@ from itertools import permutations, product
 from pathlib import Path
 from unittest import mock
 
+import treegame.cli
 import treegame.tree
 from treegame import MixedStrategy, Tree, TreeFormatError, gain_row, simulate_diffusion
 from treegame.solver import _Tableau
@@ -360,3 +362,17 @@ def run_python(*args: str) -> subprocess.CompletedProcess:
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def run_cli(*args: str) -> tuple[int, str, str]:
+    """Run ``treegame ARGS`` through ``treegame.cli.main`` in this process:
+    its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    code = 0
+    with mock.patch.object(sys, "argv", ["treegame", *args]):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                treegame.cli.main()
+            except SystemExit as exc:
+                code = 0 if exc.code is None else exc.code
+    return code, out.getvalue(), err.getvalue()

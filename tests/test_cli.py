@@ -11,7 +11,6 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
-from click.testing import CliRunner
 
 from treegame import (
     ExperimentConfig,
@@ -23,14 +22,9 @@ from treegame import (
     run_experiment,
     solve_value,
 )
-from treegame.cli import cli, main
+from treegame.cli import main
 
-from conftest import run_python, strategy_from_pairs
-
-
-@pytest.fixture
-def runner():
-    return CliRunner()
+from conftest import run_cli, run_python, strategy_from_pairs
 
 
 @pytest.fixture
@@ -47,25 +41,25 @@ def p2_file(tmp_path):
     return str(path)
 
 
-def run_json(runner, args):
-    result = runner.invoke(cli, args, catch_exceptions=False)
-    assert result.exit_code == 0, result.output
-    return json.loads(result.output)
+def run_json(args):
+    code, out, err = run_cli(*args)
+    assert code == 0, err
+    return json.loads(out)
 
 
 class TestCentroidCommand:
-    def test_path(self, runner, p5_file):
-        doc = run_json(runner, ["centroid", "--tree", p5_file])
+    def test_path(self, p5_file):
+        doc = run_json(["centroid", "--tree", p5_file])
         assert doc["schema"] == "treegame.centroid/1"
         assert doc["weights"] == [4, 3, 2, 3, 4]
         assert doc["centroid"] == {"vertices": [2], "kind": "centroidal", "root": 2}
 
-    def test_requires_exactly_one_input(self, runner, p5_file):
-        result = runner.invoke(cli, ["centroid", "--tree", p5_file, "--ctree", "2", "2"])
-        assert result.exit_code != 0
+    def test_requires_exactly_one_input(self, p5_file):
+        code, _, _ = run_cli("centroid", "--tree", p5_file, "--ctree", "2", "2")
+        assert code != 0
 
-    def test_generated_trees_carry_labels(self, runner):
-        doc = run_json(runner, ["centroid", "--spider", "3", "2"])
+    def test_generated_trees_carry_labels(self):
+        doc = run_json(["centroid", "--spider", "3", "2"])
         assert doc["labels"][0] == "(0,0)"
 
 
@@ -86,55 +80,55 @@ class TestTreeInput:
         assert out == ""
 
     @pytest.mark.parametrize("command", _TREE_COMMANDS, ids=lambda c: c[0])
-    def test_help_lists_the_tree_options_first(self, runner, command):
-        result = runner.invoke(cli, [command[0], "--help"], catch_exceptions=False)
-        assert result.exit_code == 0
-        options = re.findall(r"^  (--[\w-]+)", result.output, re.M)
+    def test_help_lists_the_tree_options_first(self, command):
+        code, out, _ = run_cli(command[0], "--help")
+        assert code == 0
+        options = re.findall(r"^  (--[\w-]+)", out, re.M)
         assert options[:3] == ["--tree", "--spider", "--ctree"]
         assert options[-1] == "--help" and not {"--tree", "--spider", "--ctree"} & set(options[3:])
 
 
 class TestMatrixCommand:
-    def test_csv_default(self, runner, p2_file):
-        result = runner.invoke(cli, ["matrix", "--tree", p2_file], catch_exceptions=False)
-        assert result.exit_code == 0
-        assert result.output == "0,1\n1,0\n"
+    def test_csv_default(self, p2_file):
+        code, out, _ = run_cli("matrix", "--tree", p2_file)
+        assert code == 0
+        assert out == "0,1\n1,0\n"
 
-    def test_json_format(self, runner, p2_file):
-        doc = run_json(runner, ["matrix", "--tree", p2_file, "--format", "json"])
+    def test_json_format(self, p2_file):
+        doc = run_json(["matrix", "--tree", p2_file, "--format", "json"])
         assert doc["entries"] == [[0, 1], [1, 0]]
 
 
 class TestSimulateCommand:
-    def test_p5(self, runner, p5_file):
-        doc = run_json(runner, ["simulate", "--tree", p5_file, "--x", "1", "--y", "3"])
+    def test_p5(self, p5_file):
+        doc = run_json(["simulate", "--tree", p5_file, "--x", "1", "--y", "3"])
         assert doc["gain"] == 2
         assert doc["colors"] == ["player1", "player1", "grey", "player2", "player2"]
         assert doc["counts"] == {"player1": 2, "player2": 2, "grey": 1, "white": 0}
 
 
 class TestValueCommand:
-    def test_complete_tree_2_2(self, runner):
-        doc = run_json(runner, ["value", "--ctree", "2", "2"])
+    def test_complete_tree_2_2(self):
+        doc = run_json(["value", "--ctree", "2", "2"])
         assert doc["value"] == "24/11"
         assert doc["verified"] is True
         assert doc["maxmin"] == [[0, "3/11"], [1, "4/11"], [2, "4/11"]]
         assert doc["minmax"] == [[0, "5/11"], [1, "3/11"], [2, "3/11"]]
 
-    def test_float_mode(self, runner):
-        doc = run_json(runner, ["value", "--ctree", "2", "2", "--float"])
+    def test_float_mode(self):
+        doc = run_json(["value", "--ctree", "2", "2", "--float"])
         assert abs(doc["value"] - 24 / 11) < 1e-12
 
-    def test_strategy_round_trip_through_import(self, runner):
-        doc = run_json(runner, ["value", "--ctree", "2", "2"])
+    def test_strategy_round_trip_through_import(self):
+        doc = run_json(["value", "--ctree", "2", "2"])
         x = strategy_from_pairs(doc["n"], doc["maxmin"])
         t = parse_tree("7\n0 1\n0 2\n1 3\n1 4\n2 5\n2 6")
         assert guaranteed_gain(t, x)[0] == Fraction(24, 11)
 
 
 class TestCssCommand:
-    def test_p2(self, runner, p2_file):
-        doc = run_json(runner, ["css", "--tree", p2_file])
+    def test_p2(self, p2_file):
+        doc = run_json(["css", "--tree", p2_file])
         assert doc["strategy"] == [[0, "1/2"], [1, "1/2"]]
         assert doc["guaranteed_gain"] == "1/2"
         assert doc["theorem4"] == "pass"
@@ -154,65 +148,64 @@ class TestCssCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["root"] == 0 and doc["strategy"] == [[0, "1/2"], [1, "1/2"]]
 
-    def test_branches_report(self, runner):
-        doc = run_json(runner, ["css", "--ctree", "2", "2"])
+    def test_branches_report(self):
+        doc = run_json(["css", "--ctree", "2", "2"])
         assert len(doc["branches"]) == 2
         assert doc["branches"][0]["class"] == "thick"
         assert doc["trace"] == ["0/1", "12/7", "24/11"]
 
-    def test_strategy_round_trips_through_import(self, runner):
+    def test_strategy_round_trips_through_import(self):
         from treegame import build_complete_tree, CompleteTreeSpec
 
-        doc = run_json(runner, ["css", "--ctree", "2", "2"])
+        doc = run_json(["css", "--ctree", "2", "2"])
         x = strategy_from_pairs(doc["n"], doc["strategy"])
         t = build_complete_tree(CompleteTreeSpec(2, 2))
         assert guaranteed_gain(t, x)[0] == Fraction(doc["guaranteed_gain"])
 
 
 class TestSpiderCommand:
-    def test_optimal_depth_report(self, runner):
-        doc = run_json(runner, ["spider", "--m", "3", "--l", "4"])
+    def test_optimal_depth_report(self):
+        doc = run_json(["spider", "--m", "3", "--l", "4"])
         assert doc["k"] == 1
         assert doc["guaranteed_gain"] == "3/1"
         assert doc["sandwich_ok"] is True
         assert doc["upper_bound"] == 4
         assert Fraction(doc["value"]) == solve_value(build_spider(SpiderSpec(3, 4))).value
 
-    def test_explicit_depth(self, runner):
-        doc = run_json(runner, ["spider", "--m", "3", "--l", "4", "--k", "2"])
+    def test_explicit_depth(self):
+        doc = run_json(["spider", "--m", "3", "--l", "4", "--k", "2"])
         assert doc["k"] == 2 and doc["body_reply_gain"] == "3/1"
         assert Fraction(doc["value"]) == solve_value(build_spider(SpiderSpec(3, 4))).value
 
-    def test_many_legs_report_exact_value(self, runner):
+    def test_many_legs_report_exact_value(self):
         # n = 201: every spider reports its exact value, whatever its size.
-        doc = run_json(runner, ["spider", "--m", "50", "--l", "4"])
+        doc = run_json(["spider", "--m", "50", "--l", "4"])
         value = solve_value(build_spider(SpiderSpec(50, 4))).value
         assert Fraction(doc["value"]) == value
         assert Fraction(doc["guaranteed_gain"]) <= value <= 4
         assert doc["sandwich_ok"] is True
 
-    def test_exact_threshold_option_removed(self, runner):
-        result = runner.invoke(cli, ["spider", "--m", "3", "--l", "4", "--exact-threshold", "10"])
-        assert result.exit_code == 2
+    def test_exact_threshold_option_removed(self):
+        code, _, _ = run_cli("spider", "--m", "3", "--l", "4", "--exact-threshold", "10")
+        assert code == 1
 
-    def test_rejects_two_legs(self, runner):
-        result = runner.invoke(cli, ["spider", "--m", "2", "--l", "4"])
-        assert result.exit_code != 0
+    def test_rejects_two_legs(self):
+        code, _, _ = run_cli("spider", "--m", "2", "--l", "4")
+        assert code != 0
 
 
 class TestCtreeCommand:
-    def test_report(self, runner):
-        doc = run_json(runner, ["ctree", "--m", "2", "--h", "2"])
+    def test_report(self):
+        doc = run_json(["ctree", "--m", "2", "--h", "2"])
         assert doc["value"] == "24/11"
         assert doc["verified"] is True
         assert doc["safe_strategy"] == [[0, "3/11"], [1, "4/11"], [2, "4/11"]]
 
 
 class TestExperimentCommand:
-    def test_run_writes_csvs(self, runner, tmp_path):
+    def test_run_writes_csvs(self, tmp_path):
         out = tmp_path / "out"
         doc = run_json(
-            runner,
             ["experiment", "--n", "12", "--trials", "3", "--seed", "5", "--out", str(out)],
         )
         assert doc["completed"] == 3 and doc["failed"] == 0
@@ -222,15 +215,15 @@ class TestExperimentCommand:
             rows = list(csv.DictReader(fh))
         assert rows[0]["bin_low"] == "0"
 
-    def test_config_file(self, runner, tmp_path):
+    def test_config_file(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("n=10\ntrials=2\nseed=3\n")
-        doc = run_json(runner, ["experiment", "--config", str(cfg), "--out", str(tmp_path)])
+        doc = run_json(["experiment", "--config", str(cfg), "--out", str(tmp_path)])
         assert doc["trials"] == 2
 
-    def test_missing_settings(self, runner):
-        result = runner.invoke(cli, ["experiment", "--n", "10"])
-        assert result.exit_code != 0
+    def test_missing_settings(self):
+        code, _, _ = run_cli("experiment", "--n", "10")
+        assert code != 0
 
     def test_overflow_is_one_stderr_line_under_warnings_as_errors(self, tmp_path):
         # Every ratio of these 40 trials lies above 1/100. The overflow is
@@ -296,12 +289,12 @@ def _decimals(doc):
     ],
     ids=["value-ctree", "value-spider", "css-ctree", "css-spider", "spider", "ctree"],
 )
-def test_float_flag_only_renders(runner, args):
+def test_float_flag_only_renders(args):
     # Results are exact; --float changes nothing but how each "p/q" prints.
-    exact = run_json(runner, args)
-    rendered = runner.invoke(cli, [*args, "--float"], catch_exceptions=False)
-    assert rendered.exit_code == 0, rendered.output
-    assert rendered.output == json.dumps(_decimals(exact), indent=2) + "\n"
+    exact = run_json(args)
+    code, rendered, err = run_cli(*args, "--float")
+    assert code == 0, err
+    assert rendered == json.dumps(_decimals(exact), indent=2) + "\n"
 
 
 # SHA-256 of each command's stdout, pinned so that no change to rendering
@@ -322,21 +315,19 @@ GOLDEN_STDOUT = {
 
 
 @pytest.mark.parametrize("args", GOLDEN_STDOUT)
-def test_golden_stdout(runner, args):
-    result = runner.invoke(cli, args.split(), catch_exceptions=False)
-    assert result.exit_code == 0, result.output
-    assert hashlib.sha256(result.stdout_bytes).hexdigest() == GOLDEN_STDOUT[args], result.stdout
+def test_golden_stdout(args):
+    code, out, err = run_cli(*args.split())
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[args], out
 
 
-def test_golden_experiment(runner, monkeypatch, tmp_path):
+def test_golden_experiment(monkeypatch, tmp_path):
     # Run from its own directory, so the summary's relative CSV paths are fixed.
     monkeypatch.chdir(tmp_path)
-    result = runner.invoke(
-        cli, ["experiment", "--n", "40", "--trials", "20", "--seed", "0", "--out", "out"], catch_exceptions=False
-    )
-    assert result.exit_code == 0, result.output
+    code, out, err = run_cli("experiment", "--n", "40", "--trials", "20", "--seed", "0", "--out", "out")
+    assert code == 0, err
     outputs = {
-        "stdout": result.stdout_bytes,
+        "stdout": out.encode(),
         "records.csv": (tmp_path / "out" / "records.csv").read_bytes(),
         "histogram.csv": (tmp_path / "out" / "histogram.csv").read_bytes(),
     }
@@ -382,23 +373,23 @@ ONE_VERTEX_DOCUMENTS = {
 
 
 @pytest.mark.parametrize("command", ["centroid", "value", "css", "matrix"])
-def test_one_vertex_documents(runner, tmp_path, command):
+def test_one_vertex_documents(tmp_path, command):
     # The one-vertex tree runs through the general code of every command.
     path = tmp_path / "p1.tree"
     path.write_text("1\n")
-    result = runner.invoke(cli, [command, "--tree", str(path)], catch_exceptions=False)
-    assert result.exit_code == 0
+    code, out, _ = run_cli(command, "--tree", str(path))
+    assert code == 0
     if command == "matrix":
-        assert result.output == "0\n"
+        assert out == "0\n"
     else:
-        assert result.output == json.dumps(ONE_VERTEX_DOCUMENTS[command], indent=2) + "\n"
+        assert out == json.dumps(ONE_VERTEX_DOCUMENTS[command], indent=2) + "\n"
 
 
 class TestDeterminismAndExitCodes:
-    def test_byte_identical_invocations(self, runner):
-        a = runner.invoke(cli, ["value", "--ctree", "3", "2"], catch_exceptions=False)
-        b = runner.invoke(cli, ["value", "--ctree", "3", "2"], catch_exceptions=False)
-        assert a.output == b.output
+    def test_byte_identical_invocations(self):
+        a = run_cli("value", "--ctree", "3", "2")
+        b = run_cli("value", "--ctree", "3", "2")
+        assert a == b
 
     def test_input_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.tree"
@@ -410,6 +401,46 @@ class TestDeterminismAndExitCodes:
     def test_usage_error_exit_code(self):
         proc = run_python("-m", "treegame.cli", "css")
         assert proc.returncode == 1
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["value", "--spider", "3", "2", "--no-such-option"], "Error: unrecognized arguments: --no-such-option"),
+            (["value", "--spider", "3", "2", "--flo"], "Error: unrecognized arguments: --flo"),
+            (["simulate", "--spider", "3", "2", "--x", "0"], "Error: the following arguments are required: --y"),
+            (["spider", "--m", "3"], "Error: the following arguments are required: --l"),
+            (["spider", "--m", "three", "--l", "4"], "Error: argument --m: invalid int value: 'three'"),
+            (["value", "--spider", "3"], "Error: argument --spider: expected 2 arguments"),
+            ([], "Error: the following arguments are required: COMMAND"),
+            (["value", "--tree", "{tmp}/missing.tree"], "error: [Errno 2] No such file or directory"),
+            (["value", "--tree", "{tmp}"], "error: [Errno 21] Is a directory"),
+        ],
+        ids=[
+            "unknown-option", "abbreviated-option", "simulate-without-y", "spider-without-l", "not-an-int",
+            "one-spider-value", "no-command", "missing-tree-file", "tree-is-a-directory",
+        ],
+    )
+    def test_bad_command_line_exits_1(self, tmp_path, args, message):
+        # One stderr line, "Error: ..." for a usage error and "error: ..." for
+        # any other input error, and nothing on stdout.
+        code, out, err = run_cli(*(a.format(tmp=tmp_path) for a in args))
+        assert (code, out) == (1, "")
+        assert err.startswith(message) and err.count("\n") == 1 and err.endswith("\n"), err
+
+    def test_help_and_version_exit_0_on_stdout(self):
+        assert run_cli("--version") == (0, "treegame, version 0.1.0\n", "")
+        for args in (["--help"], ["value", "--help"]):
+            code, out, err = run_cli(*args)
+            assert (code, err) == (0, "") and out.startswith("usage: treegame"), out
+
+    def test_interrupt_exits_1(self, monkeypatch):
+        import treegame.cli
+
+        def interrupted(t):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(treegame.cli, "solve_value", interrupted)
+        assert run_cli("value", "--spider", "3", "2") == (1, "", "\n")
 
     def test_success_exit_code(self):
         proc = run_python("-m", "treegame.cli", "value", "--ctree", "2", "1")
@@ -486,13 +517,13 @@ class TestDeterminismAndExitCodes:
         ids=["value", "css", "spider", "ctree"],
     )
     def test_failed_check_prints_its_document_then_exits_2(
-        self, runner, monkeypatch, capsys, args, target, stand_in, changed, message, as_float
+        self, monkeypatch, capsys, args, target, stand_in, changed, message, as_float
     ):
         # The whole document still goes to stdout, its check marked failed,
         # then one stderr line names the check; exit code 2.
         import treegame.cli
 
-        expected = {**run_json(runner, args + as_float), **(_decimals(changed) if as_float else changed)}
+        expected = {**run_json(args + as_float), **(_decimals(changed) if as_float else changed)}
         monkeypatch.setattr(treegame.cli, target, stand_in(getattr(treegame.cli, target)))
         monkeypatch.setattr(sys, "argv", ["treegame", *args, *as_float])
         with pytest.raises(SystemExit) as exit_info:
@@ -604,9 +635,8 @@ class TestDeterminismAndExitCodes:
 
 
 def test_redirected_streams_are_released(monkeypatch, tmp_path):
-    # Without an explicit ``file=``, click.echo caches a wrapper per output
-    # stream in a WeakKeyDictionary whose value, for a StringIO, is the stream
-    # itself, so each in-process call would keep its whole output alive.
+    # A call writes to the streams in place while it runs and keeps no
+    # reference to them, so no in-process call keeps its output alive.
     import treegame.experiment
     from treegame.solver import SolverError
 
@@ -640,18 +670,23 @@ def test_redirected_streams_are_released(monkeypatch, tmp_path):
 
 def test_value_and_css_import_only_what_they_run(p5_file):
     # Importing the CLI, and a value or a css run, load neither the
-    # experiment nor the families module, nor what only they import.
+    # experiment nor the families module, nor what only they import, nor
+    # any module from outside the standard library and the package.
     script = (
-        "import sys, treegame.cli\n"
+        "import sys\n"
+        "startup = set(sys.modules)\n"
+        "import treegame.cli\n"
         "deferred = ('treegame.experiment', 'treegame.families', 'hashlib', 'csv')\n"
         "loaded = [[m for m in deferred if m in sys.modules]]\n"
         "for command in ('value', 'css'):\n"
         f"    sys.argv = ['treegame', command, '--tree', {p5_file!r}]\n"
         "    treegame.cli.main()\n"
         "    loaded.append([m for m in deferred if m in sys.modules])\n"
-        "print(loaded, file=sys.stderr)\n"
+        "known = sys.stdlib_module_names | {'treegame'}\n"
+        "foreign = sorted(m for m in set(sys.modules) - startup if m.partition('.')[0] not in known)\n"
+        "print(loaded, foreign, file=sys.stderr)\n"
     )
     proc = run_python("-c", script)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == "[[], [], []]\n"
+    assert proc.stderr == "[[], [], []] []\n"
     assert re.findall(r'^  "schema": "(.*)",$', proc.stdout, re.M) == ["treegame.value/1", "treegame.css/1"]

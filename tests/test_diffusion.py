@@ -21,6 +21,7 @@ from treegame import (
     CompleteTreeSpec,
     SpiderSpec,
     automorphism_orbits,
+    distances_from,
     Tree,
     gain_column,
     gain_row,
@@ -112,6 +113,23 @@ class TestPureGain:
             for x in range(14):
                 for y in range(14):
                     assert pure_gain(t, x, y) == a[x][y]
+
+    def test_kept_distances_are_bounded_and_replaced_whole(self):
+        # A small tree keeps every vertex's distances; a large one only the
+        # last pair's. A read that misses replaces the dict, so a reader
+        # that holds the earlier one sees it unchanged.
+        t = random_tree(40, 3)
+        for x in range(40):
+            for y in range(40):
+                pure_gain(t, x, y)
+        kept = vars(t)["_kept_distances"]
+        assert sorted(kept) == list(range(40))
+        assert all(d == distances_from(t, v) for v, d in kept.items())
+        big = path_tree(5000)
+        assert pure_gain(big, 0, 1) == 1
+        earlier = vars(big)["_kept_distances"]
+        assert pure_gain(big, 3, 2) == 4997
+        assert list(earlier) == [0, 1] and list(vars(big)["_kept_distances"]) == [3, 2]
 
 
 class TestGameMatrix:

@@ -9,7 +9,6 @@ from itertools import chain
 from unittest import mock
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -36,7 +35,6 @@ from treegame import (
     verify_solution,
     weight_table,
 )
-from treegame.cli import cli
 from treegame.diffusion import _sweep, gain_column, gain_row
 from treegame.tree import _is_automorphism
 
@@ -51,6 +49,7 @@ from conftest import (
     path_tree,
     proposing,
     prufer_decode,
+    run_cli,
     simulation_matrix,
     star_tree,
     strategy_from_pairs,
@@ -648,8 +647,8 @@ class TestKeptTables:
 
     def test_value_command_builds_the_orbits_once(self):
         with mock.patch.object(treegame.tree, "_cycle_orbits", wraps=treegame.tree._cycle_orbits) as spy:
-            result = CliRunner().invoke(cli, ["value", "--spider", "40", "2"])
-        assert result.exit_code == 0, result.output
+            code, _, err = run_cli("value", "--spider", "40", "2")
+        assert code == 0, err
         assert spy.call_count == 1
 
     def test_kept_tables_are_not_part_of_the_tree(self):
