@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -44,8 +45,9 @@ class VerificationFailure(RuntimeError):
 
 def _emit(doc: dict, as_float: bool = False, failure: str | None = None) -> None:
     """Print ``doc`` as JSON, each ``Fraction`` in it as "p/q" or, ``as_float``,
-    a decimal; then, if the command's check failed, raise ``VerificationFailure(failure)``."""
-    print(json.dumps(doc, indent=2, default=float if as_float else format_fraction))
+    a decimal; then, if the command's check failed, raise ``VerificationFailure(failure)``.
+    The document is flushed, so it comes before any stderr line that follows."""
+    print(json.dumps(doc, indent=2, default=float if as_float else format_fraction), flush=True)
     if failure is not None:
         raise VerificationFailure(failure)
 
@@ -57,7 +59,7 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     """A parser whose usage errors raise ``_UsageError``, where argparse
     would print the usage and exit 2. Long options are never abbreviated,
-    and --help is added by ``_add``, after the parser's own options."""
+    and --help is added last, after the parser's own options."""
 
     def __init__(self, **kwargs) -> None:
         super().__init__(add_help=False, allow_abbrev=False, **kwargs)
@@ -66,29 +68,18 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _option(*flags: str, **kwargs) -> tuple:
-    """One option, as the arguments of ``add_argument``."""
-    return flags, kwargs
-
-
-_HELP = _option("--help", action="help", help="Show this message and exit.")
-_VERSION = _option("--version", action="version", version=f"%(prog)s, version {__version__}", help="Show the version and exit.")
-_FLOAT = _option("--float", dest="as_float", action="store_true", help="Render numbers as decimals.")
+# Each option is a (flag, ``add_argument`` keywords) pair.
+_HELP = ("--help", dict(action="help", help="Show this message and exit."))
+_FLOAT = ("--float", dict(dest="as_float", action="store_true", help="Render numbers as decimals."))
 _TREE_INPUT = (
-    _option("--tree", dest="tree_file", metavar="FILE", help="Edge-list tree file."),
-    _option("--spider", dest="spider_spec", nargs=2, type=int, metavar=("M", "L"), help="Spider with M legs of L vertices."),
-    _option("--ctree", dest="ctree_spec", nargs=2, type=int, metavar=("M", "H"), help="Complete M-ary tree of height H."),
+    ("--tree", dict(dest="tree_file", metavar="FILE", help="Edge-list tree file.")),
+    ("--spider", dict(dest="spider_spec", nargs=2, type=int, metavar=("M", "L"), help="Spider with M legs of L vertices.")),
+    ("--ctree", dict(dest="ctree_spec", nargs=2, type=int, metavar=("M", "H"), help="Complete M-ary tree of height H.")),
 )
 
-
-def _add(parser: _Parser, options) -> None:
-    """Add ``options``, each an ``_option``, and then --help to ``parser``."""
-    for flags, kwargs in (*options, _HELP):
-        parser.add_argument(*flags, **kwargs)
-
-
 _parser = _Parser(prog="treegame", description="Safe strategies for two-player competitive diffusion on trees.")
-_add(_parser, [_VERSION])
+_parser.add_argument("--version", action="version", version=f"%(prog)s, version {__version__}", help="Show the version and exit.")
+_parser.add_argument(_HELP[0], **_HELP[1])
 _commands = _parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
 
 
@@ -114,14 +105,15 @@ def _tree_input(fn):
     return run
 
 
-def _command(name: str, *options: tuple, tree: bool = False):
+def _command(name: str, *options: tuple[str, dict], tree: bool = False):
     """Add the decorated function as the command ``name``, described by its
     docstring: the tree options first when ``tree`` (see ``_tree_input``),
     then ``options``, then --help."""
 
     def add(fn):
         parser = _commands.add_parser(name, help=fn.__doc__.split("\n")[0], description=fn.__doc__)
-        _add(parser, (_TREE_INPUT if tree else ()) + options)
+        for flag, kwargs in (*(_TREE_INPUT if tree else ()), *options, _HELP):
+            parser.add_argument(flag, **kwargs)
         parser.set_defaults(run=_tree_input(fn) if tree else fn)
         return fn
 
@@ -147,22 +139,22 @@ def centroid_cmd(t) -> None:
 
 @_command(
     "matrix",
-    _option("--format", dest="fmt", choices=("csv", "json"), default="csv", help="Output format (default: csv)."),
+    ("--format", dict(dest="fmt", choices=("csv", "json"), default="csv", help="Output format (default: csv).")),
     tree=True,
 )
 def matrix_cmd(t, fmt) -> None:
     """Gain matrix for all pure pairs, one row per own starting vertex."""
     a = game_matrix(t)
     if fmt == "csv":
-        print(a.to_csv(), end="")
+        print(a.to_csv(), end="", flush=True)
     else:
         _emit({"schema": "treegame.matrix/1", "n": a.n, "entries": [list(r) for r in a.entries]})
 
 
 @_command(
     "simulate",
-    _option("--x", dest="x1", type=int, required=True, metavar="X", help="Player 1 start vertex."),
-    _option("--y", dest="x2", type=int, required=True, metavar="Y", help="Player 2 start vertex."),
+    ("--x", dict(dest="x1", type=int, required=True, metavar="X", help="Player 1 start vertex.")),
+    ("--y", dict(dest="x2", type=int, required=True, metavar="Y", help="Player 2 start vertex.")),
     tree=True,
 )
 def simulate_cmd(t, x1, x2) -> None:
@@ -208,7 +200,7 @@ def value_cmd(t, as_float) -> None:
     )
 
 
-@_command("css", _option("--strict-centroidal", action="store_true", help="Reject bicentroidal trees."), _FLOAT, tree=True)
+@_command("css", ("--strict-centroidal", dict(action="store_true", help="Reject bicentroidal trees.")), _FLOAT, tree=True)
 def css_cmd(t, strict_centroidal, as_float) -> None:
     """Centroidal safe strategy with its verification report."""
     if strict_centroidal and centroid(t).kind != "centroidal":
@@ -245,9 +237,9 @@ def css_cmd(t, strict_centroidal, as_float) -> None:
 
 @_command(
     "spider",
-    _option("--m", dest="legs", type=int, required=True, metavar="M", help="Number of legs (>= 3)."),
-    _option("--l", dest="leg_length", type=int, required=True, metavar="L", help="Vertices per leg."),
-    _option("--k", type=int, metavar="K", help="Covered depth; defaults to the optimal one."),
+    ("--m", dict(dest="legs", type=int, required=True, metavar="M", help="Number of legs (>= 3).")),
+    ("--l", dict(dest="leg_length", type=int, required=True, metavar="L", help="Vertices per leg.")),
+    ("--k", dict(type=int, metavar="K", help="Covered depth; defaults to the optimal one.")),
     _FLOAT,
 )
 def spider_cmd(legs, leg_length, k, as_float) -> None:
@@ -279,8 +271,8 @@ def spider_cmd(legs, leg_length, k, as_float) -> None:
 
 @_command(
     "ctree",
-    _option("--m", dest="arity", type=int, required=True, metavar="M", help="Arity (>= 2)."),
-    _option("--h", dest="height", type=int, required=True, metavar="H", help="Height (>= 1)."),
+    ("--m", dict(dest="arity", type=int, required=True, metavar="M", help="Arity (>= 2).")),
+    ("--h", dict(dest="height", type=int, required=True, metavar="H", help="Height (>= 1).")),
     _FLOAT,
 )
 def ctree_cmd(arity, height, as_float) -> None:
@@ -319,11 +311,11 @@ def ctree_cmd(arity, height, as_float) -> None:
 
 @_command(
     "experiment",
-    _option("--n", type=int, metavar="N", help="Tree size per trial."),
-    _option("--trials", type=int, metavar="TRIALS", help="Number of trials."),
-    _option("--seed", type=int, metavar="SEED", help="Experiment seed."),
-    _option("--config", dest="config_file", metavar="FILE", help="key=value config file."),
-    _option("--out", dest="out_dir", default=".", metavar="DIR", help="Output directory (default: .)."),
+    ("--n", dict(type=int, metavar="N", help="Tree size per trial.")),
+    ("--trials", dict(type=int, metavar="TRIALS", help="Number of trials.")),
+    ("--seed", dict(type=int, metavar="SEED", help="Experiment seed.")),
+    ("--config", dict(dest="config_file", metavar="FILE", help="key=value config file.")),
+    ("--out", dict(dest="out_dir", default=".", metavar="DIR", help="Output directory (default: .).")),
 )
 def experiment_cmd(n, trials, seed, config_file, out_dir) -> None:
     """Run the random-tree evaluation; writes records.csv and histogram.csv.
@@ -338,7 +330,7 @@ def experiment_cmd(n, trials, seed, config_file, out_dir) -> None:
         write_records_csv,
     )
 
-    from_file = _read_config(config_file) if config_file else {}
+    from_file = _read_config(config_file) if config_file is not None else {}
     settings = {key: value for key, (value, _) in from_file.items()}
     for key, val in (("n", n), ("trials", trials), ("seed", seed)):
         if val is not None:
@@ -400,6 +392,10 @@ def main() -> None:
         sys.exit(2)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, BrokenPipeError):
+            # The reader closed stdout: drop what stdout still holds, so
+            # that flushing it at exit does not fail a second time.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         sys.exit(1)
     except Exception as exc:  # noqa: BLE001 - any other exception is a bug, not bad input
         print(f"internal error: {exc!r}", file=sys.stderr)

@@ -104,13 +104,6 @@ def simulate_diffusion(t: Tree, x1: int, x2: int) -> Coloring:
     return Coloring(tuple(map(_COLORS.__getitem__, states)), rounds)
 
 
-# ``pure_gain`` keeps the distance tuples it reads on the tree, in one dict
-# that is replaced whole and never changed in place: the last pair read,
-# then the latest earlier tuples while all of them hold at most this many
-# distances.
-_DISTANCE_CELLS = 1 << 12
-
-
 def pure_gain(t: Tree, x1: int, x2: int) -> int:
     """Player 1's gain for a pure pair: the vertices strictly closer to x1.
 
@@ -119,15 +112,13 @@ def pure_gain(t: Tree, x1: int, x2: int) -> int:
     """
     if _vertex(t.n, x1) == _vertex(t.n, x2):
         return 0
+    # The last pair's distances stay on the tree. A read that misses
+    # replaces their dict whole; nothing changes it in place.
     kept = t.__dict__.get("_kept_distances", {})
-    d1, d2 = kept.get(x1), kept.get(x2)
-    if d1 is None or d2 is None:
-        d1 = distances_from(t, x1) if d1 is None else d1
-        d2 = distances_from(t, x2) if d2 is None else d2
-        room = max(0, _DISTANCE_CELLS // t.n - 2)
-        earlier = [(v, d) for v, d in kept.items() if v != x1 and v != x2][:room]
-        t.__dict__["_kept_distances"] = dict([(x1, d1), (x2, d2), *earlier])
-    return sum(map(lt, d1, d2))
+    if x1 not in kept or x2 not in kept:
+        kept = {v: kept.get(v) or distances_from(t, v) for v in (x1, x2)}
+        t.__dict__["_kept_distances"] = kept
+    return sum(map(lt, kept[x1], kept[x2]))
 
 
 @dataclass(frozen=True)

@@ -352,16 +352,16 @@ def check_iteration_bounds(trace, bounds) -> bool:
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
+def python_env() -> dict[str, str]:
+    """The environment of a fresh interpreter that imports this checkout's package."""
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def run_python(*args: str) -> subprocess.CompletedProcess:
     """Run ``python ARGS`` in a fresh interpreter that imports this
     checkout's package, capturing text output."""
-    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
-    return subprocess.run(
-        [sys.executable, *args],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=python_env())
 
 
 def run_cli(*args: str) -> tuple[int, str, str]:

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import re
+import subprocess
 import sys
 import weakref
 from contextlib import redirect_stderr, redirect_stdout
@@ -24,7 +25,7 @@ from treegame import (
 )
 from treegame.cli import main
 
-from conftest import run_cli, run_python, strategy_from_pairs
+from conftest import python_env, run_cli, run_python, strategy_from_pairs
 
 
 @pytest.fixture
@@ -43,7 +44,7 @@ def p2_file(tmp_path):
 
 def run_json(args):
     code, out, err = run_cli(*args)
-    assert code == 0, err
+    assert (code, err) == (0, ""), err
     return json.loads(out)
 
 
@@ -90,8 +91,8 @@ class TestTreeInput:
 
 class TestMatrixCommand:
     def test_csv_default(self, p2_file):
-        code, out, _ = run_cli("matrix", "--tree", p2_file)
-        assert code == 0
+        code, out, err = run_cli("matrix", "--tree", p2_file)
+        assert (code, err) == (0, "")
         assert out == "0,1\n1,0\n"
 
     def test_json_format(self, p2_file):
@@ -293,7 +294,7 @@ def test_float_flag_only_renders(args):
     # Results are exact; --float changes nothing but how each "p/q" prints.
     exact = run_json(args)
     code, rendered, err = run_cli(*args, "--float")
-    assert code == 0, err
+    assert (code, err) == (0, ""), err
     assert rendered == json.dumps(_decimals(exact), indent=2) + "\n"
 
 
@@ -377,8 +378,8 @@ def test_one_vertex_documents(tmp_path, command):
     # The one-vertex tree runs through the general code of every command.
     path = tmp_path / "p1.tree"
     path.write_text("1\n")
-    code, out, _ = run_cli(command, "--tree", str(path))
-    assert code == 0
+    code, out, err = run_cli(command, "--tree", str(path))
+    assert (code, err) == (0, "")
     if command == "matrix":
         assert out == "0\n"
     else:
@@ -414,10 +415,11 @@ class TestDeterminismAndExitCodes:
             ([], "Error: the following arguments are required: COMMAND"),
             (["value", "--tree", "{tmp}/missing.tree"], "error: [Errno 2] No such file or directory"),
             (["value", "--tree", "{tmp}"], "error: [Errno 21] Is a directory"),
+            (["experiment", "--n", "9", "--trials", "1", "--seed", "0", "--config", ""], "error: [Errno 2] No such file or directory"),
         ],
         ids=[
             "unknown-option", "abbreviated-option", "simulate-without-y", "spider-without-l", "not-an-int",
-            "one-spider-value", "no-command", "missing-tree-file", "tree-is-a-directory",
+            "one-spider-value", "no-command", "missing-tree-file", "tree-is-a-directory", "empty-config-path",
         ],
     )
     def test_bad_command_line_exits_1(self, tmp_path, args, message):
@@ -441,6 +443,52 @@ class TestDeterminismAndExitCodes:
 
         monkeypatch.setattr(treegame.cli, "solve_value", interrupted)
         assert run_cli("value", "--spider", "3", "2") == (1, "", "\n")
+
+    def test_document_comes_before_the_failure_line(self):
+        # stdout is flushed before the stderr line, so both streams read
+        # through one pipe, with Python's own block buffering of stdout,
+        # give the document first.
+        script = (
+            "import sys, treegame.cli\n"
+            "treegame.cli.verify_solution = lambda t, sol: False\n"
+            "sys.argv = ['treegame', 'value', '--ctree', '2', '2']\n"
+            "treegame.cli.main()\n"
+        )
+        env = python_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env
+        )
+        assert proc.returncode == 2, proc.stdout
+        document, _, rest = proc.stdout.rpartition("}\n")
+        assert json.loads(document + "}")["verified"] is False
+        assert rest == "verification failure: solver certificate failed\n"
+
+    def test_closed_stdout_exits_1(self):
+        # The reader closes stdout before the document is written: one
+        # "error:" line and exit code 1, and nothing more when the
+        # interpreter exits.
+        script = (
+            "import sys, treegame.cli\n"
+            "sys.stdin.read()\n"
+            "sys.argv = ['treegame', 'value', '--ctree', '2', '2']\n"
+            "treegame.cli.main()\n"
+        )
+        env = python_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+        proc.stdout.close()
+        proc.stdin.close()  # only now may the command write
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(), err) == (1, "error: [Errno 32] Broken pipe\n")
 
     def test_success_exit_code(self):
         proc = run_python("-m", "treegame.cli", "value", "--ctree", "2", "1")

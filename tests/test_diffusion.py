@@ -114,22 +114,18 @@ class TestPureGain:
                 for y in range(14):
                     assert pure_gain(t, x, y) == a[x][y]
 
-    def test_kept_distances_are_bounded_and_replaced_whole(self):
-        # A small tree keeps every vertex's distances; a large one only the
-        # last pair's. A read that misses replaces the dict, so a reader
-        # that holds the earlier one sees it unchanged.
-        t = random_tree(40, 3)
-        for x in range(40):
-            for y in range(40):
-                pure_gain(t, x, y)
+    def test_kept_distances_are_the_last_pair_replaced_whole(self):
+        # Only the last pair's distances are kept. A read that misses
+        # replaces the dict, so a reader that holds the earlier one sees it
+        # unchanged.
+        t = path_tree(5000)
+        assert pure_gain(t, 0, 1) == 1
+        earlier = vars(t)["_kept_distances"]
+        assert pure_gain(t, 1, 0) == 4999 and vars(t)["_kept_distances"] is earlier
+        assert pure_gain(t, 2, 1) == 4998
         kept = vars(t)["_kept_distances"]
-        assert sorted(kept) == list(range(40))
-        assert all(d == distances_from(t, v) for v, d in kept.items())
-        big = path_tree(5000)
-        assert pure_gain(big, 0, 1) == 1
-        earlier = vars(big)["_kept_distances"]
-        assert pure_gain(big, 3, 2) == 4997
-        assert list(earlier) == [0, 1] and list(vars(big)["_kept_distances"]) == [3, 2]
+        assert list(earlier) == [0, 1] and list(kept) == [2, 1] and kept[1] is earlier[1]
+        assert all(d == distances_from(t, v) for v, d in (*earlier.items(), *kept.items()))
 
 
 class TestGameMatrix:
