@@ -7,7 +7,8 @@ unexpected exception). A usage error, such as an unknown or missing option,
 is one stderr line ``Error: <message>``; any other input error is one line
 ``error: <message>``. A command whose check fails prints its document, the
 check marked failed, before it exits 2. Every result is exact and renders
-as "p/q" strings; --float renders the same results as decimals. Identical
+as "p/q" strings; --float renders the same results as decimals. Documents
+are indent-2 JSON, written by the C JSON encoder (``_render``). Identical
 invocations produce byte-identical output.
 
 The parser is built once, when the module is imported. Each command imports
@@ -22,6 +23,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import chain
 from pathlib import Path
 
 from . import __version__
@@ -43,11 +45,64 @@ class VerificationFailure(RuntimeError):
     """An internal consistency check failed; maps to exit status 2."""
 
 
+_CONTAINERS = (dict, list, tuple)
+
+
+def _any_container(kinds: set[type]) -> bool:
+    return any(issubclass(kind, _CONTAINERS) for kind in kinds)
+
+
+def _render(doc, default, depth: int = 0) -> str:
+    """Exactly ``json.dumps(doc, indent=2, default=default)`` for a ``default``
+    that returns JSON scalars, but with every item written by the C encoder,
+    which ``indent`` would bypass for the pure-Python one. ``doc`` sits
+    ``depth`` levels down.
+
+    - A container that holds no non-empty container is one call, with the
+      newline and indent of its items in the item separator.
+    - A list of non-empty lists of scalars is one call with the next depth's
+      separator; one replace then breaks the rows apart.
+    - Any other container is one call with each non-empty container item as
+      ``null``. An encoded string holds no raw newline, so the result splits
+      exactly on the separator, and each ``null`` becomes that item's own
+      rendering.
+    """
+    if not isinstance(doc, _CONTAINERS) or not doc:
+        return json.dumps(doc, default=default)
+    close = "\n" + "  " * depth
+    pad = close + "  "
+    sep = "," + pad
+    values = list(doc.values()) if isinstance(doc, dict) else doc
+    kinds = set(map(type, values))
+    if (
+        not isinstance(doc, dict)
+        and all(issubclass(kind, (list, tuple)) for kind in kinds)
+        and all(doc)
+        and not _any_container(set(map(type, chain.from_iterable(doc))))
+    ):
+        open_row, close_row = pad + "[" + pad + "  ", pad + "]"
+        text = json.dumps(doc, separators=(sep + "  ", ": "), default=default)
+        body = text[2:-2].replace("]" + sep + "  [", close_row + "," + open_row)
+        return "[" + open_row + body + close_row + close + "]"
+    nested = [isinstance(v, _CONTAINERS) and len(v) > 0 for v in values] if _any_container(kinds) else ()
+    if not any(nested):
+        text = json.dumps(doc, separators=(sep, ": "), default=default)
+        return text[0] + pad + text[1:-1] + close + text[-1]
+    flat = [None if n else v for v, n in zip(values, nested)]
+    text = json.dumps(dict(zip(doc, flat)) if isinstance(doc, dict) else flat, separators=(sep, ": "), default=default)
+    items = [
+        item[:-4] + _render(v, default, depth + 1) if n else item
+        for item, v, n in zip(text[1:-1].split(sep), values, nested)
+    ]
+    return text[0] + pad + sep.join(items) + close + text[-1]
+
+
 def _emit(doc: dict, as_float: bool = False, failure: str | None = None) -> None:
-    """Print ``doc`` as JSON, each ``Fraction`` in it as "p/q" or, ``as_float``,
-    a decimal; then, if the command's check failed, raise ``VerificationFailure(failure)``.
-    The document is flushed, so it comes before any stderr line that follows."""
-    print(json.dumps(doc, indent=2, default=float if as_float else format_fraction), flush=True)
+    """Print ``doc`` as indent-2 JSON written by the C encoder (``_render``),
+    each ``Fraction`` in it as "p/q" or, ``as_float``, a decimal; then, if the
+    command's check failed, raise ``VerificationFailure(failure)``. The
+    document is flushed, so it comes before any stderr line that follows."""
+    print(_render(doc, float if as_float else format_fraction), flush=True)
     if failure is not None:
         raise VerificationFailure(failure)
 

@@ -139,7 +139,7 @@ class GameMatrix:
                 raise ValueError("entries must be non-negative")
 
     def to_csv(self) -> str:
-        return "\n".join(",".join(str(x) for x in row) for row in self.entries) + "\n"
+        return "\n".join(",".join(map(str, row)) for row in self.entries) + "\n"
 
 
 def _cut_gains(t: Tree, x: int, is_row: bool) -> list[int]:
@@ -370,17 +370,17 @@ def _sweep(
     """
     weight, den = dict(mix[0]), mix[1]
     merged = [o for o in orbits if o[0] in weight]
-    if not merged or any(weight.get(v) != weight.get(o[0]) for o in orbits for v in o):
+    if not merged or any(len(set(map(weight.get, o))) > 1 for o in orbits):
         orbits = merged = []
     for o in merged:
-        weight[o[0]] = sum(weight.pop(v) for v in o)
+        weight[o[0]] = sum(map(weight.pop, o))
     words = _field_words(n, den)
     total = 0
     for v, w in weight.items():
         total += w * _pack(line(v), words)
     acc = _unpack(total, n, words)
     for o in orbits:
-        mean, rest = divmod(sum(acc[v] for v in o), len(o))
+        mean, rest = divmod(sum(map(acc.__getitem__, o)), len(o))
         if rest:
             raise RuntimeError("inexact orbit average: the orbits are not a group's")
         for v in o:

@@ -12,6 +12,8 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treegame import (
     ExperimentConfig,
@@ -23,7 +25,7 @@ from treegame import (
     run_experiment,
     solve_value,
 )
-from treegame.cli import main
+from treegame.cli import _render, main
 
 from conftest import python_env, run_cli, run_python, strategy_from_pairs
 
@@ -296,6 +298,48 @@ def test_float_flag_only_renders(args):
     code, rendered, err = run_cli(*args, "--float")
     assert (code, err) == (0, ""), err
     assert rendered == json.dumps(_decimals(exact), indent=2) + "\n"
+
+
+# Strings that look like the renderer's brackets, separators and placeholder,
+# escapes, and text past ASCII.
+_TRICKY_TEXT = st.lists(
+    st.sampled_from(["],", "[", "{", "}", '"', "\\", "\n", "\t", "\x00", "\x1f", "null", ": ", ",\n  ", "é", "∞", "😀"])
+    | st.characters(),
+    max_size=6,
+).map("".join)
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(2**200), 2**200),
+    _TRICKY_TEXT,
+    st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6),
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+)
+_DOCUMENTS = st.recursive(
+    _SCALARS,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=5),
+        st.lists(kids, max_size=5).map(tuple),
+        st.dictionaries(_TRICKY_TEXT | st.integers(), kids, max_size=5),
+        st.lists(st.lists(_SCALARS, min_size=1, max_size=3), max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@given(_DOCUMENTS, st.sampled_from([format_fraction, float]))
+@settings(max_examples=200, deadline=None)
+def test_render_is_indent_2_json(doc, default):
+    assert _render(doc, default) == json.dumps(doc, indent=2, default=default)
+
+
+@pytest.mark.parametrize("args", [["centroid", "--spider", "1000", "10"], ["matrix", "--spider", "30", "10", "--format", "json"]])
+def test_large_documents_print_as_indent_2_json(args):
+    code, out, err = run_cli(*args)
+    assert (code, err) == (0, "")
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 # SHA-256 of each command's stdout, pinned so that no change to rendering
