@@ -183,12 +183,12 @@ def centroid_cmd(t) -> None:
     doc = {
         "schema": "treegame.centroid/1",
         "n": t.n,
-        "weights": list(wt.w),
-        "co_weights": list(wt.co_weight),
-        "centroid": {"vertices": list(info.vertices), "kind": info.kind, "root": info.root},
+        "weights": wt.w,
+        "co_weights": wt.co_weight,
+        "centroid": {"vertices": info.vertices, "kind": info.kind, "root": info.root},
     }
     if t.labels is not None:
-        doc["labels"] = list(t.labels)
+        doc["labels"] = t.labels
     _emit(doc)
 
 
@@ -203,7 +203,7 @@ def matrix_cmd(t, fmt) -> None:
     if fmt == "csv":
         print(a.to_csv(), end="", flush=True)
     else:
-        _emit({"schema": "treegame.matrix/1", "n": a.n, "entries": [list(r) for r in a.entries]})
+        _emit({"schema": "treegame.matrix/1", "n": a.n, "entries": a.entries})
 
 
 @_command(
@@ -285,7 +285,7 @@ def css_cmd(t, strict_centroidal, as_float) -> None:
         "guaranteed_gain": res.guaranteed_gain,
         "centroid_gain": res.centroid_gain,
         "theorem4": "pass" if report.passed else "fail",
-        "trace": list(res.trace),
+        "trace": res.trace,
     }
     _emit(doc, as_float, failure=None if report.passed else "centroid does not minimize the reply gain")
 

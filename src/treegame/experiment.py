@@ -60,6 +60,8 @@ class ExperimentConfig:
             raise _RangeError("need 0 < bin_width <= bin_max", "bin_width", "bin_max")
         if self.bin_max % self.bin_width:
             raise _RangeError("bin_max must be a whole multiple of bin_width", "bin_max", "bin_width")
+        if self.bin_max // self.bin_width > 10_000:
+            raise _RangeError("need bin_max / bin_width <= 10000: every ratio lies in [0, 1]", "bin_max", "bin_width")
 
 
 _CONFIG_KEYS = typing.get_type_hints(ExperimentConfig)

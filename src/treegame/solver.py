@@ -85,25 +85,18 @@ class SolverError(RuntimeError):
     """Raised when the LP machinery reaches a state it never should."""
 
 
-def _exact_div_row(num: list[int], den: int) -> list[int]:
-    """``num`` divided entry by entry by ``den`` > 0, which must be exact.
+def _eliminate(row: list[int], k: int, prow: list[int], piv: int, den: int) -> list[int]:
+    """One fraction-free pivot step on ``row``: (row * piv - row[k] * prow) / den,
+    which must be exact, with ``den`` > 0.
 
     Floor division gives q * den <= num entry by entry, so the sums agree
     only if every division is exact: one check per row, not per entry."""
-    if den == 1:
-        return num
+    f = row[k]
+    num = [a * piv - f * b for a, b in zip(row, prow)]
     q = [a // den for a in num]
     if sum(q) * den != sum(num):
         raise SolverError("inexact division in integer pivot")
     return q
-
-
-def _eliminate(row: list[int], k: int, prow: list[int], piv: int, den: int) -> list[int]:
-    """One fraction-free pivot step on ``row``: (row * piv - row[k] * prow) / den."""
-    f = row[k]
-    if f:
-        return _exact_div_row([a * piv - f * b for a, b in zip(row, prow)], den)
-    return _exact_div_row([a * piv for a in row], den)
 
 
 class _Tableau:

@@ -11,9 +11,10 @@ and each cycle is checked against the tree before it merges vertices.
 
 A ``Tree`` is immutable after construction, so every function here is pure
 and safe to call from concurrent workers. ``weight_table``, ``centroid``
-and ``automorphism_orbits`` are kept on the tree on first use: a kept
-value never goes stale, and workers that race on a new tree compute an
-equal value twice.
+and ``automorphism_orbits`` are kept on the tree on first use, as are
+``css_run``'s strategy and ``pure_gain``'s distance tuples of the last pair
+it read, replaced whole: a kept value never goes stale, and workers that
+race on a new tree compute an equal value twice.
 
 ``Tree.from_edges``, and so ``parse_tree``, pauses the cyclic garbage
 collector while it builds the neighbour lists, the adjacency tuples and the

@@ -215,7 +215,7 @@ def test_criterion_7_experiment_run(tmp_path):
     assert not result.failures
     assert len(result.records) == 200
     for rec in result.records:
-        assert rec.diff_ratio >= 0
+        assert 0 <= rec.diff_ratio <= 1
         assert rec.css_gain <= rec.upper_bound
     hist = result.histogram
     rows = hist.rows()

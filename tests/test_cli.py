@@ -679,6 +679,16 @@ class TestDeterminismAndExitCodes:
             ("# size\nn=2\ntrials=2\nseed=1\n", [], "{cfg}:2: no 2-vertex tree has a single centroid"),
             ("n=9\ntrials=2\nseed=1\n\nbin_width=-1/100\n", [], "{cfg}:5: need 0 < bin_width <= bin_max"),
             ("n=9\ntrials=2\nseed=1\nbin_width=7/100\n", [], "{cfg}:4: bin_max must be a whole multiple of bin_width"),
+            (
+                "n=9\ntrials=2\nseed=1\nbin_max=10001/100\n",
+                [],
+                "{cfg}:4: need bin_max / bin_width <= 10000: every ratio lies in [0, 1]",
+            ),
+            (
+                "n=9\ntrials=2\nbin_width=1/40000\nseed=1\n",
+                [],
+                "{cfg}:3: need bin_max / bin_width <= 10000: every ratio lies in [0, 1]",
+            ),
             ("n=9\ntrials=2\nseed=1\n", ["--trials", "0"], "need at least one trial"),
             (
                 "trials=2\nn=1\nseed=1\n",
@@ -692,20 +702,22 @@ class TestDeterminismAndExitCodes:
             ),
         ],
         ids=[
-            "trials-zero", "two-vertices", "negative-bin-width", "bin-width-default-max", "flag",
-            "one-vertex", "one-vertex-flag",
+            "trials-zero", "two-vertices", "negative-bin-width", "bin-width-default-max", "too-many-bins",
+            "too-many-bins-default-max", "flag", "one-vertex", "one-vertex-flag",
         ],
     )
     def test_experiment_config_range_error_names_the_line(self, tmp_path, config, flags, expected):
         # A value from the file is named by its line; one from a flag is not.
+        # No trial runs: nothing is printed or written.
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(config)
         proc = run_python(
-            "-m", "treegame.cli", "experiment", "--config", str(cfg), *flags, "--out", str(tmp_path)
+            "-m", "treegame.cli", "experiment", "--config", str(cfg), *flags, "--out", str(tmp_path / "out")
         )
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr.splitlines() == ["error: " + expected.format(cfg=cfg)]
         assert proc.stdout == ""
+        assert not (tmp_path / "out").exists()
 
     def test_experiment_failed_trials_exit_code(self, tmp_path):
         # Output files and the summary are still written before exiting 2.

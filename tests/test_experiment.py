@@ -297,6 +297,20 @@ class TestConfigValidation:
         assert str(exc.value) == message
         assert exc.value.keys == (next(iter(settings)),)
 
+    def test_rejects_more_than_10000_bins(self):
+        # Every gap ratio lies in [0, 1], so the bins past it stay empty, and
+        # bin_max = 100000 would build ten million counts and CSV rows.
+        ExperimentConfig(n=5, trials=1, seed=1, bin_max=100)
+        with pytest.raises(_RangeError, match="bin_max / bin_width <= 10000") as exc:
+            ExperimentConfig(n=5, trials=1, seed=1, bin_max=Fraction(10001, 100))
+        assert exc.value.keys == ("bin_max", "bin_width")
+        ExperimentConfig(n=5, trials=1, seed=1, bin_width=Fraction(1, 10000), bin_max=1)
+        with pytest.raises(_RangeError, match="bin_max / bin_width <= 10000"):
+            ExperimentConfig(n=5, trials=1, seed=1, bin_width=Fraction(1, 10001), bin_max=1)
+        # Exact for ints too, where true division would overflow a float.
+        with pytest.raises(_RangeError, match="bin_max / bin_width <= 10000"):
+            ExperimentConfig(n=5, trials=1, seed=1, bin_width=1, bin_max=10**400)
+
     def test_rejects_two_vertices(self):
         # Every 2-vertex tree is bicentroidal, so sampling could never succeed.
         with pytest.raises(ValueError, match="single centroid"):

@@ -5,7 +5,7 @@ import signal
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import treegame.diffusion
@@ -22,6 +22,7 @@ from treegame import (
     Tree,
     build_complete_tree,
     build_spider,
+    centroid,
     CompleteTreeSpec,
     complete_tree_value,
     maximal_gain,
@@ -32,7 +33,7 @@ from treegame import (
     verify_solution,
 )
 from treegame.diffusion import _field_words, _sweep
-from treegame.solver import _eliminate, _exact_div_row, _Tableau
+from treegame.solver import _eliminate, _Tableau
 
 from conftest import (
     dense_certificate_holds,
@@ -238,6 +239,13 @@ class TestPivotStop:
             solve_value(sample_centroidal(100, 7))
 
 
+def _exact_div_row(num, den):
+    """``num`` divided entry by entry by ``den`` through ``_eliminate``: the
+    row with a 0 appended as its pivot-column entry, pivoted on 1."""
+    row = [*num, 0]
+    return _eliminate(row, len(num), row, 1, den)[:-1]
+
+
 class TestExactDivRow:
     def test_exact_row(self):
         assert _exact_div_row([6, -9, 0, 3, -3], 3) == [2, -3, 0, 1, -1]
@@ -367,6 +375,17 @@ class TestSolveValue:
         n = 10 + 5 * seed  # sizes 10..55
         sol = solve_value(random_tree(n, seed))
         assert sol.primal_value == sol.dual_value == sol.value
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 60), st.integers(0, 10**6))
+    @example(2, 0)
+    @example(60, 0)  # bicentroidal, as is the 2-vertex path
+    def test_value_at_most_centroid_weight(self, n, seed):
+        # Against a start on a centroid, Player 1 gains at most its largest
+        # branch, the centroid weight: so the experiment's gap ratio
+        # (value - CSS gain) / weight never passes 1.
+        t = random_tree(n, seed)
+        assert solve_value(t).value <= centroid(t).weight
 
     @pytest.mark.parametrize(
         "seed, warm", [pytest.param(s, w, id=f"warm-{s}" if w else str(s)) for w in (False, True) for s in range(12)]
