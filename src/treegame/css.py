@@ -9,14 +9,13 @@ comparisons, never floats.
 
 from __future__ import annotations
 
-import functools
 import heapq
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from itertools import chain
 
-from .diffusion import MixedStrategy, _check_dims, _sweep, gain_row
+from .diffusion import MixedStrategy, _check_dims, _line, _sweep
 from .tree import Tree, _kept, _runs, _walk, centroid
 
 
@@ -68,7 +67,8 @@ class UsedBranch:
 class CSSResult:
     """The strategy with its build record. The gain of the strategy against
     pure reply v is ``reply_numerators[v] / reply_den``, from the one sweep
-    over every reply that ``guaranteed_gain`` is read from."""
+    over every reply that ``guaranteed_gain`` is read from; the sweep runs
+    in walk order and is kept by vertex."""
 
     strategy: MixedStrategy
     root: int
@@ -189,18 +189,18 @@ def analyze_branches(t: Tree, root: int) -> list[BranchInfo]:
         raise ValueError(f"vertex {root} is not a centroid vertex")
     order, parent, _, size, pos = _walk(t)
     runs, pairs = _runs(t, root)
-    above = {a: size[c] for a, c in pairs}  # rooted at the root, a's subtree is all but c's
-    branches = {u: [(pos[u], pos[u] + size[u])] for u in adj[root]}
+    above = {order[a]: size[c] for a, c in pairs}  # rooted at the root, a's subtree is all but c's
+    branches = {u: [(pos[u], pos[u] + size[pos[u]])] for u in adj[root]}
     if parent[root] >= 0:
         branches[parent[root]] = [(lo, hi) for lo, hi, _ in runs[1:]]
     result = []
     for top, spans in branches.items():
         members = tuple(chain.from_iterable(order[lo:hi] for lo, hi in spans))
-        near = [(above.get(top, n - size[top]), 1, top)]
+        near = [(above.get(top, n - size[pos[top]]), 1, top)]
         for a in adj[top]:
             if a != root:
-                near.append((above.get(a, n - size[a]), 2, a))
-                near += [(above.get(b, n - size[b]), 3, b) for b in adj[a] if b != top]
+                near.append((above.get(a, n - size[pos[a]]), 2, a))
+                near += [(above.get(b, n - size[pos[b]]), 3, b) for b in adj[a] if b != top]
         ranked = heapq.nsmallest(3, near)
         w1, _, u = ranked[0]
         index = min(members)
@@ -285,7 +285,7 @@ def css_run(t: Tree) -> CSSResult:
     if sum(probs.values()) != 1:
         raise CSSError("probability ledger does not sum to 1")
     strategy = MixedStrategy(n, probs)
-    acc, den = _sweep(n, strategy.weights(), functools.partial(gain_row, t))
+    acc, den = _sweep(n, strategy.weights(), _line(t, True))  # walk order
     return CSSResult(
         strategy=strategy,
         root=root,
@@ -294,7 +294,7 @@ def css_run(t: Tree) -> CSSResult:
         guaranteed_gain=Fraction(min(acc), den),
         centroid_gain=gain_now,
         trace=tuple(trace),
-        reply_numerators=tuple(acc),
+        reply_numerators=tuple(map(acc.__getitem__, _walk(t)[4])),
         reply_den=den,
     )
 

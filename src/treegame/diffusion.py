@@ -14,11 +14,19 @@ denominator and build a ``Fraction`` only for a value they return. A sweep
 packs each gain line into one int, a fixed-width field of whole 64-bit
 words per vertex, wide enough that no field's sum carries into the next, so
 a weighted sum of lines is a few exact big-int multiply-adds (``_sweep``).
+
+The gain kernel (``_cut_gains``) computes each matrix row or column in the
+order of the tree's kept walk: entry i belongs to the vertex at walk
+position i, so the kernel reads the walk's depth and size tables and writes
+its line in place, run by run. The sweeps over such lines give walk-order
+sums. A line or sum leaves in vertex order only where a result indexed by
+vertex needs it: ``gain_row`` and ``gain_column`` map their line through
+the walk's ``pos``, and ``guaranteed_gain`` and ``maximal_gain`` name the
+vertices that attain their extreme.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from array import array
@@ -143,7 +151,9 @@ class GameMatrix:
 
 
 def _cut_gains(t: Tree, x: int, is_row: bool) -> list[int]:
-    """Matrix row (``is_row``) or column at ``x`` in O(n), rooted there.
+    """Matrix row (``is_row``) or column at ``x`` in O(n), rooted there, in
+    walk order: entry i is the gain against, or of, the vertex at walk
+    position i (``_walk``).
 
     With the other start v at depth k, Player 1 keeps the component on the
     own side of the path edge cut just past the midpoint. For a row (Player 1
@@ -153,35 +163,49 @@ def _cut_gains(t: Tree, x: int, is_row: bool) -> list[int]:
 
     The tree's kept walk, rerooted at x (``_runs``), gives the depths from
     x and the sizes, which change only on the path from x to the walk's
-    root (``_runs``'s pairs). One forward pass over the runs keeps
-    ``path[k] = v`` for v at depth k from x: in preorder, ``path[:k]`` then
-    holds v's ancestors, so ancestor a is read from ``path``.
+    root (``_runs``'s pairs). One forward pass over the runs' positions
+    keeps ``path[k] = i`` for the position i at depth k from x: in
+    preorder, ``path[:k]`` then holds the positions of i's ancestors, so
+    ancestor a is read from ``path``. Every table the pass reads and the
+    line it writes are by walk position, so each run is read and written
+    in place.
     """
     n = t.n
     runs, pairs = _runs(t, x)
-    order, _, depth, size, _ = _walk(t)
+    _, _, depth, size, _ = _walk(t)
     gain_at, offset = ([n - s for s in size], 1) if is_row else (size[:], 2)
     for a, c in pairs:  # rooted at x, a's subtree is all but c's
         gain_at[a] = size[c] if is_row else n - size[c]
+    home = runs[0][0]
     out = [0] * n
-    path = [x] * (n + 1)  # x's own entry reads path[1]
+    path = [home] * (n + 1)  # x's own entry reads path[1]
     for lo, hi, off in runs:
-        for v in order[lo:hi]:
-            k = depth[v] + off
-            path[k] = v
-            out[v] = gain_at[path[(k + offset) // 2]]
-    out[x] = 0
+        for i in range(lo, hi):
+            k = depth[i] + off
+            path[k] = i
+            out[i] = gain_at[path[(k + offset) // 2]]
+    out[home] = 0
     return out
+
+
+def _line(t: Tree, is_row: bool) -> Callable[[int], list[int]]:
+    """A vertex's walk-order row (``is_row``) or column, as a function of it."""
+    return lambda v: _cut_gains(t, v, is_row)
+
+
+def _by_vertex(t: Tree, line: Sequence[int]) -> list[int]:
+    """A walk-order line indexed by vertex."""
+    return list(map(line.__getitem__, _walk(t)[4]))
 
 
 def gain_row(t: Tree, x: int) -> list[int]:
     """The full matrix row A[x][.] in O(n)."""
-    return _cut_gains(t, x, True)
+    return _by_vertex(t, _cut_gains(t, x, True))
 
 
 def gain_column(t: Tree, y: int) -> list[int]:
     """The full matrix column A[.][y] in O(n)."""
-    return _cut_gains(t, y, False)
+    return _by_vertex(t, _cut_gains(t, y, False))
 
 
 def game_matrix(t: Tree) -> GameMatrix:
@@ -339,7 +363,10 @@ def _unpack(total: int, n: int, words: int) -> list[int]:
 
 
 def _sweep(
-    n: int, mix: tuple[dict[int, int], int], line: Callable[[int], Sequence[int]], orbits: Sequence[Sequence[int]] = ()
+    n: int,
+    mix: tuple[dict[int, int], int],
+    line: Callable[[int], Sequence[int]],
+    orbits: Sequence[tuple[Sequence[int], Sequence[int]]] = (),
 ) -> tuple[list[int], int]:
     """The mix-weighted sum of the gain lines of the support vertices v, as
     ``(numerators, den)``: entry i of the sum is ``numerators[i] / den``.
@@ -350,18 +377,21 @@ def _sweep(
     (``MixedStrategy.weights`` gives that form), so the numerators are plain
     ints and no ``Fraction`` is built per entry.
 
-    ``line(v)`` is v's gain line as a list of n ints. The sum is packed
-    ("SIMD within a register"), and the packing is this function's own: each
-    line read becomes one int (``_pack``), entry i in field i of ``words``
-    64-bit words, so the weighted sum of the lines is one big-int
-    multiply-add per support vertex, in C, and the fields are read back
-    once at the end (``_unpack``). The width is ``_field_words(n, den)``:
-    every entry is a sum of non-negative terms at most (n - 1) * den, below
-    n * den, so no field, nor any partial sum of it, carries into the next.
-    No packed line outlives the sweep.
+    ``line(v)`` is v's gain line as a list of n ints, in any fixed order of
+    the vertices, and the sum comes in the same order: the solver and the
+    checks sweep walk-order lines (``_cut_gains``) and get walk-order sums.
+    The sum is packed ("SIMD within a register"), and the packing is this
+    function's own: each line read becomes one int (``_pack``), entry i in
+    field i of ``words`` 64-bit words, so the weighted sum of the lines is
+    one big-int multiply-add per support vertex, in C, and the fields are
+    read back once at the end (``_unpack``). The width is
+    ``_field_words(n, den)``: every entry is a sum of non-negative terms at
+    most (n - 1) * den, below n * den, so no field, nor any partial sum of
+    it, carries into the next. No packed line outlives the sweep.
 
     ``orbits`` are orbits of a group of checked automorphisms of the tree
-    (those of ``automorphism_orbits`` with more than one vertex). If the mix
+    (those of ``automorphism_orbits`` with more than one vertex), each as a
+    pair: its member vertices, and their entries in the lines. If the mix
     is constant on each, the group fixes it, so the sum is constant on each
     too: each orbit's mass goes on its first member, one line is read per
     orbit, and each entry becomes the average over its orbit, which is
@@ -369,8 +399,8 @@ def _sweep(
     exact, and checked).
     """
     weight, den = dict(mix[0]), mix[1]
-    merged = [o for o in orbits if o[0] in weight]
-    if not merged or any(len(set(map(weight.get, o))) > 1 for o in orbits):
+    merged = [o for o, _ in orbits if o[0] in weight]
+    if not merged or any(len(set(map(weight.get, o))) > 1 for o, _ in orbits):
         orbits = merged = []
     for o in merged:
         weight[o[0]] = sum(map(weight.pop, o))
@@ -379,21 +409,21 @@ def _sweep(
     for v, w in weight.items():
         total += w * _pack(line(v), words)
     acc = _unpack(total, n, words)
-    for o in orbits:
-        mean, rest = divmod(sum(map(acc.__getitem__, o)), len(o))
+    for _, slots in orbits:
+        mean, rest = divmod(sum(map(acc.__getitem__, slots)), len(slots))
         if rest:
             raise RuntimeError("inexact orbit average: the orbits are not a group's")
-        for v in o:
-            acc[v] = mean
+        for i in slots:
+            acc[i] = mean
     return acc, den
 
 
-def _extreme(sums: tuple[list[int], int], pick: Callable) -> tuple[Fraction, tuple[int, ...]]:
-    """The min or max (``pick``) of a ``_sweep`` result, found on the
-    numerators, with the tuple of vertices that attain it."""
+def _extreme(t: Tree, sums: tuple[list[int], int], pick: Callable) -> tuple[Fraction, tuple[int, ...]]:
+    """The min or max (``pick``) of a walk-order ``_sweep`` result, found on
+    the numerators, with the sorted tuple of vertices that attain it."""
     acc, den = sums
     best = pick(acc)
-    return Fraction(best, den), tuple(v for v, a in enumerate(acc) if a == best)
+    return Fraction(best, den), tuple(sorted(v for v, a in zip(_walk(t)[0], acc) if a == best))
 
 
 def guaranteed_gain(t: Tree, x: MixedStrategy):
@@ -403,7 +433,7 @@ def guaranteed_gain(t: Tree, x: MixedStrategy):
     matrix rows, so the full n x n matrix is never materialized.
     """
     _check_dims(t, x)
-    return _extreme(_sweep(t.n, x.weights(), functools.partial(gain_row, t)), min)
+    return _extreme(t, _sweep(t.n, x.weights(), _line(t, True)), min)
 
 
 def maximal_gain(t: Tree, y: MixedStrategy):
@@ -412,4 +442,4 @@ def maximal_gain(t: Tree, y: MixedStrategy):
     Returns (value, tuple of maximizing vertices).
     """
     _check_dims(t, y)
-    return _extreme(_sweep(t.n, y.weights(), functools.partial(gain_column, t)), max)
+    return _extreme(t, _sweep(t.n, y.weights(), _line(t, False)), max)

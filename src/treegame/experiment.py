@@ -121,6 +121,11 @@ def random_tree(n: int, seed: int) -> Tree:
     """Draw uniform vertex pairs and keep an edge whenever it joins two
     components, until n - 1 edges are in place. Deterministic in the seed.
 
+    This is Kruskal's algorithm on the complete graph K_n with a uniformly
+    random edge order, so the tree is the random minimum spanning tree of
+    K_n, not a uniform labelled tree: at n = 4 it is a star with
+    probability 4/15, not 1/4.
+
     Each vertex is drawn as ``random.Random(seed).randrange(n)`` draws it in
     CPython 3.10-3.13, the versions CI tests: ``getrandbits(n.bit_length())``,
     redrawn while it is n or more. Calling ``getrandbits`` directly skips

@@ -60,7 +60,11 @@ vertex. Each round's sweeps are integer numerators over the mix's common
 denominator, summed packed (``diffusion._sweep``): the sweep packs each
 gain line it reads into one int with a field of whole 64-bit words per
 vertex, the fewest that hold n times the denominator, so no field carries
-into the next; the loop keeps only the lines' list forms.
+into the next; the loop keeps only the lines' list forms. Lines and sweeps
+are in walk order (``diffusion._cut_gains``): the subgame's entries read
+each orbit's members through the walk's ``pos``, the orbit averages use the
+members' positions kept with the orbits (``tree._symmetry``), and only the
+improving vertices are read back from positions, by the walk's ``order``.
 The sweeps are compared with the subgame value by cross-multiplying;
 only the round that returns builds the strategies and the certificate's
 ends. Strategies hold exact probabilities only, so ``verify_solution``
@@ -77,8 +81,8 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .css import CSSError, css_run
-from .diffusion import MixedStrategy, _field_words, _sweep, gain_column, gain_row
-from .tree import Tree, automorphism_orbits, centroid
+from .diffusion import MixedStrategy, _field_words, _line, _sweep
+from .tree import Tree, _kept, _symmetry, _walk, automorphism_orbits, centroid
 
 
 class SolverError(RuntimeError):
@@ -334,6 +338,17 @@ def _spread(
     return {v: a * (lcm // len(o)) for o, a in parts for v in o}, den * lcm
 
 
+@_kept
+def _orbit_of(t: Tree) -> list[int]:
+    """Each vertex's orbit, as its index in ``automorphism_orbits``: built
+    the first time a round does not certify, and kept on the tree."""
+    orbit_of = [0] * t.n
+    for k, members in enumerate(automorphism_orbits(t)):
+        for v in members:
+            orbit_of[v] = k
+    return orbit_of
+
+
 def _admit(support: list[int], movers: list[int], orbit_of: list[int], budget: int) -> list[int]:
     """The first ``budget`` orbits, in mover order, of the improving vertices
     ``movers`` that ``support`` does not hold yet."""
@@ -364,20 +379,20 @@ def solve_value(t: Tree) -> ZeroSumSolution:
     and zero, so the value is 0 with both mixes pure.
     """
     n = t.n
-    row = functools.cache(functools.partial(gain_row, t))
-    col = functools.cache(functools.partial(gain_column, t))
+    row = functools.cache(_line(t, True))
+    col = functools.cache(_line(t, False))
     info = centroid(t)
+    order, _, _, _, pos = _walk(t)
     orbits = automorphism_orbits(t)
-    sym = [o for o in orbits if len(o) > 1]
-    orbit_of = [0] * n
-    for k, members in enumerate(orbits):
-        for v in members:
-            orbit_of[v] = k
+    sym = _symmetry(t)
     # Every member of O_i gains the same against the mix spread evenly over
     # O_j (an automorphism maps one member to another and O_j onto itself),
     # so one member's row sum over O_j is S_ij, and column j weighs |O_j|.
-    lp = _Tableau(lambda i, j: sum(map(row(orbits[i][0]).__getitem__, orbits[j])), lambda j: len(orbits[j]))
-    new_x = sorted({orbit_of[v] for v in (info.root, *t.adj[info.root])})
+    lp = _Tableau(
+        lambda i, j: sum(map(row(orbits[i][0]).__getitem__, map(pos.__getitem__, orbits[j]))), lambda j: len(orbits[j])
+    )
+    seed = {info.root, *t.adj[info.root]}
+    new_x = [k for k, members in enumerate(orbits) if not seed.isdisjoint(members)]
     new_y = list(new_x)
     # The number of best-response orbits admitted per side doubles every
     # round, so games whose optima need nearly full support converge in
@@ -409,15 +424,15 @@ def solve_value(t: Tree) -> ZeroSumSolution:
             )
         new_x = []
         if b1 > v1:
-            movers = sorted((i for i in range(n) if g1[i] * vd > v1), key=lambda i: (-g1[i], i))
-            new_x = _admit(lp.row_keys, movers, orbit_of, budget)
+            movers = [v for _, v in sorted((-g, v) for g, v in zip(g1, order) if g * vd > v1)]
+            new_x = _admit(lp.row_keys, movers, _orbit_of(t), budget)
         # After a first round that does not certify, the paper's strategy's
         # support, which lies close to the optimal ones, goes to the column
         # side ahead of the improving vertices.
         movers = _css_support(t) if rounds == 1 else []
         if b2 < v2:
-            movers += sorted((j for j in range(n) if g2[j] * vd < v2), key=lambda j: (g2[j], j))
-        new_y = _admit(lp.col_keys, movers, orbit_of, budget)
+            movers += [v for _, v in sorted((g, v) for g, v in zip(g2, order) if g * vd < v2)]
+        new_y = _admit(lp.col_keys, movers, _orbit_of(t), budget)
         # An invariant check, not a reachable exit: over the orbits of any
         # group of checked automorphisms, which fixes both mixes, no member
         # of a support orbit improves on the subgame value. So improving
@@ -439,7 +454,7 @@ def verify_solution(t: Tree, sol: ZeroSumSolution) -> bool:
     checked, so the certificate proves what a rebuilt one would."""
     if sol.maxmin.n != t.n or sol.minmax.n != t.n:
         return False
-    sym = [o for o in automorphism_orbits(t) if len(o) > 1]
-    g2, d2 = _sweep(t.n, sol.maxmin.weights(), functools.partial(gain_row, t), sym)
-    g1, d1 = _sweep(t.n, sol.minmax.weights(), functools.partial(gain_column, t), sym)
+    sym = _symmetry(t)
+    g2, d2 = _sweep(t.n, sol.maxmin.weights(), _line(t, True), sym)
+    g1, d1 = _sweep(t.n, sol.minmax.weights(), _line(t, False), sym)
     return sol.primal_value == Fraction(min(g2), d2) == sol.value == Fraction(max(g1), d1) == sol.dual_value

@@ -1,13 +1,18 @@
 """Tree structure, the one rooted walk, branch weights, the centroid and
 the automorphism orbits.
 
-Each tree keeps one walk (``_walk``): a depth-first walk from vertex 0, with
-the subtree sizes and each vertex's position in the walk, taken when the
-tree is built and its one check that it is a tree. Every other rooting is
-read from it as runs (``_runs``): the weights, the branches and orbits at
-the centroid, and each gain-matrix line. The orbits come from the centroid's
-rooting: subtree codes propose one cycle per run of equal sibling subtrees,
-and each cycle is checked against the tree before it merges vertices.
+Each tree keeps one walk (``_walk``): a depth-first walk from vertex 0,
+taken when the tree is built and its one check that it is a tree. Its depth
+and subtree-size tables are indexed by walk position, not by vertex id, and
+``pos`` maps a vertex to its position; only the parent table is by vertex.
+Every other rooting is read from it as runs of walk positions (``_runs``):
+the weights, the branches and orbits at the centroid, and each gain-matrix
+line, which is computed in walk order (``diffusion._cut_gains``). Those
+that need a vertex's entry read it through ``pos``. The orbits come from
+the centroid's rooting: subtree codes propose one cycle per run of equal
+sibling subtrees, and each cycle is checked against the tree before it
+merges vertices; the orbits of several vertices are kept with their
+members' walk positions (``_symmetry``).
 
 A ``Tree`` is immutable after construction, so every function here is pure
 and safe to call from concurrent workers. ``weight_table``, ``centroid``
@@ -23,7 +28,8 @@ collector's prior state when it returns or raises. The switch is
 process-wide: other threads run without cyclic collection for that time,
 and a thread that switches the collector during a build may see its switch
 undone. ``parse_tree`` gives every vertex id of a tree above 257 vertices
-as the one int object of that vertex (CPython already shares 0..256).
+as the one int object of that vertex (CPython already shares 0..256), and
+reads the edges as pairs from its flat list of ids, with no edge list.
 """
 
 from __future__ import annotations
@@ -73,20 +79,25 @@ class Tree:
     ) -> "Tree":
         if type(n) is not int or n < 1:
             raise ValueError(f"vertex count must be an int >= 1, got {n!r}")
-        # Checked before the O(n) tables are allocated, so a short edge list
-        # with a huge claimed n fails fast.
-        if len(edges) < n - 1:
-            raise ValueError(
-                f"a tree on {n} vertices needs {n - 1} edges, got {len(edges)}; tree is disconnected"
-            )
+        _enough_edges(n, len(edges))
         # The tree's check accepts or rejects; the ordered check names a bad
-        # edge. No cycle can form among the new lists and tuples, so the
-        # collector is paused while they are built and walked.
+        # edge.
+        try:
+            return cls._from_pairs(n, edges, labels)
+        except (TypeError, IndexError, ValueError) as exc:
+            raise _first_bad_edge(n, edges) or exc from None
+
+    @classmethod
+    def _from_pairs(cls, n: int, pairs, labels: tuple[str, ...] | None = None) -> "Tree":
+        """The tree on n vertices whose edges are the pairs that ``pairs``
+        yields, read once. No cycle can form among the new lists and
+        tuples, so the collector is paused while they are built and
+        walked."""
         collecting = gc.isenabled()
         gc.disable()
         try:
             neighbours: list[list[int]] = [[] for _ in range(n)]
-            for u, v in edges:
+            for u, v in pairs:
                 neighbours[u].append(v)
                 neighbours[v].append(u)
             for ns in neighbours:
@@ -94,8 +105,6 @@ class Tree:
             adj = tuple(map(tuple, neighbours))
             del neighbours  # before the walk, which would otherwise peak with them
             return cls(n, adj, labels)
-        except (TypeError, IndexError, ValueError) as exc:
-            raise _first_bad_edge(n, edges) or exc from None
         finally:
             if collecting:
                 gc.enable()
@@ -111,6 +120,13 @@ class Tree:
 
     def __reduce__(self):  # the fields only: no pickle or copy carries a kept table
         return type(self), (self.n, self.adj, self.labels)
+
+
+def _enough_edges(n: int, count: int) -> None:
+    """Checked before the O(n) tables are allocated, so a short edge list
+    with a huge claimed n fails fast."""
+    if count < n - 1:
+        raise ValueError(f"a tree on {n} vertices needs {n - 1} edges, got {count}; tree is disconnected")
 
 
 def _first_bad_edge(n: int, edges: list[tuple[int, int]]) -> _EdgeError | None:
@@ -206,22 +222,24 @@ def parse_tree(text: str) -> Tree:
         ends = list(map(int, islice(text.split(), 1, None)))
     except ValueError:
         raise _first_malformed_line(text.splitlines()) from None
-    ids = iter(ends)
     if n > 257 and len(ends) == 2 * n - 2 and min(ends) >= 0 and max(ends) < n:
         # Each vertex id becomes the one int of its vertex (CPython already
         # shares 0..256), so the tree's walk reads n compact ints rather
         # than 2(n - 1) scattered ones. A list that is no tree's by its
         # length or its ids keeps its own, for the edge checks to name.
-        ids = map(list(range(n)).__getitem__, ends)
-    edges = list(zip(ids, ids))
-    del ends, ids
+        ends = list(map(list(range(n)).__getitem__, ends))
     try:
-        return Tree.from_edges(n, edges)
-    except _EdgeError as exc:
-        edge_linenos = (i for i, raw in enumerate(islice(text.splitlines(), 1, None), start=2) if raw.strip())
-        raise TreeFormatError(f"line {next(islice(edge_linenos, exc.index, None))}: {exc}") from None
-    except ValueError as exc:
-        raise TreeFormatError(f"line {last}: {exc}") from None
+        _enough_edges(n, len(ends) // 2)
+        # The edges are read as pairs from one zip, which reuses its tuple:
+        # an edge list is built only to name a bad edge.
+        ids = iter(ends)
+        return Tree._from_pairs(n, zip(ids, ids))
+    except (TypeError, IndexError, ValueError) as exc:
+        bad = len(ends) >= 2 * n - 2 and _first_bad_edge(n, list(zip(*[iter(ends)] * 2)))
+        if not bad:
+            raise TreeFormatError(f"line {last}: {exc}") from None
+    edge_linenos = (i for i, raw in enumerate(islice(text.splitlines(), 1, None), start=2) if raw.strip())
+    raise TreeFormatError(f"line {next(islice(edge_linenos, bad.index, None))}: {bad}") from None
 
 
 def _first_malformed_line(lines: list[str]) -> TreeFormatError:
@@ -277,10 +295,16 @@ def distances_from(t: Tree, v: int) -> tuple[int, ...]:
 @_kept
 def _walk(t: Tree) -> tuple[list[int], list[int], list[int], list[int], list[int]]:
     """The tree's one walk: an iterative depth-first walk from vertex 0 as
-    ``(order, parent, depth, size, pos)``, with ``parent[0] = -1``, each
-    vertex's subtree size, summed in one reverse pass, and its position in
-    ``order``. Each vertex comes after its parent and before the rest of its
-    own subtree, so the subtree of v is ``order[pos[v]:pos[v] + size[v]]``.
+    ``(order, parent, depth, size, pos)``. ``order`` lists the vertices by
+    walk position and ``pos`` gives each vertex's position; ``parent`` is
+    by vertex, with ``parent[0] = -1``. ``depth`` and ``size`` are by walk
+    position: entry i is the depth and the subtree size of ``order[i]``.
+    Each vertex comes after its parent and before the rest of its own
+    subtree, so the subtree at position i holds positions i to
+    ``i + size[i] - 1``. The walk notes each position's parent position,
+    from which the depths follow in one forward pass and the sizes in one
+    reverse pass, each reading and writing by position.
+
     It pops n vertices, so it ends even on lists that are no tree's. It is
     also the one tree check: ``ValueError`` unless ``adj`` is a tuple of n
     tuples and ``labels`` None or a tuple of n ``str`` (so the tree is
@@ -290,22 +314,22 @@ def _walk(t: Tree) -> tuple[list[int], list[int], list[int], list[int], list[int
     reverse, duplicate or cycle is left."""
     n, adj, labels = t.n, t.adj, t.labels
     order: list[int] = []
+    up: list[int] = []  # the walk position of each position's parent
     try:  # no length, an entry that is no index or is n or more, or fewer than n reached: no walk
         labels_ok = labels is None or (type(labels) is tuple and len(labels) == n and set(map(type, labels)) <= {str})
         if type(n) is int and type(adj) is tuple and len(adj) == n > 0 and labels_ok:
             parent = [-1] * n
-            depth = [0] * n
             parent[0] = 0
-            stack = [0]
-            for _ in range(n):
+            stack, ups = [0], [0]  # ups[j]: the position of stack[j]'s parent
+            for i in range(n):
                 v = stack.pop()
                 order.append(v)
-                k = depth[v] + 1
+                up.append(ups.pop())
                 for w in adj[v]:
                     if parent[w] < 0:
                         parent[w] = v
-                        depth[w] = k
                         stack.append(w)
+                        ups.append(i)
             parent[0] = -1
     except (TypeError, IndexError):
         order = []
@@ -318,9 +342,12 @@ def _walk(t: Tree) -> tuple[list[int], list[int], list[int], list[int], list[int
         or not all(map(contains, islice(adj, 1, None), parent[1:]))  # each vertex but the root, 0
     ):
         raise ValueError(f"not a tree on {n!r} vertices: n symmetric, connected adjacency lists, n labels or none")
+    depth = [0] * n
+    for i in range(1, n):
+        depth[i] = depth[up[i]] + 1
     size = [1] * n
-    for v in islice(reversed(order), len(order) - 1):
-        size[parent[v]] += size[v]
+    for i in range(n - 1, 0, -1):
+        size[up[i]] += size[i]
     pos = [0] * n
     for i, v in enumerate(order):
         pos[v] = i
@@ -328,23 +355,26 @@ def _walk(t: Tree) -> tuple[list[int], list[int], list[int], list[int], list[int
 
 
 def _runs(t: Tree, x: int) -> tuple[list[tuple[int, int, int]], list[tuple[int, int]]]:
-    """The walk rerooted at x, as runs ``(lo, hi, off)``: the vertices
-    ``order[lo:hi]`` of each run in turn are a preorder from x, and v in a
-    run lies at depth ``depth[v] + off`` from x. The first run is x's own
-    subtree; then, for each pair (a, c) from x up to the walk's root, c the
-    child of ancestor a, the parts of a's subtree before and after c's, at
-    offset depth[x] - 2 depth[a]. These pairs come second: rooted at x, a's
+    """The walk rerooted at x, as runs ``(lo, hi, off)`` of walk positions:
+    positions lo to hi - 1 of each run in turn are a preorder from x, and
+    the vertex at position i of a run lies at depth ``depth[i] + off`` from
+    x. The first run is x's own subtree; then, for each pair (a, c) from x
+    up to the walk's root, c the child of ancestor a, the parts of a's
+    subtree before and after c's, at offset depth(x) - 2 depth(a). These
+    pairs come second, as the walk positions of a and c: rooted at x, a's
     subtree is all but c's and no other subtree changes. x is checked by
     ``_vertex``, for every rerooted line."""
     x = _vertex(t.n, x)
     _, parent, depth, size, pos = _walk(t)
-    runs, pairs = [(pos[x], pos[x] + size[x], -depth[x])], []
-    c, a = x, parent[x]
+    c = pos[x]
+    runs, pairs = [(c, c + size[c], -depth[c])], []
+    dx, a = depth[c], parent[x]
     while a >= 0:
-        off = depth[x] - 2 * depth[a]
-        runs += [(pos[a], pos[c], off), (pos[c] + size[c], pos[a] + size[a], off)]
-        pairs.append((a, c))
-        c, a = a, parent[a]
+        p = pos[a]
+        off = dx - 2 * depth[p]
+        runs += [(p, c, off), (c + size[c], p + size[p], off)]
+        pairs.append((p, c))
+        c, a = p, parent[a]
     return runs, pairs
 
 
@@ -359,12 +389,12 @@ def weight_table(t: Tree) -> WeightTable:
     walk instead.
     """
     n = t.n
-    _, parent, _, size, _ = _walk(t)
-    child = [0] * (n + 1)  # largest child subtree; the root's size lands in child[-1]
-    for p, s in zip(parent, size):
+    order, parent, _, size, pos = _walk(t)
+    child = [0] * (n + 1)  # largest child subtree by vertex; the root's size lands in child[-1]
+    for p, s in zip(map(parent.__getitem__, order), size):
         if s > child[p]:
             child[p] = s
-    w = tuple([c if c > n - s else n - s for c, s in zip(child, size)])
+    w = tuple([c if c > n - s else n - s for c, s in zip(child, map(size.__getitem__, pos))])
     return WeightTable(w, tuple(n - x for x in w))
 
 
@@ -379,13 +409,13 @@ def centroid(t: Tree) -> CentroidInfo:
     algorithms deterministic. The root's weight is its largest branch.
     """
     n, adj = t.n, t.adj
-    _, parent, _, size, _ = _walk(t)
+    _, parent, _, size, pos = _walk(t)
     c = 0
-    while heavy := [w for w in adj[c] if parent[w] == c and 2 * size[w] > n]:
+    while heavy := [w for w in adj[c] if parent[w] == c and 2 * size[pos[w]] > n]:
         c = heavy[0]
-    verts = tuple(sorted([c, *(w for w in adj[c] if parent[w] == c and 2 * size[w] == n)]))
+    verts = tuple(sorted([c, *(w for w in adj[c] if parent[w] == c and 2 * size[pos[w]] == n)]))
     # Cross-check: a centroid vertex has no branch with more than n/2 edges.
-    weights = [max((size[w] if parent[w] == v else n - size[v] for w in adj[v]), default=0) for v in verts]
+    weights = [max((size[pos[w]] if parent[w] == v else n - size[pos[v]] for w in adj[v]), default=0) for v in verts]
     for v, weight in zip(verts, weights):
         if 2 * weight > n:
             raise RuntimeError(f"vertex {v} minimizes weight but has a branch above n/2")
@@ -417,7 +447,7 @@ def automorphism_orbits(t: Tree) -> tuple[tuple[int, ...], ...]:
     order = list(chain.from_iterable(walk_order[lo:hi] for lo, hi, _ in runs))
     parent = walk_parent[:]
     for a, c in pairs:
-        parent[a] = c
+        parent[walk_order[a]] = walk_order[c]
     for v in info.vertices:
         parent[v] = t.n  # the centroids hang from a virtual root, n
     child_codes: list[list[int]] = [[] for _ in range(t.n + 1)]
@@ -427,6 +457,15 @@ def automorphism_orbits(t: Tree) -> tuple[tuple[int, ...], ...]:
         code[v] = codes.setdefault(tuple(sorted(child_codes[v])), len(codes))
         child_codes[parent[v]].append(code[v])
     return _cycle_orbits(t, order, parent, code)
+
+
+@_kept
+def _symmetry(t: Tree) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """The orbits of more than one vertex (``automorphism_orbits``), each
+    kept with its members' walk positions: the pairs ``diffusion._sweep``
+    averages walk-order sums over."""
+    pos = _walk(t)[4]
+    return tuple((o, tuple(map(pos.__getitem__, o))) for o in automorphism_orbits(t) if len(o) > 1)
 
 
 def _cycle_orbits(t: Tree, order: list[int], parent: list[int], cls: list[int]) -> tuple[tuple[int, ...], ...]:

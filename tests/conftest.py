@@ -11,6 +11,8 @@ from __future__ import annotations
 import contextlib
 import heapq
 import io
+import json
+import math
 import os
 import random
 import subprocess
@@ -318,23 +320,98 @@ def dense_certificate_holds(t: Tree, sol, matrix=None) -> bool:
 def list_sweep(n, mix, line, orbits=()):
     """The reference for ``diffusion._sweep``: the same orbit merging and
     exact orbit average, with the mix-weighted sum of the list lines
-    ``line(v)`` taken one Python pass per support vertex."""
+    ``line(v)`` taken one Python pass per support vertex. Each orbit comes
+    as its member vertices and their entries in the lines."""
     weight, den = dict(mix[0]), mix[1]
-    merged = [o for o in orbits if o[0] in weight]
-    if not merged or any(weight.get(v) != weight.get(o[0]) for o in orbits for v in o):
+    merged = [o for o, _ in orbits if o[0] in weight]
+    if not merged or any(weight.get(v) != weight.get(o[0]) for o, _ in orbits for v in o):
         orbits = merged = []
     for o in merged:
         weight[o[0]] = sum(weight.pop(v) for v in o)
     acc = [0] * n
     for v, w in weight.items():
         acc = [a + w * g for a, g in zip(acc, line(v))]
-    for o in orbits:
-        mean, rest = divmod(sum(acc[v] for v in o), len(o))
+    for _, slots in orbits:
+        mean, rest = divmod(sum(acc[i] for i in slots), len(slots))
         if rest:
             raise RuntimeError("inexact orbit average: the orbits are not a group's")
-        for v in o:
-            acc[v] = mean
+        for i in slots:
+            acc[i] = mean
     return acc, den
+
+
+def adjacency_lists(n: int, edges) -> list[list[int]]:
+    """Each vertex's neighbours, from an edge list, apart from ``Tree``."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
+
+
+def cut_lines(adj: list[list[int]], r: int, shift: int = 0) -> tuple[list[int], list[int]]:
+    """The row and the column of vertex r on the tree with adjacency lists
+    ``adj``, from its own walks and nothing in ``treegame``: entry v of the
+    row is the gain of a start at r against a reply at v, and entry v of
+    the column the gain of a start at v against a reply at r. A breadth-first walk from r gives the subtree sizes, and
+    a depth-first walk keeps the path from r in an explicit stack, from
+    which the cut ancestor of v at depth k is read: at depth ceil(k/2) for
+    the row, where r keeps all but its subtree, and at depth floor(k/2) + 1
+    for the column, where v keeps its subtree. ``shift`` moves each cut
+    that many edges away from r (within the path), for mutation checks."""
+    n = len(adj)
+    parent = [-1] * n
+    parent[r] = r
+    queue = [r]
+    for v in queue:
+        for w in adj[v]:
+            if parent[w] < 0:
+                parent[w] = v
+                queue.append(w)
+    size = [1] * n
+    for v in reversed(queue[1:]):
+        size[parent[v]] += size[v]
+    row, column = [0] * n, [0] * n
+    path: list[int] = []
+    stack = [(r, 0)]
+    while stack:
+        v, k = stack.pop()
+        del path[k:]
+        path.append(v)
+        if k:
+            row[v] = n - size[path[min(k, (k + 1) // 2 + shift)]]
+            column[v] = size[path[min(k, k // 2 + 1 + shift)]]
+        stack += [(w, k + 1) for w in adj[v] if w != parent[v]]
+    return row, column
+
+
+def independent_certificate(n: int, edges, document: str, shift: int = 0) -> bool:
+    """Whether a printed ``treegame value`` document certifies its value on
+    the tree with these edges, checked apart from ``treegame``: the maxmin
+    mix's worst reply and the minmax mix's best start, each over all n
+    vertices, equal the printed value, and so do the printed certificate
+    ends. Each mix is read as int weights over one denominator, and each
+    support vertex's line comes from ``cut_lines``, so the sums are plain
+    ints. ``shift`` goes to ``cut_lines``."""
+    doc = json.loads(document)
+    value = Fraction(doc["value"])
+
+    def weights(pairs):
+        probs = {v: Fraction(p) for v, p in pairs}
+        den = math.lcm(*(p.denominator for p in probs.values()))
+        return {v: p.numerator * (den // p.denominator) for v, p in probs.items()}, den
+
+    (xw, xd), (yw, yd) = weights(doc["maxmin"]), weights(doc["minmax"])
+    if sum(xw.values()) != xd or sum(yw.values()) != yd or min(*xw.values(), *yw.values()) <= 0:
+        return False
+    adj = adjacency_lists(n, edges)
+    replies, starts = [0] * n, [0] * n
+    for v, w in xw.items():
+        replies = [a + w * g for a, g in zip(replies, cut_lines(adj, v, shift)[0])]
+    for v, w in yw.items():
+        starts = [a + w * g for a, g in zip(starts, cut_lines(adj, v, shift)[1])]
+    ends = (Fraction(min(replies), xd), Fraction(max(starts), yd))
+    return ends == (value, value) == (Fraction(doc["primal_value"]), Fraction(doc["dual_value"]))
 
 
 def check_iteration_bounds(trace, bounds) -> bool:

@@ -1,4 +1,5 @@
 import math
+import random
 import re
 from decimal import Decimal
 from fractions import Fraction
@@ -33,7 +34,8 @@ from treegame import (
     simulate_diffusion,
     strategy_to_pairs,
 )
-from treegame.diffusion import _field_words, _pack, _sweep, _unpack
+from treegame.diffusion import _cut_gains, _field_words, _line, _pack, _sweep, _unpack
+from treegame.tree import _runs, _symmetry, _walk, parse_tree
 
 from conftest import gain, list_sweep, path_tree, prufer_decode, simulation_matrix, star_tree, strategy_from_pairs
 
@@ -496,8 +498,12 @@ class TestPackedSweep:
             o = data.draw(st.sampled_from(shared))
             weight[o[0]] -= 1
             weight[o[1]] += 1
-        line = (lambda v: gain_row(t, v)) if rows else (lambda v: gain_column(t, v))
-        for sym in ((), [o for o in orbits if len(o) > 1]):
+        # Vertex-order lines with each orbit's entries at its vertices, and
+        # the walk-order lines the solver sweeps with the kept positions.
+        by_vertex = (lambda v: gain_row(t, v)) if rows else (lambda v: gain_column(t, v))
+        sweeps = [(by_vertex, ()), (by_vertex, [(o, o) for o in orbits if len(o) > 1])]
+        sweeps += [(_line(t, rows), ()), (_line(t, rows), _symmetry(t))]
+        for line, sym in sweeps:
             assert _sweep(n, (weight, den), line, sym) == list_sweep(n, (weight, den), line, sym)
 
     @pytest.mark.parametrize("den", [2**64 - 1, 2**64 + 1, 2**128 - 1, 2**128 + 1])
@@ -550,6 +556,62 @@ def walk_root_trees(draw):
     k = perm.index(0)
     perm[k], perm[anchor] = perm[anchor], perm[k]  # the anchor becomes vertex 0
     return Tree.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def _relabelled_document(n: int, seed: int) -> str:
+    """A random tree on n vertices, its ids shuffled, as an edge-list document."""
+    t = random_tree(n, seed)
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    return "\n".join([str(n), *(f"{perm[u]} {perm[v]}" for u, v in t.edges())]) + "\n"
+
+
+class TestWalkOrderLines:
+    """The gain kernel writes each line in walk order: entry i belongs to the
+    vertex at walk position i, and ``pos`` maps a vertex to its entry."""
+
+    @pytest.mark.parametrize(
+        "t",
+        [
+            Tree.from_edges(1, []),
+            path_tree(7),
+            star_tree(6),
+            Tree.from_edges(8, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (1, 6), (1, 7)]),
+        ],
+        ids=["n1", "path7", "star6", "bicentroidal8"],
+    )
+    def test_lines_through_pos_equal_the_simulation(self, t):
+        a = simulation_matrix(t)
+        pos = _walk(t)[4]
+        for x in range(t.n):
+            row, col = _cut_gains(t, x, True), _cut_gains(t, x, False)
+            assert [row[pos[y]] for y in range(t.n)] == a[x] == gain_row(t, x)
+            assert [col[pos[y]] for y in range(t.n)] == [a[y][x] for y in range(t.n)] == gain_column(t, x)
+
+    def test_shared_ids_above_257(self):
+        # parse_tree gives each vertex one int above 257 vertices; a sample
+        # of roots is checked against the simulation, a line at a time.
+        t = parse_tree(_relabelled_document(300, 7))
+        order, _, _, _, pos = _walk(t)
+        assert sorted(order) == list(range(300)) and all(order[pos[v]] == v for v in range(300))
+        for x in random.Random(7).sample(range(300), 6):
+            row, col = _cut_gains(t, x, True), _cut_gains(t, x, False)
+            assert [row[pos[y]] for y in range(300)] == [simulate_diffusion(t, x, y).player1_gain for y in range(300)]
+            assert [col[pos[y]] for y in range(300)] == [simulate_diffusion(t, y, x).player1_gain for y in range(300)]
+
+    @given(walk_root_trees())
+    @settings(max_examples=100, deadline=None)
+    def test_runs_cover_every_position_once(self, t):
+        # Each rerooting's runs partition the walk positions, and a run's
+        # depths from x are the distances from x.
+        order, _, depth, size, pos = _walk(t)
+        for x in range(t.n):
+            runs, _ = _runs(t, x)
+            covered = [i for lo, hi, _ in runs for i in range(lo, hi)]
+            assert sorted(covered) == list(range(t.n))
+            dist = distances_from(t, x)
+            assert all(depth[i] + off == dist[order[i]] for lo, hi, off in runs for i in range(lo, hi))
+            assert covered[0] == pos[x] and runs[0][1] - runs[0][0] == size[pos[x]]
 
 
 class TestRerootedLines:

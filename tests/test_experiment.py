@@ -55,6 +55,16 @@ class TestRandomTree:
     def test_seeds_differ(self):
         assert random_tree(50, 1).edges() != random_tree(50, 2).edges()
 
+    def test_samples_the_random_minimum_spanning_tree(self):
+        # Kruskal's algorithm over a uniform edge order of K_4 gives a star
+        # with probability 4/15 (the star's three edges must come first
+        # among those that close no cycle); a uniform labelled tree gives
+        # 1/4. Over 40,000 fixed seeds the band is about 3.6 standard errors
+        # on each side, and the same band around 1/4 does not meet it.
+        stars = sum(max(map(len, random_tree(4, seed).adj)) == 3 for seed in range(40_000))
+        assert abs(stars / 40_000 - Fraction(4, 15)) <= 0.008
+        assert Fraction(4, 15) - Fraction(1, 4) > 2 * 0.008
+
     @pytest.mark.parametrize("draw", [random_tree, sample_centroidal])
     @pytest.mark.parametrize("n", [2.5, 3.0])
     def test_rejects_a_size_that_is_not_an_int(self, draw, n):

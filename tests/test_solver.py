@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import random
 import signal
@@ -36,10 +37,14 @@ from treegame.diffusion import _field_words, _sweep
 from treegame.solver import _eliminate, _Tableau
 
 from conftest import (
+    adjacency_lists,
+    cut_lines,
     dense_certificate_holds,
     dense_value,
+    independent_certificate,
     path_tree,
     proposing,
+    run_cli,
     simulation_matrix,
     solve_matrix_game,
     star_tree,
@@ -555,6 +560,73 @@ class TestVerifySolution:
     def test_wrong_dimension_false(self):
         sol = solve_value(path_tree(3))
         assert not verify_solution(path_tree(4), sol)
+
+
+def _move_one_unit(document: str, side: str) -> str:
+    """The document with one unit of the mix on ``side``, over its common
+    denominator, moved from its first support vertex to its second."""
+    doc = json.loads(document)
+    pairs = doc[side]
+    unit = Fraction(1, math.lcm(*(Fraction(p).denominator for _, p in pairs)))
+    pairs[0][1] = str(Fraction(pairs[0][1]) - unit)
+    pairs[1][1] = str(Fraction(pairs[1][1]) + unit)
+    return json.dumps(doc)
+
+
+class TestIndependentCertificate:
+    """``conftest.independent_certificate`` checks a printed value document
+    with its own walks, sharing no code with the solver's lines, sweeps,
+    rerooting or orbits."""
+
+    @pytest.mark.parametrize(
+        "t",
+        [
+            Tree.from_edges(1, []),
+            path_tree(2),
+            path_tree(8),
+            star_tree(6),
+            build_spider(SpiderSpec(3, 3)),
+            Tree.from_edges(8, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (1, 6), (1, 7)]),
+            random_tree(25, 4),
+            random_tree(40, 9),
+        ],
+        ids=["n1", "path2", "path8", "star6", "spider3x3", "double-star3", "random25", "random40"],
+    )
+    def test_cut_lines_equal_the_simulation(self, t):
+        a = simulation_matrix(t)
+        adj = adjacency_lists(t.n, t.edges())
+        for r in range(t.n):
+            assert cut_lines(adj, r) == (a[r], [a[v][r] for v in range(t.n)])
+
+    def test_a_cut_shifted_by_one_is_caught(self, tmp_path):
+        # The mutant's lines leave the simulation's, and the check built on
+        # them rejects a correct document.
+        t = random_tree(25, 4)
+        a = simulation_matrix(t)
+        adj = adjacency_lists(t.n, t.edges())
+        assert any(cut_lines(adj, r, 1) != (a[r], [a[v][r] for v in range(t.n)]) for r in range(t.n))
+        out = self._document(tmp_path, t)
+        assert independent_certificate(t.n, t.edges(), out)
+        assert not independent_certificate(t.n, t.edges(), out, shift=1)
+
+    @staticmethod
+    def _document(tmp_path, t):
+        path = tmp_path / "tree.txt"
+        path.write_text("\n".join([str(t.n), *(f"{u} {v}" for u, v in t.edges())]) + "\n")
+        code, out, err = run_cli("value", "--tree", str(path))
+        assert (code, err) == (0, "")
+        return out
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_value_documents_at_ten_thousand(self, tmp_path, seed):
+        t = sample_centroidal(10**4, seed)
+        assert independent_certificate(t.n, t.edges(), self._document(tmp_path, t))
+
+    def test_one_unit_moved_fails(self, tmp_path):
+        t = sample_centroidal(10**4, 1)
+        out = self._document(tmp_path, t)
+        for side in ("maxmin", "minmax"):
+            assert not independent_certificate(t.n, t.edges(), _move_one_unit(out, side))
 
 
 class TestColumnRestricted:

@@ -241,6 +241,19 @@ class TestParseOracle:
         if fault == "none":
             assert isinstance(expected, Tree)
 
+    @pytest.mark.parametrize("n", [5, 258, 300])
+    @pytest.mark.parametrize("drop", [1, 2, -1], ids=["first-line", "second-line", "last-line"])
+    def test_too_few_edges_names_the_last_line(self, n, drop):
+        # Below and above the shared-id path, the count check names the
+        # document's last line, as the line-by-line reference does.
+        lines = _document(n, 2).splitlines()
+        del lines[drop]
+        text = "\n".join(lines) + "\n"
+        expected = _outcome(line_parse_tree, text)
+        assert _outcome(parse_tree, text) == expected == f"line {n - 1}: " + (
+            f"a tree on {n} vertices needs {n - 1} edges, got {n - 2}; tree is disconnected"
+        )
+
     @pytest.mark.parametrize("n", [258, 300, 2000])
     def test_each_vertex_id_is_one_int(self, n):
         # Above 257 vertices CPython shares no id, so the parse does: every
@@ -937,11 +950,11 @@ class TestCheckedOrbits:
             read.append(v)
             return gain_column(t, v)
 
-        acc, den = _sweep(t.n, mix.weights(), row, orbits)
+        acc, den = _sweep(t.n, mix.weights(), row, [(o, o) for o in orbits])
         assert [Fraction(g, den) for g in acc] == [
             sum(p * a[v][w] for v, p in mix.probs.items()) for w in range(t.n)
         ]
-        acc, den = _sweep(t.n, mix.weights(), col, orbits)
+        acc, den = _sweep(t.n, mix.weights(), col, [(o, o) for o in orbits])
         assert [Fraction(g, den) for g in acc] == [
             sum(a[w][v] * p for v, p in mix.probs.items()) for w in range(t.n)
         ]
@@ -964,7 +977,7 @@ class TestCheckedOrbits:
         orbits = _checked_orbits(t, wrong(t))
         for members in wrong(t):
             mix = MixedStrategy(t.n, {v: Fraction(1, len(members)) for v in members})
-            acc, den = _sweep(t.n, mix.weights(), lambda v: gain_row(t, v), orbits)
+            acc, den = _sweep(t.n, mix.weights(), lambda v: gain_row(t, v), [(o, o) for o in orbits])
             assert [Fraction(g, den) for g in acc] == [
                 sum(p * a[v][w] for v, p in mix.probs.items()) for w in range(t.n)
             ]
