@@ -332,19 +332,11 @@ def spider_cmd(legs, leg_length, k, as_float) -> None:
 )
 def ctree_cmd(arity, height, as_float) -> None:
     """Closed-form strategies and safety value on a complete m-ary tree."""
-    from .families import (
-        CompleteTreeSpec,
-        build_complete_tree,
-        complete_tree_opposing_strategy,
-        complete_tree_safe_strategy,
-        complete_tree_value,
-    )
+    from .families import CompleteTreeSpec, build_complete_tree, equal_branch_game
 
     spec = CompleteTreeSpec(arity, height)
     t = build_complete_tree(spec)
-    safe = complete_tree_safe_strategy(spec)
-    oppose = complete_tree_opposing_strategy(spec)
-    value = complete_tree_value(spec)
+    safe, oppose, value = equal_branch_game(t)
     ggain = guaranteed_gain(t, safe)[0]
     mgain = maximal_gain(t, oppose)[0]
     ok = ggain == value == mgain

@@ -1,5 +1,6 @@
-"""Closed-form safe strategies on two tree families: spiders (equal-length
-legs joined at a body) and complete m-ary trees.
+"""Closed-form safe strategies on tree families: spiders (equal-length legs
+joined at a body), complete m-ary trees, and every tree whose centroid has
+m >= 2 branches of equal size, which takes in both.
 """
 
 from __future__ import annotations
@@ -8,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .diffusion import MixedStrategy, gain_column
-from .tree import Tree, _count
+from .tree import Tree, _count, centroid
 
 
 @dataclass(frozen=True)
@@ -149,38 +150,34 @@ def build_complete_tree(spec: CompleteTreeSpec) -> Tree:
     return Tree.from_edges(spec.n, edges, tuple(labels))
 
 
-def _denominator(spec: CompleteTreeSpec) -> int:
-    m, h = spec.arity, spec.height
-    return m ** (h + 2) - m ** (h + 1) + m**h - 1
+def equal_branch_game(t: Tree) -> tuple[MixedStrategy, MixedStrategy, Fraction]:
+    """Safe mix, opposing mix and v(m, B) on a tree whose centroid c has
+    m >= 2 branches of B vertices each, of any shapes (n = 1 + m*B).
 
+    Over D = B + m + m(m-1)B, the safe mix puts B on c and 1 + (m-1)B on
+    each neighbour u_i; the opposing mix puts B + m + m(m-2)B on c and B on
+    each u_i. Both give v(m, B) = m*B*(1 + (m-1)B) / D.
 
-def complete_tree_safe_strategy(spec: CompleteTreeSpec) -> MixedStrategy:
-    """Player 1's optimal safe mix: mass on the root and on each depth-1
-    vertex, chosen so that the root reply and any depth-1 reply give equal
-    gain."""
-    m, h = spec.arity, spec.height
-    weights = {0: m**h - 1, **dict.fromkeys(range(1, m + 1), (m - 1) * m**h)}  # depth 1 is 1..m
-    return MixedStrategy._from_weights(spec.n, weights, _denominator(spec))
+    The safe mix guarantees v on every such tree. Against a reply in branch
+    i, the start c keeps the n - B vertices outside branch i and the top of
+    another branch keeps its own branch; the reply at u_i attains both. So
+    v <= value.
 
-
-def complete_tree_opposing_strategy(spec: CompleteTreeSpec) -> MixedStrategy:
-    """Player 2's optimal opposing mix on the same support, equalizing
-    Player 1's gain across her root and depth-1 starts."""
-    m, h = spec.arity, spec.height
-    weights = {0: (m - 1) * (m ** (h + 1) - m**h + 1), **dict.fromkeys(range(1, m + 1), m**h - 1)}
-    return MixedStrategy._from_weights(spec.n, weights, _denominator(spec))
-
-
-def complete_tree_value(spec: CompleteTreeSpec) -> Fraction:
-    """Exact safety value of the complete tree.
-
-    Two algebraically equivalent closed forms exist; both are evaluated and
-    must agree, which guards against transcription slips.
+    The column end is measured, not proven. With alpha and beta the opposing
+    mix's weights on c and on each u_i, a child of u_i with s vertices in its
+    subtree gains s(alpha + beta) + (m-1)beta*B against it, and u_i gains
+    alpha*B + (m-1)beta*B. On every tree tested, value = v exactly when
+    s*(alpha + beta) <= alpha*B for the largest such s. That rule is met on
+    every complete m-ary tree, and on a spider exactly when its legs have
+    l <= m^2 - 2m + 2 vertices.
     """
-    m, h = spec.arity, spec.height
-    n = spec.n
-    by_n = Fraction((n - 1) * ((m - 1) * n + 1), n * (m * m - m + 1) + m - 1)
-    by_powers = Fraction(m ** (h + 1) * (m**h - 1), _denominator(spec))
-    if by_n != by_powers:
-        raise RuntimeError("closed-form safety values disagree")
-    return by_n
+    info = centroid(t)
+    c, n, tops = info.root, t.n, t.adj[info.root]
+    m, b = len(tops), info.weight
+    # m >= 2 branches of (n - 1)/m < n/2 vertices make c the only centroid.
+    if m < 2 or m * b != n - 1:
+        raise ValueError("the centroid must have at least two branches, all of one size")
+    den = b + m + m * (m - 1) * b
+    safe = MixedStrategy._from_weights(n, {c: b, **dict.fromkeys(tops, 1 + (m - 1) * b)}, den)
+    oppose = MixedStrategy._from_weights(n, {c: b + m + m * (m - 2) * b, **dict.fromkeys(tops, b)}, den)
+    return safe, oppose, Fraction(m * b * (1 + (m - 1) * b), den)

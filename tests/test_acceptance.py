@@ -17,10 +17,8 @@ from treegame import (
     SpiderSpec,
     build_complete_tree,
     build_spider,
-    complete_tree_opposing_strategy,
-    complete_tree_safe_strategy,
-    complete_tree_value,
     css_run,
+    equal_branch_game,
     game_matrix,
     guaranteed_gain,
     maximal_gain,
@@ -82,10 +80,10 @@ def random_centroidal_runs():
 def test_criterion_1_complete_tree_values_exact():
     start = time.perf_counter()
     for spec, t, sol in complete_tree_solves():
-        value = complete_tree_value(spec)
+        safe, oppose, value = equal_branch_game(t)
         assert sol.value == value
-        assert guaranteed_gain(t, complete_tree_safe_strategy(spec))[0] == value
-        assert maximal_gain(t, complete_tree_opposing_strategy(spec))[0] == value
+        assert guaranteed_gain(t, safe)[0] == value
+        assert maximal_gain(t, oppose)[0] == value
     elapsed = time.perf_counter() - start
     assert elapsed < 10
     print(
@@ -111,10 +109,11 @@ def test_criterion_2_css_reproduces_complete_tree_strategy():
     cases = _complete_tree_grid(min_height=2, max_n=400)
     assert (7, 3) in cases and (2, 7) in cases  # n = 400 and n = 255 present
     for m, h in cases:
-        spec = CompleteTreeSpec(m, h)
-        res = css_run(build_complete_tree(spec))
-        assert res.strategy == complete_tree_safe_strategy(spec), (m, h)
-        assert res.guaranteed_gain == complete_tree_value(spec), (m, h)
+        t = build_complete_tree(CompleteTreeSpec(m, h))
+        safe, _, value = equal_branch_game(t)
+        res = css_run(t)
+        assert res.strategy == safe, (m, h)
+        assert res.guaranteed_gain == value, (m, h)
     elapsed = time.perf_counter() - start
     assert elapsed < 30
     print(
@@ -132,9 +131,9 @@ def test_criterion_2_css_reproduces_complete_tree_strategy():
     ),
 )
 def test_criterion_2_height_one_exception():
-    spec = CompleteTreeSpec(3, 1)
-    res = css_run(build_complete_tree(spec))
-    assert res.strategy == complete_tree_safe_strategy(spec)
+    t = build_complete_tree(CompleteTreeSpec(3, 1))
+    res = css_run(t)
+    assert res.strategy == equal_branch_game(t)[0]
 
 
 def test_criterion_3_spider_bounds():

@@ -544,7 +544,7 @@ class TestDeterminismAndExitCodes:
         [
             ("solve_value", "SolverError", "value"),
             ("css_run", "CSSError", "css"),
-            ("complete_tree_value", "RuntimeError", "ctree"),
+            ("equal_branch_game", "RuntimeError", "ctree"),
             ("solve_value", "IndexError", "value"),
             ("css_run", "AssertionError", "css"),
         ],
@@ -557,7 +557,7 @@ class TestDeterminismAndExitCodes:
         tree_args = "'--m', '2', '--h', '2'" if command == "ctree" else "'--ctree', '2', '2'"
         # The ctree command imports the families module when it runs, so the
         # closed form is replaced where it is defined.
-        module = "families" if target == "complete_tree_value" else "cli"
+        module = "families" if target == "equal_branch_game" else "cli"
         script = (
             f"import sys, treegame.cli, treegame.{module}\n"
             "from treegame import *\n"

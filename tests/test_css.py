@@ -17,9 +17,8 @@ from treegame import (
     build_complete_tree,
     build_spider,
     centroid,
-    complete_tree_safe_strategy,
-    complete_tree_value,
     css_run,
+    equal_branch_game,
     gain_row,
     random_tree,
     sample_centroidal,
@@ -148,10 +147,11 @@ class TestBranchProbabilities:
 class TestCssRun:
     @pytest.mark.parametrize("arity,height", [(2, 2), (2, 3), (3, 2)])
     def test_reproduces_complete_tree_strategy(self, arity, height):
-        spec = CompleteTreeSpec(arity, height)
-        res = css_run(build_complete_tree(spec))
-        assert res.strategy == complete_tree_safe_strategy(spec)
-        assert res.centroid_gain == complete_tree_value(spec)
+        t = build_complete_tree(CompleteTreeSpec(arity, height))
+        safe, _, value = equal_branch_game(t)
+        res = css_run(t)
+        assert res.strategy == safe
+        assert res.centroid_gain == value
         assert res.guaranteed_gain == res.centroid_gain
 
     def test_star_stops_after_one_branch(self):

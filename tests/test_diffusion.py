@@ -18,11 +18,11 @@ from treegame import (
     build_complete_tree,
     build_spider,
     centroid,
-    complete_tree_safe_strategy,
     CompleteTreeSpec,
     SpiderSpec,
     automorphism_orbits,
     distances_from,
+    equal_branch_game,
     Tree,
     gain_column,
     gain_row,
@@ -369,7 +369,7 @@ class TestGainFunctionals:
     def test_guaranteed_gain_complete_tree(self):
         spec = CompleteTreeSpec(2, 2)
         t = build_complete_tree(spec)
-        value, _ = guaranteed_gain(t, complete_tree_safe_strategy(spec))
+        value, _ = guaranteed_gain(t, equal_branch_game(t)[0])
         assert value == Fraction(24, 11)
 
     def test_uniform_p3_minimized_at_center(self):

@@ -14,8 +14,8 @@ from treegame import (
     build_complete_tree,
     build_spider,
     centroid,
-    complete_tree_value,
     css_run,
+    equal_branch_game,
     maximal_gain,
     MixedStrategy,
     random_tree,
@@ -143,7 +143,7 @@ class TestRunExperiment:
         res = run_experiment(cfg)
         rec = res.records[0]
         assert rec.diff_ratio == 0
-        assert rec.css_gain == rec.upper_bound == complete_tree_value(CompleteTreeSpec(2, 2))
+        assert rec.css_gain == rec.upper_bound == equal_branch_game(t)[2]
         assert res.histogram.counts[0] == 1
 
     def test_records_and_histogram_consistent(self):

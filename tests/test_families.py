@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 
 import pytest
@@ -6,12 +8,11 @@ import pytest
 from treegame import (
     MixedStrategy,
     SpiderSpec,
+    Tree,
     CompleteTreeSpec,
     build_complete_tree,
     build_spider,
-    complete_tree_opposing_strategy,
-    complete_tree_safe_strategy,
-    complete_tree_value,
+    equal_branch_game,
     guaranteed_gain,
     maximal_gain,
     solve_value,
@@ -20,7 +21,12 @@ from treegame import (
     spider_safe_strategy,
 )
 
-from conftest import brute_guaranteed_gain, gain
+from conftest import brute_guaranteed_gain, dense_value, gain, path_tree
+
+
+def ctree_game(spec):
+    """``equal_branch_game`` on the complete tree ``spec`` builds."""
+    return equal_branch_game(build_complete_tree(spec))
 
 
 def body_reply(spec):
@@ -220,25 +226,24 @@ class TestCompleteTreeBuild:
 
 class TestCompleteTreeStrategies:
     def test_safe_strategy_2_2(self):
-        s = complete_tree_safe_strategy(CompleteTreeSpec(2, 2))
+        s = ctree_game(CompleteTreeSpec(2, 2))[0]
         assert s.probs == {0: Fraction(3, 11), 1: Fraction(4, 11), 2: Fraction(4, 11)}
 
     def test_safe_strategy_2_3(self):
-        s = complete_tree_safe_strategy(CompleteTreeSpec(2, 3))
+        s = ctree_game(CompleteTreeSpec(2, 3))[0]
         assert s[0] == Fraction(7, 23) and s[1] == Fraction(8, 23)
 
     def test_opposing_strategy_2_2(self):
-        s = complete_tree_opposing_strategy(CompleteTreeSpec(2, 2))
+        s = ctree_game(CompleteTreeSpec(2, 2))[1]
         assert s[0] == Fraction(5, 11) and s[1] == Fraction(3, 11)
 
     def test_opposing_strategy_2_3(self):
-        assert complete_tree_opposing_strategy(CompleteTreeSpec(2, 3))[1] == Fraction(7, 23)
+        assert ctree_game(CompleteTreeSpec(2, 3))[1][1] == Fraction(7, 23)
 
     @pytest.mark.parametrize("arity,height", [(2, 1), (2, 4), (3, 3), (5, 2), (7, 1)])
     def test_normalization_identities(self, arity, height):
         spec = CompleteTreeSpec(arity, height)
-        safe = complete_tree_safe_strategy(spec)
-        oppose = complete_tree_opposing_strategy(spec)
+        safe, oppose, _ = ctree_game(spec)
         assert safe[0] + arity * safe[spec.index(1, 0)] == 1
         assert oppose[0] + arity * oppose[spec.index(1, 0)] == 1
         assert all(p > 0 for p in safe.probs.values())
@@ -248,8 +253,7 @@ class TestCompleteTreeStrategies:
     def test_indifference_between_root_and_depth_one(self, arity, height):
         spec = CompleteTreeSpec(arity, height)
         t = build_complete_tree(spec)
-        safe = complete_tree_safe_strategy(spec)
-        oppose = complete_tree_opposing_strategy(spec)
+        safe, oppose, _ = equal_branch_game(t)
         root = MixedStrategy.pure(spec.n, 0)
         child = MixedStrategy.pure(spec.n, spec.index(1, arity - 1))
         assert gain(t, safe, root) == gain(t, safe, child)
@@ -266,13 +270,13 @@ class TestCompleteTreeValue:
         ],
     )
     def test_known_values(self, arity, height, expected):
-        assert complete_tree_value(CompleteTreeSpec(arity, height)) == expected
+        assert ctree_game(CompleteTreeSpec(arity, height))[2] == expected
 
     @pytest.mark.parametrize("arity,height", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
     def test_value_matches_lp(self, arity, height):
         spec = CompleteTreeSpec(arity, height)
-        sol = solve_value(build_complete_tree(spec))
-        assert sol.value == complete_tree_value(spec)
+        t = build_complete_tree(spec)
+        assert solve_value(t).value == equal_branch_game(t)[2]
 
     def test_strategies_achieve_value_for_every_tree_up_to_n_100(self):
         # GGain(safe) == MGain(opposing) == closed form pins the safety value
@@ -288,8 +292,131 @@ class TestCompleteTreeValue:
         for arity, height in cases:
             spec = CompleteTreeSpec(arity, height)
             t = build_complete_tree(spec)
-            value = complete_tree_value(spec)
-            assert guaranteed_gain(t, complete_tree_safe_strategy(spec))[0] == value
-            assert maximal_gain(t, complete_tree_opposing_strategy(spec))[0] == value
+            safe, oppose, value = equal_branch_game(t)
+            assert guaranteed_gain(t, safe)[0] == value
+            assert maximal_gain(t, oppose)[0] == value
             if spec.n <= 31:
                 assert solve_value(t).value == value, (arity, height)
+
+
+def v(m, b):
+    """The closed form v(m, B) for m branches of B vertices at the centroid."""
+    return Fraction(m * b * (1 + (m - 1) * b), b + m + m * (m - 1) * b)
+
+
+def column_rule(m, b, s_max):
+    """s_max * (alpha + beta) <= alpha * B, with alpha and beta the opposing
+    mix's weights on the centroid and on each branch top."""
+    alpha, beta = b + m + m * (m - 2) * b, b
+    return s_max * (alpha + beta) <= alpha * b
+
+
+def equal_branch_tree(m, b, rng):
+    """A randomly relabelled tree whose centroid has m branches of b vertices.
+
+    Each branch grows from its top one vertex at a time, hung from the last
+    vertex or from a random earlier one, with a per-branch chance of each
+    (paths, random recursive trees and shapes between). Returns the tree and
+    the largest subtree under a child of any branch top."""
+    n = 1 + m * b
+    label = list(range(n))
+    rng.shuffle(label)
+    edges, s_max = [], 0
+    for i in range(m):
+        base, stretch = 1 + i * b, rng.choice((0, 0.5, 1))
+        parent = [-1] + [k - 1 if rng.random() < stretch else rng.randrange(k) for k in range(1, b)]
+        size = [1] * b
+        for k in range(b - 1, 0, -1):
+            size[parent[k]] += size[k]
+        s_max = max([s_max, *(size[k] for k in range(1, b) if parent[k] == 0)])
+        edges.append((label[0], label[base]))
+        edges += [(label[base + parent[k]], label[base + k]) for k in range(1, b)]
+    return Tree.from_edges(n, edges), s_max
+
+
+@lru_cache(maxsize=None)
+def equal_branch_cases():
+    """600 random equal-branch trees, m = 2..6 and B = 1..10 (seed 1), each
+    with its solve: (m, B, tree, s_max, value)."""
+    rng = random.Random(1)
+    cases = []
+    for _ in range(600):
+        m, b = rng.randint(2, 6), rng.randint(1, 10)
+        t, s_max = equal_branch_tree(m, b, rng)
+        cases.append((m, b, t, s_max, solve_value(t).value))
+    return tuple(cases)
+
+
+class TestEqualBranchGame:
+    def test_safe_mix_guarantees_v(self):
+        for m, b, t, _, _ in equal_branch_cases():
+            safe, oppose, value = equal_branch_game(t)
+            assert value == v(m, b)
+            assert guaranteed_gain(t, safe)[0] == value, (m, b, t.edges())
+
+    def test_value_equals_v_exactly_under_the_column_rule(self):
+        below = 0
+        for m, b, t, s_max, value in equal_branch_cases():
+            _, oppose, closed = equal_branch_game(t)
+            assert value >= closed
+            rule = column_rule(m, b, s_max)
+            assert (value == closed) == rule, (m, b, s_max, t.edges())
+            assert (maximal_gain(t, oppose)[0] == closed) == rule
+            below += not rule
+        # Both sides of the rule occur: the value is above v only at m <= 3.
+        assert 0 < below < len(equal_branch_cases())
+
+    def test_small_trees_against_the_dense_oracle(self):
+        small = [case for case in equal_branch_cases() if case[2].n <= 13]
+        assert len(small) >= 50
+        for m, b, t, s_max, _ in small:
+            exact = dense_value(t)
+            assert exact >= v(m, b)
+            assert (exact == v(m, b)) == column_rule(m, b, s_max), t.edges()
+
+    def test_weights_on_a_spider(self):
+        t = build_spider(SpiderSpec(3, 2))
+        safe, oppose, value = equal_branch_game(t)
+        # B = 2, m = 3: D = 2 + 3 + 12 = 17.
+        assert safe.probs == {0: Fraction(2, 17), **dict.fromkeys((1, 3, 5), Fraction(5, 17))}
+        assert oppose.probs == {0: Fraction(11, 17), **dict.fromkeys((1, 3, 5), Fraction(2, 17))}
+        assert value == Fraction(30, 17)
+
+    @pytest.mark.parametrize(
+        "t",
+        [
+            Tree.from_edges(6, [(0, 1), (0, 2), (0, 3), (3, 4), (3, 5)]),  # branches of 1, 1 and 3
+            Tree.from_edges(8, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6), (6, 7)]),  # 2, 2 and 3
+            path_tree(4),  # bicentroidal
+            path_tree(2),
+            path_tree(1),
+        ],
+        ids=["star-and-cherry", "unequal-legs", "path4", "path2", "single-vertex"],
+    )
+    def test_rejects_other_trees(self, t):
+        with pytest.raises(ValueError, match="branches"):
+            equal_branch_game(t)
+
+
+class TestSpiderClosedForm:
+    @pytest.mark.parametrize("m", range(3, 9))
+    def test_value_equals_v_up_to_the_threshold(self, m):
+        for l in range(1, m * m - 2 * m + 5):
+            spec = SpiderSpec(m, l)
+            t = build_spider(spec)
+            closed = equal_branch_game(t)[2]
+            assert closed == v(m, l)
+            value = solve_value(t).value
+            assert value >= closed
+            # l* = m^2 - 2m + 3 is the first leg length with value > v.
+            assert (value == closed) == (l <= m * m - 2 * m + 2), (m, l)
+            assert closed >= spider_optimal_depth(spec)[1], (m, l)
+
+    def test_many_short_legs(self):
+        for m in range(9, 41):
+            for l in (1, 2, 3):
+                spec = SpiderSpec(m, l)
+                t = build_spider(spec)
+                closed = equal_branch_game(t)[2]
+                assert solve_value(t).value == closed == v(m, l), (m, l)
+                assert closed >= spider_optimal_depth(spec)[1], (m, l)

@@ -19,9 +19,8 @@ EXPORTS = {
         "run_experiment", "sample_centroidal", "trial_seed", "write_histogram_csv", "write_records_csv",
     ],
     "families": [
-        "CompleteTreeSpec", "SpiderSpec", "build_complete_tree", "build_spider", "complete_tree_opposing_strategy",
-        "complete_tree_safe_strategy", "complete_tree_value", "spider_body_reply_gain", "spider_optimal_depth",
-        "spider_safe_strategy",
+        "CompleteTreeSpec", "SpiderSpec", "build_complete_tree", "build_spider", "equal_branch_game",
+        "spider_body_reply_gain", "spider_optimal_depth", "spider_safe_strategy",
     ],
     "solver": ["SolverError", "ZeroSumSolution", "solve_value", "verify_solution"],
     "tree": [
@@ -33,7 +32,7 @@ NAMES = [(module, name) for module, names in EXPORTS.items() for name in names]
 
 
 def test_all_lists_each_public_name_once():
-    assert len(NAMES) == 58
+    assert len(NAMES) == 56
     assert sorted(treegame.__all__) == sorted(name for _, name in NAMES)
 
 

@@ -25,7 +25,7 @@ from treegame import (
     build_spider,
     centroid,
     CompleteTreeSpec,
-    complete_tree_value,
+    equal_branch_game,
     maximal_gain,
     guaranteed_gain,
     random_tree,
@@ -323,8 +323,9 @@ class TestSolveValue:
 
     def test_complete_tree_matches_closed_form(self):
         spec = CompleteTreeSpec(2, 2)
-        sol = solve_value(build_complete_tree(spec))
-        assert sol.value == Fraction(24, 11) == complete_tree_value(spec)
+        t = build_complete_tree(spec)
+        sol = solve_value(t)
+        assert sol.value == Fraction(24, 11) == equal_branch_game(t)[2]
 
     def test_certificate_values(self):
         sol = solve_value(random_tree(20, 6))
@@ -708,7 +709,7 @@ class TestShapeRegression:
         spec = CompleteTreeSpec(*mh)
         t = build_complete_tree(spec)
         sol = solve_value(t)
-        assert sol.value == complete_tree_value(spec)
+        assert sol.value == equal_branch_game(t)[2]
         assert verify_solution(t, sol)
 
     @pytest.mark.parametrize(
