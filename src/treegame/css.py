@@ -179,9 +179,9 @@ def analyze_branches(t: Tree, root: int) -> list[BranchInfo]:
     (weight, depth from the root, vertex id). Below a centroid root a
     vertex's weight is n minus its subtree size, so it never falls going
     down a branch, and those three lie within three edges of the root: only
-    those vertices are ranked, each weight read from the walk's sizes. The structure the classification relies on
-    is asserted: u adjacent to the root, t adjacent to u, and s adjacent to
-    t for thin branches.
+    those vertices are ranked, each weight read from the walk's sizes. The
+    structure the classification relies on is asserted: u adjacent to the
+    root, t adjacent to u, and s adjacent to t for thin branches.
     """
     n = t.n
     adj = t.adj

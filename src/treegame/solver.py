@@ -41,7 +41,9 @@ has the same value v = 1 / sum_j |O_j| u_j, with the opposing mix
 v |O_j| u_j and the maxmin mix the normalized dual prices. A tree with no
 symmetry has single-vertex orbits and the vertex subgames. Supports are
 seeded with the orbits of the centroid and its neighbours, and every
-vertex that improves on the subgame value adds its whole orbit. If the
+vertex that improves on the subgame value adds its whole orbit. Each
+vertex's orbit comes from the one orbit table the tree keeps beside the
+orbits (``tree._symmetry``); the solver keeps no table of its own. If the
 first round does not certify, the orbits of the paper's centroidal safe
 strategy's support (``css_run``, kept on the tree) go to the column side
 ahead of that round's improving vertices, within the round's budget: that
@@ -63,8 +65,8 @@ vertex, the fewest that hold n times the denominator, so no field carries
 into the next; the loop keeps only the lines' list forms. Lines and sweeps
 are in walk order (``diffusion._cut_gains``): the subgame's entries read
 each orbit's members through the walk's ``pos``, the orbit averages use the
-members' positions kept with the orbits (``tree._symmetry``), and only the
-improving vertices are read back from positions, by the walk's ``order``.
+members' positions in the same table, and only the improving vertices are
+read back from positions, by the walk's ``order``.
 The sweeps are compared with the subgame value by cross-multiplying;
 only the round that returns builds the strategies and the certificate's
 ends. Strategies hold exact probabilities only, so ``verify_solution``
@@ -82,7 +84,7 @@ from typing import Callable, Iterable, Sequence
 
 from .css import CSSError, css_run
 from .diffusion import MixedStrategy, _field_words, _line, _sweep
-from .tree import Tree, _kept, _symmetry, _walk, automorphism_orbits, centroid
+from .tree import Tree, _symmetry, _walk, automorphism_orbits, centroid
 
 
 class SolverError(RuntimeError):
@@ -338,17 +340,6 @@ def _spread(
     return {v: a * (lcm // len(o)) for o, a in parts for v in o}, den * lcm
 
 
-@_kept
-def _orbit_of(t: Tree) -> list[int]:
-    """Each vertex's orbit, as its index in ``automorphism_orbits``: built
-    the first time a round does not certify, and kept on the tree."""
-    orbit_of = [0] * t.n
-    for k, members in enumerate(automorphism_orbits(t)):
-        for v in members:
-            orbit_of[v] = k
-    return orbit_of
-
-
 def _admit(support: list[int], movers: list[int], orbit_of: list[int], budget: int) -> list[int]:
     """The first ``budget`` orbits, in mover order, of the improving vertices
     ``movers`` that ``support`` does not hold yet."""
@@ -384,15 +375,14 @@ def solve_value(t: Tree) -> ZeroSumSolution:
     info = centroid(t)
     order, _, _, _, pos = _walk(t)
     orbits = automorphism_orbits(t)
-    sym = _symmetry(t)
+    orbit_of, sym = _symmetry(t)
     # Every member of O_i gains the same against the mix spread evenly over
     # O_j (an automorphism maps one member to another and O_j onto itself),
     # so one member's row sum over O_j is S_ij, and column j weighs |O_j|.
     lp = _Tableau(
         lambda i, j: sum(map(row(orbits[i][0]).__getitem__, map(pos.__getitem__, orbits[j]))), lambda j: len(orbits[j])
     )
-    seed = {info.root, *t.adj[info.root]}
-    new_x = [k for k, members in enumerate(orbits) if not seed.isdisjoint(members)]
+    new_x = sorted({orbit_of[v] for v in (info.root, *t.adj[info.root])})
     new_y = list(new_x)
     # The number of best-response orbits admitted per side doubles every
     # round, so games whose optima need nearly full support converge in
@@ -425,14 +415,14 @@ def solve_value(t: Tree) -> ZeroSumSolution:
         new_x = []
         if b1 > v1:
             movers = [v for _, v in sorted((-g, v) for g, v in zip(g1, order) if g * vd > v1)]
-            new_x = _admit(lp.row_keys, movers, _orbit_of(t), budget)
+            new_x = _admit(lp.row_keys, movers, orbit_of, budget)
         # After a first round that does not certify, the paper's strategy's
         # support, which lies close to the optimal ones, goes to the column
         # side ahead of the improving vertices.
         movers = _css_support(t) if rounds == 1 else []
         if b2 < v2:
             movers += [v for _, v in sorted((g, v) for g, v in zip(g2, order) if g * vd < v2)]
-        new_y = _admit(lp.col_keys, movers, _orbit_of(t), budget)
+        new_y = _admit(lp.col_keys, movers, orbit_of, budget)
         # An invariant check, not a reachable exit: over the orbits of any
         # group of checked automorphisms, which fixes both mixes, no member
         # of a support orbit improves on the subgame value. So improving
@@ -454,7 +444,7 @@ def verify_solution(t: Tree, sol: ZeroSumSolution) -> bool:
     checked, so the certificate proves what a rebuilt one would."""
     if sol.maxmin.n != t.n or sol.minmax.n != t.n:
         return False
-    sym = _symmetry(t)
+    sym = _symmetry(t)[1]
     g2, d2 = _sweep(t.n, sol.maxmin.weights(), _line(t, True), sym)
     g1, d1 = _sweep(t.n, sol.minmax.weights(), _line(t, False), sym)
     return sol.primal_value == Fraction(min(g2), d2) == sol.value == Fraction(max(g1), d1) == sol.dual_value

@@ -11,8 +11,9 @@ line, which is computed in walk order (``diffusion._cut_gains``). Those
 that need a vertex's entry read it through ``pos``. The orbits come from
 the centroid's rooting: subtree codes propose one cycle per run of equal
 sibling subtrees, and each cycle is checked against the tree before it
-merges vertices; the orbits of several vertices are kept with their
-members' walk positions (``_symmetry``).
+merges vertices. One orbit table is kept beside them (``_symmetry``): each
+vertex's orbit, and the orbits of several vertices with their members'
+walk positions.
 
 A ``Tree`` is immutable after construction, so every function here is pure
 and safe to call from concurrent workers. ``weight_table``, ``centroid``
@@ -460,12 +461,19 @@ def automorphism_orbits(t: Tree) -> tuple[tuple[int, ...], ...]:
 
 
 @_kept
-def _symmetry(t: Tree) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """The orbits of more than one vertex (``automorphism_orbits``), each
-    kept with its members' walk positions: the pairs ``diffusion._sweep``
+def _symmetry(t: Tree) -> tuple[list[int], tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]]:
+    """The one orbit table, ``(orbit_of, sym)``: each vertex's orbit, as its
+    index in ``automorphism_orbits``, and the orbits of more than one vertex,
+    each with its members' walk positions: the pairs ``diffusion._sweep``
     averages walk-order sums over."""
     pos = _walk(t)[4]
-    return tuple((o, tuple(map(pos.__getitem__, o))) for o in automorphism_orbits(t) if len(o) > 1)
+    orbit_of, sym = [0] * t.n, []
+    for k, o in enumerate(automorphism_orbits(t)):
+        for v in o:
+            orbit_of[v] = k
+        if len(o) > 1:
+            sym.append((o, tuple(map(pos.__getitem__, o))))
+    return orbit_of, tuple(sym)
 
 
 def _cycle_orbits(t: Tree, order: list[int], parent: list[int], cls: list[int]) -> tuple[tuple[int, ...], ...]:

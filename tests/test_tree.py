@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import treegame.css
+import treegame.solver
 import treegame.tree
 from treegame import (
     CompleteTreeSpec,
@@ -36,7 +38,7 @@ from treegame import (
     weight_table,
 )
 from treegame.diffusion import _sweep, gain_column, gain_row
-from treegame.tree import _is_automorphism
+from treegame.tree import _is_automorphism, _symmetry, _walk
 
 from conftest import (
     all_labeled_trees,
@@ -603,6 +605,64 @@ class TestAutomorphismOrbits:
         relabelled = Tree.from_edges(n, [(pi[u], pi[v]) for u, v in t.edges()])
         moved = sorted(tuple(sorted(pi[v] for v in orbit)) for orbit in automorphism_orbits(t))
         assert list(automorphism_orbits(relabelled)) == moved
+
+
+def _relabelled_random(n, seed):
+    t = random_tree(n, seed)
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    return _relabelled((t, perm))
+
+
+def _double_star(k):
+    # Two k-leaf stars joined at their centres 0 and 1: bicentroidal.
+    return Tree.from_edges(2 * k + 2, [(0, 1), *((c, 2 + c * k + i) for c in (0, 1) for i in range(k))])
+
+
+_ORBIT_TABLE_TREES = [
+    pytest.param(lambda: _relabelled_random(30, 1), id="random30"),
+    pytest.param(lambda: _relabelled_random(100, 7), id="random100"),
+    pytest.param(lambda: star_tree(9), id="star9"),
+    pytest.param(lambda: build_spider(SpiderSpec(4, 3)), id="spider4x3"),
+    pytest.param(lambda: build_complete_tree(CompleteTreeSpec(3, 3)), id="ctree3x3"),
+    pytest.param(lambda: _double_star(4), id="double_star4"),
+    pytest.param(lambda: path_tree(1), id="n1"),
+    pytest.param(lambda: path_tree(2), id="n2"),
+]
+
+
+class TestOrbitTable:
+    """``_symmetry`` is the one orbit table: each vertex's orbit index and
+    the orbits of several vertices with their members' walk positions."""
+
+    @pytest.mark.parametrize("make", _ORBIT_TABLE_TREES)
+    def test_orbit_of_indexes_the_orbits(self, make):
+        t = make()
+        orbit_of, _ = _symmetry(t)
+        assert len(orbit_of) == t.n
+        for k, members in enumerate(automorphism_orbits(t)):
+            assert all(orbit_of[v] == k for v in members)
+
+    @pytest.mark.parametrize("make", _ORBIT_TABLE_TREES)
+    def test_sym_pairs_each_shared_orbit_with_its_positions(self, make):
+        t = make()
+        order, _, _, _, pos = _walk(t)
+        _, sym = _symmetry(t)
+        assert sym == tuple((o, tuple(pos[v] for v in o)) for o in automorphism_orbits(t) if len(o) > 1)
+        assert all([order[p] for p in ps] == list(o) for o, ps in sym)
+
+    @pytest.mark.parametrize("make", _ORBIT_TABLE_TREES)
+    def test_the_solver_keeps_no_table(self, make):
+        # Every table left on the tree is one the tree or css module keeps.
+        t = make()
+        assert verify_solution(t, solve_value(t))
+        kept = {k.removeprefix("_kept_") for k in vars(t) if k.startswith("_kept_")}
+
+        def defined_in(module):
+            return {k for k, f in vars(module).items() if getattr(f, "__module__", None) == module.__name__}
+
+        assert "_symmetry" in kept and not kept & defined_in(treegame.solver)
+        assert kept <= defined_in(treegame.tree) | defined_in(treegame.css)
 
 
 def _tables(t):
