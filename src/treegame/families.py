@@ -17,8 +17,10 @@ class SpiderSpec:
     """A spider with ``legs`` equal legs of ``leg_length`` vertices each.
 
     The body is vertex 0; the vertex at distance d on leg s (1-based) has
-    index d + (s - 1) * leg_length. Three legs minimum, otherwise the graph
-    is a path, not a spider.
+    index d + (s - 1) * leg_length. So vertex v >= 1 is at depth
+    (v - 1) % leg_length + 1, and its parent is v - 1, or the body when it
+    is at depth 1. Three legs minimum, otherwise the graph is a path, not a
+    spider.
     """
 
     legs: int
@@ -42,16 +44,10 @@ class SpiderSpec:
 
 
 def build_spider(spec: SpiderSpec) -> Tree:
-    edges = []
-    labels = ["(0,0)"] * spec.n
-    for s in range(1, spec.legs + 1):
-        prev = 0
-        for d in range(1, spec.leg_length + 1):
-            v = spec.index(d, s)
-            edges.append((prev, v))
-            labels[v] = f"({d},{s})"
-            prev = v
-    return Tree.from_edges(spec.n, edges, tuple(labels))
+    m, l = spec.legs, spec.leg_length
+    edges = [(v - 1 if (v - 1) % l else 0, v) for v in range(1, spec.n)]
+    labels = ("(0,0)", *(f"({d},{s})" for s in range(1, m + 1) for d in range(1, l + 1)))
+    return Tree.from_edges(spec.n, edges, labels)
 
 
 def _check_depth(spec: SpiderSpec, k: int) -> None:
@@ -83,23 +79,21 @@ def spider_optimal_depth(spec: SpiderSpec) -> tuple[int, Fraction]:
     with the smallest k winning ties, and that guaranteed gain.
 
     The guaranteed gain is found by exact minimization over the distinct
-    pure replies: the body and one full leg (the strategy is invariant under
-    leg permutations, so all legs give identical reply gains). Column sums
-    are accumulated incrementally as k grows one level at a time.
+    pure replies: the body and the vertices of leg 1, 0..l (the strategy is
+    invariant under leg permutations, so all legs give identical reply
+    gains). Each reply's column sum grows by the slice ``col[k::l]``, the m
+    vertices at depth k, as k grows one level at a time.
     """
     t = build_spider(spec)
     m, l = spec.legs, spec.leg_length
-    replies = [0] + [spec.index(d, 1) for d in range(1, l + 1)]
-    cols = {y: gain_column(t, y) for y in replies}
-    sums = {y: cols[y][0] for y in replies}  # support so far: the body
+    cols = [gain_column(t, y) for y in range(l + 1)]
+    sums = [col[0] for col in cols]  # support so far: the body
 
     best_k = 0
     best_gain = Fraction(0)  # k = 0 is the pure body strategy, guaranteed 0
     for k in range(1, l + 1):
-        for y in replies:
-            col = cols[y]
-            sums[y] += sum(col[spec.index(k, s)] for s in range(1, m + 1))
-        g = Fraction(min(sums.values()), m * k + 1)
+        sums = [total + sum(col[k::l]) for total, col in zip(sums, cols)]
+        g = Fraction(min(sums), m * k + 1)
         if g > best_gain:
             best_gain = g
             best_k = k
@@ -112,7 +106,8 @@ class CompleteTreeSpec:
     exactly ``arity`` children and all leaves sit at depth ``height``.
 
     Vertices are indexed in breadth-first order, so the vertex at depth d in
-    position e (left to right) has index (arity^d - 1)/(arity - 1) + e.
+    position e (left to right) has index (arity^d - 1)/(arity - 1) + e, and
+    the children of vertex p are arity*p + 1 .. arity*p + arity.
     """
 
     arity: int
@@ -136,18 +131,10 @@ class CompleteTreeSpec:
 
 
 def build_complete_tree(spec: CompleteTreeSpec) -> Tree:
-    m = spec.arity
-    edges = []
-    labels = []
-    for d in range(spec.height + 1):
-        for e in range(m**d):
-            labels.append(f"({d},{e})")
-    for d in range(spec.height):
-        for e in range(m**d):
-            parent = spec.index(d, e)
-            for c in range(m):
-                edges.append((parent, spec.index(d + 1, m * e + c)))
-    return Tree.from_edges(spec.n, edges, tuple(labels))
+    m, n = spec.arity, spec.n
+    edges = [(p, m * p + c) for p in range((n - 1) // m) for c in range(1, m + 1)]
+    labels = tuple(f"({d},{e})" for d in range(spec.height + 1) for e in range(m**d))
+    return Tree.from_edges(n, edges, labels)
 
 
 def equal_branch_game(t: Tree) -> tuple[MixedStrategy, MixedStrategy, Fraction]:

@@ -184,7 +184,11 @@ class TestSpiderOptimalDepth:
         assert k == best
         assert g == guaranteed_gain(t, spider_safe_strategy(spec, k))[0]
 
-    @pytest.mark.parametrize("legs,length", [(3, 5), (4, 6), (5, 4)])
+    # Every spider with m = 3..6 legs up to one past its threshold
+    # m^2 - 2m + 3: l = 1, where depth 1 is every leg, and both sides of it.
+    @pytest.mark.parametrize(
+        "legs,length", [(m, l) for m in range(3, 7) for l in range(1, m * m - 2 * m + 5)]
+    )
     def test_matches_exhaustive_sweep(self, legs, length):
         spec = SpiderSpec(legs, length)
         t = build_spider(spec)
@@ -222,6 +226,30 @@ class TestCompleteTreeBuild:
             CompleteTreeSpec(1, 2)
         with pytest.raises(ValueError):
             CompleteTreeSpec(2, 0)
+
+
+def test_builders_match_their_specs_index():
+    # The builders read each layout's parent rule; index() states the layout.
+    # Here every edge joins index(d - 1, .) to index(d, .), and every label
+    # sits at its index(d, .).
+    for m in range(3, 7):
+        for l in range(1, 7):
+            spec = SpiderSpec(m, l)
+            edges = [(spec.index(d - 1, s), spec.index(d, s)) for s in range(1, m + 1) for d in range(1, l + 1)]
+            labels = ["(0,0)"] * spec.n
+            for s in range(1, m + 1):
+                for d in range(1, l + 1):
+                    labels[spec.index(d, s)] = f"({d},{s})"
+            assert build_spider(spec) == Tree.from_edges(spec.n, edges, tuple(labels)), spec
+    for m in range(2, 5):
+        for h in range(1, 5):
+            spec = CompleteTreeSpec(m, h)
+            edges = [(spec.index(d - 1, e // m), spec.index(d, e)) for d in range(1, h + 1) for e in range(m**d)]
+            labels = [""] * spec.n
+            for d in range(h + 1):
+                for e in range(m**d):
+                    labels[spec.index(d, e)] = f"({d},{e})"
+            assert build_complete_tree(spec) == Tree.from_edges(spec.n, edges, tuple(labels)), spec
 
 
 class TestCompleteTreeStrategies:
