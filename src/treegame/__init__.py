@@ -11,8 +11,8 @@ __version__ = "0.1.0"
 # Each submodule with the public names it exports.
 _EXPORTS = {
     "css": (
-        "BranchClass", "BranchInfo", "CentroidReplyReport", "CSSError", "CSSResult", "UsedBranch",
-        "analyze_branches", "branch_criterion", "branch_probabilities", "css_run", "verify_centroid_reply",
+        "BranchClass", "BranchInfo", "CSSError", "CSSResult", "UsedBranch",
+        "analyze_branches", "branch_criterion", "branch_probabilities", "css_run",
     ),
     "diffusion": (
         "Color", "Coloring", "GameMatrix", "MixedStrategy", "format_fraction", "gain_column", "gain_row",

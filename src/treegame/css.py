@@ -4,18 +4,20 @@ and stop once the next criterion falls below the current centroid-reply gain.
 
 All classification inequalities, probability ratios and gains are exact
 rationals; boundary cases are decided by cleared-denominator integer
-comparisons, never floats.
+comparisons, never floats. The result holds the least gain over every pure
+reply and the gain against the centroid reply, so the centroid is a worst
+reply (the CLI's ``theorem4`` check) exactly when the two are equal.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from itertools import chain
 
-from .diffusion import MixedStrategy, _check_dims, _line, _sweep
+from .diffusion import MixedStrategy, _line, _sweep
 from .tree import Tree, _kept, _runs, _walk, centroid
 
 
@@ -65,10 +67,9 @@ class UsedBranch:
 
 @dataclass(frozen=True)
 class CSSResult:
-    """The strategy with its build record. The gain of the strategy against
-    pure reply v is ``reply_numerators[v] / reply_den``, from the one sweep
-    over every reply that ``guaranteed_gain`` is read from; the sweep runs
-    in walk order and is kept by vertex."""
+    """The strategy with its build record: ``guaranteed_gain`` is the least
+    gain over all n pure replies, ``centroid_gain`` the gain against the
+    centroid reply."""
 
     strategy: MixedStrategy
     root: int
@@ -77,20 +78,6 @@ class CSSResult:
     guaranteed_gain: Fraction
     centroid_gain: Fraction
     trace: tuple[Fraction, ...]
-    reply_numerators: tuple[int, ...] = field(repr=False)
-    reply_den: int
-
-
-@dataclass(frozen=True)
-class CentroidReplyReport:
-    """Outcome of checking every pure reply against the strategy: passes when
-    the centroid attains the minimum (ties allowed); any vertex strictly
-    below the centroid value is listed."""
-
-    passed: bool
-    root: int
-    root_gain: Fraction
-    violations: tuple[tuple[int, Fraction], ...]
 
 
 def _classify(n: int, size: int, w1: int, w2: int | None, w3: int | None) -> BranchClass:
@@ -232,8 +219,10 @@ def css_run(t: Tree) -> CSSResult:
     alpha * (1 + sum of ratios) = 1, and the centroid-reply gain is
     accumulated from the co-weights of the covered vertices. The guaranteed
     gain in the result is recomputed independently by full minimization over
-    every pure reply, from one exact sweep of the support's matrix rows; the
-    result keeps that sweep, and ``verify_centroid_reply`` reads it.
+    every pure reply, from one exact sweep of the support's matrix rows. The
+    sweep's entry for the centroid reply must equal the accumulated gain, or
+    ``CSSError`` is raised; so the centroid is a worst reply exactly when
+    ``guaranteed_gain == centroid_gain``.
 
     A bicentroidal tree is rooted at its smaller-id centroid vertex.
     """
@@ -286,6 +275,8 @@ def css_run(t: Tree) -> CSSResult:
         raise CSSError("probability ledger does not sum to 1")
     strategy = MixedStrategy(n, probs)
     acc, den = _sweep(n, strategy.weights(), _line(t, True))  # walk order
+    if Fraction(acc[_walk(t)[4][root]], den) != gain_now:
+        raise CSSError(f"centroid-reply gain {gain_now} disagrees with the reply sweep")
     return CSSResult(
         strategy=strategy,
         root=root,
@@ -294,32 +285,4 @@ def css_run(t: Tree) -> CSSResult:
         guaranteed_gain=Fraction(min(acc), den),
         centroid_gain=gain_now,
         trace=tuple(trace),
-        reply_numerators=tuple(map(acc.__getitem__, _walk(t)[4])),
-        reply_den=den,
     )
-
-
-def verify_centroid_reply(t: Tree, result: CSSResult) -> CentroidReplyReport:
-    """Check that the centroid attains the minimum gain over all n pure
-    replies; ties with other vertices are fine.
-
-    The check reads the exact sweep that ``css_run`` kept rather than
-    sweeping again: every reply whose numerator is below the root's is a
-    violation. A result for a tree of another size, or one whose sweep does
-    not have an entry per vertex, raises ``ValueError``.
-    """
-    _check_dims(t, result.strategy)
-    acc, den = result.reply_numerators, result.reply_den
-    if len(acc) != t.n:
-        raise ValueError(f"dimension mismatch: reply sweep over {len(acc)} vertices, tree has {t.n}")
-    root_num = acc[result.root]
-    violations = ()
-    if min(acc) < root_num:
-        violations = tuple((v, Fraction(a, den)) for v, a in enumerate(acc) if a < root_num)
-    return CentroidReplyReport(
-        passed=not violations,
-        root=result.root,
-        root_gain=Fraction(root_num, den),
-        violations=violations,
-    )
-

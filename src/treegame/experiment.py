@@ -189,6 +189,18 @@ def _build_histogram(ratios: list[Fraction], width: Fraction, top: Fraction) -> 
     return Histogram(width, top, tuple(counts), overflow)
 
 
+def _trial(t: Tree) -> tuple[int, int, Fraction, Fraction, Fraction]:
+    """One trial's step on a given tree: the centroid, its weight, the CSS
+    guaranteed gain, the exact safety value and their gap over the weight."""
+    res = css_run(t)
+    cw = centroid(t).weight
+    bound = solve_value(t).value
+    ratio = (bound - res.guaranteed_gain) / cw
+    if ratio < 0:
+        raise RuntimeError(f"negative gap {ratio}; bound below guaranteed gain")
+    return res.root, cw, res.guaranteed_gain, bound, ratio
+
+
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run all trials on centroidal trees of size cfg.n and aggregate.
     Individual trial failures are recorded, not fatal."""
@@ -198,13 +210,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         seed_i = trial_seed(cfg.seed, i)
         try:
             t = sample_centroidal(cfg.n, seed_i)
-            res = css_run(t)
-            cw = centroid(t).weight
-            bound = solve_value(t).value
-            ratio = (bound - res.guaranteed_gain) / cw
-            if ratio < 0:
-                raise RuntimeError(f"negative gap {ratio}; bound below guaranteed gain")
-            records.append(TrialRecord(i, seed_i, t.n, res.root, cw, res.guaranteed_gain, bound, ratio))
+            records.append(TrialRecord(i, seed_i, t.n, *_trial(t)))
         except Exception as exc:  # noqa: BLE001 - per-trial isolation is the contract
             failures.append(TrialFailure(i, seed_i, repr(exc)))
     ratios = [r.diff_ratio for r in records]

@@ -586,9 +586,9 @@ class TestDeterminismAndExitCodes:
             ),
             (
                 ["css", "--ctree", "2", "2"],
-                "verify_centroid_reply",
-                lambda real: lambda t, res: dataclasses.replace(real(t, res), passed=False),
-                {"theorem4": "fail"},
+                "css_run",  # a reply below the centroid's gain, 24/11
+                lambda real: lambda t: dataclasses.replace(real(t), guaranteed_gain=Fraction(13, 11)),
+                {"guaranteed_gain": "13/11", "theorem4": "fail"},
                 "centroid does not minimize the reply gain",
             ),
             (

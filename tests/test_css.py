@@ -9,6 +9,7 @@ from treegame import (
     BranchClass,
     SpiderSpec,
     CompleteTreeSpec,
+    CSSError,
     MixedStrategy,
     Tree,
     analyze_branches,
@@ -20,12 +21,14 @@ from treegame import (
     css_run,
     equal_branch_game,
     gain_row,
+    guaranteed_gain,
     random_tree,
     sample_centroidal,
     solve_value,
-    verify_centroid_reply,
 )
+from treegame import css
 from treegame.diffusion import _sweep
+from treegame.tree import _walk
 
 from conftest import brute_guaranteed_gain, check_iteration_bounds, path_tree, prufer_decode, simulation_matrix, star_tree
 
@@ -218,8 +221,7 @@ class TestCssRun:
         assert centroid(t).kind == "bicentroidal"
         res = css_run(t)
         assert res.strategy.probs == {0: Fraction(1, 2), 1: Fraction(1, 2)}
-        assert res.guaranteed_gain == 2
-        assert verify_centroid_reply(t, res).passed
+        assert res.guaranteed_gain == res.centroid_gain == 2
 
     def test_centroid_reply_equals_trace_end(self):
         for seed in (2, 9):
@@ -233,84 +235,82 @@ class TestCentroidReplyReport:
     def test_complete_tree_passes(self):
         t = build_complete_tree(CompleteTreeSpec(2, 2))
         res = css_run(t)
-        report = verify_centroid_reply(t, res)
-        assert report.passed and report.violations == ()
+        assert res.guaranteed_gain == res.centroid_gain
+        assert res.root in guaranteed_gain(t, res.strategy)[1]
 
     def test_star_min_tied_with_chosen_leaf(self):
         t = star_tree(4)
         res = css_run(t)
-        report = verify_centroid_reply(t, res)
-        assert report.passed
-        assert report.root_gain == Fraction(4, 5)
-        assert Fraction(res.reply_numerators[1], res.reply_den) == Fraction(4, 5)  # the covered leaf ties
+        assert res.guaranteed_gain == res.centroid_gain == Fraction(4, 5)
+        assert guaranteed_gain(t, res.strategy) == (Fraction(4, 5), (0, 1))  # the covered leaf ties
 
     def test_random_centroidal_trees_pass(self):
         for seed in range(30):
             t = sample_centroidal(3 + (seed * 13) % 70, seed)
             res = css_run(t)
-            assert verify_centroid_reply(t, res).passed
+            assert res.guaranteed_gain == res.centroid_gain
 
     def test_thousand_vertex_trees_pass(self):
         # The linear-time weight/row machinery exists for exactly this scale.
         for seed in (0, 1, 2, 3, 4):
             t = sample_centroidal(1000, seed)
             res = css_run(t)
-            report = verify_centroid_reply(t, res)
-            assert report.passed
             assert res.guaranteed_gain == res.centroid_gain
             assert check_iteration_bounds(res.trace, [b.gain_bound for b in res.branches_used])
 
     def test_bad_strategy_reports_violations(self):
+        # A pure strategy on a leaf: the replies below the root's gain are
+        # the minimizers, and the root is not among them.
         t = star_tree(4)
         res = css_run(t)
-        # A pure strategy's reply sweep is its matrix row over denominator 1.
-        skewed = dataclasses.replace(
-            res,
-            strategy=MixedStrategy.pure(5, 1),
-            alpha=Fraction(9, 10),
-            reply_numerators=tuple(gain_row(t, 1)),
-            reply_den=1,
-        )
-        report = verify_centroid_reply(t, skewed)
-        assert not report.passed and report.violations
+        value, worst = guaranteed_gain(t, MixedStrategy.pure(5, 1))
+        assert worst and res.root not in worst
+        assert value < gain_row(t, 1)[res.root]
 
-    def test_result_from_another_tree_raises(self):
-        res = css_run(star_tree(4))
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            verify_centroid_reply(star_tree(5), res)
-        foreign = dataclasses.replace(res, strategy=MixedStrategy.pure(6, 0))
-        with pytest.raises(ValueError, match="strategy over 6 vertices"):
-            verify_centroid_reply(star_tree(4), foreign)
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda: star_tree(4), id="star4"),
+            pytest.param(lambda: build_complete_tree(CompleteTreeSpec(2, 3)), id="ctree2x3"),
+            pytest.param(lambda: sample_centroidal(40, 7), id="random40"),
+        ],
+    )
+    def test_ledger_disagreeing_with_the_sweep_raises(self, monkeypatch, make):
+        # The sweep with the root's entry raised by one: the branch bounds
+        # still match their criteria, so only the ledger-versus-sweep check
+        # sees it. A fresh tree, since a tree keeps its CSS result.
+        t = make()
+        at_root = _walk(t)[4][centroid(t).root]
 
-    def test_sweep_without_an_entry_per_vertex_raises(self):
-        t = star_tree(4)
-        res = css_run(t)
-        short = dataclasses.replace(res, reply_numerators=res.reply_numerators[:-1])
-        with pytest.raises(ValueError, match="reply sweep over 4 vertices"):
-            verify_centroid_reply(t, short)
+        def raised(*args):
+            acc, den = _sweep(*args)
+            acc[at_root] += 1
+            return acc, den
+
+        monkeypatch.setattr(css, "_sweep", raised)
+        with pytest.raises(CSSError, match="disagrees with the reply sweep"):
+            css_run(t)
 
 
 def _with_strategy(t, res, mix):
-    """``res`` with ``mix`` as its strategy, carrying mix's own reply sweep."""
+    """``res`` with ``mix`` as its strategy and mix's own two gains."""
     acc, den = _sweep(t.n, mix.weights(), lambda v: gain_row(t, v))
-    return dataclasses.replace(res, strategy=mix, reply_numerators=tuple(acc), reply_den=den)
-
-
-def _assert_report_matches_simulation(t, res):
-    """The report agrees with per-entry ``Fraction`` sums over the
-    simulation's gain matrix."""
-    a = simulation_matrix(t)
-    values = tuple(
-        sum((p * a[v][y] for v, p in res.strategy.probs.items()), Fraction(0)) for y in range(t.n)
+    return dataclasses.replace(
+        res, strategy=mix, guaranteed_gain=Fraction(min(acc), den), centroid_gain=Fraction(acc[res.root], den)
     )
-    violations = tuple((y, g) for y, g in enumerate(values) if g < values[res.root])
-    report = verify_centroid_reply(t, res)
-    assert report.passed is (not violations)
-    assert report.root == res.root
-    assert report.root_gain == values[res.root]
-    assert report.violations == violations
-    assert tuple(Fraction(a, res.reply_den) for a in res.reply_numerators) == values
-    return report
+
+
+def _assert_gains_match_simulation(t, res):
+    """The result's two gains agree with per-reply ``Fraction`` sums over
+    the simulation's gain matrix, and are equal exactly when no reply falls
+    below the root's; returns whether they are equal."""
+    a = simulation_matrix(t)
+    values = [sum((p * a[v][y] for v, p in res.strategy.probs.items()), Fraction(0)) for y in range(t.n)]
+    assert res.guaranteed_gain == min(values)
+    assert res.centroid_gain == values[res.root]
+    passed = res.guaranteed_gain == res.centroid_gain
+    assert passed is all(g >= values[res.root] for g in values)
+    return passed
 
 
 class TestCentroidReplyAgainstSimulation:
@@ -320,8 +320,7 @@ class TestCentroidReplyAgainstSimulation:
         code = data.draw(st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2))
         t = Tree.from_edges(n, prufer_decode(tuple(code), n))
         assume(centroid(t).kind == "centroidal")
-        report = _assert_report_matches_simulation(t, css_run(t))
-        assert report.passed
+        assert _assert_gains_match_simulation(t, css_run(t))
 
     @pytest.mark.parametrize(
         "t",
@@ -336,7 +335,7 @@ class TestCentroidReplyAgainstSimulation:
         ],
     )
     def test_families(self, t):
-        assert _assert_report_matches_simulation(t, css_run(t)).passed
+        assert _assert_gains_match_simulation(t, css_run(t))
 
     @given(st.integers(3, 30), st.integers(0, 5_000), st.data())
     @settings(max_examples=25, deadline=None)
@@ -348,8 +347,7 @@ class TestCentroidReplyAgainstSimulation:
         # reply at the root, which gains at least n/(n+1).
         v = data.draw(st.integers(0, n - 1).filter(lambda v: v != res.root))
         mix = MixedStrategy(n, {v: Fraction(n, n + 1), res.root: Fraction(1, n + 1)})
-        report = _assert_report_matches_simulation(t, _with_strategy(t, res, mix))
-        assert not report.passed
+        assert not _assert_gains_match_simulation(t, _with_strategy(t, res, mix))
 
 
 class TestIterationBounds:

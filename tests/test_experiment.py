@@ -146,6 +146,14 @@ class TestRunExperiment:
         assert rec.css_gain == rec.upper_bound == equal_branch_game(t)[2]
         assert res.histogram.counts[0] == 1
 
+    def test_trial_step_gives_the_records_fields(self):
+        records = run_experiment(ExperimentConfig(n=100, trials=3, seed=17)).records
+        assert len(records) == 3
+        for r in records:
+            t = sample_centroidal(100, r.tree_seed)
+            fields = (r.centroid, r.centroid_weight, r.css_gain, r.upper_bound, r.diff_ratio)
+            assert treegame.experiment._trial(t) == fields
+
     def test_records_and_histogram_consistent(self):
         cfg = ExperimentConfig(n=18, trials=8, seed=11)
         res = run_experiment(cfg)

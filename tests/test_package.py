@@ -7,8 +7,8 @@ import treegame
 # The public names, each with the submodule that defines it.
 EXPORTS = {
     "css": [
-        "BranchClass", "BranchInfo", "CentroidReplyReport", "CSSError", "CSSResult", "UsedBranch",
-        "analyze_branches", "branch_criterion", "branch_probabilities", "css_run", "verify_centroid_reply",
+        "BranchClass", "BranchInfo", "CSSError", "CSSResult", "UsedBranch",
+        "analyze_branches", "branch_criterion", "branch_probabilities", "css_run",
     ],
     "diffusion": [
         "Color", "Coloring", "GameMatrix", "MixedStrategy", "format_fraction", "gain_column", "gain_row",
@@ -32,7 +32,7 @@ NAMES = [(module, name) for module, names in EXPORTS.items() for name in names]
 
 
 def test_all_lists_each_public_name_once():
-    assert len(NAMES) == 56
+    assert len(NAMES) == 54
     assert sorted(treegame.__all__) == sorted(name for _, name in NAMES)
 
 
