@@ -22,15 +22,17 @@ and ``automorphism_orbits`` are kept on the tree on first use, as are
 it read, replaced whole: a kept value never goes stale, and workers that
 race on a new tree compute an equal value twice.
 
-``Tree.from_edges``, and so ``parse_tree``, pauses the cyclic garbage
-collector while it builds the neighbour lists, the adjacency tuples and the
-kept walk, none of which can form a reference cycle, and restores the
-collector's prior state when it returns or raises. The switch is
-process-wide: other threads run without cyclic collection for that time,
-and a thread that switches the collector during a build may see its switch
-undone. ``parse_tree`` gives every vertex id of a tree above 257 vertices
-as the one int object of that vertex (CPython already shares 0..256), and
-reads the edges as pairs from its flat list of ids, with no edge list.
+``Tree.from_edges`` and ``parse_tree`` build through one step
+(``Tree._build``): it rejects too few edges before any O(n) table is
+allocated, names the first bad edge of a list that is no tree's, and pauses
+the cyclic garbage collector while it builds the neighbour lists, the
+adjacency tuples and the kept walk, none of which can form a reference
+cycle. It restores the collector's prior state when it returns or raises.
+The switch is process-wide: other threads run without cyclic collection for
+that time, and a thread that switches the collector during a build may see
+its switch undone. ``parse_tree`` gives every vertex id of a tree above 257
+vertices as the one int object of that vertex (CPython already shares
+0..256), and reads the edges as pairs from its flat list of ids.
 """
 
 from __future__ import annotations
@@ -80,25 +82,23 @@ class Tree:
     ) -> "Tree":
         if type(n) is not int or n < 1:
             raise ValueError(f"vertex count must be an int >= 1, got {n!r}")
-        _enough_edges(n, len(edges))
-        # The tree's check accepts or rejects; the ordered check names a bad
-        # edge.
-        try:
-            return cls._from_pairs(n, edges, labels)
-        except (TypeError, IndexError, ValueError) as exc:
-            raise _first_bad_edge(n, edges) or exc from None
+        return cls._build(n, len(edges), edges.__iter__, labels)
 
     @classmethod
-    def _from_pairs(cls, n: int, pairs, labels: tuple[str, ...] | None = None) -> "Tree":
-        """The tree on n vertices whose edges are the pairs that ``pairs``
-        yields, read once. No cycle can form among the new lists and
-        tuples, so the collector is paused while they are built and
+    def _build(cls, n: int, count: int, edges, labels: tuple[str, ...] | None = None) -> "Tree":
+        """The one build from an edge list: the tree on n vertices whose
+        ``count`` edges ``edges()`` yields, read once, and read again only to
+        raise the first bad edge as ``_EdgeError``. Too few edges fail before
+        any O(n) table is allocated. No cycle can form among the new lists
+        and tuples, so the collector is paused while they are built and
         walked."""
+        if count < n - 1:
+            raise ValueError(f"a tree on {n} vertices needs {n - 1} edges, got {count}; tree is disconnected")
         collecting = gc.isenabled()
         gc.disable()
         try:
             neighbours: list[list[int]] = [[] for _ in range(n)]
-            for u, v in pairs:
+            for u, v in edges():
                 neighbours[u].append(v)
                 neighbours[v].append(u)
             for ns in neighbours:
@@ -106,6 +106,10 @@ class Tree:
             adj = tuple(map(tuple, neighbours))
             del neighbours  # before the walk, which would otherwise peak with them
             return cls(n, adj, labels)
+        except (TypeError, IndexError, ValueError) as exc:
+            # The tree's check accepts or rejects; the ordered check names a
+            # bad edge.
+            raise _first_bad_edge(n, edges()) or exc from None
         finally:
             if collecting:
                 gc.enable()
@@ -123,14 +127,7 @@ class Tree:
         return type(self), (self.n, self.adj, self.labels)
 
 
-def _enough_edges(n: int, count: int) -> None:
-    """Checked before the O(n) tables are allocated, so a short edge list
-    with a huge claimed n fails fast."""
-    if count < n - 1:
-        raise ValueError(f"a tree on {n} vertices needs {n - 1} edges, got {count}; tree is disconnected")
-
-
-def _first_bad_edge(n: int, edges: list[tuple[int, int]]) -> _EdgeError | None:
+def _first_bad_edge(n: int, edges) -> _EdgeError | None:
     """The first edge, in order, after which ``edges`` is no tree's edge
     list: not a pair, an endpoint that is not an ``int`` (a ``bool``
     included), out of range, a self-loop, a duplicate or a cycle; None if
@@ -230,17 +227,14 @@ def parse_tree(text: str) -> Tree:
         # length or its ids keeps its own, for the edge checks to name.
         ends = list(map(list(range(n)).__getitem__, ends))
     try:
-        _enough_edges(n, len(ends) // 2)
         # The edges are read as pairs from one zip, which reuses its tuple:
-        # an edge list is built only to name a bad edge.
-        ids = iter(ends)
-        return Tree._from_pairs(n, zip(ids, ids))
+        # no edge list is built.
+        return Tree._build(n, len(ends) // 2, lambda: zip(*[iter(ends)] * 2))
+    except _EdgeError as bad:
+        edge_linenos = (i for i, raw in enumerate(islice(text.splitlines(), 1, None), start=2) if raw.strip())
+        raise TreeFormatError(f"line {next(islice(edge_linenos, bad.index, None))}: {bad}") from None
     except (TypeError, IndexError, ValueError) as exc:
-        bad = len(ends) >= 2 * n - 2 and _first_bad_edge(n, list(zip(*[iter(ends)] * 2)))
-        if not bad:
-            raise TreeFormatError(f"line {last}: {exc}") from None
-    edge_linenos = (i for i, raw in enumerate(islice(text.splitlines(), 1, None), start=2) if raw.strip())
-    raise TreeFormatError(f"line {next(islice(edge_linenos, bad.index, None))}: {bad}") from None
+        raise TreeFormatError(f"line {last}: {exc}") from None
 
 
 def _first_malformed_line(lines: list[str]) -> TreeFormatError:

@@ -227,6 +227,8 @@ class TestExperimentCommand:
     def test_missing_settings(self):
         code, _, _ = run_cli("experiment", "--n", "10")
         assert code != 0
+        # Neither --n, --seed nor --config: a usage error naming both, exit 1.
+        assert run_cli("experiment", "--trials", "2") == (1, "", "Error: missing required settings: n, seed\n")
 
     def test_overflow_is_one_stderr_line_under_warnings_as_errors(self, tmp_path):
         # Every ratio of these 40 trials lies above 1/100. The overflow is

@@ -231,7 +231,7 @@ class TestCssRun:
             assert Fraction(acc[res.root], den) == res.centroid_gain
 
 
-class TestCentroidReplyReport:
+class TestCentroidIsWorstReply:
     def test_complete_tree_passes(self):
         t = build_complete_tree(CompleteTreeSpec(2, 2))
         res = css_run(t)

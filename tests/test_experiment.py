@@ -52,6 +52,11 @@ class TestRandomTree:
         for seed in range(100):
             assert random_tree(n, seed).adj == randrange_random_tree(n, seed).adj
 
+    def test_rejects_an_empty_tree(self):
+        with pytest.raises(ValueError) as exc:
+            random_tree(0, 1)
+        assert str(exc.value) == "tree size must be >= 1"
+
     def test_seeds_differ(self):
         assert random_tree(50, 1).edges() != random_tree(50, 2).edges()
 

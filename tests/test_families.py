@@ -199,7 +199,6 @@ class TestSpiderOptimalDepth:
         expect_k = gains.index(best)
         assert spider_optimal_depth(spec) == (expect_k, best)
 
-    @pytest.mark.slow
     def test_long_legs_track_square_root_rule(self):
         # For long legs the best depth is near 2 * sqrt(length / legs).
         spec = SpiderSpec(4, 100)

@@ -93,16 +93,26 @@ class TestParseTree:
         with pytest.raises(TreeFormatError, match="disconnected"):
             parse_tree("4\n0 1\n2 3")
 
-    def test_short_list_rejected_before_allocating(self):
+    @pytest.mark.parametrize(
+        "build, kind, prefix",
+        [
+            (lambda: parse_tree("1000000\n0 1"), TreeFormatError, "line 2: "),
+            (lambda: Tree.from_edges(1_000_000, [(0, 1)]), ValueError, ""),
+        ],
+        ids=["parse_tree", "from_edges"],
+    )
+    def test_short_list_rejected_before_allocating(self, build, kind, prefix):
         # A claimed n far above the edge count fails before the O(n)
-        # neighbour lists and union-find array are built.
+        # neighbour lists and union-find array are built, through either
+        # door to the build.
         tracemalloc.start()
         try:
-            with pytest.raises(TreeFormatError, match="line 2: .*disconnected"):
-                parse_tree("1000000\n0 1")
+            with pytest.raises(kind) as exc:
+                build()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert str(exc.value) == prefix + "a tree on 1000000 vertices needs 999999 edges, got 1; tree is disconnected"
         assert peak < 1_000_000
 
     def test_extra_lines_rejected(self):
@@ -165,9 +175,21 @@ class TestParseTree:
                 parse_tree(text)
             assert str(exc.value) == expected
 
-    def test_bad_count(self):
-        with pytest.raises(TreeFormatError, match="line 1"):
-            parse_tree("zero\n0 1")
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("zero\n0 1", "line 1: expected vertex count, got 'zero'"),
+            ("", "line 1: expected vertex count"),
+            ("\n", "line 1: expected vertex count"),
+            (" \t\n0 1", "line 1: expected vertex count"),
+            ("0\n", "line 1: vertex count must be >= 1, got 0"),
+            ("-3\n", "line 1: vertex count must be >= 1, got -3"),
+        ],
+    )
+    def test_bad_count(self, text, message):
+        with pytest.raises(TreeFormatError) as exc:
+            parse_tree(text)
+        assert str(exc.value) == message
 
 
 # One fault per document, or none: an endpoint below 0 or equal to n, a line
