@@ -15,7 +15,7 @@ _EXPORTS = {
         "analyze_branches", "branch_criterion", "branch_probabilities", "css_run",
     ),
     "diffusion": (
-        "Color", "Coloring", "GameMatrix", "MixedStrategy", "format_fraction", "gain_column", "gain_row",
+        "Color", "Coloring", "MixedStrategy", "format_fraction", "gain_column", "gain_row",
         "game_matrix", "guaranteed_gain", "maximal_gain", "pure_gain", "simulate_diffusion", "strategy_to_pairs",
     ),
     "experiment": (
@@ -28,7 +28,7 @@ _EXPORTS = {
     ),
     "solver": ("SolverError", "ZeroSumSolution", "solve_value", "verify_solution"),
     "tree": (
-        "CentroidInfo", "Tree", "TreeFormatError", "WeightTable", "automorphism_orbits", "centroid",
+        "CentroidInfo", "Tree", "TreeFormatError", "automorphism_orbits", "centroid",
         "distances_from", "parse_tree", "weight_table",
     ),
 }

@@ -178,13 +178,13 @@ def _command(name: str, *options: tuple[str, dict], tree: bool = False):
 @_command("centroid", tree=True)
 def centroid_cmd(t) -> None:
     """Vertex weights, co-weights and the centroid."""
-    wt = weight_table(t)
+    w = weight_table(t)
     info = centroid(t)
     doc = {
         "schema": "treegame.centroid/1",
         "n": t.n,
-        "weights": wt.w,
-        "co_weights": wt.co_weight,
+        "weights": w,
+        "co_weights": tuple(t.n - x for x in w),
         "centroid": {"vertices": info.vertices, "kind": info.kind, "root": info.root},
     }
     if t.labels is not None:
@@ -201,9 +201,9 @@ def matrix_cmd(t, fmt) -> None:
     """Gain matrix for all pure pairs, one row per own starting vertex."""
     a = game_matrix(t)
     if fmt == "csv":
-        print(a.to_csv(), end="", flush=True)
+        print(*(",".join(map(str, row)) for row in a), sep="\n", flush=True)
     else:
-        _emit({"schema": "treegame.matrix/1", "n": a.n, "entries": a.entries})
+        _emit({"schema": "treegame.matrix/1", "n": t.n, "entries": a})
 
 
 @_command(

@@ -129,27 +129,6 @@ def pure_gain(t: Tree, x1: int, x2: int) -> int:
     return sum(map(lt, kept[x1], kept[x2]))
 
 
-@dataclass(frozen=True)
-class GameMatrix:
-    """Player 1's gains for all pure strategy pairs: entry [i][j] is her gain
-    when she starts at vertex i and the opponent at vertex j."""
-
-    n: int
-    entries: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        if len(self.entries) != self.n or any(len(r) != self.n for r in self.entries):
-            raise ValueError("matrix must be n x n")
-        for i in range(self.n):
-            if self.entries[i][i] != 0:
-                raise ValueError("diagonal entries must be zero")
-            if any(x < 0 for x in self.entries[i]):
-                raise ValueError("entries must be non-negative")
-
-    def to_csv(self) -> str:
-        return "\n".join(",".join(map(str, row)) for row in self.entries) + "\n"
-
-
 def _cut_gains(t: Tree, x: int, is_row: bool) -> list[int]:
     """Matrix row (``is_row``) or column at ``x`` in O(n), rooted there, in
     walk order: entry i is the gain against, or of, the vertex at walk
@@ -208,19 +187,25 @@ def gain_column(t: Tree, y: int) -> list[int]:
     return _by_vertex(t, _cut_gains(t, y, False))
 
 
-def game_matrix(t: Tree) -> GameMatrix:
-    """All pure-pair gains: n rows, each rerooted from the tree's one walk in O(n)."""
+def game_matrix(t: Tree) -> tuple[tuple[int, ...], ...]:
+    """All pure-pair gains, as a tuple of n row tuples: entry [x][y] is
+    Player 1's gain from start x against the opponent's start y. Each row
+    is rerooted from the tree's one walk in O(n).
+
+    One pass over the rows and their transpose checks the kernel: each
+    diagonal entry is 0, each entry lies in 0..n-1, and
+    a[x][y] + a[y][x] <= n. A failure is an internal fault and raises
+    ``RuntimeError`` naming the row or the pair.
+    """
     n = t.n
-    rows = []
-    for x in range(n):
-        row = gain_row(t, x)
-        rows.append(tuple(row))
-    m = GameMatrix(n, tuple(rows))
-    for i in range(n):
-        for j in range(n):
-            if m.entries[i][j] > n - 1 or m.entries[i][j] + m.entries[j][i] > n:
-                raise RuntimeError(f"gain bounds violated at pair ({i}, {j})")
-    return m
+    rows = tuple(tuple(gain_row(t, x)) for x in range(n))
+    for x, (row, col) in enumerate(zip(rows, zip(*rows))):
+        if row[x]:
+            raise RuntimeError(f"non-zero diagonal entry in row {x}")
+        for y, (a, b) in enumerate(zip(row, col)):
+            if not (0 <= a < n and a + b <= n):
+                raise RuntimeError(f"gain bounds violated at pair ({x}, {y})")
+    return rows
 
 
 class MixedStrategy:

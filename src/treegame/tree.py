@@ -16,8 +16,8 @@ vertex's orbit, and the orbits of several vertices with their members'
 walk positions.
 
 A ``Tree`` is immutable after construction, so every function here is pure
-and safe to call from concurrent workers. ``weight_table``, ``centroid``
-and ``automorphism_orbits`` are kept on the tree on first use, as are
+and safe to call from concurrent workers. ``centroid`` and
+``automorphism_orbits`` are kept on the tree on first use, as are
 ``css_run``'s strategy and ``pure_gain``'s distance tuples of the last pair
 it read, replaced whole: a kept value never goes stale, and workers that
 race on a new tree compute an equal value twice.
@@ -176,12 +176,6 @@ def _kept(fn):
         return t.__dict__[key]
 
     return kept
-
-
-@dataclass(frozen=True)
-class WeightTable:
-    w: tuple[int, ...]
-    co_weight: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -373,10 +367,10 @@ def _runs(t: Tree, x: int) -> tuple[list[tuple[int, int, int]], list[tuple[int, 
     return runs, pairs
 
 
-@_kept
-def weight_table(t: Tree) -> WeightTable:
-    """Per-vertex weight: the maximum edge count over the branches at the
-    vertex, 0 for a lone vertex.
+def weight_table(t: Tree) -> tuple[int, ...]:
+    """The tuple of per-vertex weights, indexed by vertex: the maximum edge
+    count over the branches at the vertex, 0 for a lone vertex. Nothing is
+    kept on the tree.
 
     Computed in O(n) from the kept walk's subtree sizes: the largest child
     subtree of each vertex, against the parent-side branch, n - size(v).
@@ -389,8 +383,7 @@ def weight_table(t: Tree) -> WeightTable:
     for p, s in zip(map(parent.__getitem__, order), size):
         if s > child[p]:
             child[p] = s
-    w = tuple([c if c > n - s else n - s for c, s in zip(child, map(size.__getitem__, pos))])
-    return WeightTable(w, tuple(n - x for x in w))
+    return tuple([c if c > n - s else n - s for c, s in zip(child, map(size.__getitem__, pos))])
 
 
 @_kept

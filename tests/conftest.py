@@ -23,8 +23,9 @@ from pathlib import Path
 from unittest import mock
 
 import treegame.cli
+import treegame.diffusion
 import treegame.tree
-from treegame import MixedStrategy, Tree, TreeFormatError, gain_row, simulate_diffusion
+from treegame import MixedStrategy, Tree, TreeFormatError, gain_row, random_tree, simulate_diffusion
 from treegame.solver import _Tableau
 
 
@@ -53,6 +54,31 @@ def prufer_decode(seq: tuple[int, ...], n: int) -> list[tuple[int, int]]:
     v = heapq.heappop(leaves)
     edges.append((u, v))
     return edges
+
+
+def relabelled_document(n: int, seed: int) -> str:
+    """A random tree on n vertices, its ids shuffled, as an edge-list document."""
+    t = random_tree(n, seed)
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    return "\n".join([str(n), *(f"{perm[u]} {perm[v]}" for u, v in t.edges())]) + "\n"
+
+
+# Broken gain kernels for ``diffusion._cut_gains``: each maps the tree's n and
+# one entry of a real line to the entry written instead, with the error that
+# ``game_matrix`` must raise on ``build_spider(SpiderSpec(3, 2))``. Every
+# off-diagonal gain is positive, so ``g or 1`` changes only the diagonal.
+GAIN_KERNEL_MUTANTS = {
+    "diagonal-1": (lambda n, g: g or 1, "non-zero diagonal entry in row 0"),
+    "entry-n": (lambda n, g: g and n, "gain bounds violated at pair (0, 1)"),
+    "pair-sum-above-n": (lambda n, g: g and n - 1, "gain bounds violated at pair (0, 1)"),
+}
+
+
+def broken_kernel(change):
+    """``diffusion._cut_gains`` with each entry passed through ``change``."""
+    real = treegame.diffusion._cut_gains
+    return lambda t, x, is_row: [change(t.n, g) for g in real(t, x, is_row)]
 
 
 def all_labeled_trees(n: int):

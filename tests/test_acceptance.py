@@ -244,7 +244,7 @@ def test_criterion_8_solver_certificates():
     for _, t, sol in solves:
         assert sol.primal_value == sol.value == sol.dual_value
         assert verify_solution(t, sol)
-        assert dense_certificate_holds(t, sol, game_matrix(t).entries)
+        assert dense_certificate_holds(t, sol, game_matrix(t))
     elapsed = time.perf_counter() - start
     print(
         f"\nPASS: primal and dual values agree exactly and the certificate "

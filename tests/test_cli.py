@@ -27,7 +27,16 @@ from treegame import (
 )
 from treegame.cli import _render, main
 
-from conftest import python_env, run_cli, run_python, strategy_from_pairs
+from conftest import (
+    GAIN_KERNEL_MUTANTS,
+    brute_weights,
+    broken_kernel,
+    python_env,
+    relabelled_document,
+    run_cli,
+    run_python,
+    strategy_from_pairs,
+)
 
 
 @pytest.fixture
@@ -56,6 +65,15 @@ class TestCentroidCommand:
         assert doc["schema"] == "treegame.centroid/1"
         assert doc["weights"] == [4, 3, 2, 3, 4]
         assert doc["centroid"] == {"vertices": [2], "kind": "centroidal", "root": 2}
+
+    def test_relabelled_file_weights_and_co_weights(self, tmp_path):
+        text = relabelled_document(300, 3)
+        path = tmp_path / "relabelled.tree"
+        path.write_text(text)
+        doc = run_json(["centroid", "--tree", str(path)])
+        w = brute_weights(parse_tree(text))
+        assert doc["weights"] == w
+        assert doc["co_weights"] == [300 - x for x in w]
 
     def test_requires_exactly_one_input(self, p5_file):
         code, _, _ = run_cli("centroid", "--tree", p5_file, "--ctree", "2", "2")
@@ -100,6 +118,17 @@ class TestMatrixCommand:
     def test_json_format(self, p2_file):
         doc = run_json(["matrix", "--tree", p2_file, "--format", "json"])
         assert doc["entries"] == [[0, 1], [1, 0]]
+
+    @pytest.mark.parametrize("fmt", [[], ["--format", "json"]], ids=["csv", "json"])
+    @pytest.mark.parametrize("mutant", GAIN_KERNEL_MUTANTS)
+    def test_broken_kernel_exits_2(self, monkeypatch, mutant, fmt):
+        # A kernel that breaks the matrix's invariant is an internal fault:
+        # one "verification failure" line, nothing on stdout, exit code 2.
+        import treegame.diffusion
+
+        change, message = GAIN_KERNEL_MUTANTS[mutant]
+        monkeypatch.setattr(treegame.diffusion, "_cut_gains", broken_kernel(change))
+        assert run_cli("matrix", "--spider", "3", "2", *fmt) == (2, "", f"verification failure: {message}\n")
 
 
 class TestSimulateCommand:
@@ -356,6 +385,7 @@ GOLDEN_STDOUT = {
     "ctree --m 3 --h 2": "afa7f3beab8e0e1fd6bc724e0f86129561849eb198a2674d616f8f3eb6f233bf",
     "ctree --m 3 --h 2 --float": "7dee23d34c53bd6c994c6a0ddc0277d1e6d9f1728edc36b5d6a002d66fed30b1",
     "centroid --spider 3 2": "92770b7b63f899e6187bfb8ef2ecd5c775bc5a69d7e6cbc5d06f553b5a711236",
+    "matrix --spider 3 2": "b6d98aaf3a6be6ad75f0f3336ce4225893a1b0ed8d61fb753b43df1dadd55a5c",
     "matrix --spider 3 2 --format json": "1f062f05d9e640c4031a0c5ea842bf0c1e8563ea552e8cab204b892e222d5dc4",
     "simulate --spider 3 2 --x 1 --y 4": "ca2143adfd1dab8611643306fe22d0340097f92ece4c342706dc1e8c2c567e2f",
 }

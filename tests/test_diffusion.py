@@ -13,7 +13,6 @@ import treegame.diffusion
 import treegame.tree
 from treegame import (
     Color,
-    GameMatrix,
     MixedStrategy,
     build_complete_tree,
     build_spider,
@@ -37,7 +36,18 @@ from treegame import (
 from treegame.diffusion import _cut_gains, _field_words, _line, _pack, _sweep, _unpack
 from treegame.tree import _runs, _symmetry, _walk, parse_tree
 
-from conftest import gain, list_sweep, path_tree, prufer_decode, simulation_matrix, star_tree, strategy_from_pairs
+from conftest import (
+    GAIN_KERNEL_MUTANTS,
+    broken_kernel,
+    gain,
+    list_sweep,
+    path_tree,
+    prufer_decode,
+    relabelled_document,
+    simulation_matrix,
+    star_tree,
+    strategy_from_pairs,
+)
 
 
 @st.composite
@@ -132,15 +142,15 @@ class TestPureGain:
 
 class TestGameMatrix:
     def test_single_edge(self):
-        assert game_matrix(path_tree(2)).entries == ((0, 1), (1, 0))
+        assert game_matrix(path_tree(2)) == ((0, 1), (1, 0))
 
     def test_p3_center_vs_leaf(self):
         a = game_matrix(path_tree(3))
-        assert a.entries[1][0] == 2 and a.entries[1][2] == 2
+        assert a[1][0] == 2 and a[1][2] == 2
 
     def test_diagonal_zero(self):
         a = game_matrix(random_tree(17, 1))
-        assert all(a.entries[i][i] == 0 for i in range(17))
+        assert all(a[i][i] == 0 for i in range(17))
 
     def test_rows_columns_match_pure_gain(self):
         t = random_tree(23, 8)
@@ -167,8 +177,8 @@ class TestGameMatrix:
         a = game_matrix(t)
         for i in range(19):
             for j in range(19):
-                assert 0 <= a.entries[i][j] <= 18
-                assert a.entries[i][j] + a.entries[j][i] <= 19
+                assert 0 <= a[i][j] <= 18
+                assert a[i][j] + a[j][i] <= 19
 
     def test_gain_conservation_with_grey_and_white(self):
         t = random_tree(15, 31)
@@ -187,7 +197,7 @@ class TestGameMatrix:
         # Reversing a path is an automorphism: A[pi(i)][pi(j)] == A[i][j].
         n = 9
         t = path_tree(n)
-        a = game_matrix(t).entries
+        a = game_matrix(t)
         pi = [n - 1 - v for v in range(n)]
         for i in range(n):
             for j in range(n):
@@ -197,25 +207,28 @@ class TestGameMatrix:
         spec = CompleteTreeSpec(2, 2)
         t = build_complete_tree(spec)
         pi = [0, 2, 1, 5, 6, 3, 4]  # swap the two root subtrees
-        a = game_matrix(t).entries
+        a = game_matrix(t)
         for i in range(7):
             for j in range(7):
                 assert a[pi[i]][pi[j]] == a[i][j]
 
     def test_star_leaf_swap_automorphism(self):
         t = star_tree(5)
-        a = game_matrix(t).entries
+        a = game_matrix(t)
         pi = [0, 2, 1, 3, 4, 5]
         for i in range(6):
             for j in range(6):
                 assert a[pi[i]][pi[j]] == a[i][j]
 
-    def test_csv_export(self):
-        assert game_matrix(path_tree(2)).to_csv() == "0,1\n1,0\n"
-
-    def test_rejects_nonsquare(self):
-        with pytest.raises(ValueError):
-            GameMatrix(2, ((0, 1),))
+    @pytest.mark.parametrize("mutant", GAIN_KERNEL_MUTANTS)
+    def test_broken_kernel_is_an_internal_fault(self, monkeypatch, mutant):
+        # The matrix's one check, in game_matrix: RuntimeError, never the
+        # ValueError of an input error.
+        change, message = GAIN_KERNEL_MUTANTS[mutant]
+        monkeypatch.setattr(treegame.diffusion, "_cut_gains", broken_kernel(change))
+        with pytest.raises(RuntimeError) as info:
+            game_matrix(build_spider(SpiderSpec(3, 2)))
+        assert str(info.value) == message
 
 
 class TestMixedStrategy:
@@ -347,7 +360,7 @@ class TestMixedStrategy:
 class TestGainFunctionals:
     def test_pure_pair_picks_entry(self):
         t = random_tree(10, 2)
-        a = game_matrix(t).entries
+        a = game_matrix(t)
         for i, j in ((0, 3), (4, 4), (7, 2)):
             assert gain(t, MixedStrategy.pure(10, i), MixedStrategy.pure(10, j)) == a[i][j]
 
@@ -388,7 +401,7 @@ class TestGainFunctionals:
 
     def test_reply_gains_match_matrix(self):
         t = random_tree(16, 13)
-        a = game_matrix(t).entries
+        a = game_matrix(t)
         x = MixedStrategy(16, {1: Fraction(1, 3), 5: Fraction(1, 3), 9: Fraction(1, 3)})
         acc, den = _sweep(16, x.weights(), lambda v: gain_row(t, v))
         g = [Fraction(num, den) for num in acc]
@@ -558,14 +571,6 @@ def walk_root_trees(draw):
     return Tree.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
 
 
-def _relabelled_document(n: int, seed: int) -> str:
-    """A random tree on n vertices, its ids shuffled, as an edge-list document."""
-    t = random_tree(n, seed)
-    perm = list(range(n))
-    random.Random(seed).shuffle(perm)
-    return "\n".join([str(n), *(f"{perm[u]} {perm[v]}" for u, v in t.edges())]) + "\n"
-
-
 class TestWalkOrderLines:
     """The gain kernel writes each line in walk order: entry i belongs to the
     vertex at walk position i, and ``pos`` maps a vertex to its entry."""
@@ -591,7 +596,7 @@ class TestWalkOrderLines:
     def test_shared_ids_above_257(self):
         # parse_tree gives each vertex one int above 257 vertices; a sample
         # of roots is checked against the simulation, a line at a time.
-        t = parse_tree(_relabelled_document(300, 7))
+        t = parse_tree(relabelled_document(300, 7))
         order, _, _, _, pos = _walk(t)
         assert sorted(order) == list(range(300)) and all(order[pos[v]] == v for v in range(300))
         for x in random.Random(7).sample(range(300), 6):
@@ -623,7 +628,7 @@ class TestRerootedLines:
         for x in range(t.n):
             assert gain_row(t, x) == a[x]
             assert gain_column(t, x) == [a[y][x] for y in range(t.n)]
-        assert game_matrix(t).entries == tuple(map(tuple, a))
+        assert game_matrix(t) == tuple(map(tuple, a))
 
     def test_oracles_do_not_read_the_kept_walk(self):
         # simulate_diffusion and distances_from stay independent of the

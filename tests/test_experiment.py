@@ -232,7 +232,7 @@ class TestRunExperiment:
         for r in res.records:
             t = trees[r.tree_seed]
             assert r.centroid == centroid(t).root
-            assert r.centroid_weight == weight_table(t).w[r.centroid] == brute_weights(t)[r.centroid]
+            assert r.centroid_weight == weight_table(t)[r.centroid] == brute_weights(t)[r.centroid]
 
     def test_overflow_bin_counts_without_a_warning(self, monkeypatch):
         # On the 4-leaf star the centroidal strategy guarantees 4/5 while the

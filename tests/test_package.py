@@ -11,7 +11,7 @@ EXPORTS = {
         "analyze_branches", "branch_criterion", "branch_probabilities", "css_run",
     ],
     "diffusion": [
-        "Color", "Coloring", "GameMatrix", "MixedStrategy", "format_fraction", "gain_column", "gain_row",
+        "Color", "Coloring", "MixedStrategy", "format_fraction", "gain_column", "gain_row",
         "game_matrix", "guaranteed_gain", "maximal_gain", "pure_gain", "simulate_diffusion", "strategy_to_pairs",
     ],
     "experiment": [
@@ -24,7 +24,7 @@ EXPORTS = {
     ],
     "solver": ["SolverError", "ZeroSumSolution", "solve_value", "verify_solution"],
     "tree": [
-        "CentroidInfo", "Tree", "TreeFormatError", "WeightTable", "automorphism_orbits", "centroid",
+        "CentroidInfo", "Tree", "TreeFormatError", "automorphism_orbits", "centroid",
         "distances_from", "parse_tree", "weight_table",
     ],
 }
@@ -32,7 +32,7 @@ NAMES = [(module, name) for module, names in EXPORTS.items() for name in names]
 
 
 def test_all_lists_each_public_name_once():
-    assert len(NAMES) == 54
+    assert len(NAMES) == 52
     assert sorted(treegame.__all__) == sorted(name for _, name in NAMES)
 
 

@@ -171,6 +171,18 @@ class TestWarmTableau:
         assert not lp.parked
         _check_tableau(lp, a, [1, 1])
 
+    def test_solution_checks_the_objectives_agree(self):
+        # [[0, 2], [1, 0]] has value 2/3, with row mix (1/3, 2/3) and column
+        # mix (2/3, 1/3). A slack price lowered by one breaks duality.
+        a = [[0, 2], [1, 0]]
+        lp = _Tableau(lambda i, j: a[i][j], lambda j: 1)
+        lp.grow([0, 1], [0, 1])
+        assert lp.solution() == (2, 3, [1, 2], [2, 1])
+        lp.z[lp.slack[0]] += 1
+        with pytest.raises(SolverError) as info:
+            lp.solution()
+        assert str(info.value) == "primal and dual objectives disagree"
+
     def test_each_entry_is_asked_for_once(self, monkeypatch):
         # The tableau keeps a column's entries only while it waits, yet never
         # asks for one (row, column) entry twice: every pair of the final
@@ -253,6 +265,12 @@ def _exact_div_row(num, den):
 
 
 class TestExactDivRow:
+    def test_inexact_pivot_message(self):
+        # (1 * 2 - 1 * 1) / 3 leaves a remainder in the second entry.
+        with pytest.raises(SolverError) as info:
+            _eliminate([1, 1], 0, [2, 1], 2, 3)
+        assert str(info.value) == "inexact division in integer pivot"
+
     def test_exact_row(self):
         assert _exact_div_row([6, -9, 0, 3, -3], 3) == [2, -3, 0, 1, -1]
         assert _exact_div_row([5, -7, 0], 1) == [5, -7, 0]
@@ -280,6 +298,17 @@ class TestExactDivRow:
 
 
 class TestSolveValue:
+    def test_stalled_support_generation_exits_2(self, monkeypatch, tmp_path):
+        # A first round that admits no orbit on either side hits the loop's
+        # invariant check: the value command prints nothing and exits 2.
+        t = sample_centroidal(100, 4)
+        assert solve_value(t).stats.rounds == 5
+        path = tmp_path / "t.tree"
+        path.write_text("\n".join([str(t.n), *(f"{u} {v}" for u, v in t.edges())]) + "\n")
+        monkeypatch.setattr(treegame.solver, "_admit", lambda *args: [])
+        message = "verification failure: support generation stalled: no improving vertex outside the supports\n"
+        assert run_cli("value", "--tree", str(path)) == (2, "", message)
+
     def test_single_vertex_trivial(self):
         # One round of the loop, on the 1 x 1 zero subgame: no early return.
         sol = solve_value(path_tree(1))
