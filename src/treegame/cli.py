@@ -41,10 +41,6 @@ from .solver import solve_value, verify_solution
 from .tree import centroid, parse_tree, weight_table
 
 
-class VerificationFailure(RuntimeError):
-    """An internal consistency check failed; maps to exit status 2."""
-
-
 _CONTAINERS = (dict, list, tuple)
 
 
@@ -100,11 +96,11 @@ def _render(doc, default, depth: int = 0) -> str:
 def _emit(doc: dict, as_float: bool = False, failure: str | None = None) -> None:
     """Print ``doc`` as indent-2 JSON written by the C encoder (``_render``),
     each ``Fraction`` in it as "p/q" or, ``as_float``, a decimal; then, if the
-    command's check failed, raise ``VerificationFailure(failure)``. The
+    command's check failed, raise ``RuntimeError(failure)`` (exit 2). The
     document is flushed, so it comes before any stderr line that follows."""
     print(_render(doc, float if as_float else format_fraction), flush=True)
     if failure is not None:
-        raise VerificationFailure(failure)
+        raise RuntimeError(failure)
 
 
 class _UsageError(Exception):
@@ -303,10 +299,10 @@ def spider_cmd(legs, leg_length, k, as_float) -> None:
 
     spec = SpiderSpec(legs, leg_length)
     t = build_spider(spec)
-    k, ggain = spider_optimal_depth(spec) if k is None else (k, None)
+    if k is None:
+        k = spider_optimal_depth(spec)[0]
     strat = spider_safe_strategy(spec, k)
-    if ggain is None:
-        ggain = guaranteed_gain(t, strat)[0]
+    ggain = guaranteed_gain(t, strat)[0]
     body_gain = spider_body_reply_gain(spec, k)
     value = solve_value(t).value
     sandwich_ok = ggain <= value <= leg_length
@@ -419,7 +415,7 @@ def experiment_cmd(n, trials, seed, config_file, out_dir) -> None:
     if result.failures:
         for f in result.failures:
             print(f"trial {f.index} failed: {f.error}", file=sys.stderr)
-        raise VerificationFailure(f"{len(result.failures)} of {cfg.trials} trials failed")
+        raise RuntimeError(f"{len(result.failures)} of {cfg.trials} trials failed")
 
 
 def main() -> None:
@@ -433,7 +429,7 @@ def main() -> None:
         print(file=sys.stderr)  # end the line that ^C left
         sys.exit(1)
     except RuntimeError as exc:
-        # A broken internal invariant: VerificationFailure, SolverError,
+        # A broken internal invariant: a command's failed check, SolverError,
         # CSSError, or a tree, diffusion or closed-form check.
         print(f"verification failure: {exc}", file=sys.stderr)
         sys.exit(2)

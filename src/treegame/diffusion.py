@@ -311,11 +311,6 @@ def strategy_to_pairs(x: MixedStrategy, as_float: bool = False) -> list[list]:
     return [[v, f"{w // g}/{den // g}"] for v, w in weights.items() for g in [math.gcd(w, den)]]
 
 
-def _check_dims(t: Tree, s: MixedStrategy) -> None:
-    if s.n != t.n:
-        raise ValueError(f"dimension mismatch: strategy over {s.n} vertices, tree has {t.n}")
-
-
 def _field_words(n: int, den: int) -> int:
     """The 64-bit words per field of a packed sweep over ``n`` entries whose
     weights sum to ``den``: the fewest that hold ``n * den``, which exceeds
@@ -403,11 +398,14 @@ def _sweep(
     return acc, den
 
 
-def _extreme(t: Tree, sums: tuple[list[int], int], pick: Callable) -> tuple[Fraction, tuple[int, ...]]:
-    """The min or max (``pick``) of a walk-order ``_sweep`` result, found on
-    the numerators, with the sorted tuple of vertices that attain it."""
-    acc, den = sums
-    best = pick(acc)
+def _extreme(t: Tree, s: MixedStrategy, is_row: bool) -> tuple[Fraction, tuple[int, ...]]:
+    """One ``_sweep`` of s's rows (``is_row``) or columns, and its least
+    row entry or greatest column entry, with the sorted tuple of vertices
+    that attain it."""
+    if s.n != t.n:
+        raise ValueError(f"dimension mismatch: strategy over {s.n} vertices, tree has {t.n}")
+    acc, den = _sweep(t.n, s.weights(), _line(t, is_row))
+    best = (min if is_row else max)(acc)
     return Fraction(best, den), tuple(sorted(v for v, a in zip(_walk(t)[0], acc) if a == best))
 
 
@@ -417,8 +415,7 @@ def guaranteed_gain(t: Tree, x: MixedStrategy):
     Returns (value, tuple of minimizing vertices). Works from per-support
     matrix rows, so the full n x n matrix is never materialized.
     """
-    _check_dims(t, x)
-    return _extreme(t, _sweep(t.n, x.weights(), _line(t, True)), min)
+    return _extreme(t, x, True)
 
 
 def maximal_gain(t: Tree, y: MixedStrategy):
@@ -426,5 +423,4 @@ def maximal_gain(t: Tree, y: MixedStrategy):
 
     Returns (value, tuple of maximizing vertices).
     """
-    _check_dims(t, y)
-    return _extreme(t, _sweep(t.n, y.weights(), _line(t, False)), max)
+    return _extreme(t, y, False)

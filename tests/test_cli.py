@@ -380,6 +380,8 @@ GOLDEN_STDOUT = {
     "value --spider 5 2 --float": "aee3a7068fc1aa678435f3b6ff0d6ecb6277ee32b7046d185d4a00b1cd6957f0",
     "css --ctree 2 4": "3b517a82a8f7471bc3e25fbccabe74d7187b36235b8eb83043e3ceb93ce50011",
     "css --ctree 2 4 --float": "ee46333549f379c011f79f6443a51e5215ace44c701bbd5c7c19c22428dd5639",
+    "spider --m 4 --l 5": "76bd772671541afbc8191cc4ed763bedf648cc343ef32f74244f0a2bd5881e26",
+    "spider --m 4 --l 5 --float": "50787543777660b8715c68cbc13b6ea848474e3dc0a5cc1632f2a30419b2a894",
     "spider --m 4 --l 5 --k 2": "14c1920b890fddb728f584f9dca55aa336a55e51c0bf082aa20dfa7a118f7bbc",
     "spider --m 4 --l 5 --k 2 --float": "bb36be5b291a543c32fafc19583fde21ff48e357bada0996f78dd8ddd0f7c337",
     "ctree --m 3 --h 2": "afa7f3beab8e0e1fd6bc724e0f86129561849eb198a2674d616f8f3eb6f233bf",
@@ -688,8 +690,9 @@ class TestDeterminismAndExitCodes:
             ("n=9\nbin_width=1/0\n", "exp.cfg:2: bad value '1/0' for bin_width"),
             ("n=9\nbin_width=3/100\nbin_max=1/10\n", "bin_max must be a whole multiple of bin_width"),
             ("n=9\ntrials=0\n\ntrials=1\n", "exp.cfg:4: duplicate config key 'trials' (first set on line 2)"),
+            ("n=9\nseed\n", "exp.cfg:2: expected key=value, got 'seed'"),
         ],
-        ids=["non-integer", "zero-denominator", "partial-last-bin", "duplicate-key"],
+        ids=["non-integer", "zero-denominator", "partial-last-bin", "duplicate-key", "no-equals-sign"],
     )
     def test_experiment_bad_config_is_input_error(self, tmp_path, config, message):
         cfg = tmp_path / "exp.cfg"

@@ -244,6 +244,10 @@ class TestMixedStrategy:
         with pytest.raises(ValueError, match="out of range"):
             MixedStrategy(2, {5: Fraction(1)})
 
+    def test_rejects_no_vertices(self):
+        with pytest.raises(ValueError, match="^strategy needs at least one vertex$"):
+            MixedStrategy(0, {})
+
     def test_drops_zeros(self):
         x = MixedStrategy(3, {0: Fraction(1), 1: Fraction(0)})
         assert x.support() == (0,)
@@ -372,6 +376,11 @@ class TestGainFunctionals:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             gain(path_tree(3), MixedStrategy.uniform(3), MixedStrategy.uniform(4))
+
+    @pytest.mark.parametrize("reader", [guaranteed_gain, maximal_gain])
+    def test_reader_rejects_a_strategy_of_another_size(self, reader):
+        with pytest.raises(ValueError, match="^dimension mismatch: strategy over 4 vertices, tree has 3$"):
+            reader(path_tree(3), MixedStrategy.uniform(4))
 
     def test_guaranteed_gain_of_pure_is_zero(self):
         t = random_tree(9, 4)
