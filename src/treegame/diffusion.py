@@ -369,14 +369,15 @@ def _sweep(
     most (n - 1) * den, below n * den, so no field, nor any partial sum of
     it, carries into the next. No packed line outlives the sweep.
 
-    ``orbits`` are orbits of a group of checked automorphisms of the tree
-    (those of ``automorphism_orbits`` with more than one vertex), each as a
-    pair: its member vertices, and their entries in the lines. If the mix
-    is constant on each, the group fixes it, so the sum is constant on each
-    too: each orbit's mass goes on its first member, one line is read per
-    orbit, and each entry becomes the average over its orbit, which is
-    exactly the vertex-by-vertex sum (averaging is linear; the division is
-    exact, and checked).
+    ``orbits`` are those of ``automorphism_orbits`` of several vertices, a
+    partition checked stable against ``t.adj``, hence the orbits of a group
+    of automorphisms (``tree._refined_orbits``' lemma), each as a pair: its
+    member vertices, and their entries in the lines. If the mix is constant
+    on each, the group fixes it, so the sum is constant on each too: each
+    orbit's mass goes on its first member, one line is read per orbit, and
+    each entry becomes the average over its orbit, which is exactly the
+    vertex-by-vertex sum (averaging is linear; the division is exact, and
+    checked).
     """
     weight, den = dict(mix[0]), mix[1]
     merged = [o for o, _ in orbits if o[0] in weight]

@@ -29,42 +29,42 @@ improve. It reads only the matrix rows and columns it needs, each computed
 in O(n) from the tree and cached for the call.
 
 The loop runs over one partition, the tree's automorphism orbits
-(``automorphism_orbits``): the orbits of a group of sibling-subtree cycles,
-each checked against the tree's adjacency. A zero-sum game invariant under
-a permutation group has optimal mixes that are constant on its orbits, so a
-candidate support is a set of orbits and the subgame has one row and one
-column per orbit: its entry for orbits (i, j) is the gain of one member of
-orbit i against the mix spread evenly over orbit j, S_ij / |O_j|, with S_ij
-that member's row summed over O_j. The LP keeps S in integers and weights
-column j by |O_j| instead: maximizing sum_j |O_j| u_j subject to S u <= 1
-has the same value v = 1 / sum_j |O_j| u_j, with the opposing mix
-v |O_j| u_j and the maxmin mix the normalized dual prices. A tree with no
-symmetry has single-vertex orbits and the vertex subgames. Supports are
-seeded with the orbits of the centroid and its neighbours, and every
-vertex that improves on the subgame value adds its whole orbit. Each
-vertex's orbit comes from the one orbit table the tree keeps beside the
-orbits (``tree._symmetry``); the solver keeps no table of its own. If the
-first round does not certify, the orbits of the paper's centroidal safe
-strategy's support (``css_run``, kept on the tree) go to the column side
-ahead of that round's improving vertices, within the round's budget: that
-support lies close to the optimal ones, and games solved in one round
-never build it.
+(``automorphism_orbits``): a partition checked stable against ``t.adj``,
+hence the orbits of a group of automorphisms (``tree._refined_orbits``'
+lemma). A zero-sum game invariant under a permutation group has optimal
+mixes that are constant on its orbits, so a candidate support is a set of
+orbits and the subgame has one row and one column per orbit: its entry for
+orbits (i, j) is the gain of one member of orbit i against the mix spread
+evenly over orbit j, S_ij / |O_j|, with S_ij that member's row summed over
+O_j. The LP keeps S in integers and weights column j by |O_j| instead:
+maximizing sum_j |O_j| u_j subject to S u <= 1 has the same value
+v = 1 / sum_j |O_j| u_j, with the opposing mix v |O_j| u_j and the maxmin
+mix the normalized dual prices. A tree with no symmetry has single-vertex
+orbits and the vertex subgames. Supports are seeded with the orbits of the
+centroid and its neighbours, and every vertex that improves on the subgame
+value adds its whole orbit. Each vertex's orbit comes from the one orbit
+table the tree keeps beside the orbits (``tree._symmetry``); the solver
+keeps no table of its own. If the first round does not certify, the orbits
+of the paper's centroidal safe strategy's support (``css_run``, kept on the
+tree) go to the column side ahead of that round's improving vertices, within
+the round's budget: that support lies close to the optimal ones, and games
+solved in one round never build it.
 
 The weak-duality certificate (worst reply against X equals the best start
 against Y equals the subgame value) holds at all n pure replies and starts,
-so it proves optimality on the full game. A sweep reads the row or column
-of one vertex per orbit of several vertices that the mix meets: the group
-maps the members of such an orbit onto one another and fixes the mix, so
-the gain at every other member follows from the one read. Since every cycle
-is checked, a wrong subtree code gives smaller orbits and more lines, never
-a wrong entry; a mix not constant on the orbits gets one line per support
+so it proves optimality on the full game. A sweep reads the row or column of
+one vertex per orbit of several vertices that the mix meets: the group maps
+the members of such an orbit onto one another and fixes the mix, so the gain
+at every other member follows from the one read. As the partition is checked
+stable, a wrong subtree code gives smaller orbits and more lines, never a
+wrong entry; a mix not constant on the orbits gets one line per support
 vertex. Each round's sweeps are integer numerators over the mix's common
-denominator, summed packed (``diffusion._sweep``): the sweep packs each
-gain line it reads into one int with a field of whole 64-bit words per
-vertex, the fewest that hold n times the denominator, so no field carries
-into the next; the loop keeps only the lines' list forms. Lines and sweeps
-are in walk order (``diffusion._cut_gains``): the subgame's entries read
-each orbit's members through the walk's ``pos``, the orbit averages use the
+denominator, summed packed (``diffusion._sweep``): the sweep packs each gain
+line it reads into one int with a field of whole 64-bit words per vertex,
+the fewest that hold n times the denominator, so no field carries into the
+next; the loop keeps only the lines' list forms. Lines and sweeps are in
+walk order (``diffusion._cut_gains``): the subgame's entries read each
+orbit's members through the walk's ``pos``, the orbit averages use the
 members' positions in the same table, and only the improving vertices are
 read back from positions, by the walk's ``order``.
 The sweeps are compared with the subgame value by cross-multiplying;
@@ -423,9 +423,10 @@ def solve_value(t: Tree) -> ZeroSumSolution:
         if b2 < v2:
             movers += [v for _, v in sorted((g, v) for g, v in zip(g2, order) if g * vd < v2)]
         new_y = _admit(lp.col_keys, movers, orbit_of, budget)
-        # An invariant check, not a reachable exit: over the orbits of any
-        # group of checked automorphisms, which fixes both mixes, no member
-        # of a support orbit improves on the subgame value. So improving
+        # An invariant check, not a reachable exit: over a partition checked
+        # stable against t.adj, hence the orbits of a group of automorphisms
+        # (tree._refined_orbits' lemma), which fixes both mixes, no member of
+        # a support orbit improves on the subgame value. So improving
         # vertices lie outside the supports, and every round admits one.
         if not new_x and not new_y:
             raise SolverError("support generation stalled: no improving vertex outside the supports")
@@ -439,9 +440,10 @@ def verify_solution(t: Tree, sol: ZeroSumSolution) -> bool:
     """Recompute both reply sweeps from the tree and check that the worst
     reply against the maxmin mix and the best start against the minmax mix
     both equal the claimed value, ``primal_value`` and ``dual_value``
-    exactly. The sweeps' orbits come from the tree, never from ``sol``: the
-    partition the tree keeps is a pure function of it with every cycle
-    checked, so the certificate proves what a rebuilt one would."""
+    exactly. The sweeps' orbits come from the tree, never from ``sol``: a
+    pure function of it, a partition checked stable against ``t.adj``,
+    hence the orbits of a group of automorphisms (``tree._refined_orbits``'
+    lemma), so the certificate proves what a rebuilt one would."""
     if sol.maxmin.n != t.n or sol.minmax.n != t.n:
         return False
     sym = _symmetry(t)[1]

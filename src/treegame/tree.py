@@ -9,11 +9,11 @@ Every other rooting is read from it as runs of walk positions (``_runs``):
 the weights, the branches and orbits at the centroid, and each gain-matrix
 line, which is computed in walk order (``diffusion._cut_gains``). Those
 that need a vertex's entry read it through ``pos``. The orbits come from
-the centroid's rooting: subtree codes propose one cycle per run of equal
-sibling subtrees, and each cycle is checked against the tree before it
-merges vertices. One orbit table is kept beside them (``_symmetry``): each
-vertex's orbit, and the orbits of several vertices with their members'
-walk positions.
+the centroid's rooting: subtree codes propose classes, refined to a
+partition checked stable against ``t.adj``, hence the orbits of a group of
+automorphisms (the lemma of ``_refined_orbits``). One orbit table is kept
+beside them (``_symmetry``): each vertex's orbit, and the orbits of several
+vertices with their members' walk positions.
 
 A ``Tree`` is immutable after construction, so every function here is pure
 and safe to call from concurrent workers. ``centroid`` and
@@ -40,7 +40,7 @@ from __future__ import annotations
 import functools
 import gc
 from dataclasses import dataclass
-from itertools import chain, groupby, islice, repeat
+from itertools import chain, islice
 from operator import contains
 
 
@@ -413,20 +413,15 @@ def centroid(t: Tree) -> CentroidInfo:
 
 @_kept
 def automorphism_orbits(t: Tree) -> tuple[tuple[int, ...], ...]:
-    """Orbits of the tree's automorphism group: the classes of vertices that
-    some automorphism maps onto one another. Each orbit is a sorted tuple,
-    and the orbits, a tuple kept on the tree, are listed by their smallest
-    vertex. Every automorphism used is checked against ``t.adj``, so the
-    classes are always the orbits of a group of automorphisms; a wrong code
-    could only make them finer.
-
-    Every automorphism maps the centroid onto itself, so the kept walk is
-    rerooted at the centroid, or at a virtual root above the centroid edge
-    when there are two centroids. Each rooted subtree gets an
-    Aho-Hopcroft-Ullman code, the sorted tuple of its children's codes
-    interned to an int. The codes only propose cycles of equal sibling
-    subtrees (``_cycle_orbits``), and the orbits are the components of the
-    cycles that pass the check. O(n log n).
+    """Orbits of the tree's automorphism group, sorted tuples listed by
+    smallest vertex, kept on the tree. Every automorphism maps the centroid
+    onto itself, so the kept walk is rerooted at the centroid, or at a
+    virtual root above the centroid edge when there are two centroids. Each
+    rooted subtree gets an Aho-Hopcroft-Ullman code, the sorted tuple of its
+    children's codes interned to an int. The codes only propose classes,
+    which ``_refined_orbits`` returns as a partition checked stable against
+    ``t.adj``, hence the orbits of a group of automorphisms (its lemma),
+    finer at worst if a code is wrong. The codes need no split: O(n log n).
     """
     info = centroid(t)
     root = info.vertices[0]
@@ -444,7 +439,8 @@ def automorphism_orbits(t: Tree) -> tuple[tuple[int, ...], ...]:
     for v in reversed(order):
         code[v] = codes.setdefault(tuple(sorted(child_codes[v])), len(codes))
         child_codes[parent[v]].append(code[v])
-    return _cycle_orbits(t, order, parent, code)
+    del child_codes, codes  # before the refinement's own tables
+    return _refined_orbits(t, order, parent, code)
 
 
 @_kept
@@ -463,63 +459,44 @@ def _symmetry(t: Tree) -> tuple[list[int], tuple[tuple[tuple[int, ...], tuple[in
     return orbit_of, tuple(sym)
 
 
-def _cycle_orbits(t: Tree, order: list[int], parent: list[int], cls: list[int]) -> tuple[tuple[int, ...], ...]:
-    """The components of the sibling-subtree cycles that the classes ``cls``
-    propose and ``_is_automorphism`` accepts, every other vertex alone;
-    sorted and listed by smallest vertex. Wrong classes give cycles that
-    fail the check, so finer components, never a wrong one. ``order`` lists
-    every vertex after its ``parent``, which is n for the virtual root.
+def _refined_orbits(t: Tree, order: list[int], parent: list[int], cls: list[int]) -> tuple[tuple[int, ...], ...]:
+    """``cls`` refined to a partition stable against ``t.adj``: sorted
+    classes by smallest vertex. ``order`` has each vertex after its
+    ``parent``, n for the virtual root. Top down, a vertex takes the class
+    of (its parent's class, its ``cls``). Members of a class must then have
+    equal sorted neighbour classes, so equal child classes, as their parents
+    share one (a centroid pair adds one class to both). Else each vertex
+    splits, bottom up, by its class and its children's new classes, and the
+    steps rerun and pass. No split merges, so a wrong ``cls`` ends finer,
+    never wrong.
 
-    A run of k >= 2 children of one vertex in one class gives one cycle:
-    subtree s_i onto s_(i+1) and s_k onto s_1, children paired in (class,
-    id) order level by level. If it passes, each moved vertex joins its
-    counterpart in s_1, and the walk enters only s_1; if not, it enters
-    every member. So the checked sizes add up to O(n).
+    Lemma: in a stable partition each class is an orbit of the group of
+    automorphisms that keep each vertex in its class, as ``_sweep``'s orbit
+    averages and the solver's orbit LP need. By induction on height, two
+    vertices in one class have subtrees isomorphic by a class-preserving
+    map: pair their children by class. By induction on depth, for u ~ v such
+    an automorphism h maps u's parent to v's; h(u) and v are siblings in one
+    class, and swapping their subtrees maps u to v (at the centroids, the
+    centroid edge onto itself).
     """
-    n = t.n
-    kids: list[list[int]] = [[] for _ in range(n + 1)]
-    for v in sorted(range(n), key=cls.__getitem__):
-        kids[parent[v]].append(v)
-    up: dict[int, int] = {}  # a moved vertex points to its counterpart in s_1
-    # Top down; the children of a moved vertex are moved, so a list whose
-    # first child is moved lies in some s_i with i > 1 and is not entered.
-    for vs in map(kids.__getitem__, chain((n,), order)):
-        if len(vs) > 1 and vs[0] not in up and len(set(map(cls.__getitem__, vs))) < len(vs):
-            for _, run in groupby(vs, cls.__getitem__):
-                run = tuple(run)
-                if len(run) > 1:
-                    level = [run]
-                    for ws in level:  # grows as it is read: counterparts, level by level
-                        level.extend(zip(*map(kids.__getitem__, ws)))
-                    sigma: dict[int, int] = {}
-                    for ws in level:
-                        sigma.update(zip(ws, ws[1:] + ws[:1]))
-                    if _is_automorphism(t, sigma):
-                        for ws in level:
-                            up.update(zip(ws[1:], repeat(ws[0])))
+    n, adj = t.n, t.adj
+    while True:
+        ids, cl = {}, [-1] * (n + 1)  # the virtual root n keeps class -1
+        for v in order:
+            cl[v] = ids.setdefault((cl[parent[v]], cls[v]), len(ids))
+        first = [-1] * len(ids)  # each class's first member met
+        del ids
+        for v in order:
+            if (f := first[cl[v]]) < 0:
+                first[cl[v]] = v
+            elif sorted(map(cl.__getitem__, adj[v])) != sorted(map(cl.__getitem__, adj[f])):
+                break
+        else:
+            break
+        ids, cls = {}, [0] * n
+        for v in reversed(order):  # children first, so by their split classes
+            cls[v] = ids.setdefault((cl[v], *sorted([cls[w] for w in adj[v] if parent[w] == v])), len(ids))
     orbits: dict[int, list[int]] = {}
-    for v in reversed(up):  # later moves first: a counterpart's own target is final
-        r = up[v] = up.get(up[v], up[v])
-        orbits.setdefault(r, [r]).append(v)
-    out = list(zip(range(n)))
-    for members in orbits.values():
-        members.sort()
-        out[members[0]] = tuple(members)
-        for v in members[1:]:
-            out[v] = ()
-    return tuple(filter(None, out))
-
-
-def _is_automorphism(t: Tree, sigma: dict[int, int]) -> bool:
-    """Whether ``sigma``, which maps each moved vertex to its image and fixes
-    every other vertex, is an automorphism of ``t``: it permutes its moved
-    vertices and sigma(adj[v]) == adj[sigma(v)] for every moved v.
-    O(moved size)."""
-    if sigma.keys() != set(sigma.values()):
-        return False
-    adj, get = t.adj, sigma.get
-    for v, w in sigma.items():
-        a = adj[v]
-        if set(map(get, a, a)) != set(adj[w]):
-            return False
-    return True
+    for v in range(n):
+        orbits.setdefault(cl[v], []).append(v)
+    return tuple(map(tuple, orbits.values()))

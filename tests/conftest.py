@@ -246,20 +246,21 @@ def brute_orbits(t: Tree) -> list[tuple[int, ...]]:
 
 @contextlib.contextmanager
 def proposing(classes):
-    """Within the block, ``automorphism_orbits`` proposes its sibling-subtree
-    cycles from the partition ``classes`` instead of the subtree codes.
-    Every proposed cycle still goes through the automorphism check."""
+    """Within the block, ``automorphism_orbits`` proposes the partition
+    ``classes`` instead of the subtree codes. The proposal still goes
+    through the refinement, which checks it against the tree's adjacency
+    and splits every class that fails."""
     label = {v: k for k, members in enumerate(classes) for v in members}
-    cycle_orbits = treegame.tree._cycle_orbits
+    refined_orbits = treegame.tree._refined_orbits
     calls = []
 
     def seam(t, order, parent, cls):
         calls.append(t)
-        return cycle_orbits(t, order, parent, [label[v] for v in range(t.n)])
+        return refined_orbits(t, order, parent, [label[v] for v in range(t.n)])
 
-    with mock.patch.object(treegame.tree, "_cycle_orbits", seam):
+    with mock.patch.object(treegame.tree, "_refined_orbits", seam):
         yield
-    assert calls, "automorphism_orbits never proposed cycles through the seam"
+    assert calls, "automorphism_orbits never proposed classes through the seam"
 
 
 def simulation_matrix(t: Tree) -> list[list[int]]:

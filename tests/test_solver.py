@@ -809,9 +809,9 @@ def _blocks_of_three(t):
     ids=["path2", "path7", "star9", "spider4x3", "ctree2-3", "random30", "random45"],
 )
 def test_wrong_orbit_partition_never_gives_a_wrong_value(t, wrong):
-    # Wrong classes propose swaps that fail the automorphism check, so the
+    # Wrong classes fail the stability check and are split, so the
     # partition the solver and the verifier use is still the orbits of a
-    # group, only finer: the solve cannot stall and ends in the same value.
+    # group, never coarser: the solve cannot stall and ends in the same value.
     # The block runs on a fresh copy, since ``t`` keeps the orbits it has.
     expected = solve_value(t).value
     with proposing(wrong(t)):

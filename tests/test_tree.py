@@ -9,7 +9,7 @@ from itertools import chain
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import treegame.css
@@ -38,7 +38,7 @@ from treegame import (
     weight_table,
 )
 from treegame.diffusion import _sweep, gain_column, gain_row
-from treegame.tree import _is_automorphism, _symmetry, _walk
+from treegame.tree import _refined_orbits, _symmetry, _walk
 
 from conftest import (
     all_labeled_trees,
@@ -595,6 +595,23 @@ def test_centroid_walk_matches_brute_force(t):
     assert info.kind == ("centroidal" if len(info.vertices) == 1 else "bicentroidal")
 
 
+def _spider_layout(m, l):
+    # The body alone, then one class per depth d: vertex d + (s - 1) l on
+    # each leg s.
+    return build_spider(SpiderSpec(m, l)), [(0,), *(tuple(range(d, m * l + 1, l)) for d in range(1, l + 1))]
+
+
+def _complete_tree_layout(m, h):
+    # One class per level; level d starts at vertex (m^d - 1) / (m - 1).
+    starts = [(m**d - 1) // (m - 1) for d in range(h + 2)]
+    return build_complete_tree(CompleteTreeSpec(m, h)), [tuple(range(a, b)) for a, b in zip(starts, starts[1:])]
+
+
+def _double_star_layout(k):
+    # The two centres, then all 2k leaves.
+    return _double_star(k), [(0, 1), tuple(range(2, 2 * k + 2))]
+
+
 class TestAutomorphismOrbits:
     @settings(max_examples=150, deadline=None)
     @given(SMALL_TREES)
@@ -625,6 +642,46 @@ class TestAutomorphismOrbits:
         relabelled = Tree.from_edges(n, [(pi[u], pi[v]) for u, v in t.edges()])
         moved = sorted(tuple(sorted(pi[v] for v in orbit)) for orbit in automorphism_orbits(t))
         assert list(automorphism_orbits(relabelled)) == moved
+
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            lambda: _spider_layout(3, 9),
+            lambda: _spider_layout(40, 2),
+            lambda: _spider_layout(1000, 2),
+            lambda: _spider_layout(3, 1000),
+            lambda: _complete_tree_layout(4, 3),
+            lambda: _complete_tree_layout(3, 7),
+            lambda: _complete_tree_layout(2, 11),
+            lambda: _double_star_layout(1),
+            lambda: _double_star_layout(7),
+            lambda: _double_star_layout(1500),
+        ],
+        ids=[
+            "spider3x9",
+            "spider40x2",
+            "spider1000x2",
+            "spider3x1000",
+            "ctree4-3",
+            "ctree3-7",
+            "ctree2-11",
+            "double-star1",
+            "double-star7",
+            "double-star1500",
+        ],
+    )
+    def test_family_layouts(self, layout):
+        # Orbits read off each family's vertex layout, where brute_orbits
+        # cannot reach: on the built tree and on three relabelled copies,
+        # each class mapped through the relabelling.
+        t, classes = layout()
+        assert list(automorphism_orbits(t)) == sorted(classes)
+        for seed in range(3):
+            pi = list(range(t.n))
+            random.Random(seed).shuffle(pi)
+            relabelled = Tree.from_edges(t.n, [(pi[u], pi[v]) for u, v in t.edges()])
+            moved = sorted(tuple(sorted(map(pi.__getitem__, c))) for c in classes)
+            assert list(automorphism_orbits(relabelled)) == moved
 
 
 def _relabelled_random(n, seed):
@@ -739,7 +796,7 @@ class TestKeptTables:
         assert vars(t)["_kept__walk"] is walk
 
     def test_value_command_builds_the_orbits_once(self):
-        with mock.patch.object(treegame.tree, "_cycle_orbits", wraps=treegame.tree._cycle_orbits) as spy:
+        with mock.patch.object(treegame.tree, "_refined_orbits", wraps=_refined_orbits) as spy:
             code, _, err = run_cli("value", "--spider", "40", "2")
         assert code == 0, err
         assert spy.call_count == 1
@@ -942,7 +999,7 @@ _BROOM = Tree.from_edges(9, [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (0, 6), (6,
 
 def _checked_orbits(t, classes):
     """The orbits of more than one vertex that ``automorphism_orbits`` gives
-    when ``classes``, not the subtree codes, propose the swaps; computed on
+    when ``classes``, not the subtree codes, are refined; computed on
     a fresh copy of ``t``, which may already keep its orbits."""
     with proposing(classes):
         return [o for o in automorphism_orbits(dataclasses.replace(t)) if len(o) > 1]
@@ -957,49 +1014,43 @@ class TestCheckedOrbits:
         for wrong in _wrong_partitions(t):
             assert _refines(_checked_orbits(t, wrong), orbits)
 
-    def test_injected_non_automorphisms_fail_the_check(self):
-        assert _is_automorphism(_BROOM, {2: 4, 4: 2, 3: 5, 5: 3})
-        legs = build_spider(SpiderSpec(3, 2))  # legs 1-2, 3-4 and 5-6 on the body 0
-        assert _is_automorphism(legs, {1: 3, 3: 5, 5: 1, 2: 4, 4: 6, 6: 2})
-        assert not _is_automorphism(_BROOM, {1: 2, 2: 1})  # a leaf and an inner vertex
-        assert not _is_automorphism(_BROOM, {4: 6, 6: 4, 5: 7, 7: 5})  # non-isomorphic siblings
-        # 1 and 3 both onto 2: every image keeps its neighbours, but 1 is missed.
-        assert not _is_automorphism(star_tree(3), {1: 2, 2: 3, 3: 2})
+    def test_unequal_proposals_are_split(self):
+        # The leaf 1 proposed with the inner vertex 2, and the subtree at 4
+        # with the larger one at 6: both pairs fail the check and are split.
+        assert _checked_orbits(_BROOM, [(0,), (1, 2), (3,), (4, 6), (5,), (7, 8)]) == [(7, 8)]
+        # Each beside true orbits: only the wrong member is split off.
+        orbits = [(2, 4), (3, 5), (7, 8)]
+        assert _checked_orbits(_BROOM, [(0,), (1, 2, 4), (3, 5), (6,), (7, 8)]) == orbits
+        assert _checked_orbits(_BROOM, [(0,), (1,), (2, 4, 6), (3, 5, 7, 8)]) == orbits
 
     def test_wrong_classes_give_no_wrong_swap(self):
         # Each depth as one class puts the leaf 1 beside the inner vertex 2
-        # and the subtree at 4 beside the larger one at 6, so the root's
-        # run (1, 2, 4, 6) fails as one cycle; only (7, 8) is left.
+        # and the subtree at 4 beside the larger one at 6. The check splits
+        # that class by its members' children, which refines it to the
+        # exact orbits.
         by_depth = [(0,), (1, 2, 4, 6), (3, 5, 7, 8)]
-        assert _checked_orbits(_BROOM, by_depth) == [(7, 8)]
+        assert _checked_orbits(_BROOM, by_depth) == [(2, 4), (3, 5), (7, 8)]
         assert list(automorphism_orbits(_BROOM)) == [(0,), (1,), (2, 4), (3, 5), (6,), (7, 8)]
-
-    @pytest.mark.parametrize(
-        "make, checks",
-        [
-            (lambda: star_tree(40), 1),
-            (lambda: build_spider(SpiderSpec(40, 2)), 1),
-            (lambda: build_complete_tree(CompleteTreeSpec(3, 4)), 4),
-            (lambda: build_complete_tree(CompleteTreeSpec(2, 12)), 12),
-        ],
-        ids=["star40", "spider40x2", "ctree3-4", "ctree2-12"],
-    )
-    def test_one_check_per_run(self, make, checks):
-        # One cycle per run of equal siblings, and only the first member of
-        # a run that passes is entered.
-        t = make()
-        with mock.patch.object(treegame.tree, "_is_automorphism", wraps=_is_automorphism) as spy:
-            automorphism_orbits(t)
-        assert spy.call_count == checks
 
     @settings(max_examples=150, deadline=None)
     @given(SYMMETRIC_TREES)
-    def test_subtree_codes_propose_no_failing_cycle(self, t):
-        # A failing check would only make the orbits finer and the solves
-        # slower, without any error.
-        with mock.patch.object(treegame.tree, "_is_automorphism", wraps=_is_automorphism) as spy:
-            automorphism_orbits(dataclasses.replace(t))
-        assert all(_is_automorphism(*c.args) for c in spy.call_args_list)
+    @example(star_tree(40))
+    @example(build_spider(SpiderSpec(40, 2)))
+    @example(build_complete_tree(CompleteTreeSpec(3, 4)))
+    @example(build_complete_tree(CompleteTreeSpec(2, 12)))
+    def test_subtree_codes_need_no_split_round(self, t):
+        # A split would only make the orbits finer and the solves slower,
+        # without any error; without one the orbits cost O(n log n). The
+        # refinement is called once, and as no split merges, it split
+        # nothing when it returns as many classes as its parent step gives.
+        with mock.patch.object(treegame.tree, "_refined_orbits", wraps=_refined_orbits) as spy:
+            orbits = automorphism_orbits(dataclasses.replace(t))
+        assert spy.call_count == 1
+        _, order, parent, codes = spy.call_args.args
+        ids, cl = {}, {t.n: -1}
+        for v in order:
+            cl[v] = ids.setdefault((cl[parent[v]], codes[v]), len(ids))
+        assert len(orbits) == len(ids)
 
     @settings(max_examples=150, deadline=None)
     @given(SYMMETRIC_TREES, st.data())
