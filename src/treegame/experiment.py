@@ -3,19 +3,28 @@ centroidal strategy's guaranteed gain against the exact safety value (the
 records' ``upper_bound``), and histogram the normalized differences.
 
 Runs are reproducible bit-for-bit: trial i derives its seed from a SHA-256
-hash of (master seed, i), so trials are order-independent.
+hash of (master seed, i), so trials are order-independent. SHA-256 comes from
+CPython's built-in ``_sha2`` (3.12+) or ``_sha256`` (3.10-3.11), as ``random``
+takes its SHA-512, else from ``hashlib``, which maps OpenSSL.
 """
 
 from __future__ import annotations
 
 import csv
-import hashlib
 import math
 import random
 import statistics
 import typing
 from dataclasses import dataclass
 from fractions import Fraction
+
+try:
+    from _sha2 import sha256 as _sha256
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 from .css import css_run
 from .diffusion import format_fraction
@@ -113,7 +122,9 @@ class ExperimentResult:
 
 
 def trial_seed(master: int, i: int) -> int:
-    digest = hashlib.sha256(f"{master}:{i}".encode()).digest()
+    """The first 8 bytes of the SHA-256 digest of ``"master:i"``, read
+    big-endian and shifted right by one: a seed in [0, 2**63)."""
+    digest = _sha256(f"{master}:{i}".encode()).digest()
     return int.from_bytes(digest[:8], "big") >> 1
 
 

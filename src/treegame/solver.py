@@ -95,12 +95,11 @@ def _eliminate(row: list[int], k: int, prow: list[int], piv: int, den: int) -> l
     """One fraction-free pivot step on ``row``: (row * piv - row[k] * prow) / den,
     which must be exact, with ``den`` > 0.
 
-    Floor division gives q * den <= num entry by entry, so the sums agree
-    only if every division is exact: one check per row, not per entry."""
+    Floor division gives q * den <= row * piv - row[k] * prow entry by entry, so
+    the sums agree only if every division is exact: one check per row, not per entry."""
     f = row[k]
-    num = [a * piv - f * b for a, b in zip(row, prow)]
-    q = [a // den for a in num]
-    if sum(q) * den != sum(num):
+    q = [(a * piv - f * b) // den for a, b in zip(row, prow)]
+    if sum(q) * den != piv * sum(row) - f * sum(prow):
         raise SolverError("inexact division in integer pivot")
     return q
 

@@ -829,3 +829,22 @@ def test_value_and_css_import_only_what_they_run(p5_file):
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == "[[], [], []] []\n"
     assert re.findall(r'^  "schema": "(.*)",$', proc.stdout, re.M) == ["treegame.value/1", "treegame.css/1"]
+
+
+def test_experiment_loads_no_hashlib(tmp_path):
+    # Trial seeds come from CPython's built-in SHA-256 whenever it exists,
+    # so an experiment run loads neither hashlib nor OpenSSL's _hashlib.
+    script = (
+        "import importlib.util, sys\n"
+        "import treegame.cli\n"
+        f"sys.argv = ['treegame', 'experiment', '--n', '20', '--trials', '3', '--seed', '0', '--out', {str(tmp_path)!r}]\n"
+        "treegame.cli.main()\n"
+        "builtin = any(importlib.util.find_spec(m) for m in ('_sha2', '_sha256'))\n"
+        "print(builtin, [m for m in ('hashlib', '_hashlib') if m in sys.modules], file=sys.stderr)\n"
+    )
+    proc = run_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    if proc.stderr.startswith("False"):
+        pytest.skip("this Python has no built-in SHA-256 module")
+    assert proc.stderr == "True []\n"
+    assert (tmp_path / "records.csv").read_text().count("\n") == 4

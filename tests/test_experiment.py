@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import warnings
 from fractions import Fraction
 
@@ -29,7 +30,7 @@ from treegame import (
 )
 from treegame.experiment import _RangeError, _read_config
 
-from conftest import randrange_random_tree
+from conftest import randrange_random_tree, run_python
 
 
 class TestRandomTree:
@@ -114,6 +115,35 @@ class TestTrialSeed:
         assert trial_seed(7, 0) == trial_seed(7, 0)
         assert trial_seed(7, 0) != trial_seed(7, 1)
         assert trial_seed(8, 0) != trial_seed(7, 0)
+
+    MASTERS = [0, 1, -1, 1143903956, 2**63, -2**70]
+    INDICES = [0, 1, 39, 10**6]
+
+    @staticmethod
+    def reference(master, i):
+        return int.from_bytes(hashlib.sha256(f"{master}:{i}".encode()).digest()[:8], "big") >> 1
+
+    @pytest.mark.parametrize("master", MASTERS)
+    @pytest.mark.parametrize("i", INDICES)
+    def test_first_eight_digest_bytes_shifted(self, master, i):
+        seed = trial_seed(master, i)
+        assert seed == self.reference(master, i)
+        assert 0 <= seed < 2**63
+
+    def test_hashlib_fallback_gives_the_same_seeds(self):
+        # With neither built-in SHA-256 module importable, the experiment
+        # module takes sha256 from hashlib, and every seed stays the same.
+        script = (
+            "import sys\n"
+            "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+            "import treegame.experiment as e\n"
+            f"print(e._sha256.__module__, [e.trial_seed(m, i) for m in {self.MASTERS!r} for i in {self.INDICES!r}])\n"
+        )
+        proc = run_python("-c", script)
+        assert proc.returncode == 0, proc.stderr
+        module, seeds = proc.stdout.split(" ", 1)
+        assert module == "_hashlib"
+        assert seeds == f"{[self.reference(m, i) for m in self.MASTERS for i in self.INDICES]}\n"
 
 
 class TestUpperBound:
